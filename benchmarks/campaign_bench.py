@@ -10,21 +10,15 @@ appends the trace journal and writes the ``run.json`` manifest next to
 it, so CI can upload the full observability artifact set alongside the
 numbers.
 
-Two regression-gate features:
-
-* ``--compare-engines N`` re-measures a sample of N /24s under both
-  the object-path campaign engine and the columnar fast engine (the
-  results are bit-identical; only wall-clock differs) and reports
-  both rates plus their ratio.
-* ``--baseline PATH`` compares this run's campaign probes/sec against
-  a committed snapshot and exits non-zero on a >20% regression.
+``--baseline PATH`` compares this run's campaign probes/sec against a
+committed snapshot and exits non-zero on a >20% regression.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/campaign_bench.py \
         [--out BENCH_campaign.json] [--profile tiny] [--workers 2] \
         [--trace BENCH_campaign_trace.jsonl] [--store PATH] \
-        [--compare-engines 400] [--baseline benchmarks/baselines/...json]
+        [--baseline benchmarks/baselines/...json]
 """
 
 import argparse
@@ -36,13 +30,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core import TerminationPolicy, run_campaign  # noqa: E402
-from repro.core.fastengine import (  # noqa: E402
-    CAMPAIGN_ENGINE_ENV,
-    campaign_engine_name,
-)
 from repro.experiments import PROFILES, Workspace  # noqa: E402
-from repro.netsim.routing import reference_engine_enabled  # noqa: E402
 from repro.obs import (  # noqa: E402
     build_manifest,
     configure_tracing,
@@ -68,54 +56,7 @@ def _peak_rss_mb():
     return peak / 1024
 
 
-def _compare_engines(workspace, sample_size):
-    """Time the same /24 sample under the object and columnar campaign
-    engines (identical results; pure wall-clock comparison)."""
-    internet = workspace.internet
-    snapshot = workspace.snapshot
-    eligible = snapshot.eligible_slash24s()
-    stride = max(1, len(eligible) // max(sample_size, 1))
-    sample = eligible[::stride][:sample_size]
-    policy = TerminationPolicy(confidence_table=workspace.confidence_table)
-    rates = {}
-    previous = os.environ.get(CAMPAIGN_ENGINE_ENV)
-    try:
-        for engine in ("object", "columnar"):
-            os.environ[CAMPAIGN_ENGINE_ENV] = engine
-            probes_before = internet.probe_count
-            started = time.perf_counter()
-            run_campaign(
-                internet,
-                policy,
-                slash24s=sample,
-                snapshot=snapshot,
-                seed=internet.config.seed ^ 0xBE7C,
-                max_destinations_per_slash24=(
-                    workspace.profile.campaign_max_destinations
-                ),
-            )
-            elapsed = time.perf_counter() - started
-            probes = internet.probe_count - probes_before
-            rates[engine] = {
-                "slash24s": len(sample),
-                "probes": probes,
-                "seconds": round(elapsed, 3),
-                "probes_per_second": (
-                    round(probes / elapsed, 1) if elapsed else None
-                ),
-            }
-    finally:
-        if previous is None:
-            os.environ.pop(CAMPAIGN_ENGINE_ENV, None)
-        else:
-            os.environ[CAMPAIGN_ENGINE_ENV] = previous
-    slow = rates["object"]["probes_per_second"] or 0.0
-    fast = rates["columnar"]["probes_per_second"] or 0.0
-    rates["columnar_speedup"] = round(fast / slow, 2) if slow else None
-    return rates
-
-
-def run(profile_name, workers, trace_path, store_path, compare_engines=0):
+def run(profile_name, workers, trace_path, store_path):
     configure_tracing(trace_path)
     workspace = Workspace(
         PROFILES[profile_name], workers=workers, store_path=store_path
@@ -124,11 +65,6 @@ def run(profile_name, workers, trace_path, store_path, compare_engines=0):
         started = time.perf_counter()
         workspace.ensure_built()
         elapsed = time.perf_counter() - started
-        comparison = (
-            _compare_engines(workspace, compare_engines)
-            if compare_engines
-            else None
-        )
 
     phases = phase_wall_clocks(registry)
     campaign_seconds = registry.timer_seconds("phase.campaign")
@@ -137,9 +73,6 @@ def run(profile_name, workers, trace_path, store_path, compare_engines=0):
         "benchmark": "campaign",
         "profile": profile_name,
         "workers": workspace.workers,
-        "engine": "reference" if reference_engine_enabled() else "compiled",
-        "campaign_engine": campaign_engine_name(),
-        "result_format": workspace.profile.campaign_result_format,
         "store": store_path,
         "total_seconds": round(elapsed, 3),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
@@ -158,8 +91,6 @@ def run(profile_name, workers, trace_path, store_path, compare_engines=0):
         "slash24s_measured": registry.counter_value("campaign.slash24s"),
         "internet_stats": workspace.internet.stats(),
     }
-    if comparison is not None:
-        document["engine_comparison"] = comparison
 
     if trace_path is not None:
         manifest = build_manifest(
@@ -167,7 +98,6 @@ def run(profile_name, workers, trace_path, store_path, compare_engines=0):
             profile=profile_name,
             scenario_seed=workspace.profile.scenario_seed,
             workers=workspace.workers,
-            engine=document["engine"],
             store_path=store_path,
             trace_path=os.path.abspath(trace_path),
             registry=registry,
@@ -210,11 +140,6 @@ def main(argv=None):
     parser.add_argument("--trace", default=None, metavar="PATH")
     parser.add_argument("--store", default=None, metavar="PATH")
     parser.add_argument(
-        "--compare-engines", type=int, default=0, metavar="N",
-        help="also time N sampled /24s under the object vs columnar "
-        "campaign engines",
-    )
-    parser.add_argument(
         "--baseline", default=None, metavar="PATH",
         help="committed BENCH_campaign.json snapshot; exit non-zero if "
         "probes/sec regressed more than "
@@ -222,10 +147,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    document = run(
-        args.profile, args.workers, args.trace, args.store,
-        compare_engines=args.compare_engines,
-    )
+    document = run(args.profile, args.workers, args.trace, args.store)
     rendered = json.dumps(document, indent=2, sort_keys=True)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(rendered + "\n")

@@ -66,7 +66,6 @@ def run_once(profile_name, intensity, workers, registry):
             seed=ws.internet.config.seed ^ 0xE7E,
             max_destinations_per_slash24=ws.profile.campaign_max_destinations,
             workers=workers,
-            result_format=ws.profile.campaign_result_format,
             metrics=registry,
         )
         counters = (

@@ -46,9 +46,7 @@ def result_digest(result) -> str:
     return digest.hexdigest()
 
 
-def run_once(
-    profile_name, workers, store_path, registry=None, result_format=None
-):
+def run_once(profile_name, workers, store_path, registry=None):
     from repro.core import TerminationPolicy, run_campaign
     from repro.experiments import PROFILES, Workspace
     from repro.store import MeasurementStore
@@ -67,9 +65,6 @@ def run_once(
                 ),
                 workers=workers,
                 store=store,
-                result_format=(
-                    result_format or ws.profile.campaign_result_format
-                ),
                 metrics=registry,
             )
         finally:
@@ -95,19 +90,12 @@ def main(argv=None):
         "--ttl", default="3.0",
         help="lease TTL in seconds (short: the steal happens in test time)",
     )
-    parser.add_argument(
-        "--result-format", default=None, choices=("object", "columnar"),
-        help="campaign result format (default: the profile's)",
-    )
     args = parser.parse_args(argv)
 
     from repro.obs.metrics import MetricsRegistry
 
     print(f"[1/2] serial baseline on {args.profile!r} ...", flush=True)
-    baseline = run_once(
-        args.profile, workers=1, store_path=None,
-        result_format=args.result_format,
-    )
+    baseline = run_once(args.profile, workers=1, store_path=None)
     print(
         f"      {baseline[3]} /24s, clock={baseline[1]:.3f}, "
         f"probes={baseline[2]}",
@@ -125,7 +113,6 @@ def main(argv=None):
         killed = run_once(
             args.profile, workers=args.workers,
             store_path=os.path.join(tmp, "store"), registry=registry,
-            result_format=args.result_format,
         )
 
     lost = registry.counter_value("campaign.parallel.lease.workers_lost")

@@ -356,24 +356,14 @@ def _finish_trace(
     if trace_path is None:
         return
     from .aggregation import aggregation_engine_name
-    from .core.fastengine import campaign_engine_name
-    from .netsim.routing import reference_engine_enabled
 
     internet = workspace._internet
-    engines = {
-        "engines": {
-            "campaign": campaign_engine_name(),
-            "aggregation": aggregation_engine_name(),
-        },
-    }
+    engines = {"engines": {"aggregation": aggregation_engine_name()}}
     document = build_manifest(
         command=command,
         profile=workspace.profile.name,
         scenario_seed=workspace.profile.scenario_seed,
         workers=workspace.workers,
-        engine=(
-            "reference" if reference_engine_enabled() else "compiled"
-        ),
         store_path=workspace.store_path,
         trace_path=os.path.abspath(trace_path),
         registry=current_metrics(),

@@ -40,7 +40,6 @@ from .pipeline import (
     ParallelFallbackWarning,
     default_policy,
     run_campaign,
-    run_campaign_parallel,
     slash24_seed,
 )
 from .selection import (
@@ -92,7 +91,6 @@ __all__ = [
     "ranges_hierarchical",
     "round_robin_order",
     "run_campaign",
-    "run_campaign_parallel",
     "slash24_seed",
     "single_lasthop_table",
     "slash26_groups",

@@ -1,11 +1,11 @@
-"""Columnar campaign results: flat numpy arrays instead of objects.
+"""Campaign results as flat numpy arrays instead of objects.
 
 A paper-scale campaign covers millions of /24s; holding one
 :class:`~repro.core.classifier.Slash24Measurement` (a dataclass, a dict,
 and a frozenset per destination) per /24 costs hundreds of bytes of
 Python object headers each and makes whole-campaign summaries
 (Table 1 counts, homogeneous masks) walk millions of attribute lookups.
-:class:`ColumnarCampaignResult` stores the same information as ten flat
+:class:`CampaignResult` stores the same information as ten flat
 arrays:
 
 ====================  ======  ===============================================
@@ -28,24 +28,17 @@ positional code tables in :mod:`repro.core.classifier`; whole-campaign
 classification summaries reduce to ``np.bincount`` over the code column
 with the ``ANALYZABLE_BY_CODE``/``HOMOGENEOUS_BY_CODE`` masks.
 
-The API mirrors :class:`repro.core.pipeline.CampaignResult` (``add``,
-``merge``, ``subset``, iteration, Table 1 helpers) and materializes
-:class:`Slash24Measurement` objects lazily, one at a time, only where a
-caller asks for them. ``subset`` is a **view**: the selected rows'
-fixed-width columns are fancy-indexed (O(selection)) while the ragged
-pools are shared with the parent by reference, so carving a handful of
-/24s out of a million-row result does not copy the campaign.
-
-The object representation remains the default everywhere
-(``run_campaign(..., result_format="columnar")`` or
-``REPRO_RESULT_FORMAT=columnar`` opt in); conversions in both
-directions are exact, which the round-trip test suite asserts
-byte-for-byte through the store codec.
+The API (``add``, ``merge``, ``subset``, iteration, a ``measurements``
+mapping, Table 1 helpers) materializes :class:`Slash24Measurement`
+objects lazily, one at a time, only where a caller asks for them.
+``subset`` is a **view**: the selected rows' fixed-width columns are
+fancy-indexed (O(selection)) while the ragged pools are shared with the
+parent by reference, so carving a handful of /24s out of a million-row
+result does not copy the campaign.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
 
@@ -64,28 +57,13 @@ from .classifier import (
     Slash24Measurement,
 )
 
-#: Environment variable selecting :func:`repro.core.pipeline.run_campaign`'s
-#: default result representation: ``object`` (default) or ``columnar``.
-RESULT_FORMAT_ENV = "REPRO_RESULT_FORMAT"
-
 _ANALYZABLE_MASK = np.array(ANALYZABLE_BY_CODE, dtype=bool)
 _HOMOGENEOUS_MASK = np.array(HOMOGENEOUS_BY_CODE, dtype=bool)
 
 
-def result_format_name(override: Optional[str] = None) -> str:
-    """Resolve a ``result_format`` argument against the environment."""
-    value = override or os.environ.get(RESULT_FORMAT_ENV, "") or "object"
-    value = value.strip().lower()
-    if value not in ("object", "columnar"):
-        raise ValueError(
-            f"unknown result format {value!r} (expected 'object' or "
-            "'columnar')"
-        )
-    return value
-
-
-class ColumnarCampaignResult:
-    """Campaign outcome stored as flat arrays (see module docstring)."""
+class CampaignResult:
+    """Outcome of measuring a set of /24s, stored as flat arrays (see
+    module docstring)."""
 
     def __init__(self) -> None:
         self.probes_used = 0
@@ -110,12 +88,16 @@ class ColumnarCampaignResult:
 
     def add(self, measurement: Slash24Measurement) -> None:
         """Fold one /24's measurement into the columns and drop the
-        object. Raises ValueError on a duplicate prefix (same contract
-        as :meth:`CampaignResult.add`)."""
+        object.
+
+        Raises ValueError on a duplicate prefix: accepting it would
+        count its probes twice in the campaign's headline probe-cost
+        numbers.
+        """
         slash24 = measurement.slash24
         if slash24.length != 24:
             raise ValueError(
-                f"columnar results hold /24 measurements, got {slash24}"
+                f"campaign results hold /24 measurements, got {slash24}"
             )
         network = slash24.network
         if network in self._index:
@@ -145,8 +127,8 @@ class ColumnarCampaignResult:
         self._s_obs_hi.append(base + len(self._s_dst_pool))
         self.probes_used += measurement.probes_used
 
-    def merge(self, other: "ColumnarCampaignResult") -> "ColumnarCampaignResult":
-        """Fold another (disjoint) columnar result in. Returns self."""
+    def merge(self, other: "CampaignResult") -> "CampaignResult":
+        """Fold another (disjoint) result into this one. Returns self."""
         overlap = self._index.keys() & other._index.keys()
         if overlap:
             sample = ", ".join(
@@ -159,24 +141,6 @@ class ColumnarCampaignResult:
         for measurement in other:
             self.add(measurement)
         return self
-
-    @classmethod
-    def from_campaign_result(cls, result) -> "ColumnarCampaignResult":
-        """Convert an object-form result (exact; order-preserving)."""
-        columnar = cls()
-        for measurement in result:
-            columnar.add(measurement)
-        return columnar
-
-    def to_object(self):
-        """Materialize back into an object-form
-        :class:`repro.core.pipeline.CampaignResult` (exact)."""
-        from .pipeline import CampaignResult
-
-        result = CampaignResult()
-        for measurement in self:
-            result.add(measurement)
-        return result
 
     # -- storage ----------------------------------------------------------
 
@@ -315,8 +279,9 @@ class ColumnarCampaignResult:
         return int(self.homogeneous_mask().sum()) / total
 
     def lasthop_sets(self) -> Dict[Prefix, FrozenSet[int]]:
-        """Homogeneous /24 → union of its last-hop sets, straight off
-        the pools (no per-/24 object materialization)."""
+        """Homogeneous /24 → union of its last-hop sets (the aggregation
+        input of Section 5), straight off the pools (no per-/24 object
+        materialization)."""
         arrays = self._finalize()
         lh_lo, lh_hi = arrays["lh_lo"], arrays["lh_hi"]
         lh_pool = arrays["lh_pool"]
@@ -339,8 +304,7 @@ class ColumnarCampaignResult:
 
     @property
     def measurements(self) -> "Mapping[Prefix, Slash24Measurement]":
-        """Lazy mapping view mirroring
-        :attr:`CampaignResult.measurements`: keys iterate in campaign
+        """Lazy prefix → measurement mapping: keys iterate in campaign
         input order, values materialize one at a time on access."""
         return _MeasurementsView(self)
 
@@ -362,7 +326,7 @@ class ColumnarCampaignResult:
     def prefixes(self) -> List[Prefix]:
         return [Prefix(network, 24) for network in self._index]
 
-    def subset(self, slash24s: Iterable[Prefix]) -> "ColumnarCampaignResult":
+    def subset(self, slash24s: Iterable[Prefix]) -> "CampaignResult":
         """A view of just the given /24s (KeyError if one was never
         measured). Fixed-width columns are fancy-indexed —
         O(selection) — and the ragged destination/last-hop pools are
@@ -385,7 +349,7 @@ class ColumnarCampaignResult:
             index[slash24.network] = len(rows)
             rows.append(row)
         selector = np.array(rows, dtype=np.int64)
-        view = ColumnarCampaignResult()
+        view = CampaignResult()
         view._index = index
         view._arrays = {
             "nets": arrays["nets"][selector],
@@ -408,11 +372,11 @@ class ColumnarCampaignResult:
 
 
 class _MeasurementsView(Mapping):
-    """Read-only dict-shaped facade over a columnar result."""
+    """Read-only dict-shaped facade over a campaign result."""
 
     __slots__ = ("_result",)
 
-    def __init__(self, result: ColumnarCampaignResult) -> None:
+    def __init__(self, result: CampaignResult) -> None:
         self._result = result
 
     def __len__(self) -> int:

@@ -25,7 +25,9 @@ Parity contract: for every supported policy the engine's measurement
 (``probe_count``, clock, nonce) are bit-identical to the object path
 (:func:`repro.core.classifier.measure_slash24` through a
 :class:`~repro.probing.session.Prober`). The golden suite in
-``tests/core/test_columnar_parity.py`` enforces this on whole campaigns.
+``tests/core/test_columnar_campaign.py`` enforces this on whole
+campaigns, with the object path installed by the ``tests/oracle.py``
+switch.
 
 Engine state that probes would normally mutate on the simulator — rate
 limiter buckets, the clock, the nonce — is mirrored locally and only
@@ -36,7 +38,6 @@ fallback mid-/24 side-effect free.
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 from bisect import bisect_right
@@ -66,11 +67,6 @@ from .termination import (
     TerminationState,
 )
 
-#: Environment variable selecting the campaign execution engine:
-#: ``columnar`` (default — this compiled engine plus columnar results
-#: where requested) or ``object`` (the per-object reference path).
-CAMPAIGN_ENGINE_ENV = "REPRO_CAMPAIGN_ENGINE"
-
 #: Echo probes use this TTL (mirrors ``repro.probing.session.ECHO_TTL``;
 #: duplicated to avoid importing the Prober module on the hot path).
 _ECHO_TTL = 64
@@ -97,28 +93,15 @@ class FastPathUnsupported(Exception):
     must fall back to the object path (no simulator state was touched)."""
 
 
-def campaign_engine_name() -> str:
-    """The configured campaign engine (``columnar`` or ``object``)."""
-    value = os.environ.get(CAMPAIGN_ENGINE_ENV, "").strip().lower()
-    if value in ("object", "reference"):
-        return "object"
-    return "columnar"
-
-
 def fast_engine_for(internet, policy, max_probes) -> Optional["FastCampaignEngine"]:
     """The engine for this (internet, policy) if eligible, else None.
 
     Eligibility is deliberately narrow: the exact policy types the
-    engine replicates (subclasses may override hooks the engine inlines),
-    no probe budget (budget accounting must raise mid-/24 at the exact
-    probe, which only the Prober path does), and a compiled forwarding
-    plane (``REPRO_REFERENCE_ENGINE=1`` pins the reference everything).
+    engine replicates (subclasses may override hooks the engine inlines)
+    and no probe budget (budget accounting must raise mid-/24 at the
+    exact probe, which only the Prober path does).
     """
     if max_probes is not None:
-        return None
-    if campaign_engine_name() == "object":
-        return None
-    if internet._reference or not internet.forwarder.compiled_enabled:
         return None
     kind = type(policy)
     if kind is TerminationPolicy:
@@ -177,8 +160,7 @@ class FastCampaignEngine:
     def valid(self) -> bool:
         forwarder = self.internet.forwarder
         return (
-            forwarder.compiled_enabled
-            and self._compiled_ref is forwarder._compiled
+            self._compiled_ref is forwarder._compiled
             and self._alloc_revision == self.internet.allocations.revision
         )
 

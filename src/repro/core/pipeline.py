@@ -30,8 +30,7 @@ import shutil
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..net.prefix import Prefix
 from ..netsim.internet import SimulatedInternet
@@ -46,8 +45,8 @@ from ..util.envknobs import (
     positive_float_env,
 )
 from ..util.hashing import mix, stable_string_hash
-from .classifier import Category, Slash24Measurement, measure_slash24
-from .columnar import ColumnarCampaignResult, result_format_name
+from .classifier import Slash24Measurement, measure_slash24
+from .columnar import CampaignResult
 from .confidence import ConfidenceTable
 from .fastengine import FastPathUnsupported, fast_engine_for
 from .termination import ReprobePolicy, TerminationPolicy
@@ -80,114 +79,6 @@ def slash24_seed(campaign_seed: int, slash24: Prefix) -> int:
 def slash24_nonce(campaign_seed: int, slash24: Prefix) -> int:
     """Stable starting probe nonce for one /24's measurement context."""
     return mix(campaign_seed, _NONCE_SALT, slash24.network, slash24.length)
-
-
-@dataclass
-class CampaignResult:
-    """Outcome of measuring a set of /24s."""
-
-    measurements: Dict[Prefix, Slash24Measurement] = field(default_factory=dict)
-    probes_used: int = 0
-
-    def add(self, measurement: Slash24Measurement) -> None:
-        """Record one /24's measurement.
-
-        Raises ValueError on a duplicate prefix: silently overwriting
-        the measurement while still accumulating ``probes_used`` would
-        inflate the campaign's headline probe-cost numbers.
-        """
-        if measurement.slash24 in self.measurements:
-            raise ValueError(
-                f"duplicate measurement for {measurement.slash24}: "
-                "each /24 is measured exactly once per campaign"
-            )
-        self.measurements[measurement.slash24] = measurement
-        self.probes_used += measurement.probes_used
-
-    def merge(self, other: "CampaignResult") -> "CampaignResult":
-        """Fold another (disjoint) result into this one — how per-shard
-        results from parallel workers combine. Returns self."""
-        overlap = self.measurements.keys() & other.measurements.keys()
-        if overlap:
-            sample = ", ".join(str(p) for p in sorted(overlap)[:3])
-            raise ValueError(
-                f"cannot merge campaign results with {len(overlap)} "
-                f"overlapping /24s (e.g. {sample})"
-            )
-        for measurement in other.measurements.values():
-            self.add(measurement)
-        return self
-
-    # -- Table 1 ---------------------------------------------------------
-
-    def category_counts(self) -> Dict[Category, int]:
-        counts = {category: 0 for category in Category}
-        for measurement in self.measurements.values():
-            counts[measurement.category] += 1
-        return counts
-
-    @property
-    def total(self) -> int:
-        return len(self.measurements)
-
-    def analyzable(self) -> List[Slash24Measurement]:
-        return [
-            m for m in self.measurements.values() if m.category.analyzable
-        ]
-
-    def homogeneous(self) -> List[Slash24Measurement]:
-        return [
-            m for m in self.measurements.values() if m.is_homogeneous
-        ]
-
-    def by_category(self, category: Category) -> List[Slash24Measurement]:
-        return [
-            m
-            for m in self.measurements.values()
-            if m.category is category
-        ]
-
-    def homogeneous_fraction_of_analyzable(self) -> float:
-        analyzable = self.analyzable()
-        if not analyzable:
-            return 0.0
-        return sum(m.is_homogeneous for m in analyzable) / len(analyzable)
-
-    def lasthop_sets(self) -> Dict[Prefix, FrozenSet[int]]:
-        """Homogeneous /24 → its last-hop router set (the aggregation
-        input of Section 5)."""
-        return {
-            m.slash24: m.lasthop_set
-            for m in self.homogeneous()
-            if m.lasthop_set
-        }
-
-    # -- lookup & slicing (resume code and tests go through these rather
-    # -- than reaching into the measurements dict) -----------------------
-
-    def __contains__(self, slash24: Prefix) -> bool:
-        return slash24 in self.measurements
-
-    def __iter__(self):
-        """Iterate measurements in insertion (campaign input) order."""
-        return iter(self.measurements.values())
-
-    def get(self, slash24: Prefix) -> Optional[Slash24Measurement]:
-        return self.measurements.get(slash24)
-
-    def prefixes(self) -> List[Prefix]:
-        return list(self.measurements)
-
-    def subset(self, slash24s: Iterable[Prefix]) -> "CampaignResult":
-        """A new result holding just the given /24s (KeyError if one was
-        never measured); ``probes_used`` re-accumulates from the kept
-        measurements."""
-        result = CampaignResult()
-        for slash24 in slash24s:
-            if slash24 not in self.measurements:
-                raise KeyError(f"{slash24} was not measured in this campaign")
-            result.add(self.measurements[slash24])
-        return result
 
 
 def _measure_in_context(
@@ -791,21 +682,14 @@ def run_campaign(
     workers: int = 1,
     store=None,
     metrics: Optional[MetricsRegistry] = None,
-    result_format: Optional[str] = None,
     on_measurement=None,
 ) -> CampaignResult:
     """Measure every selected /24 and classify it.
 
     When ``slash24s`` is None, all snapshot-eligible /24s are measured
-    (the paper's 3.37M, at our scenario's scale).
-
-    ``result_format`` selects the result representation: ``"object"``
-    (default — a :class:`CampaignResult` of per-/24 dataclasses) or
-    ``"columnar"`` (a flat-array
-    :class:`repro.core.columnar.ColumnarCampaignResult`, streamed row by
-    row so million-/24 campaigns never hold per-/24 objects). Unset, it
-    falls back to ``$REPRO_RESULT_FORMAT``. The two hold identical
-    information — conversions are exact both ways.
+    (the paper's 3.37M, at our scenario's scale). The result is a
+    flat-array :class:`repro.core.columnar.CampaignResult`, filled row
+    by row so million-/24 campaigns never hold per-/24 objects.
 
     ``workers`` > 1 shards the /24 list across a process pool; the
     merged result (measurements, their insertion order, and probe
@@ -850,11 +734,10 @@ def run_campaign(
     if slash24s is None:
         slash24s = snapshot.eligible_slash24s()
     slash24s = list(slash24s)
-    fmt = result_format_name(result_format)
     with span("campaign.run", slash24s=len(slash24s), workers=workers):
         result = _run_campaign_observed(
             internet, policy, slash24s, snapshot, seed, max_probes,
-            max_destinations_per_slash24, workers, store, registry, fmt,
+            max_destinations_per_slash24, workers, store, registry,
             on_measurement,
         )
     return result
@@ -871,7 +754,6 @@ def _run_campaign_observed(
     workers: int,
     store,
     registry: MetricsRegistry,
-    result_format: str = "object",
     on_measurement=None,
 ) -> CampaignResult:
     # Routing shifts land between the snapshot and the campaign's first
@@ -915,11 +797,7 @@ def _run_campaign_observed(
     progress = (
         ProgressReporter(len(slash24s)) if progress_enabled() else None
     )
-    result = (
-        ColumnarCampaignResult()
-        if result_format == "columnar"
-        else CampaignResult()
-    )
+    result = CampaignResult()
     stats = ProbeStats()
 
     parallel = None
@@ -1054,33 +932,6 @@ def _run_campaign_observed(
         nonce=mix(seed, _END_SALT),
     )
     return result
-
-
-def run_campaign_parallel(
-    internet: SimulatedInternet,
-    policy: TerminationPolicy | ReprobePolicy,
-    slash24s: Optional[Iterable[Prefix]] = None,
-    snapshot: Optional[ActivitySnapshot] = None,
-    seed: int = 0,
-    max_destinations_per_slash24: Optional[int] = None,
-    workers: int = 4,
-    store=None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> CampaignResult:
-    """Sharded campaign executor: :func:`run_campaign` across a worker
-    pool. Kept as a named entry point for callers that always want the
-    parallel path; results are identical to the serial run."""
-    return run_campaign(
-        internet,
-        policy,
-        slash24s=slash24s,
-        snapshot=snapshot,
-        seed=seed,
-        max_destinations_per_slash24=max_destinations_per_slash24,
-        workers=workers,
-        store=store,
-        metrics=metrics,
-    )
 
 
 def default_policy(confidence_table: ConfidenceTable) -> TerminationPolicy:

@@ -49,7 +49,7 @@ from ..obs.metrics import current_metrics
 from ..obs.trace import span
 from ..probing import ActivitySnapshot, Prober, enumerate_paths, scan
 from ..probing.traceroute import Route
-from ..util.envknobs import event_intensity_env
+from ..util.envknobs import event_intensity_env, positive_int_env
 from ..util.hashing import mix, stable_string_hash
 from ..util.tables import render_table
 
@@ -74,10 +74,6 @@ class Profile:
     cellular_slash24_sample: int = 12
     cellular_max_addresses: int = 6
     sampling_repetitions: int = 25
-    #: Campaign result representation: "object" (list of dataclasses)
-    #: or "columnar" (flat numpy arrays; required at paper scale, where
-    #: per-/24 instances alone would dominate memory).
-    campaign_result_format: str = "object"
 
 
 PROFILES: Dict[str, Profile] = {
@@ -113,7 +109,6 @@ PROFILES: Dict[str, Profile] = {
         scenario_scale=2.2,
         confidence_sample_slash24s=48,
         path_dataset_slash24s=48,
-        campaign_result_format="columnar",
     ),
     # The paper's measured Internet: ≥1M allocated /24s (scale 37 ≈
     # 1.0M). The full 3.37M of the paper is scale ≈ 124 — the builder
@@ -126,7 +121,6 @@ PROFILES: Dict[str, Profile] = {
         confidence_samples_per_block=64,
         path_dataset_slash24s=96,
         cellular_slash24_sample=24,
-        campaign_result_format="columnar",
     ),
 }
 
@@ -152,15 +146,12 @@ def active_event_intensity() -> Optional[float]:
 
 
 def active_worker_count() -> int:
-    """Campaign worker processes: ``REPRO_WORKERS`` (default 1/serial).
+    """Campaign worker processes: ``REPRO_WORKERS`` (default 1/serial;
+    raises EnvKnobError unless it is a whole number >= 1).
 
     Results are guaranteed identical at any worker count, so this knob
     only trades wall-clock time for cores."""
-    try:
-        workers = int(os.environ.get(DEFAULT_WORKERS_ENV, "1"))
-    except ValueError:
-        return 1
-    return max(1, workers)
+    return positive_int_env(DEFAULT_WORKERS_ENV, 1)
 
 
 class Workspace:
@@ -432,7 +423,6 @@ class Workspace:
                 ),
                 workers=self.workers,
                 store=self.store,
-                result_format=self.profile.campaign_result_format,
             )
         return self._campaign
 

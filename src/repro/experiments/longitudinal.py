@@ -37,16 +37,7 @@ def run(workspace: Workspace) -> ExperimentResult:
         ),
         workers=workspace.workers,
     )
-    first_sample_measurements = {
-        slash24: first.measurements[slash24] for slash24 in sample
-    }
-    from ..core.pipeline import CampaignResult
-
-    first_sample = CampaignResult()
-    for measurement in first_sample_measurements.values():
-        first_sample.add(measurement)
-
-    comparison = compare_campaigns(first_sample, second)
+    comparison = compare_campaigns(first.subset(sample), second)
     rows = [
         ["/24s analyzable in both runs", comparison.slash24s_in_both],
         [

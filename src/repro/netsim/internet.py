@@ -17,7 +17,6 @@ spikes, default TTLs, reverse-path deltas, host availability — with
 numpy while advancing the clock and nonce exactly as the serial loop
 would, so the two are bit-identical probe for probe (every draw is a
 pure hash of seed and nonce/address; only the sequencing is stateful).
-``REPRO_REFERENCE_ENGINE=1`` forces the serial path everywhere.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .groundtruth import GroundTruth
 from .icmp import IcmpReply, ReplyKind, stochastic_loss, stochastic_loss_np
 from .orgs import OrgRegistry
 from .rdns import pattern_label, rdns_name, router_rdns_name
-from .routing import Forwarder, reference_engine_enabled
+from .routing import Forwarder
 from .hosts import promotion_delay_seconds
 from .rtt import (
     HOST_LATENCY_MS,
@@ -93,7 +92,6 @@ class SimulatedInternet:
         #: Rate limiters that consumed tokens since the last context
         #: switch (kept small so context resets stay O(touched)).
         self._touched_limiters: set = set()
-        self._reference = reference_engine_enabled()
         # Compiled allocation index (flat sorted intervals) and per-path
         # propagation prefix sums; both build lazily and rebuild after
         # unpickling (see __getstate__).
@@ -183,9 +181,7 @@ class SimulatedInternet:
 
     def _allocation_of(self, addr: int) -> Optional[Allocation]:
         """Most-specific allocation for an address (bisect over the
-        compiled index; the reference engine keeps the trie walk)."""
-        if self._reference:
-            return self.allocations.lookup(addr)
+        compiled index)."""
         _, starts, _, values = self._allocation_index()
         return values[bisect_right(starts, addr) - 1]
 
@@ -324,7 +320,7 @@ class SimulatedInternet:
                 raise ValueError("flow_ids must match dsts in length")
         if inter_probe_seconds < 0:
             raise ValueError("the clock only moves forward")
-        if self._reference or count < MIN_VECTOR_BATCH:
+        if count < MIN_VECTOR_BATCH:
             replies: List[Optional[IcmpReply]] = []
             for index in range(count):
                 if index and inter_probe_seconds:
@@ -628,7 +624,6 @@ class SimulatedInternet:
         changed = self.events.apply_reroutes(self._built)
         if changed:
             self.forwarder._reset_compiled_state()
-            self.forwarder._path_cache.clear()
             self._prop_cache.clear()
         return changed
 

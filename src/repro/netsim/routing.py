@@ -1,7 +1,7 @@
 """FIBs and forwarding.
 
-Each router owns a :class:`Fib`: a radix trie of route entries resolved
-with longest-prefix match. Forwarding (:class:`Forwarder`) walks routers
+Each router owns a :class:`Fib`: a table of route entries resolved with
+longest-prefix match. Forwarding (:class:`Forwarder`) walks routers
 from the vantage gateway until the packet reaches the router that owns a
 host route for the destination (its last-hop router).
 
@@ -17,20 +17,19 @@ frozen into flat sorted-interval arrays (one ``bisect`` per hop instead
 of a 32-level trie walk), selector traits (per-packet, flow-invariant)
 are precomputed per entry, and resolved paths are deduplicated by their
 *route signature* — the chain of FIB entry ids the walk traversed — so
-destinations sharing a route chain share one cached path tuple. Setting
-``REPRO_REFERENCE_ENGINE=1`` in the environment forces the original
-trie-walking resolver (the parity tests compare the two bit-for-bit).
+destinations sharing a route chain share one cached path tuple. The
+parity suites compare it bit for bit against the trie-walking resolver
+in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..net.prefix import Prefix
-from ..net.trie import PrefixTrie, leaf_intervals_from_items
+from ..net.trie import leaf_intervals_from_items
 from .loadbalance import (
     NextHopSelector,
     PerDestinationBalancer,
@@ -40,15 +39,6 @@ from .topology import Router, Topology
 
 #: Forwarding gives up after this many hops (loop guard).
 MAX_FORWARD_HOPS = 64
-
-#: Environment variable forcing the legacy trie-walk resolver (and the
-#: serial probe path in :mod:`.internet`) for parity comparisons.
-REFERENCE_ENGINE_ENV = "REPRO_REFERENCE_ENGINE"
-
-
-def reference_engine_enabled() -> bool:
-    """True when the escape hatch pins the pre-compiled-plane engine."""
-    return os.environ.get(REFERENCE_ENGINE_ENV, "") == "1"
 
 
 @dataclass
@@ -76,35 +66,19 @@ class Fib:
     Stored as a flat prefix → entry dict. A paper-scale scenario holds
     tens of thousands of FIBs with hundreds of thousands of entries
     total; per-bit trie nodes (~24 per entry) dominated build time and
-    memory, while the compiled fast path only ever needs the sorted
-    interval projection. The trie is now built lazily, per FIB, the
-    first time something actually longest-prefix-matches through
-    :meth:`lookup` — in practice only the reference engine
-    (``REPRO_REFERENCE_ENGINE=1``) and a few tests.
+    memory, while the compiled forwarder only ever needs the sorted
+    interval projection (:meth:`leaf_intervals`).
     """
 
     def __init__(self) -> None:
         self._entries: Dict[Prefix, RouteEntry] = {}
         #: Bumped on every install so compiled copies can detect staleness.
         self.revision = 0
-        self._lookup_trie: Optional[PrefixTrie[RouteEntry]] = None
 
     def install(self, entry: RouteEntry) -> None:
         """Install (or replace) the entry for its prefix."""
         self._entries[entry.prefix] = entry
         self.revision += 1
-        self._lookup_trie = None
-
-    def lookup(self, dst: int) -> Optional[RouteEntry]:
-        """Longest-prefix match for a destination address."""
-        trie = self._lookup_trie
-        if trie is None:
-            trie = PrefixTrie()
-            for prefix, entry in self._entries.items():
-                trie.insert(prefix, entry)
-            self._lookup_trie = trie
-        match = trie.lookup(dst)
-        return match[1] if match else None
 
     def entry_for(self, prefix: Prefix) -> Optional[RouteEntry]:
         """The entry installed for exactly ``prefix`` (no LPM)."""
@@ -120,11 +94,6 @@ class Fib:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_lookup_trie"] = None
-        return state
 
 
 class _CompiledEntry:
@@ -207,9 +176,6 @@ class Forwarder:
         self.cache_enabled = True
         self.cache_hits = 0
         self.cache_misses = 0
-        self.compiled_enabled = not reference_engine_enabled()
-        # Reference-engine path cache, keyed (src, dst, flow_id).
-        self._path_cache: Dict[Tuple[int, int, int], Tuple[Router, ...]] = {}
         self._reset_compiled_state()
 
     def _reset_compiled_state(self) -> None:
@@ -226,7 +192,6 @@ class Forwarder:
     # state and caches rebuild lazily on first use, so ship none of it.
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_path_cache"] = {}
         state["_compiled"] = {}
         state["_next_entry_id"] = 0
         state["_entry_memo"] = {}
@@ -238,8 +203,6 @@ class Forwarder:
     def precompile(self) -> None:
         """Eagerly freeze every router's FIB (called after scenario
         build; resolution would otherwise compile each FIB lazily)."""
-        if not self.compiled_enabled:
-            return
         for router_id, fib in self.fibs.items():
             self._compiled_fib(router_id, fib)
 
@@ -252,8 +215,6 @@ class Forwarder:
         Raises :class:`ForwardingError` if no route exists or a loop is
         detected.
         """
-        if not self.compiled_enabled:
-            return self._resolve_path_reference(src, dst, flow_id, nonce)
         if self.cache_enabled:
             cached = self._invariant_cache.get((src, dst))
             if cached is None:
@@ -332,56 +293,14 @@ class Forwarder:
         self._compiled[router_id] = cfib
         return cfib
 
-    def _resolve_path_reference(
-        self, src: int, dst: int, flow_id: int, nonce: int
-    ) -> Tuple[Router, ...]:
-        """The original trie-walking resolver, kept verbatim for the
-        ``REPRO_REFERENCE_ENGINE=1`` escape hatch and parity tests."""
-        cache_key = (src, dst, flow_id)
-        if self.cache_enabled:
-            cached = self._path_cache.get(cache_key)
-            if cached is not None:
-                self.cache_hits += 1
-                return cached
-        self.cache_misses += 1
-        path: List[Router] = []
-        cacheable = True
-        router = self.source_router
-        for _ in range(MAX_FORWARD_HOPS):
-            path.append(router)
-            fib = self.fibs.get(router.router_id)
-            if fib is None:
-                raise ForwardingError(f"router {router} has no FIB")
-            entry = fib.lookup(dst)
-            if entry is None:
-                raise ForwardingError(
-                    f"no route for destination at router {router}"
-                )
-            if entry.delivers:
-                result = tuple(path)
-                if self.cache_enabled and cacheable:
-                    self._path_cache[cache_key] = result
-                return result
-            assert entry.selector is not None
-            if entry.selector.__class__.__name__ == "PerPacketBalancer":
-                cacheable = False
-            next_id = entry.selector.select(src, dst, flow_id, nonce)
-            router = self.topology.by_id(next_id)
-        raise ForwardingError(f"forwarding loop towards {dst}")
-
     def clear_cache(self) -> None:
-        self._path_cache.clear()
         self._flow_cache.clear()
         self._invariant_cache.clear()
         self._paths_by_sig.clear()
 
     @property
     def cache_size(self) -> int:
-        return (
-            len(self._path_cache)
-            + len(self._flow_cache)
-            + len(self._invariant_cache)
-        )
+        return len(self._flow_cache) + len(self._invariant_cache)
 
     def cache_stats(self) -> Dict[str, float]:
         """Hit/miss counters plus cache shape, for bench attribution."""

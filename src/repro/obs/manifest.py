@@ -1,7 +1,7 @@
 """Per-run manifests: what actually executed, written as ``run.json``.
 
 A manifest is the run's closing statement of record — seed, profile,
-engine mode, worker count, per-phase wall-clocks, probe totals and
+worker count, per-phase wall-clocks, probe totals and
 forwarder-cache behaviour — so a result directory is self-describing
 and two runs can be diffed without re-reading logs. Written atomically
 (:func:`repro.util.fileio.atomic_writer`), like every results file.
@@ -44,7 +44,6 @@ def build_manifest(
     profile: Optional[str] = None,
     scenario_seed: Optional[int] = None,
     workers: Optional[int] = None,
-    engine: Optional[str] = None,
     store_path: Optional[str] = None,
     trace_path: Optional[str] = None,
     registry: Optional[MetricsRegistry] = None,
@@ -53,8 +52,8 @@ def build_manifest(
 ) -> Dict[str, object]:
     """Assemble the manifest document (pure data, JSON-ready).
 
-    ``engine`` is ``"reference"`` or ``"compiled"``; ``internet_stats``
-    is :meth:`repro.netsim.internet.SimulatedInternet.stats` verbatim,
+    ``internet_stats`` is
+    :meth:`repro.netsim.internet.SimulatedInternet.stats` verbatim,
     which carries the forwarder-cache hit/miss accounting.
     """
     document: Dict[str, object] = {
@@ -66,7 +65,6 @@ def build_manifest(
         "profile": profile,
         "scenario_seed": scenario_seed,
         "workers": workers,
-        "engine": engine,
         "store": store_path,
         "trace": trace_path,
     }

@@ -364,7 +364,6 @@ def _execute_campaign(
             max_destinations_per_slash24=int(spec["max_destinations"]),
             workers=workers,
             store=ws.store,
-            result_format=profile.campaign_result_format,
             on_measurement=hook,
         )
         fingerprint = campaign_fingerprint(

@@ -1,10 +1,10 @@
 """Validated environment-variable knobs.
 
 Operational knobs (``REPRO_LEASE_TTL``, ``REPRO_LEASE_KILL``,
-``REPRO_EVENTS``, ...) are read in the middle of deep call stacks; a
-malformed value must fail *at the knob* with a message naming the
-variable and the expected shape, not as a ``ValueError`` traceback
-twelve frames inside the campaign executor.
+``REPRO_EVENTS``, ``REPRO_WORKERS``, ...) are read in the middle of
+deep call stacks; a malformed value must fail *at the knob* with a
+message naming the variable and the expected shape, not as a
+``ValueError`` traceback twelve frames inside the campaign executor.
 """
 
 from __future__ import annotations
@@ -58,6 +58,28 @@ def positive_float_env(name: str, default: float) -> float:
         raise EnvKnobError(
             f"{name}={os.environ.get(name)!r} must be > 0"
         )
+    return value
+
+
+def positive_int_env(name: str, default: int) -> int:
+    """The whole-number value of ``$name``, or ``default`` when
+    unset/empty.
+
+    Raises :class:`EnvKnobError` naming the variable on anything but a
+    whole number >= 1 (``abc``, ``2.5``, ``0``, ``-3``).
+    """
+    raw = os.environ.get(name)
+    if raw is None or raw.strip() == "":
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise EnvKnobError(
+            f"{name}={raw!r} is not a whole number; expected something "
+            f"like {name}={default}"
+        ) from None
+    if value < 1:
+        raise EnvKnobError(f"{name}={raw!r} must be >= 1")
     return value
 
 

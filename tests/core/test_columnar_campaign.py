@@ -1,34 +1,26 @@
 """Golden parity for the columnar campaign path.
 
-The columnar fast engine (``core.fastengine``) and the columnar result
-representation (``core.columnar``) must be *bit-identical* to the
-object path: same measurements (through the canonical store codec,
-byte for byte), same probe accounting, same store records, same
-simulator end state — on tiny and small profiles, serial and with
-workers=2. The object path stays available behind
-``REPRO_CAMPAIGN_ENGINE=object`` / ``result_format="object"``; these
-tests are what make the default safe.
+The compiled campaign engine (``core.fastengine``) must be
+*bit-identical* to the object path it falls back to (``measure_slash24``
+through a ``Prober``, installed for every /24 by ``tests/oracle.py``):
+same measurements (through the canonical store codec, byte for byte),
+same probe accounting, same store records, same simulator end state —
+on tiny and small profiles, serial and with workers=2. The columnar
+result (``core.columnar``) holds both runs' output.
 """
 
-import os
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from repro.core import CampaignResult, TerminationPolicy, run_campaign
 from repro.core.classifier import CATEGORY_ORDER, Slash24Measurement
-from repro.core.columnar import (
-    RESULT_FORMAT_ENV,
-    ColumnarCampaignResult,
-    result_format_name,
-)
-from repro.core.fastengine import CAMPAIGN_ENGINE_ENV, campaign_engine_name
 from repro.net.prefix import Prefix
 from repro.netsim import SimulatedInternet, paper_scenario, tiny_scenario
 from repro.probing import scan
 from repro.store import MeasurementStore
 from repro.store.codec import canonical_json_bytes, measurement_to_dict
+from tests import oracle
 
 CAMPAIGN_SEED = 77
 MAX_DESTINATIONS = 32
@@ -41,13 +33,13 @@ def _scenario(profile):
 
 
 class _Run:
-    """One campaign under one (engine, result format, workers) setup."""
+    """One campaign under one (engine, workers) setup: ``"columnar"``
+    is the compiled engine, ``"object"`` the Prober for every /24."""
 
-    def __init__(self, profile, engine, result_format, workers, store_root,
-                 slash24s=24):
-        previous = os.environ.get(CAMPAIGN_ENGINE_ENV)
-        os.environ[CAMPAIGN_ENGINE_ENV] = engine
-        try:
+    def __init__(self, profile, engine, workers, store_root, slash24s=24):
+        with pytest.MonkeyPatch.context() as patch:
+            if engine == "object":
+                oracle.install(patch, oracle.PROBER_CAMPAIGN)
             internet = SimulatedInternet.from_config(_scenario(profile))
             snapshot = scan(internet)
             self.selection = snapshot.eligible_slash24s()[:slash24s]
@@ -61,7 +53,6 @@ class _Run:
                     max_destinations_per_slash24=MAX_DESTINATIONS,
                     workers=workers,
                     store=store,
-                    result_format=result_format,
                 )
                 self.records = {
                     document["key"]: document
@@ -69,11 +60,6 @@ class _Run:
                 }
             self.clock_seconds = internet.clock_seconds
             self.probe_count = internet.probe_count
-        finally:
-            if previous is None:
-                os.environ.pop(CAMPAIGN_ENGINE_ENV, None)
-            else:
-                os.environ[CAMPAIGN_ENGINE_ENV] = previous
 
 
 @pytest.fixture(scope="module", params=["tiny", "small"])
@@ -89,7 +75,7 @@ def workers(request):
 @pytest.fixture(scope="module")
 def object_run(profile, workers, tmp_path_factory):
     return _Run(
-        profile, "object", "object", workers,
+        profile, "object", workers,
         tmp_path_factory.mktemp("obj-store") / "s",
     )
 
@@ -97,7 +83,7 @@ def object_run(profile, workers, tmp_path_factory):
 @pytest.fixture(scope="module")
 def columnar_run(profile, workers, tmp_path_factory):
     return _Run(
-        profile, "columnar", "columnar", workers,
+        profile, "columnar", workers,
         tmp_path_factory.mktemp("col-store") / "s",
     )
 
@@ -105,7 +91,7 @@ def columnar_run(profile, workers, tmp_path_factory):
 class TestGoldenParity:
     def test_result_types(self, object_run, columnar_run):
         assert isinstance(object_run.result, CampaignResult)
-        assert isinstance(columnar_run.result, ColumnarCampaignResult)
+        assert isinstance(columnar_run.result, CampaignResult)
 
     def test_measurements_bit_identical(self, object_run, columnar_run):
         slow = object_run.result.measurements
@@ -150,10 +136,12 @@ class TestGoldenParity:
 
 
 class TestCrossFormatResume:
-    """Satellite: columnar↔object store round-trips.
+    """Store round-trips between the compiled engine and the Prober.
 
     A store written by one path must satisfy a resume under the other
-    path without a single probe, replaying bit-identical measurements.
+    path without a single probe, replaying bit-identical measurements —
+    a budgeted run (always on the Prober) can warm the store for an
+    unbudgeted rerun on the compiled engine, and the other way round.
     """
 
     @pytest.mark.parametrize(
@@ -164,10 +152,10 @@ class TestCrossFormatResume:
         self, writer, reader, tmp_path_factory
     ):
         root = tmp_path_factory.mktemp(f"{writer}-to-{reader}") / "s"
-        first = _Run("tiny", writer, writer, 1, root)
-        previous = os.environ.get(CAMPAIGN_ENGINE_ENV)
-        os.environ[CAMPAIGN_ENGINE_ENV] = reader
-        try:
+        first = _Run("tiny", writer, 1, root)
+        with pytest.MonkeyPatch.context() as patch:
+            if reader == "object":
+                oracle.install(patch, oracle.PROBER_CAMPAIGN)
             internet = SimulatedInternet.from_config(_scenario("tiny"))
             snapshot = scan(internet)
             with MeasurementStore(root) as store:
@@ -179,13 +167,7 @@ class TestCrossFormatResume:
                     seed=CAMPAIGN_SEED,
                     max_destinations_per_slash24=MAX_DESTINATIONS,
                     store=store,
-                    result_format=reader,
                 )
-        finally:
-            if previous is None:
-                os.environ.pop(CAMPAIGN_ENGINE_ENV, None)
-            else:
-                os.environ[CAMPAIGN_ENGINE_ENV] = previous
         assert internet.probe_count == 0  # pure replay
         assert list(result.measurements) == list(first.result.measurements)
         for slash24 in first.result.measurements:
@@ -195,8 +177,8 @@ class TestCrossFormatResume:
 
 
 def _synthetic_columnar(rows):
-    """A columnar result with ``rows`` synthetic /24 measurements."""
-    result = ColumnarCampaignResult()
+    """A result with ``rows`` synthetic /24 measurements."""
+    result = CampaignResult()
     for row in range(rows):
         network = (10 << 24) | (row << 8)
         dst = network + 7
@@ -263,14 +245,6 @@ class TestSubsetScaling:
 
 
 class TestRoundTrip:
-    def test_object_round_trip_exact(self):
-        columnar = _synthetic_columnar(97)
-        as_object = columnar.to_object()
-        back = ColumnarCampaignResult.from_campaign_result(as_object)
-        assert list(back) == list(columnar)
-        for key in ("nets", "cats", "stops", "dests", "hosts", "probes"):
-            assert np.array_equal(back.columns()[key], columnar.columns()[key])
-
     def test_duplicate_add_rejected(self):
         columnar = _synthetic_columnar(3)
         with pytest.raises(ValueError):
@@ -278,7 +252,7 @@ class TestRoundTrip:
 
     def test_merge_disjoint(self):
         left = _synthetic_columnar(5)
-        right = ColumnarCampaignResult()
+        right = CampaignResult()
         measurement = Slash24Measurement(
             slash24=Prefix(11 << 24, 24),
             category=CATEGORY_ORDER[0],
@@ -292,22 +266,3 @@ class TestRoundTrip:
         assert left.total == 6
         with pytest.raises(ValueError):
             left.merge(right)
-
-
-class TestFormatSelection:
-    def test_env_selects_format(self, monkeypatch):
-        monkeypatch.delenv(RESULT_FORMAT_ENV, raising=False)
-        assert result_format_name() == "object"
-        monkeypatch.setenv(RESULT_FORMAT_ENV, "columnar")
-        assert result_format_name() == "columnar"
-        assert result_format_name("object") == "object"  # override wins
-        with pytest.raises(ValueError):
-            result_format_name("parquet")
-
-    def test_engine_env(self, monkeypatch):
-        monkeypatch.delenv(CAMPAIGN_ENGINE_ENV, raising=False)
-        assert campaign_engine_name() == "columnar"
-        monkeypatch.setenv(CAMPAIGN_ENGINE_ENV, "object")
-        assert campaign_engine_name() == "object"
-        monkeypatch.setenv(CAMPAIGN_ENGINE_ENV, "reference")
-        assert campaign_engine_name() == "object"

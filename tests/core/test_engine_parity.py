@@ -1,27 +1,21 @@
-"""Golden parity: compiled/batched engine vs the reference engine.
+"""Golden parity: compiled/batched probing vs the reference oracle.
 
-``REPRO_REFERENCE_ENGINE=1`` is the escape hatch that forces the
-pre-optimisation serial implementation (trie-walk path resolution,
-probe-at-a-time stochastic draws). The optimised engine's entire
-correctness claim is that it is *bit-identical* to that reference, so a
-whole campaign — measurements, canonical store records, probe
-accounting, simulator end state — must not differ in a single byte
-between the two engines.
+``tests/oracle.py`` installs the pre-optimisation serial implementation
+(trie-walk path resolution, probe-at-a-time stochastic draws). The
+optimised engine's entire correctness claim is that it is
+*bit-identical* to that reference, so a whole campaign — measurements,
+canonical store records, probe accounting, simulator end state — must
+not differ in a single byte between the two.
 """
 
 import pytest
 
 from repro.core import TerminationPolicy, run_campaign
-from repro.core.fastengine import CAMPAIGN_ENGINE_ENV
-from repro.net.prefix import Prefix
 from repro.netsim import SimulatedInternet, tiny_scenario
-from repro.netsim.routing import (
-    REFERENCE_ENGINE_ENV,
-    reference_engine_enabled,
-)
 from repro.probing import scan
 from repro.store import MeasurementStore
 from repro.store.codec import canonical_json_bytes, measurement_to_dict
+from tests import oracle
 
 SCENARIO_SEED = 11
 CAMPAIGN_SEED = 5
@@ -33,24 +27,19 @@ class _EngineRun:
     """One full campaign under one engine, store records included."""
 
     def __init__(self, reference: bool, store_root):
-        import os
-
-        previous = os.environ.get(REFERENCE_ENGINE_ENV)
-        previous_campaign = os.environ.get(CAMPAIGN_ENGINE_ENV)
-        # This suite exercises the compiled *forwarding* plane against
-        # its reference; keep the object-path campaign engine so the
-        # batched probe path (asserted below) actually runs. The
-        # columnar campaign engine has its own golden suite.
-        os.environ[CAMPAIGN_ENGINE_ENV] = "object"
-        if reference:
-            os.environ[REFERENCE_ENGINE_ENV] = "1"
-        else:
-            os.environ.pop(REFERENCE_ENGINE_ENV, None)
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            # This suite exercises the compiled *forwarding* plane
+            # against its reference; both runs measure on the object
+            # Prober so the batched probe path (asserted below) actually
+            # runs. The compiled campaign engine has its own golden
+            # suite.
+            oracle.install(
+                patch,
+                oracle.PARTS if reference else oracle.PROBER_CAMPAIGN,
+            )
             internet = SimulatedInternet.from_config(
                 tiny_scenario(seed=SCENARIO_SEED)
             )
-            assert internet.forwarder.compiled_enabled != reference
             snapshot = scan(internet)
             selection = snapshot.eligible_slash24s()[:SLASH24S]
             with MeasurementStore(store_root) as store:
@@ -71,15 +60,6 @@ class _EngineRun:
             self.clock_seconds = internet.clock_seconds
             self.probe_count = internet.probe_count
             self.stats = internet.stats()
-        finally:
-            if previous is None:
-                os.environ.pop(REFERENCE_ENGINE_ENV, None)
-            else:
-                os.environ[REFERENCE_ENGINE_ENV] = previous
-            if previous_campaign is None:
-                os.environ.pop(CAMPAIGN_ENGINE_ENV, None)
-            else:
-                os.environ[CAMPAIGN_ENGINE_ENV] = previous_campaign
 
 
 @pytest.fixture(scope="module")
@@ -93,16 +73,6 @@ def compiled_run(tmp_path_factory):
 
 
 class TestEscapeHatch:
-    def test_env_toggles_engine(self, monkeypatch):
-        monkeypatch.delenv(REFERENCE_ENGINE_ENV, raising=False)
-        assert not reference_engine_enabled()
-        monkeypatch.setenv(REFERENCE_ENGINE_ENV, "1")
-        assert reference_engine_enabled()
-        # Explicitly disabled spellings mean "optimised engine".
-        for value in ("0", "", "false", "no", "off"):
-            monkeypatch.setenv(REFERENCE_ENGINE_ENV, value)
-            assert not reference_engine_enabled()
-
     def test_reference_engine_sends_no_batches(self, reference_run):
         assert reference_run.stats["probe_batches"] == 0
         assert reference_run.stats["batched_probes"] == 0
@@ -162,13 +132,10 @@ class TestGoldenParity:
         """A store written by the reference engine satisfies a
         compiled-engine rerun without a single probe — the fingerprints
         embed no engine identity, so caches are interchangeable."""
-        import os
-
         root = tmp_path_factory.mktemp("cross-store") / "s"
         with MeasurementStore(root) as store:
             for document in reference_run.records.values():
                 store.put(dict(document))
-        os.environ.pop(REFERENCE_ENGINE_ENV, None)
         internet = SimulatedInternet.from_config(
             tiny_scenario(seed=SCENARIO_SEED)
         )

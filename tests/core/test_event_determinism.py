@@ -8,19 +8,22 @@ worker recovered through the store, and across the object vs columnar
 measurement engines. Every stressor draws from the virtual clock and
 seed-derived hashes only, so there is nothing wall-clock-shaped to
 leak in.
+
+The columnar (compiled) engine is the default; ``TestProberPath``
+reruns every campaign case with each /24 on the object Prober
+(installed by ``tests/oracle.py``).
 """
 
 import dataclasses
-import os
 
 import pytest
 
 from repro.core import TerminationPolicy, run_campaign
-from repro.core.fastengine import CAMPAIGN_ENGINE_ENV
 from repro.netsim import EventConfig, SimulatedInternet, tiny_scenario
 from repro.probing import scan
 from repro.store import MeasurementStore
 from repro.store.codec import canonical_json_bytes, measurement_to_dict
+from tests import oracle
 
 SEED = 77
 MAX_DESTINATIONS = 32
@@ -68,9 +71,7 @@ def selection():
     return snapshot.eligible_slash24s()[:24]
 
 
-@pytest.fixture(scope="module")
-def serial_state(selection):
-    """(result, clock, probes, event counters) of the serial run."""
+def _serial_state(selection):
     internet, snapshot = _fresh_internet()
     result = _run(internet, snapshot, selection)
     return (
@@ -79,6 +80,12 @@ def serial_state(selection):
         internet.probe_count,
         dict(internet.events.counters),
     )
+
+
+@pytest.fixture(scope="module")
+def serial_state(selection):
+    """(result, clock, probes, event counters) of the serial run."""
+    return _serial_state(selection)
 
 
 class TestEventsFire:
@@ -152,17 +159,12 @@ class TestKillResume:
 
 class TestEngineParity:
     def _run_with_engine(self, engine, selection):
-        previous = os.environ.get(CAMPAIGN_ENGINE_ENV)
-        os.environ[CAMPAIGN_ENGINE_ENV] = engine
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            if engine == "object":
+                oracle.install(patch, oracle.PROBER_CAMPAIGN)
             internet, snapshot = _fresh_internet()
             result = _run(internet, snapshot, selection)
             return result, internet.clock_seconds, internet.probe_count
-        finally:
-            if previous is None:
-                os.environ.pop(CAMPAIGN_ENGINE_ENV, None)
-            else:
-                os.environ[CAMPAIGN_ENGINE_ENV] = previous
 
     def test_object_vs_columnar_bit_identical(self, selection):
         object_result, object_clock, object_probes = self._run_with_engine(
@@ -198,3 +200,23 @@ class TestZeroIntensityIsInert:
         zero_run = _run(zeroed, zero_snapshot, selection)
         assert _canonical(plain_run) == _canonical(zero_run)
         assert plain.clock_seconds == zeroed.clock_seconds
+
+
+class TestProberPath(
+    TestEventsFire, TestSerialVsParallel, TestKillResume,
+    TestZeroIntensityIsInert,
+):
+    """Every campaign case above with each /24 — in the parent and in
+    each forked worker — measured on the object Prober. Event counters
+    count the probe path's availability checks, so the serial run they
+    are compared with is a Prober run too."""
+
+    @pytest.fixture(scope="class")
+    def serial_state(self, selection):
+        with pytest.MonkeyPatch.context() as patch:
+            oracle.install(patch, oracle.PROBER_CAMPAIGN)
+            return _serial_state(selection)
+
+    @pytest.fixture(autouse=True)
+    def _prober_campaign(self, monkeypatch):
+        oracle.install(monkeypatch, oracle.PROBER_CAMPAIGN)

@@ -13,7 +13,6 @@ from repro.core import (
     Category,
     TerminationPolicy,
     run_campaign,
-    run_campaign_parallel,
     slash24_seed,
 )
 from repro.core.classifier import Slash24Measurement
@@ -128,7 +127,7 @@ class TestParallelEquivalence:
 
     def test_parallel_entry_point(self, selection, serial_result):
         internet, snapshot = _fresh_internet()
-        result = run_campaign_parallel(
+        result = run_campaign(
             internet,
             TerminationPolicy(),
             slash24s=selection,

@@ -112,7 +112,8 @@ class TestRunManifest:
         assert manifest["command"] == "run"
         assert manifest["profile"] == "tiny"
         assert manifest["workers"] == 2
-        assert manifest["engine"] in ("compiled", "reference")
+        assert "engine" not in manifest
+        assert list(manifest["engines"]) == ["aggregation"]
         assert manifest["failures"] == 0
         assert manifest["experiments"] == ["table1"]
         assert "wrote trace" in capsys.readouterr().out

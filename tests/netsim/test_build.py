@@ -6,6 +6,7 @@ import pytest
 from repro.net import Prefix
 from repro.netsim import RouterRole, build_scenario, tiny_scenario
 from repro.netsim.build import _SpaceAllocator, _split_into_chunks
+from tests.oracle import fib_lookup
 import random
 
 
@@ -88,7 +89,7 @@ class TestBuiltScenario:
                 continue
             for router_id in pod.lasthop_router_ids:
                 fib = built.fibs[router_id]
-                entry = fib.lookup(pod.allocations[0].prefix.network)
+                entry = fib_lookup(fib, pod.allocations[0].prefix.network)
                 assert entry is not None and entry.delivers
 
     def test_unresponsive_pods_use_silent_routers(self, built):

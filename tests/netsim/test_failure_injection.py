@@ -1,5 +1,11 @@
 """Failure-injection tests: extreme scenario knobs must degrade the
-pipeline gracefully, not break it."""
+pipeline gracefully, not break it.
+
+Campaigns run on the compiled engine by default; ``TestProberPath``
+reruns every campaign case with each /24 on the object Prober
+(installed by ``tests/oracle.py``), the path budgeted runs and /24s the
+compiled engine declines take.
+"""
 
 import dataclasses
 
@@ -15,6 +21,7 @@ from repro.netsim import (
 from repro.netsim.config import OrgSpec
 from repro.netsim.orgs import OrgType
 from repro.probing import Prober, identify_lasthops, paris_traceroute, scan
+from tests import oracle
 
 
 def _one_org_config(**org_overrides) -> ScenarioConfig:
@@ -224,6 +231,16 @@ class TestTotalOutage:
         assert counts[Category.SAME_LASTHOP] + counts[
             Category.NON_HIERARCHICAL
         ] + counts[Category.HIERARCHICAL] <= campaign.total
+
+
+class TestProberPath(
+    TestAllLasthopsSilent, TestRenumberingWave, TestTotalOutage
+):
+    """The campaign cases above, measured on the object Prober."""
+
+    @pytest.fixture(autouse=True)
+    def _prober_campaign(self, monkeypatch):
+        oracle.install(monkeypatch, oracle.PROBER_CAMPAIGN)
 
 
 class TestRateLimitStorm:

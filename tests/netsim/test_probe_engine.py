@@ -1,10 +1,11 @@
 """Parity tests for the compiled forwarding plane + batched probe engine.
 
 Every optimisation in the probe hot path claims *bit-identity* with the
-serial reference implementation. This file holds that claim to account
-layer by layer: trie flattening, compiled path resolution, the
-vectorised stochastic draws, and the batched probe API. The end-to-end
-campaign-level parity check lives in ``tests/core/test_engine_parity.py``.
+serial reference implementation kept in ``tests/oracle.py``. This file
+holds that claim to account layer by layer: trie flattening, compiled
+path resolution, the vectorised stochastic draws, and the batched probe
+API. The end-to-end campaign-level parity check lives in
+``tests/core/test_engine_parity.py``.
 """
 
 import random
@@ -18,13 +19,13 @@ from repro.netsim import SimulatedInternet, tiny_scenario
 from repro.netsim import hosts as hostmod
 from repro.netsim.icmp import stochastic_loss, stochastic_loss_np
 from repro.netsim.internet import MIN_VECTOR_BATCH
-from repro.netsim.routing import Forwarder
 from repro.netsim.rtt import (
     HOST_LATENCY_MS,
     path_rtt_ms,
     rtt_draws_for_nonces,
 )
 from repro.util.hashing import mix_np, splitmix64, splitmix64_np, unit_np
+from tests import oracle
 
 SEED = 13
 
@@ -34,11 +35,10 @@ def _fresh(seed=SEED):
 
 
 def _reference(monkeypatch, seed=SEED):
-    """A bit-identical internet forced onto the legacy serial engine."""
-    monkeypatch.setenv("REPRO_REFERENCE_ENGINE", "1")
-    net = SimulatedInternet.from_config(tiny_scenario(seed=seed))
-    monkeypatch.delenv("REPRO_REFERENCE_ENGINE")
-    return net
+    """A fresh internet with the oracle's serial reference probing
+    installed (for every simulator, until the test ends)."""
+    oracle.install(monkeypatch, oracle.PROBING)
+    return _fresh(seed)
 
 
 # -- layer 1: trie flattening ------------------------------------------------
@@ -119,11 +119,9 @@ class TestLeafIntervals:
 
 
 class TestCompiledResolve:
-    def test_matches_reference_walk(self, monkeypatch):
+    def test_matches_reference_walk(self):
         compiled = _fresh()
-        reference = _reference(monkeypatch)
-        assert compiled.forwarder.compiled_enabled
-        assert not reference.forwarder.compiled_enabled
+        reference = _fresh()
         src = compiled.vantage_address
         dsts = [s24.first + offset
                 for s24 in compiled.universe_slash24s[:24]
@@ -134,8 +132,8 @@ class TestCompiledResolve:
                     fast = compiled.forwarder.resolve_path(
                         src, dst, flow, nonce
                     )
-                    slow = reference.forwarder.resolve_path(
-                        src, dst, flow, nonce
+                    slow = oracle.resolve_path(
+                        reference.forwarder, src, dst, flow, nonce
                     )
                     assert fast == slow, (hex(dst), flow, nonce)
 

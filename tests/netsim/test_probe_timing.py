@@ -15,6 +15,7 @@ import pytest
 from repro.netsim import SimulatedInternet, tiny_scenario
 from repro.netsim.internet import MIN_VECTOR_BATCH
 from repro.probing import scan
+from tests import oracle
 
 STEP = 0.5
 
@@ -48,9 +49,10 @@ def _internet():
 
 
 def _reference_internet(monkeypatch):
-    """The escape-hatch engine; the flag is latched at construction."""
-    monkeypatch.setenv("REPRO_REFERENCE_ENGINE", "1")
-    return SimulatedInternet.from_config(tiny_scenario(seed=7))
+    """An internet probing through the oracle's serial reference path
+    (installed for every simulator, until the test ends)."""
+    oracle.install(monkeypatch, oracle.PROBING)
+    return _internet()
 
 
 def _probe_targets(internet, count):

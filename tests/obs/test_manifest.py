@@ -38,7 +38,6 @@ class TestBuildManifest:
             profile="tiny",
             scenario_seed=7,
             workers=2,
-            engine="compiled",
             store_path=None,
             trace_path="/tmp/t.jsonl",
             registry=_registry(),
@@ -49,7 +48,6 @@ class TestBuildManifest:
         assert document["profile"] == "tiny"
         assert document["scenario_seed"] == 7
         assert document["workers"] == 2
-        assert document["engine"] == "compiled"
         assert document["trace"] == "/tmp/t.jsonl"
         assert document["phases"] == {"scenario": 0.5, "campaign": 2.0}
         assert document["internet_stats"] == {"probe_count": 5000}

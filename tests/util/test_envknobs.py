@@ -11,6 +11,7 @@ from repro.util.envknobs import (
     kill_after_for_worker,
     parse_kill_spec,
     positive_float_env,
+    positive_int_env,
 )
 
 
@@ -68,6 +69,28 @@ class TestPositiveFloatEnv:
         monkeypatch.setenv("REPRO_LEASE_TTL", "fast")
         with pytest.raises(EnvKnobError, match="REPRO_LEASE_TTL"):
             positive_float_env("REPRO_LEASE_TTL", 30.0)
+
+
+class TestPositiveIntEnv:
+    def test_unset_and_empty_return_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_X", raising=False)
+        assert positive_int_env("REPRO_X", 1) == 1
+        monkeypatch.setenv("REPRO_X", " ")
+        assert positive_int_env("REPRO_X", 1) == 1
+
+    def test_parses_value(self, monkeypatch):
+        monkeypatch.setenv("REPRO_X", "4")
+        assert positive_int_env("REPRO_X", 1) == 4
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
+    def test_worker_count_rejected(self, monkeypatch, raw):
+        """A malformed worker count fails naming the variable instead of
+        running serially without a word."""
+        from repro.experiments.common import active_worker_count
+
+        monkeypatch.setenv("REPRO_WORKERS", raw)
+        with pytest.raises(EnvKnobError, match="REPRO_WORKERS"):
+            active_worker_count()
 
 
 class TestParseKillSpec:
