@@ -9,10 +9,7 @@ Examples::
     hobbit-repro trace summarize t.jsonl
     hobbit-repro scenario --profile small
     hobbit-repro store info ./hobbit-store
-    hobbit-repro campaign --profile tiny --store ./hobbit-store
-    hobbit-repro serve --store ./hobbit-store &
-    hobbit-repro submit --profile tiny --store ./hobbit-store --watch
-    hobbit-repro status --store ./hobbit-store
+    hobbit-repro campaign --profile tiny --store ./hobbit-store --limit 8
 
 A ``--store PATH`` (or ``$REPRO_STORE``) attaches the on-disk
 measurement store: campaigns checkpoint each completed /24 there and
@@ -136,80 +133,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign_parser = subparsers.add_parser(
         "campaign",
-        help="run one measurement campaign one-shot (no daemon)",
+        help="run one measurement campaign and report its result",
     )
-    _add_campaign_spec_arguments(campaign_parser)
+    campaign_parser.add_argument(
+        "--profile", default=None, choices=sorted(PROFILES),
+        help="scenario sizing profile (default: $REPRO_PROFILE or small)",
+    )
+    campaign_parser.add_argument(
+        "--seed", type=int, default=None,
+        help="campaign seed (default: the profile's canonical seed)",
+    )
+    campaign_parser.add_argument(
+        "--limit", type=_whole_number, default=None, metavar="N",
+        help="measure only the first N eligible /24s",
+    )
+    campaign_parser.add_argument(
+        "--max-destinations", type=_whole_number, default=None,
+        metavar="N",
+        help="per-/24 destination cap (default: the profile's)",
+    )
+    campaign_parser.add_argument(
+        "--no-confidence", action="store_true",
+        help="skip the trained confidence table (faster; different "
+        "termination policy)",
+    )
+    _add_workers_argument(campaign_parser)
     campaign_parser.add_argument(
         "--json",
         metavar="PATH",
         default=None,
-        help="also write the campaign's result payload as JSON to PATH",
+        help="also write the campaign's result document as JSON to PATH",
     )
     _add_store_argument(campaign_parser)
     _add_trace_argument(campaign_parser)
-
-    serve_parser = subparsers.add_parser(
-        "serve", help="run the measurement daemon over a store"
-    )
-    _add_store_argument(serve_parser)
-    serve_parser.add_argument(
-        "--host", default=None,
-        help="bind address (default 127.0.0.1)",
-    )
-    serve_parser.add_argument(
-        "--port", type=int, default=None,
-        help="bind port; 0 picks a free one (default 8742)",
-    )
-    serve_parser.add_argument(
-        "--max-queued", type=int, default=16, metavar="N",
-        help="queued-job bound; submits beyond it get HTTP 429",
-    )
-    serve_parser.add_argument(
-        "--max-concurrent", type=int, default=2, metavar="N",
-        help="worker processes running at once",
-    )
-
-    submit_parser = subparsers.add_parser(
-        "submit", help="submit a job to a running daemon"
-    )
-    _add_campaign_spec_arguments(submit_parser)
-    submit_parser.add_argument(
-        "--experiments", nargs="+", default=None, metavar="ID",
-        help="submit an experiment job for these ids instead of a "
-        "campaign ('all' runs every experiment)",
-    )
-    submit_parser.add_argument(
-        "--sleep", type=float, default=None, metavar="SECONDS",
-        help="submit a diagnostic sleep job instead of a campaign",
-    )
-    submit_parser.add_argument(
-        "--fresh", action="store_true",
-        help="force a fresh run even when the store already holds "
-        "this spec's result",
-    )
-    submit_parser.add_argument(
-        "--watch", action="store_true",
-        help="follow the job's NDJSON stream after submitting",
-    )
-    _add_client_arguments(submit_parser)
-
-    status_parser = subparsers.add_parser(
-        "status", help="show one job (or, with no id, all jobs)"
-    )
-    status_parser.add_argument("job", nargs="?", default=None)
-    _add_client_arguments(status_parser)
-
-    watch_parser = subparsers.add_parser(
-        "watch", help="follow a job's NDJSON stream"
-    )
-    watch_parser.add_argument("job")
-    _add_client_arguments(watch_parser)
-
-    cancel_parser = subparsers.add_parser(
-        "cancel", help="cancel a queued or running job"
-    )
-    cancel_parser.add_argument("job")
-    _add_client_arguments(cancel_parser)
 
     store_parser = subparsers.add_parser(
         "store", help="inspect and maintain a measurement store"
@@ -233,51 +189,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_campaign_spec_arguments(
-    parser: argparse.ArgumentParser,
-) -> None:
-    """The knobs that define a campaign job spec — shared verbatim by
-    the one-shot ``campaign`` command and the daemon ``submit`` client,
-    so the two paths describe identical work."""
-    parser.add_argument(
-        "--profile", default="small", choices=sorted(PROFILES),
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="campaign seed (default: the profile's canonical seed)",
-    )
-    parser.add_argument(
-        "--limit", type=int, default=None, metavar="N",
-        help="measure only the first N eligible /24s",
-    )
-    parser.add_argument(
-        "--max-destinations", type=int, default=None, metavar="N",
-        help="per-/24 destination cap (default: the profile's)",
-    )
-    parser.add_argument(
-        "--no-confidence", action="store_true",
-        help="skip the trained confidence table (faster; different "
-        "termination policy)",
-    )
-    parser.add_argument(
-        "--pace", type=float, default=0.0, metavar="SECONDS",
-        help="sleep this long after each /24 (throttled live streams)",
-    )
-    _add_workers_argument(parser)
-
-
-def _add_client_arguments(parser: argparse.ArgumentParser) -> None:
-    """How a client subcommand finds its daemon: a store directory
-    carrying a daemon.json discovery file, or an explicit address."""
-    _add_store_argument(parser)
-    parser.add_argument("--host", default=None)
-    parser.add_argument("--port", type=int, default=None)
+def _whole_number(text: str) -> int:
+    """argparse type of the count flags (``--workers``, ``--limit``,
+    ``--max-destinations``): a whole number >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a whole number"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} must be >= 1")
+    return value
 
 
 def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_whole_number,
         default=None,
         metavar="N",
         help=(
@@ -512,57 +441,91 @@ def command_validate(
     return 0
 
 
-def _campaign_spec_from_args(args) -> dict:
-    spec = {
-        "kind": "campaign",
-        "profile": args.profile,
-        "confidence": not args.no_confidence,
-        "pace_seconds": args.pace,
-    }
-    if args.seed is not None:
-        spec["seed"] = args.seed
-    if args.limit is not None:
-        spec["limit"] = args.limit
-    if args.max_destinations is not None:
-        spec["max_destinations"] = args.max_destinations
-    if args.workers is not None:
-        spec["workers"] = args.workers
-    return spec
-
-
 def command_campaign(args) -> int:
-    """One-shot campaign through the exact executor the daemon's
-    workers use — the reference run daemon results are compared
-    against."""
-    from .obs.metrics import metrics_scope
-    from .service.jobs import (
-        execute_spec,
-        normalize_spec,
-        result_key_for,
+    """Run one measurement campaign and print its result document.
+
+    The document's ``io`` sub-document records what this run physically
+    did (probes sent, worker count). Everything else is deterministic:
+    a rerun of the same campaign reproduces it exactly at any worker
+    count, with a cold or warm store, resumed or not. A warm rerun
+    replays every /24 from the store and sends 0 probes.
+    """
+    from .core import TerminationPolicy, run_campaign
+    from .store.fingerprint import (
+        campaign_fingerprint,
+        policy_fingerprint,
+        scenario_fingerprint,
     )
 
-    store_root = args.store or os.environ.get("REPRO_STORE")
     trace_path = _configure_trace(args.trace)
-    spec = normalize_spec(_campaign_spec_from_args(args))
-    with metrics_scope() as registry:
-        payload = execute_spec(spec, store_root)
-        if store_root is not None:
-            # Same post-condition as a daemon worker: the result lands
-            # in the store under the spec's fingerprint, so a daemon
-            # serving this store answers the same spec warm.
-            from .store import MeasurementStore, artifact_record
-
-            with MeasurementStore(store_root) as store:
-                store.refresh()
-                store.put(artifact_record(
-                    result_key_for(spec),
-                    {
-                        "payload": payload,
-                        "job": "one-shot",
-                        "fingerprint": payload["campaign_fingerprint"],
-                        "metrics": registry.to_dict(),
-                    },
-                ))
+    workspace = get_workspace(
+        args.profile, workers=args.workers, store_path=args.store
+    )
+    internet = workspace.internet
+    snapshot = workspace.snapshot
+    confidence = not args.no_confidence
+    if confidence:
+        policy = TerminationPolicy(
+            confidence_table=workspace.confidence_table
+        )
+    else:
+        policy = TerminationPolicy()
+    seed = (
+        args.seed if args.seed is not None
+        else internet.config.seed ^ 0xCA11
+    )
+    max_destinations = (
+        args.max_destinations if args.max_destinations is not None
+        else workspace.profile.campaign_max_destinations
+    )
+    slash24s = None
+    if args.limit is not None:
+        slash24s = snapshot.eligible_slash24s()[: args.limit]
+    clock_base = internet.clock_seconds
+    probes_base = internet.probe_count
+    result = run_campaign(
+        internet,
+        policy,
+        slash24s=slash24s,
+        snapshot=snapshot,
+        seed=seed,
+        max_destinations_per_slash24=max_destinations,
+        workers=workspace.workers,
+        store=workspace.store,
+    )
+    counts = result.category_counts()
+    payload = {
+        "kind": "campaign",
+        "profile": workspace.profile.name,
+        "seed": seed,
+        "confidence": confidence,
+        "limit": args.limit,
+        "max_destinations": max_destinations,
+        "campaign_fingerprint": campaign_fingerprint(
+            scenario_fingerprint(internet.config),
+            policy_fingerprint(policy),
+            seed,
+            clock_base,
+            max_destinations,
+        ),
+        "slash24s": result.total,
+        "probes_used": result.probes_used,
+        "category_counts": {
+            category.name.lower(): count
+            for category, count in sorted(
+                counts.items(), key=lambda item: item[0].name
+            )
+        },
+        "homogeneous": sum(
+            1 for m in result.measurements.values() if m.is_homogeneous
+        ),
+        "analyzable": len(result.analyzable()),
+        "clock_seconds": internet.clock_seconds,
+        "io": {
+            "probes_sent": internet.probe_count - probes_base,
+            "workers": workspace.workers,
+        },
+    }
     rows = [
         [key, payload[key]]
         for key in (
@@ -582,144 +545,7 @@ def command_campaign(args) -> int:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.json}")
-    if trace_path is not None:
-        tracer().close()
-        print(f"wrote trace {trace_path}")
-    return 0
-
-
-def command_serve(args) -> int:
-    from .service import ServiceDaemon
-    from .service.daemon import DEFAULT_HOST, DEFAULT_PORT
-
-    store_root = args.store or os.environ.get("REPRO_STORE")
-    if store_root is None:
-        print("serve needs a store: pass --store or set $REPRO_STORE",
-              file=sys.stderr)
-        return 2
-    daemon = ServiceDaemon(
-        store_root,
-        host=args.host or DEFAULT_HOST,
-        port=args.port if args.port is not None else DEFAULT_PORT,
-        max_queued=args.max_queued,
-        max_concurrent=args.max_concurrent,
-    )
-    print(f"serving {daemon.store_root}", flush=True)
-    daemon.serve_forever()
-    return 0
-
-
-def _client_from_args(args):
-    from .service import ServiceClient
-
-    if args.host is not None or args.port is not None:
-        from .service.daemon import DEFAULT_HOST, DEFAULT_PORT
-
-        return ServiceClient(
-            host=args.host or DEFAULT_HOST,
-            port=args.port if args.port is not None else DEFAULT_PORT,
-        )
-    store_root = args.store or os.environ.get("REPRO_STORE")
-    if store_root is None:
-        print(
-            "no daemon address: pass --store (with a running daemon), "
-            "--host/--port, or set $REPRO_STORE",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    return ServiceClient.for_store(store_root)
-
-
-def _print_stream(client, job_id: str) -> str:
-    """Follow a job's stream, printing each NDJSON record; returns the
-    job's final state."""
-    final_state = "unknown"
-    for record in client.stream(job_id):
-        print(json.dumps(record, separators=(",", ":"),
-                         sort_keys=True))
-        if record.get("kind") == "stream_end":
-            final_state = str(record.get("state"))
-    return final_state
-
-
-def command_submit(args) -> int:
-    from .service import ServiceError
-
-    if args.sleep is not None:
-        spec = {"kind": "sleep", "seconds": args.sleep}
-    elif args.experiments is not None:
-        spec = {
-            "kind": "experiment",
-            "profile": args.profile,
-            "experiments": args.experiments,
-        }
-        if args.workers is not None:
-            spec["workers"] = args.workers
-    else:
-        spec = _campaign_spec_from_args(args)
-    if args.fresh:
-        spec["fresh"] = True
-    try:
-        client = _client_from_args(args)
-        submitted = client.submit(spec)
-    except ServiceError as error:
-        print(error, file=sys.stderr)
-        return 1
-    print(json.dumps(submitted, indent=2, sort_keys=True))
-    if args.watch and submitted["state"] not in ("done", "failed"):
-        return 0 if _print_stream(client, submitted["id"]) == "done" \
-            else 1
-    return 0
-
-
-def command_status(args) -> int:
-    from .service import ServiceError
-
-    try:
-        client = _client_from_args(args)
-        if args.job is None:
-            rows = [
-                [
-                    job["id"], job["kind"], job["state"],
-                    "warm" if job["warm"] else "",
-                    job["attempts"], job["error"] or "",
-                ]
-                for job in client.jobs()
-            ]
-            print(render_table(
-                ["job", "kind", "state", "warm", "attempts", "error"],
-                rows, title="jobs",
-            ))
-        else:
-            print(json.dumps(client.status(args.job), indent=2,
-                             sort_keys=True))
-    except ServiceError as error:
-        print(error, file=sys.stderr)
-        return 1
-    return 0
-
-
-def command_watch(args) -> int:
-    from .service import ServiceError
-
-    try:
-        client = _client_from_args(args)
-        return 0 if _print_stream(client, args.job) == "done" else 1
-    except ServiceError as error:
-        print(error, file=sys.stderr)
-        return 1
-
-
-def command_cancel(args) -> int:
-    from .service import ServiceError
-
-    try:
-        client = _client_from_args(args)
-        print(json.dumps(client.cancel(args.job), indent=2,
-                         sort_keys=True))
-    except ServiceError as error:
-        print(error, file=sys.stderr)
-        return 1
+    _finish_trace(trace_path, "campaign", workspace)
     return 0
 
 
@@ -875,16 +701,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         if args.command == "campaign":
             return command_campaign(args)
-        if args.command == "serve":
-            return command_serve(args)
-        if args.command == "submit":
-            return command_submit(args)
-        if args.command == "status":
-            return command_status(args)
-        if args.command == "watch":
-            return command_watch(args)
-        if args.command == "cancel":
-            return command_cancel(args)
         if args.command == "trace":
             return command_trace(args.action, args.path)
         if args.command == "store":

@@ -682,7 +682,6 @@ def run_campaign(
     workers: int = 1,
     store=None,
     metrics: Optional[MetricsRegistry] = None,
-    on_measurement=None,
 ) -> CampaignResult:
     """Measure every selected /24 and classify it.
 
@@ -709,16 +708,6 @@ def run_campaign(
     same world), but ``internet.probe_count`` only counts probes this
     run actually sent.
 
-    ``on_measurement(measurement, stats, done, total)`` is invoked once
-    per /24, in result insertion order, as each measurement lands in the
-    result — the progress hook the service daemon's workers use to
-    stream per-/24 records. ``stats`` is the /24's
-    :class:`ProbeStats` where per-/24 accounting exists (the serial
-    path, and store replays on either path) and None for /24s measured
-    inside parallel shard workers, whose per-/24 stats are folded into
-    the shard aggregate. The callback runs on the measuring process's
-    thread; it must not mutate the campaign's inputs.
-
     ``metrics`` names the registry campaign accounting folds into
     (default: the ambient :func:`repro.obs.metrics.current_metrics`).
     The totals are identical — bit for bit — between the serial and
@@ -738,7 +727,6 @@ def run_campaign(
         result = _run_campaign_observed(
             internet, policy, slash24s, snapshot, seed, max_probes,
             max_destinations_per_slash24, workers, store, registry,
-            on_measurement,
         )
     return result
 
@@ -754,7 +742,6 @@ def _run_campaign_observed(
     workers: int,
     store,
     registry: MetricsRegistry,
-    on_measurement=None,
 ) -> CampaignResult:
     # Routing shifts land between the snapshot and the campaign's first
     # probe — before the clock base and the worker payload are taken, so
@@ -829,17 +816,11 @@ def _run_campaign_observed(
         stats.merge(fresh_stats)
         # Re-insert following the input order so even the measurement
         # dict's iteration order matches the serial run exactly.
-        done = 0
-        total = len(slash24s)
         for slash24 in slash24s:
             if slash24 in cached:
-                measurement, replay_stats = cached[slash24]
+                result.add(cached[slash24][0])
             else:
-                measurement, replay_stats = by_prefix[slash24], None
-            result.add(measurement)
-            done += 1
-            if on_measurement is not None:
-                on_measurement(measurement, replay_stats, done, total)
+                result.add(by_prefix[slash24])
         # The parent simulator never saw the workers' probes; account
         # for them — counts *and* engine timing — so diagnostics match
         # the serial run. (Replayed /24s sent nothing, so they don't
@@ -880,10 +861,6 @@ def _run_campaign_observed(
             _fold_measurement_metrics(registry, measurement, measure_stats)
             result.add(measurement)
             done += 1
-            if on_measurement is not None:
-                on_measurement(
-                    measurement, measure_stats, done, len(slash24s)
-                )
             if progress is not None:
                 progress.update(
                     done,

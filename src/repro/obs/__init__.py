@@ -29,7 +29,6 @@ from .metrics import (
     MetricsRegistry,
     current_metrics,
     metrics_scope,
-    snapshot_record,
 )
 from .progress import PROGRESS_ENV, ProgressReporter, progress_enabled
 from .trace import (
@@ -61,7 +60,6 @@ __all__ = [
     "metrics_scope",
     "phase_wall_clocks",
     "progress_enabled",
-    "snapshot_record",
     "span",
     "summarize_trace",
     "trace_event",

@@ -20,8 +20,8 @@ structure: :meth:`MetricsRegistry.subtree` filters by prefix.
 
 An *ambient* registry is kept on a stack: library code records into
 :func:`current_metrics` so callers that don't care get a process-wide
-registry for free, while tests and the CLI push their own scope with
-:func:`metrics_scope`.
+registry for free, while tests and pool workers push their own scope
+with :func:`metrics_scope`.
 """
 
 from __future__ import annotations
@@ -171,24 +171,3 @@ def metrics_scope(
         yield scoped
     finally:
         _ACTIVE.pop()
-
-
-def snapshot_record(
-    registry: Optional[MetricsRegistry] = None,
-    name: str = "metrics.snapshot",
-) -> Dict[str, object]:
-    """One registry snapshot as a stream record.
-
-    The document shape matches the trace journal's line format
-    (``kind`` + ``ts`` + attributes), so metrics snapshots interleave
-    with journal records on the same NDJSON stream — this is the wire
-    format the service daemon's ``/metrics`` endpoint and per-job
-    streams serialize.
-    """
-    scoped = registry if registry is not None else current_metrics()
-    return {
-        "kind": "metrics",
-        "name": name,
-        "ts": time.time(),
-        "metrics": scoped.to_dict(),
-    }

@@ -297,9 +297,9 @@ class MeasurementStore:
         records newly indexed. Records this process wrote itself decode
         identically and are skipped without counting as superseded.
 
-        The common case on a hot serve path (the service daemon calls
-        refresh before every warm-answer lookup) is that *nothing* has
-        been appended. That case is answered by a lock-free size probe:
+        Lease workers refresh before re-measuring a stolen batch. When
+        nothing has been appended since the last refresh, a lock-free
+        size probe answers:
         segment files are append-only and ``_indexed_offsets`` records a
         validated frame boundary, so ``size <= indexed`` proves there is
         no unindexed complete frame — without touching the store lock a

@@ -25,6 +25,44 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "table1", "--profile", "huge"])
 
+    def test_count_flags_parse_as_whole_numbers(self):
+        args = build_parser().parse_args(
+            ["campaign", "--workers", "2", "--limit", "8",
+             "--max-destinations", "3"]
+        )
+        assert (args.workers, args.limit, args.max_destinations) == (2, 8, 3)
+
+
+class TestCountFlagsRejected:
+    """``--workers``, ``--limit`` and ``--max-destinations`` take a whole
+    number >= 1; anything else is a usage error before any work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig5", "--profile", "tiny", "--workers", "0"],
+            ["export", "out", "--workers", "-2"],
+            ["validate", "--workers", "-2"],
+            ["campaign", "--workers", "0"],
+            ["campaign", "--limit", "0"],
+            ["campaign", "--max-destinations", "-1"],
+            ["campaign", "--limit", "2.5"],
+            ["run", "fig5", "--workers", "abc"],
+        ],
+    )
+    def test_exits_two_without_building_a_workspace(
+        self, argv, monkeypatch, capsys
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a bad flag reached the workspace")
+
+        monkeypatch.setattr("repro.cli.get_workspace", no_work)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        flag = argv[-2]
+        assert f"argument {flag}:" in capsys.readouterr().err
+
 
 class TestMain:
     def test_list(self, capsys):
