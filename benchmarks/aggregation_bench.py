@@ -1,18 +1,18 @@
-"""Aggregation benchmark: object vs columnar engines on one campaign.
+"""Aggregation benchmark: the Sections 5-6 flow on one campaign.
 
 Builds the campaign for a profile, takes its measured last-hop sets,
-and runs the Sections 5-6 aggregation flow under both engines —
-``object`` (the retained dict-based reference path, serial) and
-``columnar`` (hashed-key grouping, sparse incidence-matrix similarity,
-parallel per-component MCL) — verifying the outputs are identical and
-reporting graph-build seconds, MCL seconds, peak RSS and blocks/sec as
-a machine-readable summary (``BENCH_aggregation.json`` by default).
-Validation reprobing is disabled so both engines aggregate the same
-immutable inputs and the comparison is pure wall-clock.
+and runs the aggregation flow (identical-set grouping, sparse
+incidence-matrix similarity, parallel per-component MCL), reporting
+graph-build seconds, MCL seconds, peak RSS and blocks/sec as a
+machine-readable summary (``BENCH_aggregation.json`` by default).
+Validation reprobing is disabled so the run aggregates immutable
+inputs and the figure is pure wall-clock. Parity with the dict
+similarity builder is checked by the test suite against
+``tests/oracle.py``, not here.
 
-``--baseline PATH`` compares this run's columnar blocks/sec against a
-committed snapshot and exits 2 on a >20% regression — the same
-contract as ``campaign_bench.py --baseline``.
+``--baseline PATH`` compares this run's blocks/sec against a committed
+snapshot and exits 2 on a >20% regression — the same contract as
+``campaign_bench.py --baseline``.
 
 Usage::
 
@@ -31,20 +31,13 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.aggregation import (  # noqa: E402
-    aggregate_identical,
-    build_similarity_graph,
-    build_similarity_graph_columnar,
-    group_identical_columnar,
-    run_aggregation,
-)
+from repro.aggregation import run_aggregation  # noqa: E402
 from repro.experiments import PROFILES, Workspace  # noqa: E402
 from repro.obs import (  # noqa: E402
     build_manifest,
     configure_tracing,
     manifest_path_for,
     metrics_scope,
-    phase_wall_clocks,
     tracer,
     write_run_manifest,
 )
@@ -64,35 +57,18 @@ def _peak_rss_mb():
     return peak / 1024
 
 
-def _outputs_key(outcome):
-    """The comparable output surface of an aggregation run."""
-    return (
-        outcome.identical_blocks,
-        outcome.inflation,
-        outcome.sweep_outcomes,
-        outcome.clusters,
-        outcome.rule_matches,
-        outcome.final_blocks,
-    )
-
-
-def _time_engine(lasthop_sets, engine, workers):
+def _time_aggregation(lasthop_sets, workers):
     """One validation-free aggregation run under its own registry."""
     with metrics_scope() as registry:
         started = time.perf_counter()
         outcome = run_aggregation(
-            lasthop_sets,
-            validate=False,
-            engine=engine,
-            workers=workers,
+            lasthop_sets, validate=False, workers=workers
         )
         elapsed = time.perf_counter() - started
     blocks = len(outcome.identical_blocks)
-    return outcome, {
-        "engine": outcome.engine,
-        "workers": workers,
-        "seconds": round(elapsed, 3),
-        "graph_seconds": round(
+    return {
+        "aggregation_seconds": round(elapsed, 3),
+        "graph_build_seconds": round(
             registry.timer_seconds("phase.aggregate.graph"), 3
         ),
         "mcl_seconds": round(
@@ -106,36 +82,8 @@ def _time_engine(lasthop_sets, engine, workers):
         "parallel_fallback": registry.counter_value(
             "aggregation.parallel_fallback"
         ),
-        "blocks_per_second": (
+        "aggregation_blocks_per_second": (
             round(blocks / elapsed, 1) if elapsed else None
-        ),
-    }, elapsed
-
-
-def _similarity_split(lasthop_sets):
-    """Time just the similarity-graph construction, both ways.
-
-    The end-to-end engine comparison buries this step under the shared
-    MCL sweep and the identical-block materialisation, so the kernel
-    the columnar engine actually replaces — the inverted-index Python
-    loop versus the sparse incidence Gram product — gets its own
-    direct measurement.
-    """
-    blocks = aggregate_identical(lasthop_sets)
-    started = time.perf_counter()
-    build_similarity_graph(blocks)
-    object_seconds = time.perf_counter() - started
-    cblocks = group_identical_columnar(lasthop_sets)
-    started = time.perf_counter()
-    build_similarity_graph_columnar(cblocks)
-    columnar_seconds = time.perf_counter() - started
-    return {
-        "object_seconds": round(object_seconds, 4),
-        "columnar_seconds": round(columnar_seconds, 4),
-        "speedup": (
-            round(object_seconds / columnar_seconds, 1)
-            if columnar_seconds
-            else None
         ),
     }
 
@@ -149,20 +97,7 @@ def run(profile_name, workers, trace_path, store_path):
         with registry.time("phase.campaign_build"):
             lasthop_sets = workspace.campaign.lasthop_sets()
 
-    object_outcome, object_stats, object_elapsed = _time_engine(
-        lasthop_sets, "object", 1
-    )
-    columnar_outcome, columnar_stats, columnar_elapsed = _time_engine(
-        lasthop_sets, "columnar", workspace.workers
-    )
-    if _outputs_key(object_outcome) != _outputs_key(columnar_outcome):
-        raise SystemExit(
-            "engine mismatch: columnar aggregation outputs differ from "
-            "the object path"
-        )
-
-    object_graph = object_stats["graph_seconds"]
-    columnar_graph = columnar_stats["graph_seconds"]
+    stats = _time_aggregation(lasthop_sets, workspace.workers)
     document = {
         "benchmark": "aggregation",
         "profile": profile_name,
@@ -172,24 +107,7 @@ def run(profile_name, workers, trace_path, store_path):
         "campaign_build_seconds": round(
             registry.timer_seconds("phase.campaign_build"), 3
         ),
-        "object": object_stats,
-        "columnar": columnar_stats,
-        "outputs_identical": True,
-        "similarity_graph": _similarity_split(lasthop_sets),
-        "graph_build_seconds": columnar_graph,
-        "mcl_seconds": columnar_stats["mcl_seconds"],
-        "aggregation_seconds": columnar_stats["seconds"],
-        "aggregation_blocks_per_second": columnar_stats["blocks_per_second"],
-        "graph_speedup": (
-            round(object_graph / columnar_graph, 2)
-            if columnar_graph
-            else None
-        ),
-        "total_speedup": (
-            round(object_elapsed / columnar_elapsed, 2)
-            if columnar_elapsed
-            else None
-        ),
+        **stats,
     }
 
     if trace_path is not None:
@@ -254,11 +172,10 @@ def main(argv=None):
     print(rendered)
     print(
         f"aggregation: {document['slash24s']} /24s -> "
-        f"{document['columnar']['blocks']} blocks in "
-        f"{document['aggregation_seconds']}s columnar "
-        f"(object {document['object']['seconds']}s; "
-        f"similarity graph {document['similarity_graph']['speedup']}x, "
-        f"total speedup {document['total_speedup']}x) | "
+        f"{document['blocks']} blocks in "
+        f"{document['aggregation_seconds']}s "
+        f"(graph {document['graph_build_seconds']}s, "
+        f"MCL {document['mcl_seconds']}s) | "
         f"peak RSS {document['peak_rss_mb']} MB"
     )
     if args.baseline is not None:

@@ -5,59 +5,39 @@ validation (Section 6)."""
 from .graph import WeightedGraph
 from .identical import (
     AggregatedBlock,
-    ColumnarAggregationUnsupported,
-    ColumnarBlocks,
     aggregate_identical,
-    aggregate_identical_columnar,
-    group_identical_columnar,
     size_histogram,
     size_log2_histogram,
     top_blocks,
 )
 from .mcl import MclResult, mcl, mcl_from_stochastic, prepare_stochastic
-from .pipeline import (
-    AGGREGATION_ENGINE_ENV,
-    AggregationOutcome,
-    aggregation_engine_name,
-    run_aggregation,
-)
+from .pipeline import AggregationOutcome, run_aggregation
 from .reprobe import ClusterValidation, Reprober, validate_cluster
 from .rules import SimilarityRule
 from .similarity import (
     build_similarity_graph,
-    build_similarity_graph_columnar,
     pairwise_similarities,
     similarity,
 )
 from .sweep import (
     AggregationParallelFallbackWarning,
     SweepOutcome,
-    choose_inflation,
     run_mcl_on_components,
     sweep_and_cluster,
-    weak_intra_cluster_fraction,
 )
 
 __all__ = [
-    "AGGREGATION_ENGINE_ENV",
     "AggregatedBlock",
     "AggregationOutcome",
     "AggregationParallelFallbackWarning",
     "ClusterValidation",
-    "ColumnarAggregationUnsupported",
-    "ColumnarBlocks",
     "MclResult",
     "Reprober",
     "SimilarityRule",
     "SweepOutcome",
     "WeightedGraph",
     "aggregate_identical",
-    "aggregate_identical_columnar",
-    "aggregation_engine_name",
     "build_similarity_graph",
-    "build_similarity_graph_columnar",
-    "choose_inflation",
-    "group_identical_columnar",
     "mcl",
     "mcl_from_stochastic",
     "pairwise_similarities",
@@ -70,5 +50,4 @@ __all__ = [
     "sweep_and_cluster",
     "top_blocks",
     "validate_cluster",
-    "weak_intra_cluster_fraction",
 ]

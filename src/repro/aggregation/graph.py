@@ -6,9 +6,9 @@ lets MCL run independently — and cheaply — per component.
 
 The graph is **CSR-backed**: the canonical storage is one symmetric
 :class:`scipy.sparse.csr_matrix`, built either directly from edge
-arrays (:meth:`WeightedGraph.from_edge_arrays`, the columnar similarity
+arrays (:meth:`WeightedGraph.from_edge_arrays`, the similarity
 builder's path) or by finalizing edges staged through
-:meth:`WeightedGraph.add_edge` (the object path and tests). The old
+:meth:`WeightedGraph.add_edge` (tests and the test oracle). The old
 dict-of-dicts API (``weight``, ``neighbours``, ``edges``) survives as a
 thin view over the CSR arrays, so per-vertex callers keep working while
 bulk consumers (MCL, the sweep scorer) read

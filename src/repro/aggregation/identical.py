@@ -3,41 +3,17 @@
 Each homogeneous /24 carries the set of last-hop routers observed for
 its addresses. /24s whose sets are *identical* (same size, same
 members) are merged into one homogeneous block — the paper reduces
-1.77M /24s to 0.53M blocks this way.
-
-Two implementations produce identical blocks:
-
-* :func:`aggregate_identical` — the retained reference path: a dict
-  keyed by frozenset.
-* :func:`group_identical_columnar` — the columnar engine: every /24's
-  sorted last-hop array lives in one flat pool, rows are grouped by a
-  vectorised order-insensitive 64-bit hash of their sets (verified
-  element-for-element inside each bucket, so a hash collision can never
-  merge two different sets), and block membership comes out as uint32
-  /24 arrays plus offsets (:class:`ColumnarBlocks`), mirroring
-  :mod:`repro.core.columnar`.
+1.77M /24s to 0.53M blocks this way. The grouping is a dict keyed by
+the frozenset itself, so it is exact for any prefix and any router id.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, FrozenSet, List, Mapping, Tuple
 
-import numpy as np
-
 from ..net.prefix import Prefix
-
-#: Largest representable last-hop router id in the columnar pools
-#: (router ids are IPv4 addresses, so this never binds in practice).
-_MAX_ROUTER = (1 << 32) - 1
-
-
-class ColumnarAggregationUnsupported(Exception):
-    """The columnar aggregation kernels cannot represent this input
-    (non-/24 keys, router ids outside uint32); the caller falls back to
-    the object path, which produces identical results."""
 
 
 @dataclass(frozen=True)
@@ -58,65 +34,6 @@ class AggregatedBlock:
             f"block#{self.block_id} size={self.size} "
             f"lasthops={len(self.lasthop_set)}"
         )
-
-
-@dataclass
-class ColumnarBlocks:
-    """Identical-set blocks in columnar form.
-
-    Block ``i`` owns member /24 networks
-    ``member_nets[member_lo[i]:member_hi[i]]`` (uint32, ascending) and
-    the last-hop set ``lh_pool[lh_lo[i]:lh_hi[i]]`` (uint32, ascending).
-    Blocks are ordered by smallest member network — the same order
-    :func:`aggregate_identical` assigns block ids in.
-    """
-
-    member_nets: np.ndarray
-    member_lo: np.ndarray
-    member_hi: np.ndarray
-    lh_pool: np.ndarray
-    lh_lo: np.ndarray
-    lh_hi: np.ndarray
-
-    @property
-    def block_count(self) -> int:
-        return len(self.member_lo)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Block sizes in /24s."""
-        return self.member_hi - self.member_lo
-
-    @property
-    def lasthop_sizes(self) -> np.ndarray:
-        """Last-hop set cardinality per block."""
-        return self.lh_hi - self.lh_lo
-
-    def to_blocks(self) -> List[AggregatedBlock]:
-        """Materialize :class:`AggregatedBlock` objects (exact: same
-        blocks, ids, member order as :func:`aggregate_identical`)."""
-        return [
-            AggregatedBlock(
-                block_id=index,
-                lasthop_set=frozenset(
-                    int(router)
-                    for router in self.lh_pool[
-                        int(self.lh_lo[index]): int(self.lh_hi[index])
-                    ]
-                ),
-                slash24s=tuple(
-                    Prefix(int(network), 24)
-                    for network in self.member_nets[
-                        int(self.member_lo[index]):
-                        int(self.member_hi[index])
-                    ]
-                ),
-            )
-            for index in range(self.block_count)
-        ]
-
-
-# -- the reference path -------------------------------------------------
 
 
 def aggregate_identical(
@@ -143,170 +60,6 @@ def aggregate_identical(
         )
         for index, (lasthops, slash24s) in enumerate(groups)
     ]
-
-
-# -- the columnar path --------------------------------------------------
-
-# splitmix64 finalizer constants (matching repro.util.hashing).
-_MIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX_C1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_C2 = np.uint64(0x94D049BB133111EB)
-
-
-def _splitmix64(values: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finalizer over a uint64 array."""
-    mixed = values + _MIX_GAMMA
-    mixed = (mixed ^ (mixed >> np.uint64(30))) * _MIX_C1
-    mixed = (mixed ^ (mixed >> np.uint64(27))) * _MIX_C2
-    return mixed ^ (mixed >> np.uint64(31))
-
-
-def _empty_columnar_blocks() -> ColumnarBlocks:
-    return ColumnarBlocks(
-        member_nets=np.empty(0, dtype=np.uint32),
-        member_lo=np.empty(0, dtype=np.int64),
-        member_hi=np.empty(0, dtype=np.int64),
-        lh_pool=np.empty(0, dtype=np.uint32),
-        lh_lo=np.empty(0, dtype=np.int64),
-        lh_hi=np.empty(0, dtype=np.int64),
-    )
-
-
-def group_identical_columnar(
-    lasthop_sets: Mapping[Prefix, FrozenSet[int]],
-) -> ColumnarBlocks:
-    """Group /24s by identical last-hop sets, columnarly.
-
-    Rows (one per /24 with a non-empty set) are keyed by an
-    order-insensitive hash triple (sum and xor of per-element splitmix64
-    mixes, plus cardinality); buckets are then verified element-for-
-    element, with genuine collisions — never observed, but cheap to
-    guard — split apart exactly. Raises
-    :class:`ColumnarAggregationUnsupported` for inputs the flat uint32
-    representation cannot hold.
-    """
-    nets_list: List[int] = []
-    set_sizes: List[int] = []
-    sorted_sets: List[List[int]] = []
-    for slash24, lasthops in lasthop_sets.items():
-        if not lasthops:
-            continue
-        if slash24.length != 24:
-            raise ColumnarAggregationUnsupported(
-                f"columnar aggregation holds /24 keys, got {slash24}"
-            )
-        nets_list.append(slash24.network)
-        set_sizes.append(len(lasthops))
-        sorted_sets.append(sorted(lasthops))
-    row_count = len(nets_list)
-    if row_count == 0:
-        return _empty_columnar_blocks()
-
-    nets = np.array(nets_list, dtype=np.uint32)
-    sizes = np.array(set_sizes, dtype=np.int64)
-    pool = np.fromiter(
-        chain.from_iterable(sorted_sets),
-        dtype=np.int64,
-        count=int(sizes.sum()),
-    )
-    if len(pool) and (pool[0] < 0 or int(pool.max()) > _MAX_ROUTER):
-        # pool is a concatenation of sorted runs, so a global negative
-        # minimum would surface as some run's first element; check the
-        # true min to be exact.
-        if int(pool.min()) < 0 or int(pool.max()) > _MAX_ROUTER:
-            raise ColumnarAggregationUnsupported(
-                "router ids outside the uint32 pool range"
-            )
-    row_lo = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(sizes))
-    )
-    mixed = _splitmix64(pool.astype(np.uint64))
-    keys = np.stack(
-        (
-            np.add.reduceat(mixed, row_lo[:-1]),
-            np.bitwise_xor.reduceat(mixed, row_lo[:-1]),
-            sizes.astype(np.uint64),
-        ),
-        axis=1,
-    )
-    _, group_of = np.unique(keys, axis=0, return_inverse=True)
-    group_of = _verify_buckets(group_of.ravel(), pool, row_lo)
-
-    # Rank groups by smallest member network (the reference block-id
-    # order), then lay rows out block by block, networks ascending.
-    group_count = int(group_of.max()) + 1
-    min_net = np.full(group_count, np.iinfo(np.uint32).max + 1, np.int64)
-    np.minimum.at(min_net, group_of, nets.astype(np.int64))
-    block_rank = np.empty(group_count, dtype=np.int64)
-    block_rank[np.argsort(min_net, kind="stable")] = np.arange(group_count)
-    row_order = np.lexsort((nets, block_rank[group_of]))
-
-    member_counts = np.bincount(
-        block_rank[group_of], minlength=group_count
-    )
-    member_hi = np.cumsum(member_counts)
-    member_lo = member_hi - member_counts
-
-    # One representative row per block supplies its last-hop array.
-    representatives = row_order[member_lo]
-    lh_sizes = sizes[representatives]
-    lh_hi = np.cumsum(lh_sizes)
-    lh_lo = lh_hi - lh_sizes
-    gather = (
-        np.arange(int(lh_sizes.sum()), dtype=np.int64)
-        - np.repeat(lh_lo, lh_sizes)
-        + np.repeat(row_lo[representatives], lh_sizes)
-    )
-    return ColumnarBlocks(
-        member_nets=nets[row_order],
-        member_lo=member_lo,
-        member_hi=member_hi,
-        lh_pool=pool[gather].astype(np.uint32),
-        lh_lo=lh_lo,
-        lh_hi=lh_hi,
-    )
-
-
-def _verify_buckets(
-    group_of: np.ndarray, pool: np.ndarray, row_lo: np.ndarray
-) -> np.ndarray:
-    """Confirm every hash bucket holds element-for-element identical
-    sets; split buckets where the (astronomically unlikely) collision
-    happened. Returns possibly-renumbered group ids."""
-    order = np.argsort(group_of, kind="stable")
-    boundaries = np.flatnonzero(np.diff(group_of[order])) + 1
-    next_group = int(group_of.max()) + 1
-    result = group_of.copy()
-    for bucket in np.split(order, boundaries):
-        if len(bucket) < 2:
-            continue
-        first = int(bucket[0])
-        reference = pool[row_lo[first]: row_lo[first + 1]]
-        mismatched = [
-            int(row)
-            for row in bucket[1:]
-            if not np.array_equal(
-                pool[row_lo[row]: row_lo[row + 1]], reference
-            )
-        ]
-        if not mismatched:
-            continue
-        # Collision: re-bucket the stragglers by exact content.
-        refined: Dict[bytes, int] = {}
-        for row in mismatched:
-            content = pool[row_lo[row]: row_lo[row + 1]].tobytes()
-            if content not in refined:
-                refined[content] = next_group
-                next_group += 1
-            result[row] = refined[content]
-    return result
-
-
-def aggregate_identical_columnar(
-    lasthop_sets: Mapping[Prefix, FrozenSet[int]],
-) -> List[AggregatedBlock]:
-    """Columnar-engine equivalent of :func:`aggregate_identical`."""
-    return group_identical_columnar(lasthop_sets).to_blocks()
 
 
 # -- summaries ----------------------------------------------------------

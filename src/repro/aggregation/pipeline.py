@@ -9,38 +9,27 @@
 5. Merge the clusters reprobing confirmed, producing the final block
    list.
 
-Two engines drive steps 1-2, selected by ``REPRO_AGGREGATION_ENGINE``
-(or the ``engine`` argument): ``columnar`` (default) groups identical
-sets with hashed numpy keys and builds the similarity graph as a sparse
-incidence Gram product; ``object`` is the retained dict-based reference
-path. Their outputs are identical — the golden suite in
-``tests/aggregation/test_columnar_aggregation.py`` enforces it — and
-inputs the columnar kernels cannot represent fall back to the object
-path automatically (``aggregation.fallback`` counter). Step 3 fans
-per-component MCL out over ``workers`` processes with a deterministic
-merge, so ``workers`` never changes results either.
+Step 1 is a dict keyed by the last-hop frozenset, exact for any key;
+step 2 is one sparse incidence Gram product over the merged blocks,
+checked bit for bit against the dict inverted-index builder kept in
+``tests/oracle.py``. Step 3 fans per-component MCL out over
+``workers`` processes with a deterministic merge, so ``workers`` never
+changes results.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional
 
 from ..net.prefix import Prefix
 from ..netsim.internet import SimulatedInternet
 from ..obs.metrics import current_metrics
-from ..obs.trace import span, trace_warning
+from ..obs.trace import span
 from ..probing.zmap import ActivitySnapshot
 from .graph import WeightedGraph
-from .identical import (
-    AggregatedBlock,
-    ColumnarAggregationUnsupported,
-    aggregate_identical,
-    group_identical_columnar,
-    size_histogram,
-)
+from .identical import AggregatedBlock, size_histogram
 from .mcl import DEFAULT_INFLATION
 from .reprobe import (
     DEFAULT_MAX_PAIRS,
@@ -49,29 +38,18 @@ from .reprobe import (
     validate_cluster,
 )
 from .rules import SimilarityRule
-from .similarity import build_similarity_graph, build_similarity_graph_columnar
 from .sweep import (
     SweepOutcome,
     run_mcl_on_components,
     sweep_and_cluster,
 )
 
-#: Environment variable selecting the aggregation engine: ``columnar``
-#: (default — hashed-key grouping plus the sparse incidence-matrix
-#: similarity builder) or ``object`` (the dict-based reference path).
-AGGREGATION_ENGINE_ENV = "REPRO_AGGREGATION_ENGINE"
-
-
-def aggregation_engine_name(override: Optional[str] = None) -> str:
-    """The configured aggregation engine (``columnar`` or ``object``)."""
-    value = (
-        override
-        if override is not None
-        else os.environ.get(AGGREGATION_ENGINE_ENV, "")
-    ).strip().lower()
-    if value in ("object", "reference"):
-        return "object"
-    return "columnar"
+# pipebench/sample.py:layer_targets() wraps steps 1-2 by these two names
+# for its aggregation.graph span, so run_aggregation calls them here.
+from .identical import aggregate_identical as group_identical_columnar
+from .similarity import (
+    build_similarity_graph as build_similarity_graph_columnar,
+)
 
 
 @dataclass
@@ -95,8 +73,6 @@ class AggregationOutcome:
     #: Every reprobed /24 → (last-hop set, probes); feed back in as
     #: ``reprobe_preload`` to replay validation without re-probing.
     reprobe_records: Dict[Prefix, tuple] = field(default_factory=dict)
-    #: Which engine built the blocks and graph (``columnar``/``object``).
-    engine: str = "object"
 
     # -- summaries ---------------------------------------------------------
 
@@ -115,32 +91,6 @@ class AggregationOutcome:
         return len(self.identical_blocks) - len(self.final_blocks)
 
 
-def _build_graph(
-    lasthop_sets: Mapping[Prefix, FrozenSet[int]],
-    engine_name: str,
-) -> Tuple[List[AggregatedBlock], WeightedGraph, str]:
-    """Steps 1-2 under the requested engine, with columnar → object
-    fallback when the input cannot take the columnar representation."""
-    if engine_name == "columnar":
-        try:
-            cblocks = group_identical_columnar(lasthop_sets)
-            return (
-                cblocks.to_blocks(),
-                build_similarity_graph_columnar(cblocks),
-                "columnar",
-            )
-        except ColumnarAggregationUnsupported as error:
-            current_metrics().count("aggregation.fallback")
-            trace_warning(
-                "aggregation.fallback",
-                f"columnar aggregation unsupported ({error}); using the "
-                "object path — results are identical",
-                error=repr(error),
-            )
-    identical_blocks = aggregate_identical(lasthop_sets)
-    return identical_blocks, build_similarity_graph(identical_blocks), "object"
-
-
 def run_aggregation(
     lasthop_sets: Mapping[Prefix, FrozenSet[int]],
     internet: Optional[SimulatedInternet] = None,
@@ -151,7 +101,6 @@ def run_aggregation(
     rule: Optional[SimilarityRule] = None,
     seed: int = 0,
     reprobe_preload: Optional[Mapping[Prefix, tuple]] = None,
-    engine: Optional[str] = None,
     workers: int = 1,
 ) -> AggregationOutcome:
     """Run the aggregation flow over measured last-hop sets.
@@ -160,25 +109,17 @@ def run_aggregation(
     True (reprobing goes back on the wire). With ``inflation`` unset the
     Section 6.4 sweep picks it. ``reprobe_preload`` replays recorded
     reprobe results (see :attr:`AggregationOutcome.reprobe_records`)
-    instead of probing, with identical accounting. ``engine`` overrides
-    ``REPRO_AGGREGATION_ENGINE``; ``workers`` parallelises the
-    per-component MCL runs (results are identical at any worker count).
+    instead of probing, with identical accounting. ``workers``
+    parallelises the per-component MCL runs (results are identical at
+    any worker count).
     """
     registry = current_metrics()
-    engine_name = aggregation_engine_name(engine)
     with span(
-        "aggregation.run",
-        slash24s=len(lasthop_sets),
-        engine=engine_name,
-        workers=workers,
+        "aggregation.run", slash24s=len(lasthop_sets), workers=workers
     ):
-        with registry.time("phase.aggregate.graph"), span(
-            "aggregation.graph", engine=engine_name
-        ):
-            identical_blocks, graph, engine_name = _build_graph(
-                lasthop_sets, engine_name
-            )
-        registry.count(f"aggregation.engine.{engine_name}")
+        with registry.time("phase.aggregate.graph"), span("aggregation.graph"):
+            identical_blocks = group_identical_columnar(lasthop_sets)
+            graph = build_similarity_graph_columnar(identical_blocks)
         registry.gauge("aggregation.blocks", len(identical_blocks))
         registry.gauge("aggregation.edges", graph.edge_count)
 
@@ -213,7 +154,6 @@ def run_aggregation(
             inflation=inflation,
             sweep_outcomes=sweep_outcomes,
             clusters=clusters,
-            engine=engine_name,
         )
         rule = rule or SimilarityRule()
         multi_clusters = [

@@ -7,27 +7,23 @@ ones. Blocks are vertices; positive scores become weighted edges. The
 weight-1 pre-aggregation the paper describes is already done — the
 vertices *are* the identical-set blocks from Section 5.
 
-Two builders produce identical graphs:
-
-* :func:`build_similarity_graph` — the retained reference path: an
-  inverted index plus per-pair dict accumulation.
-* :func:`build_similarity_graph_columnar` — the columnar engine: a
-  block×router sparse incidence matrix B, intersection counts as the
-  Gram product ``B @ B.T`` (one scipy CSR multiply), scaled by
-  ``1/max(|S_u|, |S_v|)`` vectorially. Integer counts and set sizes are
-  far below 2^53, so the float64 division is bit-identical to Python's
-  int/int division in the reference path.
+The graph is a Gram product: the block×router sparse incidence matrix
+B gives every pair's intersection count as ``B @ B.T`` (one scipy CSR
+multiply), scaled by ``1/max(|S_u|, |S_v|)`` vectorially. Integer
+counts and set sizes are far below 2^53, so the float64 division is
+bit-identical to Python's int/int division of the same counts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from itertools import chain
+from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from .graph import WeightedGraph
-from .identical import AggregatedBlock, ColumnarBlocks
+from .identical import AggregatedBlock
 
 
 def similarity(a: FrozenSet[int], b: FrozenSet[int]) -> float:
@@ -37,65 +33,46 @@ def similarity(a: FrozenSet[int], b: FrozenSet[int]) -> float:
     return len(a & b) / max(len(a), len(b))
 
 
+def _incidence(
+    blocks: Sequence[AggregatedBlock],
+) -> Tuple[sparse.csr_matrix, np.ndarray]:
+    """The block×router incidence matrix (one row per block, one column
+    per distinct router, entries 1) and each block's last-hop set
+    size. Router ids must fit in int64."""
+    sizes = np.fromiter(
+        (len(block.lasthop_set) for block in blocks),
+        dtype=np.int64,
+        count=len(blocks),
+    )
+    pool = np.fromiter(
+        chain.from_iterable(block.lasthop_set for block in blocks),
+        dtype=np.int64,
+        count=int(sizes.sum()),
+    )
+    routers, columns = np.unique(pool, return_inverse=True)
+    rows = np.repeat(np.arange(len(blocks), dtype=np.int64), sizes)
+    incidence = sparse.csr_matrix(
+        (np.ones(len(pool), dtype=np.int64), (rows, columns.ravel())),
+        shape=(len(blocks), len(routers)),
+    )
+    return incidence, sizes
+
+
 def build_similarity_graph(
     blocks: Sequence[AggregatedBlock],
 ) -> WeightedGraph:
     """Vertices are block indices; edges connect blocks sharing at least
     one last-hop router, weighted by similarity.
 
-    Uses an inverted index (router → blocks) so the cost is proportional
-    to actual overlaps, not all block pairs.
+    The strict upper triangle of ``B @ B.T`` is exactly the edge set,
+    so the cost is proportional to actual overlaps, not all block pairs.
     """
-    graph = WeightedGraph(len(blocks))
-    by_router: Dict[int, List[int]] = {}
-    for index, block in enumerate(blocks):
-        for router in block.lasthop_set:
-            by_router.setdefault(router, []).append(index)
-
-    intersections: Dict[Tuple[int, int], int] = {}
-    for members in by_router.values():
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                key = (u, v) if u < v else (v, u)
-                intersections[key] = intersections.get(key, 0) + 1
-
-    for (u, v), shared in intersections.items():
-        score = shared / max(
-            len(blocks[u].lasthop_set), len(blocks[v].lasthop_set)
-        )
-        graph.add_edge(u, v, score)
-    return graph
-
-
-def build_similarity_graph_columnar(
-    cblocks: ColumnarBlocks,
-) -> WeightedGraph:
-    """Columnar-engine equivalent of :func:`build_similarity_graph`.
-
-    The block×router incidence matrix B (one row per block, one column
-    per distinct router, entries 1) gives intersection counts as
-    ``B @ B.T``; its strict upper triangle is exactly the edge set of
-    the similarity graph.
-    """
-    block_count = cblocks.block_count
-    sizes = cblocks.lasthop_sizes.astype(np.int64)
-    if block_count == 0 or len(cblocks.lh_pool) == 0:
-        return WeightedGraph(block_count)
-    # Map router ids to contiguous incidence columns.
-    routers, columns = np.unique(cblocks.lh_pool, return_inverse=True)
-    rows = np.repeat(np.arange(block_count, dtype=np.int64), sizes)
-    incidence = sparse.csr_matrix(
-        (
-            np.ones(len(columns), dtype=np.int64),
-            (rows, columns.ravel()),
-        ),
-        shape=(block_count, len(routers)),
-    )
+    incidence, sizes = _incidence(blocks)
     counts = sparse.triu(incidence @ incidence.T, k=1, format="coo")
     u = counts.row.astype(np.int64)
     v = counts.col.astype(np.int64)
     weights = counts.data / np.maximum(sizes[u], sizes[v])
-    return WeightedGraph.from_edge_arrays(block_count, u, v, weights)
+    return WeightedGraph.from_edge_arrays(len(blocks), u, v, weights)
 
 
 def pairwise_similarities(
@@ -111,27 +88,7 @@ def pairwise_similarities(
     n = len(blocks)
     if n < 2:
         return []
-    sizes = np.array(
-        [len(block.lasthop_set) for block in blocks], dtype=np.int64
-    )
-    total = int(sizes.sum())
-    if total == 0:
-        return [0.0] * (n * (n - 1) // 2)
-    pool = np.fromiter(
-        (
-            router
-            for block in blocks
-            for router in sorted(block.lasthop_set)
-        ),
-        dtype=np.int64,
-        count=total,
-    )
-    _, columns = np.unique(pool, return_inverse=True)
-    rows = np.repeat(np.arange(n, dtype=np.int64), sizes)
-    incidence = sparse.csr_matrix(
-        (np.ones(total, dtype=np.int64), (rows, columns.ravel())),
-        shape=(n, int(columns.max()) + 1),
-    )
+    incidence, sizes = _incidence(blocks)
     counts = (incidence @ incidence.T).toarray()
     i, j = np.triu_indices(n, k=1)
     denominator = np.maximum(sizes[i], sizes[j])

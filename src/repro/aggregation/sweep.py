@@ -13,9 +13,7 @@ and weak/total intra-cluster edge counts come back per candidate, and
 the parent folds them in component order — so serial and parallel runs
 produce identical clusters, sweep outcomes and metrics totals. When a
 worker pool cannot start, the sweep degrades to serial with an
-:class:`AggregationParallelFallbackWarning` (results identical); when
-the shared-matrix path fails on one component, that component alone
-falls back to independent per-candidate MCL runs.
+:class:`AggregationParallelFallbackWarning` (results identical).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import numpy as np
 from ..obs.metrics import MetricsRegistry, current_metrics, metrics_scope
 from ..obs.trace import configure_tracing, trace_warning
 from .graph import WeightedGraph
-from .mcl import mcl, mcl_from_stochastic, prepare_stochastic
+from .mcl import mcl_from_stochastic, prepare_stochastic
 
 DEFAULT_CANDIDATES: Tuple[float, ...] = (1.4, 1.8, 2.0, 2.4, 3.0, 4.0)
 
@@ -45,30 +43,6 @@ class SweepOutcome:
     inflation: float
     weak_edge_fraction: float
     cluster_count: int
-
-
-def weak_intra_cluster_fraction(
-    graph: WeightedGraph, clusters: List[List[int]], median_weight: float
-) -> float:
-    """Fraction of intra-cluster edges with weight below the median of
-    *all* edge weights.
-
-    Vectorised over the graph's edge arrays; vertices in no cluster
-    keep the fill label, so — as in the historical dict version — edges
-    between two unclustered vertices count as intra-cluster.
-    """
-    u, v, w = graph.edge_arrays()
-    if len(u) == 0:
-        return 0.0
-    labels = np.full(graph.vertex_count, -1, dtype=np.int64)
-    for index, cluster in enumerate(clusters):
-        labels[cluster] = index
-    intra = labels[u] == labels[v]
-    total = int(np.count_nonzero(intra))
-    if total == 0:
-        return 0.0
-    weak = int(np.count_nonzero(w[intra] < median_weight))
-    return weak / total
 
 
 # -- per-component clustering ------------------------------------------
@@ -110,34 +84,16 @@ def _cluster_component(
     """Cluster one component at every candidate inflation.
 
     Normalises the component matrix once and reuses it across
-    candidates; on failure of that shared path the component falls back
-    to an independent :func:`mcl` run per candidate (same arithmetic,
-    so identical clusters) and is counted in
-    ``aggregation.component_fallback``.
+    candidates (:func:`mcl_from_stochastic` never mutates it).
     """
     original_ids, adjacency, local_u, local_v, local_w = task
     if adjacency is None:
         return [([list(original_ids)], 0, 0) for _ in candidates]
-    try:
-        stochastic = prepare_stochastic(adjacency)
-        per_candidate = [
-            mcl_from_stochastic(stochastic, inflation=inflation).clusters
-            for inflation in candidates
-        ]
-    except Exception as error:  # the FastPathUnsupported-style escape
-        current_metrics().count("aggregation.component_fallback")
-        trace_warning(
-            "aggregation.component_fallback",
-            f"shared-stochastic sweep failed on a "
-            f"{len(original_ids)}-vertex component; re-running each "
-            f"candidate independently",
-            vertices=len(original_ids),
-            error=repr(error),
-        )
-        per_candidate = [
-            mcl(adjacency, inflation=inflation).clusters
-            for inflation in candidates
-        ]
+    stochastic = prepare_stochastic(adjacency)
+    per_candidate = [
+        mcl_from_stochastic(stochastic, inflation=inflation).clusters
+        for inflation in candidates
+    ]
     ids = np.asarray(original_ids, dtype=np.int64)
     result: _ComponentResult = []
     for clusters in per_candidate:
@@ -316,17 +272,3 @@ def sweep_and_cluster(
         clusters_per_candidate[best],
     )
 
-
-def choose_inflation(
-    graph: WeightedGraph,
-    candidates: Sequence[float] = DEFAULT_CANDIDATES,
-    workers: int = 1,
-) -> Tuple[float, List[SweepOutcome]]:
-    """Sweep candidates; return (best inflation, all outcomes).
-
-    Ties prefer the smaller (coarser) inflation, which aggregates more.
-    """
-    inflation, outcomes, _ = sweep_and_cluster(
-        graph, candidates, workers=workers
-    )
-    return (inflation, outcomes)

@@ -284,10 +284,7 @@ def _finish_trace(
     """Close the journal and write the per-run ``run.json`` manifest."""
     if trace_path is None:
         return
-    from .aggregation import aggregation_engine_name
-
     internet = workspace._internet
-    engines = {"engines": {"aggregation": aggregation_engine_name()}}
     document = build_manifest(
         command=command,
         profile=workspace.profile.name,
@@ -297,7 +294,7 @@ def _finish_trace(
         trace_path=os.path.abspath(trace_path),
         registry=current_metrics(),
         internet_stats=internet.stats() if internet is not None else None,
-        extra={**engines, **(extra or {})},
+        extra=extra,
     )
     manifest_path = write_run_manifest(
         manifest_path_for(trace_path), document

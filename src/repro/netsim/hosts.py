@@ -146,7 +146,6 @@ def promotion_delay_seconds(
 
 # The vector hash core lives in util.hashing (shared with the batched
 # probe engine); the old private names stay as aliases.
-_splitmix64_np = hashing_np.splitmix64_np
 _mix_np = hashing_np.mix_np
 _unit_np = hashing_np.unit_np
 

@@ -1,12 +1,14 @@
-"""Golden equivalence suite: the columnar aggregation engine against
-the object reference path.
+"""Golden parity suite: the production aggregation front end against
+``tests/oracle.py``.
 
-The columnar engine's contract is bit-identical outputs — same blocks,
-same similarity graph, same sweep choices, same clusters, same reprobe
-inputs and validations — at any worker count. These tests enforce that
-on synthetic inputs, on a real tiny-profile campaign, and on the edge
-cases (empty input, all-empty sets, singletons, all-identical sets,
-disjoint groups)."""
+Production groups identical last-hop sets with a dict and builds the
+similarity graph as a sparse incidence Gram product. Its contract is
+bit-identical outputs against the oracle's dict inverted-index builder
+— same blocks, same similarity graph, same sweep choices, same
+clusters, same reprobe inputs and validations — at any worker count.
+These tests enforce that on synthetic inputs, on a real tiny-profile
+campaign, and on the edge cases (empty input, all-empty sets,
+singletons, all-identical sets, disjoint groups)."""
 
 import random
 
@@ -14,16 +16,11 @@ import numpy as np
 import pytest
 
 from repro.aggregation import (
+    AggregatedBlock,
     AggregationParallelFallbackWarning,
-    ColumnarAggregationUnsupported,
     WeightedGraph,
     aggregate_identical,
-    aggregate_identical_columnar,
-    aggregation_engine_name,
     build_similarity_graph,
-    build_similarity_graph_columnar,
-    choose_inflation,
-    group_identical_columnar,
     mcl,
     mcl_from_stochastic,
     pairwise_similarities,
@@ -32,12 +29,11 @@ from repro.aggregation import (
     run_mcl_on_components,
     similarity,
     sweep_and_cluster,
-    weak_intra_cluster_fraction,
 )
-from repro.aggregation import identical as identical_mod
 from repro.aggregation import sweep as sweep_mod
-from repro.aggregation.pipeline import AGGREGATION_ENGINE_ENV
+from repro.aggregation.sweep import DEFAULT_CANDIDATES
 from repro.net import Prefix
+from tests import oracle
 
 
 def s24(n: int) -> Prefix:
@@ -75,6 +71,34 @@ EDGE_CASES = {
 }
 
 
+def grouped_by_definition(sets):
+    """Section 5 read literally: two /24s share a block exactly when
+    their non-empty sets are equal; blocks are numbered by smallest
+    member, members ascending. Pairwise equality, no hashing."""
+    groups = []
+    for slash24 in sorted(p for p, lasthops in sets.items() if lasthops):
+        for group in groups:
+            if sets[group[0]] == sets[slash24]:
+                group.append(slash24)
+                break
+        else:
+            groups.append([slash24])
+    return [
+        AggregatedBlock(
+            block_id=index, lasthop_set=sets[group[0]], slash24s=tuple(group)
+        )
+        for index, group in enumerate(groups)
+    ]
+
+
+def assert_same_graph(production, reference):
+    """Equal vertex counts and bit-for-bit equal edge arrays."""
+    assert production.vertex_count == reference.vertex_count
+    for got, want in zip(production.edge_arrays(), reference.edge_arrays()):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def outputs(outcome):
     return (
         outcome.identical_blocks,
@@ -89,74 +113,28 @@ def outputs(outcome):
 class TestIdenticalGrouping:
     def test_synthetic_equivalence(self):
         sets = synthetic_sets(3)
-        assert aggregate_identical_columnar(sets) == aggregate_identical(sets)
+        assert aggregate_identical(sets) == grouped_by_definition(sets)
 
     @pytest.mark.parametrize("name", sorted(EDGE_CASES))
     def test_edge_cases(self, name):
         sets = EDGE_CASES[name]
-        assert aggregate_identical_columnar(sets) == aggregate_identical(sets)
-
-    def test_columnar_blocks_layout(self):
-        sets = synthetic_sets(4, count=60)
-        cblocks = group_identical_columnar(sets)
-        blocks = aggregate_identical(sets)
-        assert cblocks.block_count == len(blocks)
-        assert cblocks.sizes.tolist() == [b.size for b in blocks]
-        assert cblocks.lasthop_sizes.tolist() == [
-            len(b.lasthop_set) for b in blocks
-        ]
-        # Member and last-hop runs are ascending within each block.
-        for i in range(cblocks.block_count):
-            members = cblocks.member_nets[
-                cblocks.member_lo[i]:cblocks.member_hi[i]
-            ]
-            lasthops = cblocks.lh_pool[cblocks.lh_lo[i]:cblocks.lh_hi[i]]
-            assert (np.diff(members.astype(np.int64)) > 0).all()
-            assert (np.diff(lasthops.astype(np.int64)) > 0).all()
-
-    def test_hash_collisions_never_merge_sets(self, monkeypatch):
-        # Degrade the hash to a constant: every same-size set collides,
-        # so grouping correctness rests entirely on bucket verification.
-        monkeypatch.setattr(
-            identical_mod,
-            "_splitmix64",
-            lambda values: np.zeros(len(values), dtype=np.uint64),
-        )
-        sets = synthetic_sets(5, count=200)
-        assert aggregate_identical_columnar(sets) == aggregate_identical(sets)
-
-    def test_non_slash24_keys_unsupported(self):
-        with pytest.raises(ColumnarAggregationUnsupported):
-            group_identical_columnar({Prefix(0, 16): frozenset({1})})
-
-    def test_out_of_range_routers_unsupported(self):
-        with pytest.raises(ColumnarAggregationUnsupported):
-            group_identical_columnar({s24(0): frozenset({1 << 33})})
+        assert aggregate_identical(sets) == grouped_by_definition(sets)
 
 
 class TestSimilarityGraph:
     def test_graph_equivalence(self):
-        sets = synthetic_sets(6)
-        blocks = aggregate_identical(sets)
-        reference = build_similarity_graph(blocks)
-        columnar = build_similarity_graph_columnar(
-            group_identical_columnar(sets)
-        )
-        ru, rv, rw = reference.edge_arrays()
-        cu, cv, cw = columnar.edge_arrays()
-        assert (ru == cu).all() and (rv == cv).all()
-        assert (rw == cw).all()  # bit-identical weights
-        assert reference.vertex_count == columnar.vertex_count
+        blocks = aggregate_identical(synthetic_sets(6))
+        graph = build_similarity_graph(blocks)
+        assert graph.edge_count > 0
+        assert_same_graph(graph, oracle.build_similarity_graph(blocks))
 
     @pytest.mark.parametrize("name", sorted(EDGE_CASES))
     def test_edge_cases(self, name):
-        sets = EDGE_CASES[name]
-        reference = build_similarity_graph(aggregate_identical(sets))
-        columnar = build_similarity_graph_columnar(
-            group_identical_columnar(sets)
+        blocks = aggregate_identical(EDGE_CASES[name])
+        assert_same_graph(
+            build_similarity_graph(blocks),
+            oracle.build_similarity_graph(blocks),
         )
-        assert reference.vertex_count == columnar.vertex_count
-        assert list(reference.edges()) == list(columnar.edges())
 
     def test_pairwise_similarities_matches_scalar(self):
         sets = synthetic_sets(7, count=40)
@@ -253,14 +231,17 @@ class TestWeakFraction:
                 if weight < median:
                     weak += 1
         expected = weak / total if total else 0.0
-        assert weak_intra_cluster_fraction(graph, clusters, median) == expected
+        assert (
+            oracle.weak_intra_cluster_fraction(graph, clusters, median)
+            == expected
+        )
 
     def test_unclustered_vertices_count_as_intra(self):
         graph = WeightedGraph(4)
         graph.add_edge(0, 1, 0.2)
         graph.add_edge(2, 3, 0.9)
         # Only vertices 2, 3 are clustered; 0-1 joins as unclustered.
-        fraction = weak_intra_cluster_fraction(graph, [[2, 3]], 0.5)
+        fraction = oracle.weak_intra_cluster_fraction(graph, [[2, 3]], 0.5)
         assert fraction == 0.5
 
 
@@ -268,11 +249,29 @@ class TestSweepAndCluster:
     def test_matches_serial_primitives(self):
         sets = synthetic_sets(10)
         graph = build_similarity_graph(aggregate_identical(sets))
-        inflation, outcomes = choose_inflation(graph)
-        swept_inflation, swept_outcomes, clusters = sweep_and_cluster(graph)
-        assert swept_inflation == inflation
-        assert swept_outcomes == outcomes
+        inflation, outcomes, clusters = sweep_and_cluster(graph)
+        for outcome in outcomes:
+            assert outcome.cluster_count == len(
+                run_mcl_on_components(graph, outcome.inflation)
+            )
         assert clusters == run_mcl_on_components(graph, inflation)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_weak_fold_matches_oracle(self, workers):
+        # The sweep sums weak/total intra-cluster edge counts per
+        # component; the fraction must equal the whole-graph definition.
+        sets = synthetic_sets(16, groups=4)
+        graph = build_similarity_graph(aggregate_identical(sets))
+        assert len(graph.connected_components()) > 1
+        median = float(np.median(graph.edge_arrays()[2]))
+        _, outcomes, _ = sweep_and_cluster(graph, workers=workers)
+        assert [o.inflation for o in outcomes] == list(DEFAULT_CANDIDATES)
+        assert any(o.weak_edge_fraction > 0 for o in outcomes)
+        for outcome in outcomes:
+            clusters = run_mcl_on_components(graph, outcome.inflation)
+            assert outcome.weak_edge_fraction == (
+                oracle.weak_intra_cluster_fraction(graph, clusters, median)
+            )
 
     def test_workers_do_not_change_results(self):
         sets = synthetic_sets(11, groups=4)
@@ -314,49 +313,56 @@ class TestSweepAndCluster:
         assert (stochastic.toarray() == before).all()
 
 
+def oracle_aggregation(sets, **kwargs):
+    """``run_aggregation`` with the oracle's similarity builder."""
+    with pytest.MonkeyPatch.context() as patch:
+        oracle.install(patch, oracle.SIMILARITY)
+        return run_aggregation(sets, **kwargs)
+
+
 class TestEngineGate:
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.delenv(AGGREGATION_ENGINE_ENV, raising=False)
-        assert aggregation_engine_name() == "columnar"
-        monkeypatch.setenv(AGGREGATION_ENGINE_ENV, "object")
-        assert aggregation_engine_name() == "object"
-        monkeypatch.setenv(AGGREGATION_ENGINE_ENV, "reference")
-        assert aggregation_engine_name() == "object"
-        monkeypatch.setenv(AGGREGATION_ENGINE_ENV, "columnar")
-        assert aggregation_engine_name() == "columnar"
-        assert aggregation_engine_name("object") == "object"
+    """``run_aggregation`` with and without the oracle's similarity
+    builder patched in: identical outputs and bit-identical graphs."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_engines_identical_synthetic(self, workers):
         sets = synthetic_sets(14, groups=3)
-        reference = run_aggregation(sets, validate=False, engine="object")
-        columnar = run_aggregation(
-            sets, validate=False, engine="columnar", workers=workers
-        )
-        assert outputs(reference) == outputs(columnar)
-        assert reference.engine == "object"
-        assert columnar.engine == "columnar"
+        production = run_aggregation(sets, validate=False, workers=workers)
+        reference = oracle_aggregation(sets, validate=False)
+        assert outputs(production) == outputs(reference)
+        assert_same_graph(production.graph, reference.graph)
 
     @pytest.mark.parametrize("name", sorted(EDGE_CASES))
     def test_engines_identical_edge_cases(self, name):
         sets = EDGE_CASES[name]
-        reference = run_aggregation(sets, validate=False, engine="object")
-        columnar = run_aggregation(sets, validate=False, engine="columnar")
-        assert outputs(reference) == outputs(columnar)
+        production = run_aggregation(sets, validate=False)
+        reference = oracle_aggregation(sets, validate=False)
+        assert outputs(production) == outputs(reference)
+        assert_same_graph(production.graph, reference.graph)
 
-    def test_unsupported_input_falls_back_to_object(self):
-        sets = {Prefix(0, 16): frozenset({1}), Prefix(1 << 16, 16): frozenset({1})}
-        outcome = run_aggregation(sets, validate=False, engine="columnar")
-        assert outcome.engine == "object"
-        assert outputs(outcome) == outputs(
-            run_aggregation(sets, validate=False, engine="object")
-        )
+    def test_wide_keys_and_routers_take_one_path(self):
+        # /16 keys and router ids past uint32 aggregate like any other.
+        wide = 1 << 33
+        sets = {
+            Prefix(0, 16): frozenset({wide, wide + 1}),
+            Prefix(1 << 16, 16): frozenset({wide, wide + 1}),
+            Prefix(2 << 16, 16): frozenset({wide, 5}),
+        }
+        production = run_aggregation(sets, validate=False)
+        assert [block.slash24s for block in production.identical_blocks] == [
+            (Prefix(0, 16), Prefix(1 << 16, 16)),
+            (Prefix(2 << 16, 16),),
+        ]
+        assert production.graph.weight(0, 1) == 0.5
+        reference = oracle_aggregation(sets, validate=False)
+        assert outputs(production) == outputs(reference)
+        assert_same_graph(production.graph, reference.graph)
 
 
 class TestFullPipelineGolden:
-    """Columnar vs object on a real tiny-profile campaign, with
-    validation reprobing: identical everything, including the reprobe
-    inputs and probe accounting."""
+    """Production vs the oracle's similarity builder on a real
+    tiny-profile campaign, with validation reprobing: identical
+    everything, including the reprobe inputs and probe accounting."""
 
     @pytest.fixture(scope="class")
     def campaign_inputs(self):
@@ -383,26 +389,28 @@ class TestFullPipelineGolden:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_validated_runs_identical(self, campaign_inputs, workers):
         results = []
-        for engine in ("object", "columnar"):
-            # Fresh deterministic internet per engine: validation
-            # reprobes mutate simulator state, so each engine gets an
-            # identical untouched copy.
+        for aggregate in (run_aggregation, oracle_aggregation):
+            # Fresh deterministic internet per run: validation reprobes
+            # mutate simulator state, so each run gets an identical
+            # untouched copy.
             internet, snapshot, lasthop_sets = campaign_inputs()
-            outcome = run_aggregation(
+            outcome = aggregate(
                 lasthop_sets,
                 internet=internet,
                 snapshot=snapshot,
                 max_pairs_per_cluster=16,
                 seed=4,
-                engine=engine,
                 workers=workers,
             )
             results.append(outcome)
-        reference, columnar = results
-        assert outputs(reference) == outputs(columnar)
-        assert reference.validations == columnar.validations
-        assert reference.reprobe_records == columnar.reprobe_records
-        assert reference.reprobe_probes_used == columnar.reprobe_probes_used
+        production, reference = results
+        assert production.validations
+        assert outputs(production) == outputs(reference)
+        assert production.validations == reference.validations
+        assert production.reprobe_records == reference.reprobe_records
+        assert (
+            production.reprobe_probes_used == reference.reprobe_probes_used
+        )
 
     def test_preload_replay_identical(self, campaign_inputs):
         internet, snapshot, lasthop_sets = campaign_inputs()
@@ -412,7 +420,6 @@ class TestFullPipelineGolden:
             snapshot=snapshot,
             max_pairs_per_cluster=16,
             seed=4,
-            engine="columnar",
         )
         internet2, snapshot2, _ = campaign_inputs()
         replayed = run_aggregation(
@@ -421,7 +428,6 @@ class TestFullPipelineGolden:
             snapshot=snapshot2,
             max_pairs_per_cluster=16,
             seed=4,
-            engine="columnar",
             reprobe_preload=live.reprobe_records,
         )
         assert outputs(live) == outputs(replayed)

@@ -5,12 +5,9 @@ import pytest
 from scipy import sparse
 
 from repro.aggregation import WeightedGraph, mcl
-from repro.aggregation.sweep import (
-    choose_inflation,
-    run_mcl_on_components,
-    weak_intra_cluster_fraction,
-)
+from repro.aggregation.sweep import run_mcl_on_components, sweep_and_cluster
 from repro.obs import metrics_scope
+from tests.oracle import weak_intra_cluster_fraction
 
 
 def two_cliques_graph(bridge_weight=0.05):
@@ -119,17 +116,22 @@ class TestSweep:
         fraction = weak_intra_cluster_fraction(graph, clusters, 0.5)
         assert fraction == pytest.approx(1 / 13)
 
-    def test_choose_inflation_prefers_clean_split(self):
+    def test_sweep_prefers_clean_split(self):
         graph = two_cliques_graph(bridge_weight=0.05)
-        inflation, outcomes = choose_inflation(graph, candidates=(1.4, 2.0))
+        inflation, outcomes, _ = sweep_and_cluster(
+            graph, candidates=(1.4, 2.0)
+        )
         assert outcomes
         best = min(
             outcomes, key=lambda o: (o.weak_edge_fraction, o.inflation)
         )
         assert inflation == best.inflation
 
-    def test_choose_inflation_empty_graph(self):
+    def test_sweep_empty_graph(self):
         graph = WeightedGraph(3)
-        inflation, outcomes = choose_inflation(graph, candidates=(2.0,))
+        inflation, outcomes, clusters = sweep_and_cluster(
+            graph, candidates=(2.0,)
+        )
         assert inflation == 2.0
         assert outcomes == []
+        assert clusters == [[0], [1], [2]]

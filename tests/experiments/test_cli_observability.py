@@ -113,7 +113,7 @@ class TestRunManifest:
         assert manifest["profile"] == "tiny"
         assert manifest["workers"] == 2
         assert "engine" not in manifest
-        assert list(manifest["engines"]) == ["aggregation"]
+        assert "engines" not in manifest
         assert manifest["failures"] == 0
         assert manifest["experiments"] == ["table1"]
         assert "wrote trace" in capsys.readouterr().out

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.aggregation import AGGREGATION_ENGINE_ENV
 from repro.analysis.scoring import score_pipeline
 from repro.experiments.common import PROFILES, Workspace
 
@@ -40,11 +39,8 @@ def test_every_target_resolves(bench):
         assert found, f"{name}: {owner!r} has no {attribute!r}"
 
 
-def test_traced_run_opens_every_span(bench, tmp_path, monkeypatch):
+def test_traced_run_opens_every_span(bench, tmp_path):
     sample, spans = bench
-    # The benchmark runs with no REPRO_* variable set; the graph spans
-    # wrap the default aggregation engine's entry points.
-    monkeypatch.delenv(AGGREGATION_ENGINE_ENV, raising=False)
     targets = sample.layer_targets()
     recorder = spans.Recorder()
     with spans.installed(recorder, targets), Workspace(

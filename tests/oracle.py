@@ -1,12 +1,14 @@
-"""Test oracle: the plain measurement path the production code replaced.
+"""Test oracle: the plain implementations the production code replaced.
 
 Production measures on one path: the compiled forwarding plane
 (:mod:`repro.netsim.routing`), batched probing
 (:meth:`repro.netsim.SimulatedInternet.send_probe_batch`) and the
 compiled campaign engine (:mod:`repro.core.fastengine`), which hands a
-/24 it cannot replay to the object :class:`repro.probing.Prober`. Each
-of those claims bit-identity with a straightforward implementation; the
-parity suites compare against the implementations kept here:
+/24 it cannot replay to the object :class:`repro.probing.Prober`. It
+aggregates on one path too: the similarity graph is a sparse incidence
+Gram product (:mod:`repro.aggregation.similarity`). Each of those
+claims bit-identity with a straightforward implementation; the parity
+suites compare against the implementations kept here:
 
 * ``forwarding`` — :func:`resolve_path`, which walks every FIB with a
   longest-prefix match (:func:`fib_lookup`) per hop and caches paths
@@ -16,23 +18,33 @@ parity suites compare against the implementations kept here:
 * ``serial`` — ``MIN_VECTOR_BATCH`` raised out of reach, so every
   ``send_probe_batch`` loops over ``send_probe``;
 * ``campaign`` — :func:`no_fast_engine` in place of ``fast_engine_for``,
-  so every /24 is measured by ``measure_slash24`` through a ``Prober``.
+  so every /24 is measured by ``measure_slash24`` through a ``Prober``;
+* ``similarity`` — :func:`build_similarity_graph`, an inverted index
+  plus per-pair dict accumulation, in place of the Gram product that
+  :func:`repro.aggregation.run_aggregation` calls.
 
-:func:`install` patches any subset of the four through a pytest
+:func:`install` patches any subset of the five through a pytest
 ``monkeypatch``. The patches replace class attributes and module
 globals, so the worker processes a parallel campaign forks inherit
 them; every simulator in the process is affected until the patch is
 undone.
+
+:func:`weak_intra_cluster_fraction` is the whole-graph definition of the
+Section 6.4 sweep score, which the sweep folds from per-component counts.
 """
 
 from __future__ import annotations
 
 import sys
 import weakref
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+import repro.aggregation.pipeline as aggregation_module
 import repro.core.pipeline as pipeline_module
 import repro.netsim.internet as internet_module
+from repro.aggregation import AggregatedBlock, WeightedGraph
 from repro.net.trie import PrefixTrie
 from repro.netsim.allocation import Allocation
 from repro.netsim.internet import SimulatedInternet
@@ -51,7 +63,9 @@ from repro.netsim.topology import Router
 PROBING = ("forwarding", "allocation", "serial")
 #: Every /24 of a campaign on the object Prober, over production probing.
 PROBER_CAMPAIGN = ("campaign",)
-PARTS = PROBING + PROBER_CAMPAIGN
+#: The dict similarity builder in place of the Gram product.
+SIMILARITY = ("similarity",)
+PARTS = PROBING + PROBER_CAMPAIGN + SIMILARITY
 
 # FIB → (revision, trie of its entries), rebuilt when the FIB changes.
 _TRIES: "weakref.WeakKeyDictionary[Fib, Tuple[int, PrefixTrie]]" = (
@@ -129,6 +143,60 @@ def no_fast_engine(internet, policy, max_probes) -> None:
     return None
 
 
+def build_similarity_graph(
+    blocks: Sequence[AggregatedBlock],
+) -> WeightedGraph:
+    """Vertices are block indices; edges connect blocks sharing at least
+    one last-hop router, weighted by similarity.
+
+    Uses an inverted index (router → blocks) so the cost is proportional
+    to actual overlaps, not all block pairs.
+    """
+    graph = WeightedGraph(len(blocks))
+    by_router: Dict[int, List[int]] = {}
+    for index, block in enumerate(blocks):
+        for router in block.lasthop_set:
+            by_router.setdefault(router, []).append(index)
+
+    intersections: Dict[Tuple[int, int], int] = {}
+    for members in by_router.values():
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                key = (u, v) if u < v else (v, u)
+                intersections[key] = intersections.get(key, 0) + 1
+
+    for (u, v), shared in intersections.items():
+        score = shared / max(
+            len(blocks[u].lasthop_set), len(blocks[v].lasthop_set)
+        )
+        graph.add_edge(u, v, score)
+    return graph
+
+
+def weak_intra_cluster_fraction(
+    graph: WeightedGraph, clusters: List[List[int]], median_weight: float
+) -> float:
+    """Fraction of intra-cluster edges with weight below the median of
+    *all* edge weights.
+
+    Vectorised over the graph's edge arrays; vertices in no cluster
+    keep the fill label, so — as in the historical dict version — edges
+    between two unclustered vertices count as intra-cluster.
+    """
+    u, v, w = graph.edge_arrays()
+    if len(u) == 0:
+        return 0.0
+    labels = np.full(graph.vertex_count, -1, dtype=np.int64)
+    for index, cluster in enumerate(clusters):
+        labels[cluster] = index
+    intra = labels[u] == labels[v]
+    total = int(np.count_nonzero(intra))
+    if total == 0:
+        return 0.0
+    weak = int(np.count_nonzero(w[intra] < median_weight))
+    return weak / total
+
+
 def install(monkeypatch, parts: Iterable[str] = PARTS) -> None:
     """Patch the named parts (see the module docstring) into the
     production path for the rest of ``monkeypatch``'s lifetime."""
@@ -149,4 +217,10 @@ def install(monkeypatch, parts: Iterable[str] = PARTS) -> None:
     if "campaign" in parts:
         monkeypatch.setattr(
             pipeline_module, "fast_engine_for", no_fast_engine
+        )
+    if "similarity" in parts:
+        monkeypatch.setattr(
+            aggregation_module,
+            "build_similarity_graph_columnar",
+            build_similarity_graph,
         )

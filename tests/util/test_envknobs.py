@@ -2,6 +2,9 @@
 loudly, at the knob, naming the variable — not twelve frames deep in
 the campaign executor, and never silently disarming fault injection."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.util.envknobs import (
@@ -13,6 +16,26 @@ from repro.util.envknobs import (
     positive_float_env,
     positive_int_env,
 )
+
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+class TestKnobInventory:
+    def test_src_knobs_match_readme_table(self):
+        # A knob read in src/ but missing from README's table, or a
+        # table row whose knob src/ no longer reads, fails here.
+        in_src = set()
+        for path in (ROOT / "src").rglob("*.py"):
+            source = path.read_text(encoding="utf-8")
+            in_src.update(re.findall(r"[\"'](REPRO_[A-Z_]+)[\"']", source))
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Environment knobs", 1)[1].split("\n#", 1)[0]
+        documented = set(
+            re.findall(r"^\|\s*`(REPRO_[A-Z_]+)`", table, re.MULTILINE)
+        )
+        assert in_src
+        assert in_src == documented
 
 
 class TestFloatEnv:
