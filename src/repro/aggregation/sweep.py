@@ -5,14 +5,17 @@ of intra-cluster edges whose weight falls below the median of all edge
 weights — clusters glued together by weak edges indicate the inflation
 is too coarse.
 
-Connected components are independent clustering problems (Section 6.3),
-so the sweep fans them out over worker processes: each component is
-column-normalised **once** (:func:`repro.aggregation.mcl.prepare_stochastic`)
-and that matrix is shared across all candidate inflations, the clusters
-and weak/total intra-cluster edge counts come back per candidate, and
-the parent folds them in component order — so serial and parallel runs
-produce identical clusters, sweep outcomes and metrics totals. When a
-worker pool cannot start, the sweep degrades to serial with an
+Connected components are independent clustering problems (Section 6.3).
+Many are small and share their shape, so the sweep clusters each
+distinct component matrix once — byte-equal CSR arrays give byte-equal
+MCL runs — and fans the distinct matrices out over worker processes:
+each is column-normalised **once**
+(:func:`repro.aggregation.mcl.prepare_stochastic`) and that matrix is
+shared across all candidate inflations. The parent maps every
+component's clusters back to its own vertex ids and folds the weak/total
+intra-cluster edge counts in component order — so serial and parallel
+runs produce identical clusters, sweep outcomes and metrics totals.
+When a worker pool cannot start, the sweep degrades to serial with an
 :class:`AggregationParallelFallbackWarning` (results identical).
 """
 
@@ -22,7 +25,7 @@ import multiprocessing
 import pickle
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,24 +79,43 @@ def _component_tasks(graph: WeightedGraph) -> List[_ComponentTask]:
     return tasks
 
 
-def _cluster_component(
-    task: _ComponentTask,
-    candidates: Tuple[float, ...],
-    median_weight: Optional[float],
-) -> _ComponentResult:
-    """Cluster one component at every candidate inflation.
+def _csr_key(adjacency) -> tuple:
+    """Everything MCL reads of a component matrix, as one hashable key."""
+    return (
+        adjacency.format,
+        adjacency.shape,
+        adjacency.dtype.str,
+        adjacency.indptr.dtype.str,
+        adjacency.indptr.tobytes(),
+        adjacency.indices.tobytes(),
+        adjacency.data.tobytes(),
+    )
 
-    Normalises the component matrix once and reuses it across
-    candidates (:func:`mcl_from_stochastic` never mutates it).
+
+def _local_clusters(
+    adjacency, candidates: Tuple[float, ...]
+) -> List[List[List[int]]]:
+    """One component matrix's clusters, in local vertex ids, at every
+    candidate inflation.
+
+    Normalises the matrix once and reuses it across candidates
+    (:func:`mcl_from_stochastic` never mutates it).
     """
-    original_ids, adjacency, local_u, local_v, local_w = task
-    if adjacency is None:
-        return [([list(original_ids)], 0, 0) for _ in candidates]
     stochastic = prepare_stochastic(adjacency)
-    per_candidate = [
+    return [
         mcl_from_stochastic(stochastic, inflation=inflation).clusters
         for inflation in candidates
     ]
+
+
+def _fold_component(
+    task: _ComponentTask,
+    per_candidate: List[List[List[int]]],
+    median_weight: Optional[float],
+) -> _ComponentResult:
+    """Map one component's local clusters back to original vertex ids
+    and count its weak and total intra-cluster edges per candidate."""
+    original_ids, _, local_u, local_v, local_w = task
     ids = np.asarray(original_ids, dtype=np.int64)
     result: _ComponentResult = []
     for clusters in per_candidate:
@@ -120,15 +142,15 @@ def _pool_initializer() -> None:
 
 
 def _component_worker(
-    args: Tuple[_ComponentTask, Tuple[float, ...], Optional[float]],
-) -> Tuple[_ComponentResult, dict]:
-    """Pool entry point: cluster one component under a private metrics
-    registry and ship the registry home with the result, so the parent's
-    merged totals match a serial run exactly."""
-    task, candidates, median_weight = args
+    args: Tuple[object, Tuple[float, ...]],
+) -> Tuple[List[List[List[int]]], dict]:
+    """Pool entry point: cluster one component matrix under a private
+    metrics registry and ship the registry home with the result, so the
+    parent's merged totals match a serial run exactly."""
+    adjacency, candidates = args
     registry = MetricsRegistry()
     with metrics_scope(registry):
-        result = _cluster_component(task, candidates, median_weight)
+        result = _local_clusters(adjacency, candidates)
     return result, registry.to_dict()
 
 
@@ -150,18 +172,12 @@ def _note_parallel_fallback(error: BaseException, reason: str) -> None:
     )
 
 
-def _run_component_tasks(
-    tasks: List[_ComponentTask],
-    candidates: Tuple[float, ...],
-    median_weight: Optional[float],
-    workers: int,
-) -> List[_ComponentResult]:
-    """Run every component task, in parallel when asked and possible.
-
-    Results always come back in task (= component) order, so downstream
-    concatenation is deterministic regardless of worker count.
-    """
-    if workers > 1 and len(tasks) > 1:
+def _cluster_matrices(
+    matrices: List[object], candidates: Tuple[float, ...], workers: int
+) -> List[List[List[List[int]]]]:
+    """:func:`_local_clusters` of every matrix, in parallel when asked
+    and possible; results come back in input order."""
+    if workers > 1 and len(matrices) > 1:
         try:
             context = multiprocessing.get_context(
                 "fork"
@@ -169,27 +185,62 @@ def _run_component_tasks(
                 else "spawn"
             )
             with context.Pool(
-                processes=min(workers, len(tasks)),
+                processes=min(workers, len(matrices)),
                 initializer=_pool_initializer,
             ) as pool:
                 packed = pool.map(
                     _component_worker,
-                    [(task, candidates, median_weight) for task in tasks],
+                    [(matrix, candidates) for matrix in matrices],
                 )
         except (OSError, pickle.PicklingError) as error:
             _note_parallel_fallback(error, "pool_failure")
         else:
             registry = current_metrics()
             registry.count("aggregation.parallel")
-            results: List[_ComponentResult] = []
+            results = []
             for result, worker_metrics in packed:
                 registry.merge(MetricsRegistry.from_dict(worker_metrics))
                 results.append(result)
             return results
-    return [
-        _cluster_component(task, candidates, median_weight)
-        for task in tasks
-    ]
+    return [_local_clusters(matrix, candidates) for matrix in matrices]
+
+
+def _run_component_tasks(
+    tasks: List[_ComponentTask],
+    candidates: Tuple[float, ...],
+    median_weight: Optional[float],
+    workers: int,
+) -> List[_ComponentResult]:
+    """Cluster every component at every candidate.
+
+    Components whose matrices are byte-equal get the same MCL runs, so
+    each distinct matrix is clustered once (the memo is this call's
+    own); the clusters are then mapped back to original ids, and weak
+    and total intra-cluster edges counted, per component. Results come
+    back in task (= component) order, so downstream concatenation is
+    deterministic regardless of worker count.
+    """
+    slots: Dict[tuple, int] = {}
+    matrices: List[object] = []
+    slot_of: List[Optional[int]] = []
+    for _, adjacency, _, _, _ in tasks:
+        if adjacency is None:
+            slot_of.append(None)
+            continue
+        slot = slots.setdefault(_csr_key(adjacency), len(matrices))
+        if slot == len(matrices):
+            matrices.append(adjacency)
+        slot_of.append(slot)
+    clustered = _cluster_matrices(matrices, candidates, workers)
+    results: List[_ComponentResult] = []
+    for task, slot in zip(tasks, slot_of):
+        if slot is None:
+            results.append([([list(task[0])], 0, 0) for _ in candidates])
+        else:
+            results.append(
+                _fold_component(task, clustered[slot], median_weight)
+            )
+    return results
 
 
 # -- public entry points ------------------------------------------------

@@ -49,6 +49,7 @@ from .obs import (
     tracer,
     write_run_manifest,
 )
+from .store.store import StoreError
 from .util.fileio import atomic_writer
 from .util.tables import render_table
 
@@ -703,6 +704,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "store":
             return command_store(args.action, args.path)
         raise AssertionError("unreachable")
+    except StoreError as error:
+        # An unusable store (unreadable metadata, or a format this build
+        # does not read) is the user's input, not a crash.
+        print(f"hobbit-repro: {error}", file=sys.stderr)
+        return 2
     finally:
         # Whatever command ran, release any persistent-store handles the
         # workspaces opened (segment writers must close deterministically).

@@ -8,12 +8,7 @@ from .classifier import (
     classify_observations,
     measure_slash24,
 )
-from .confidence import (
-    PAPER_SAMPLES_PER_CELL,
-    ConfidenceCell,
-    ConfidenceTable,
-    single_lasthop_table,
-)
+from .confidence import ConfidenceCell, ConfidenceTable
 from .grouping import (
     Observations,
     cardinality,
@@ -34,6 +29,7 @@ from .hierarchy import (
     groups_non_hierarchical,
     pairwise_relationships,
     ranges_hierarchical,
+    ranges_non_hierarchical_batch,
 )
 from .pipeline import (
     CampaignResult,
@@ -65,7 +61,6 @@ __all__ = [
     "ExhaustivePolicy",
     "MIN_ACTIVE_ADDRESSES",
     "Observations",
-    "PAPER_SAMPLES_PER_CELL",
     "ParallelFallbackWarning",
     "ReprobePolicy",
     "Slash24Measurement",
@@ -89,10 +84,10 @@ __all__ = [
     "one_per_slash26",
     "pairwise_relationships",
     "ranges_hierarchical",
+    "ranges_non_hierarchical_batch",
     "round_robin_order",
     "run_campaign",
     "slash24_seed",
-    "single_lasthop_table",
     "slash26_groups",
     "slash31_pair",
     "union_lasthops",

@@ -13,27 +13,25 @@ cell then drives termination: keep probing until the cell reaches the
 The paper samples 16,588 combinations per cell (99% level / 1% margin);
 the builder here takes the sample budget as a parameter since our
 scenario sizes vary.
+
+Building the table costs what drawing its subsets costs: every subset
+still comes from one ``random.sample`` call on a shared generator, but
+Hobbit's test is decided for all subsets of one /24 at once in numpy.
+The per-subset reference implementation lives in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grouping import (
-    Observations,
-    group_by_lasthop,
-    identical_lasthop_sets,
-    union_lasthops,
-)
-from .hierarchy import groups_hierarchical
+from .grouping import Observations, union_lasthops
+from .hierarchy import ranges_non_hierarchical_batch
 
 DEFAULT_LEVEL = 0.95
-#: The paper's per-cell sample size (99% confidence, 1% margin).
-PAPER_SAMPLES_PER_CELL = 16_588
 
 
 @dataclass
@@ -63,12 +61,16 @@ class ConfidenceTable:
     # -- construction ---------------------------------------------------
 
     def record(self, cardinality: int, probed: int, success: bool) -> None:
+        self._tally(cardinality, probed, int(success), 1)
+
+    def _tally(
+        self, cardinality: int, probed: int, successes: int, trials: int
+    ) -> None:
         cell = self._cells.setdefault(
             (cardinality, probed), ConfidenceCell()
         )
-        cell.trials += 1
-        if success:
-            cell.successes += 1
+        cell.trials += trials
+        cell.successes += successes
         self._version += 1
 
     @classmethod
@@ -91,17 +93,18 @@ class ConfidenceTable:
         table = cls(min_trials=min_trials)
         rng = random.Random(seed)
         for observations in datasets.values():
-            addresses = sorted(observations)
-            if len(addresses) < 4:
+            sizes = range(4, min(len(observations), max_probed) + 1)
+            if not sizes or samples_per_block < 1:
                 continue
-            full_cardinality = len(union_lasthops(observations))
-            for probed in range(4, min(len(addresses), max_probed) + 1):
-                for _ in range(samples_per_block):
-                    subset = rng.sample(addresses, probed)
-                    sub_obs = {a: observations[a] for a in subset}
-                    table.record(
-                        full_cardinality, probed, _recognised(sub_obs)
-                    )
+            routers = sorted(union_lasthops(observations))
+            recognised = _recognised_per_size(
+                [observations[a] for a in sorted(observations)],
+                routers, sizes, samples_per_block, rng,
+            )
+            for probed, successes in zip(sizes, recognised):
+                table._tally(
+                    len(routers), probed, successes, samples_per_block
+                )
         return table
 
     # -- queries -----------------------------------------------------------
@@ -176,22 +179,55 @@ class ConfidenceTable:
         )
 
 
-def _recognised(observations: Observations) -> bool:
-    """Would Hobbit call these observations homogeneous?
+def _recognised_per_size(
+    lasthop_sets: Sequence[FrozenSet[int]],
+    routers: Sequence[int],
+    sizes: range,
+    samples: int,
+    rng: random.Random,
+) -> List[int]:
+    """For each subset size in ``sizes``, how many of ``samples`` random
+    subsets of one /24 Hobbit's test would call homogeneous.
 
-    Either a single common last-hop router, or a non-hierarchical
-    grouping.
+    ``lasthop_sets`` are the /24's per-address last-hop sets in address
+    order, so a subset is a list of indices into it; ``routers`` is
+    their union. ``random.sample`` draws by the population's length and
+    ``k`` only, which makes ``rng.sample(range(n), k)`` consume exactly
+    the randomness that sampling the address list itself would.
+
+    A subset passes when it sees at most one last-hop router, or when
+    grouping it by last-hop router gives a non-hierarchical pair of
+    ranges (identical multi-router sets give equal ranges, which count).
+    Index order is address order, so ranges compare the same in either.
     """
-    lasthops = union_lasthops(observations)
-    if len(lasthops) <= 1 or identical_lasthop_sets(observations):
-        return True
-    groups = group_by_lasthop(observations)
-    return not groups_hierarchical(groups)
+    n = len(lasthop_sets)
+    population = range(n)
+    draw = rng.sample
+    drawn: List[int] = []
+    extend = drawn.extend
+    for probed in sizes:
+        for _ in range(samples):
+            extend(draw(population, probed))
+    if len(routers) <= 1:
+        return [samples] * len(sizes)
 
-
-def single_lasthop_table(max_cardinality: int = 40) -> ConfidenceTable:
-    """A degenerate table for tests: cardinality 1 always confident."""
-    table = ConfidenceTable(min_trials=1)
-    for probed in range(4, 51):
-        table.record(1, probed, True)
-    return table
+    column = {router: index for index, router in enumerate(routers)}
+    # Row n is the padding address: it reaches no router.
+    member = np.zeros((n + 1, len(routers)), dtype=bool)
+    for address, lasthops in enumerate(lasthop_sets):
+        member[address, [column[router] for router in lasthops]] = True
+    widest = sizes[-1]
+    subset_size = np.repeat(np.asarray(sizes), samples)
+    subsets = np.full((len(subset_size), widest), n, dtype=np.int32)
+    subsets[np.arange(widest) < subset_size[:, None]] = drawn
+    subsets.sort(axis=1)
+    hits = member[subsets]  # (subset, position, router)
+    present = hits.any(axis=1)
+    first = np.take_along_axis(subsets, hits.argmax(axis=1), axis=1)
+    last = np.take_along_axis(
+        subsets, widest - 1 - hits[:, ::-1].argmax(axis=1), axis=1
+    )
+    passed = (present.sum(axis=1) <= 1) | ranges_non_hierarchical_batch(
+        first, last, present
+    )
+    return passed.reshape(len(sizes), samples).sum(axis=1).tolist()

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Hashable, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from ..net.prefix import AddressRange
 from .grouping import group_ranges
 
@@ -47,6 +49,29 @@ def find_non_hierarchical_pair(
                 return (enclosing, current)
         stack.append(current)
     return None
+
+
+def ranges_non_hierarchical_batch(
+    first: np.ndarray, last: np.ndarray, present: np.ndarray
+) -> np.ndarray:
+    """:func:`find_non_hierarchical_pair` over many range lists at once.
+
+    Row ``d`` holds one range per column, ``first[d, j]`` to
+    ``last[d, j]``, for the columns where ``present[d, j]``; the other
+    columns are ignored. Entry ``d`` of the result is True when two of
+    the row's ranges overlap without either containing the other, or are
+    equal — exactly when the scalar test finds a pair.
+    """
+    upper, lower = np.triu_indices(first.shape[1], k=1)
+    a_first, a_last = first[:, upper], last[:, upper]
+    b_first, b_last = first[:, lower], last[:, lower]
+    overlap = (a_first <= b_last) & (b_first <= a_last)
+    a_holds_b = (a_first <= b_first) & (b_last <= a_last)
+    b_holds_a = (b_first <= a_first) & (a_last <= b_last)
+    # Neither holds the other (partial overlap), or each holds the
+    # other (equal ranges).
+    violating = overlap & (a_holds_b == b_holds_a)
+    return (violating & present[:, upper] & present[:, lower]).any(axis=1)
 
 
 def groups_hierarchical(groups: Mapping[Hashable, List[int]]) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from ..net.addr import slash24_of, slash26_of
+from ..net.addr import slash24_of
 from ..net.prefix import Prefix
 from ..netsim.internet import SimulatedInternet
 from .session import ECHO_TTL, Prober
@@ -54,29 +54,17 @@ class ActivitySnapshot:
         # Blocks are short (≤256); linear scan is fine.
         return addr in block
 
-    def slash26_groups(self, slash24: Prefix) -> Dict[int, List[int]]:
-        """Active addresses grouped by their /26 (Section 3.3)."""
-        groups: Dict[int, List[int]] = {}
-        for addr in self.active_in(slash24):
-            groups.setdefault(slash26_of(addr), []).append(addr)
-        return groups
-
-    def covers_every_slash26(self, slash24: Prefix) -> bool:
-        """The paper's selection criterion: at least one active address
-        in each of the four /26s of the /24 (Section 2.1/3.3)."""
-        return len(self.slash26_groups(slash24)) == 4
-
     def eligible_slash24s(self, min_active: int = 4) -> List[Prefix]:
-        """/24s meeting the Hobbit selection criteria: at least
-        ``min_active`` active addresses and all four /26s populated."""
-        eligible = []
-        for network, actives in sorted(self.active_by_slash24.items()):
-            if len(actives) < min_active:
-                continue
-            prefix = Prefix(network, 24)
-            if self.covers_every_slash26(prefix):
-                eligible.append(prefix)
-        return eligible
+        """/24s meeting the Hobbit selection criteria (Section 2.1/3.3):
+        at least ``min_active`` active addresses, with at least one in
+        each of the four /26s."""
+        return [
+            Prefix(network, 24)
+            for network, actives in sorted(self.active_by_slash24.items())
+            if len(actives) >= min_active
+            # Bits 6-7 of the last octet name the address's /26.
+            and len({addr & 0xC0 for addr in actives}) == 4
+        ]
 
 
 def scan(

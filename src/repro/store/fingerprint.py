@@ -9,28 +9,29 @@ list. Each of those is reduced to a stable fingerprint here, and the
 per-/24 cache key mixes them all — so any drift in any input produces a
 clean cache miss and a fresh measurement, never a silently stale hit.
 
-Fingerprints are 128-bit hex strings built from two independently
-seeded passes of the splitmix64 string hash (one 64-bit pass would make
-birthday collisions plausible over long-lived stores).
+Fingerprints are 128-bit BLAKE2b digests of a canonical description
+string, as 32 hex digits (64 bits would make birthday collisions
+plausible over long-lived stores). An active list is hashed as its
+addresses packed little-endian, four bytes each, into a 64-bit BLAKE2b
+digest. Every key the store holds is built from these two functions, so
+changing either changes every key: the store's ``FORMAT_VERSION`` goes
+up with them, and an older store is refused rather than missed.
 """
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from typing import Iterable, Optional, Sequence
 
 from ..core.confidence import ConfidenceTable
 from ..core.termination import ExhaustivePolicy, ReprobePolicy, TerminationPolicy
 from ..net.prefix import Prefix
-from ..util.hashing import mix, stable_string_hash
-
-_SECOND_PASS_SEED = stable_string_hash("store/fingerprint/second-pass")
 
 
 def digest(text: str) -> str:
     """128-bit hex fingerprint of a canonical description string."""
-    low = stable_string_hash(text)
-    high = stable_string_hash(text, seed=_SECOND_PASS_SEED)
-    return f"{high:016x}{low:016x}"
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def scenario_fingerprint(config) -> str:
@@ -99,7 +100,10 @@ def campaign_fingerprint(
 
 def active_list_fingerprint(active: Sequence[int]) -> int:
     """64-bit hash of one /24's snapshot active-address list."""
-    return mix(stable_string_hash("store/active-list"), len(active), *active)
+    packed = struct.pack(f"<{len(active)}I", *active)
+    return int.from_bytes(
+        hashlib.blake2b(packed, digest_size=8).digest(), "little"
+    )
 
 
 def measurement_key(

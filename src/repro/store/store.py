@@ -46,7 +46,7 @@ from .codec import (
 from .locking import FileLock
 from .segment import CorruptRecord
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DEFAULT_SHARDS = 16
 META_FILE = "store.json"
 SEGMENT_DIR = "segments"
@@ -128,7 +128,8 @@ class MeasurementStore:
             if version != FORMAT_VERSION:
                 raise StoreError(
                     f"store format v{version} at {self.root}; this build "
-                    f"reads v{FORMAT_VERSION}"
+                    f"reads v{FORMAT_VERSION}: rebuild it in a new "
+                    "--store directory"
                 )
             return shards
         if shards < 1:

@@ -33,6 +33,7 @@ from repro.aggregation import (
 from repro.aggregation import sweep as sweep_mod
 from repro.aggregation.sweep import DEFAULT_CANDIDATES
 from repro.net import Prefix
+from repro.obs import metrics_scope
 from tests import oracle
 
 
@@ -245,7 +246,66 @@ class TestWeakFraction:
         assert fraction == 0.5
 
 
+#: Weighted edge lists of four component shapes, in local vertex ids;
+#: the second and third share their edges and differ in weights only.
+SHAPES = (
+    ((0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.5), (2, 3, 0.2), (3, 4, 0.8),
+     (4, 5, 0.8), (3, 5, 0.7)),
+    ((0, 1, 0.4), (1, 2, 0.6), (2, 3, 0.3), (0, 3, 0.1)),
+    ((0, 1, 0.1), (1, 2, 0.6), (2, 3, 0.3), (0, 3, 0.4)),
+    ((0, 1, 1.0), (0, 2, 0.25), (1, 2, 0.5), (2, 3, 0.75), (3, 4, 0.25)),
+)
+
+
+def repeated_component_graph(copies=(3, 2, 2, 1), isolated=2):
+    """A graph whose components are copies of :data:`SHAPES`.
+
+    The copies of one shape interleave their vertex ids (copy ``c``
+    puts local vertex ``j`` at ``start + j * count + c``), which keeps
+    each copy's local order, so their induced CSRs are byte-equal while
+    every copy maps back to different original ids."""
+    size = sum(
+        (1 + max(max(u, v) for u, v, _ in shape)) * count
+        for shape, count in zip(SHAPES, copies)
+    )
+    graph = WeightedGraph(size + isolated)
+    start = isolated
+    for shape, count in zip(SHAPES, copies):
+        width = 1 + max(max(u, v) for u, v, _ in shape)
+        for copy in range(count):
+            for u, v, weight in shape:
+                graph.add_edge(
+                    start + u * count + copy, start + v * count + copy,
+                    weight,
+                )
+        start += width * count
+    return graph
+
+
 class TestSweepAndCluster:
+    def test_memo_matches_memo_free(self, monkeypatch):
+        graph = repeated_component_graph()
+        candidates = len(DEFAULT_CANDIDATES)
+        with metrics_scope() as registry:
+            memoised = sweep_and_cluster(graph)
+        # One real MCL run per distinct component matrix and candidate.
+        assert registry.counter_value("mcl.runs") == len(SHAPES) * candidates
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep_mod, "_csr_key", lambda adjacency: object())
+            with metrics_scope() as registry:
+                memo_free = sweep_and_cluster(graph)
+        # Every multi-vertex component (3 + 2 + 2 + 1 copies) runs its own.
+        assert registry.counter_value("mcl.runs") == 8 * candidates
+        assert memoised == memo_free
+        _, outcomes, clusters = memoised
+        assert any(o.weak_edge_fraction > 0 for o in outcomes)
+        assert sorted(v for cluster in clusters for v in cluster) == list(
+            range(graph.vertex_count)
+        )
+        with metrics_scope() as registry:
+            assert sweep_and_cluster(graph, workers=2) == memoised
+        assert registry.counter_value("mcl.runs") == len(SHAPES) * candidates
+
     def test_matches_serial_primitives(self):
         sets = synthetic_sets(10)
         graph = build_similarity_graph(aggregate_identical(sets))

@@ -1,6 +1,10 @@
 """Tests for the confidence table and termination policies."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ConfidenceTable,
@@ -8,13 +12,23 @@ from repro.core import (
     ReprobePolicy,
     StopReason,
     TerminationPolicy,
-    single_lasthop_table,
 )
+from repro.core.confidence import _recognised_per_size
+from repro.experiments import get_workspace
 from repro.probing import probes_required
+from tests import oracle
 
 
 def fs(*values):
     return frozenset(values)
+
+
+def single_lasthop_table() -> ConfidenceTable:
+    """A degenerate table: cardinality 1 always confident."""
+    table = ConfidenceTable(min_trials=1)
+    for probed in range(4, 51):
+        table.record(1, probed, True)
+    return table
 
 
 def _single_lasthop_observations(n, lasthop=1):
@@ -77,6 +91,128 @@ class TestConfidenceTable:
         table = single_lasthop_table()
         grid = table.grid()
         assert grid == sorted(grid)
+
+
+@st.composite
+def observation_maps(draw, min_size=4, max_size=100):
+    """Per-address last-hop sets drawn from a small palette over 1-12
+    routers: single routers, multi-router sets (routers that always
+    co-occur give equal group ranges), identical sets everywhere, and
+    addresses with no last hop."""
+    routers = draw(st.integers(1, 12))
+    palette = draw(st.lists(
+        st.frozensets(st.integers(1, routers), max_size=3),
+        min_size=1, max_size=4,
+    ))
+    addresses = draw(st.lists(
+        st.integers(0, 255), min_size=min_size, max_size=max_size,
+        unique=True,
+    ))
+    return {
+        address: draw(st.sampled_from(palette)) for address in addresses
+    }
+
+
+def cell_list(table):
+    """Cells with their counts, in insertion order."""
+    return [
+        (key, cell.successes, cell.trials)
+        for key, cell in table.cells().items()
+    ]
+
+
+class TestBatchedBuild:
+    """``ConfidenceTable.build`` decides every subset of a /24 at once;
+    ``tests/oracle.py`` decides them one at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        observations=observation_maps(),
+        size=st.integers(0, 255),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(observations={a: fs(1) for a in range(10)}, size=1, seed=1)
+    @example(observations={a: fs(1, 2) for a in range(10)}, size=3, seed=2)
+    @example(
+        observations={0: fs(1, 2), 5: fs(3), 9: fs(1, 2), 12: fs(3)},
+        size=0, seed=3,
+    )
+    @example(observations=_nested_observations(), size=0, seed=4)
+    @example(
+        observations={0: fs(), 1: fs(1), 2: fs(), 3: fs(2), 4: fs(1)},
+        size=1, seed=5,
+    )
+    def test_each_draw_matches_oracle(self, observations, size, seed):
+        addresses = sorted(observations)
+        probed = 4 + size % (len(addresses) - 3)
+        subset = random.Random(seed).sample(addresses, probed)
+        expected = oracle.recognised({a: observations[a] for a in subset})
+        lasthop_sets = [observations[a] for a in addresses]
+        decided = _recognised_per_size(
+            lasthop_sets, sorted(frozenset().union(*lasthop_sets)),
+            range(probed, probed + 1), 1, random.Random(seed),
+        )
+        assert decided == [int(expected)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        datasets=st.lists(
+            observation_maps(min_size=1, max_size=40), max_size=4
+        ),
+        seed=st.integers(0, 2**16),
+        samples=st.integers(0, 6),
+        max_probed=st.integers(3, 40),
+    )
+    def test_build_matches_oracle(self, datasets, seed, samples, max_probed):
+        keyed = dict(enumerate(datasets))
+        options = dict(
+            seed=seed, samples_per_block=samples, max_probed=max_probed,
+            min_trials=1,
+        )
+        assert cell_list(ConfidenceTable.build(keyed, **options)) == (
+            cell_list(oracle.build_confidence_table(keyed, **options))
+        )
+
+    def test_tiny_profile_cells_match_oracle(self):
+        workspace = get_workspace("tiny")
+        options = dict(
+            seed=workspace.internet.config.seed ^ 0xF1D0,
+            samples_per_block=(
+                workspace.profile.confidence_samples_per_block
+            ),
+            min_trials=40,
+        )
+        dataset = workspace.confidence_dataset
+        built = cell_list(ConfidenceTable.build(dataset, **options))
+        assert built == cell_list(
+            oracle.build_confidence_table(dataset, **options)
+        )
+        assert built == cell_list(workspace.confidence_table)
+        assert any(successes < trials for _, successes, trials in built)
+
+    def test_both_sampling_branches_match_oracle(self):
+        # random.sample draws from a copied pool while n <= 21 +
+        # 4**ceil(log4(3k)) and from a rejection set above it: with 120
+        # addresses, k = 4..5 and 6..21 take the set branch and k >= 22
+        # the pool branch. The cardinality-1 /24 first passes without
+        # grouping, but its draws must still advance the shared stream.
+        rng = random.Random(9)
+        datasets = {
+            "flat": {address: fs(7) for address in range(12)},
+            "block": {
+                address: fs(*rng.sample(range(1, 7), rng.choice((1, 1, 2))))
+                for address in range(0, 240, 2)
+            },
+        }
+        options = dict(seed=3, samples_per_block=20, min_trials=1)
+        built = cell_list(ConfidenceTable.build(datasets, **options))
+        assert built == cell_list(
+            oracle.build_confidence_table(datasets, **options)
+        )
+        assert [key for key, _, _ in built] == (
+            [(1, k) for k in range(4, 13)] + [(6, k) for k in range(4, 51)]
+        )
+        assert any(0 < successes < trials for _, successes, trials in built)
 
 
 class TestTerminationPolicy:

@@ -1,6 +1,7 @@
 """Tests for the hierarchy test — including a property-based check of
 the stack algorithm against the quadratic reference."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from repro.core import (
     groups_non_hierarchical,
     pairwise_relationships,
     ranges_hierarchical,
+    ranges_non_hierarchical_batch,
 )
 
 
@@ -74,6 +76,11 @@ ranges_strategy = st.lists(
 )
 
 
+batch_entry = st.tuples(
+    st.integers(0, 40), st.integers(0, 40), st.booleans()
+)
+
+
 class TestAgainstReference:
     @settings(max_examples=300)
     @given(ranges_strategy)
@@ -84,6 +91,32 @@ class TestAgainstReference:
             for b in ranges[i + 1:]
         )
         assert ranges_hierarchical(ranges) == expected
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 12).flatmap(lambda width: st.lists(
+        st.lists(batch_entry, min_size=width, max_size=width),
+        min_size=1, max_size=6,
+    )))
+    def test_batch_matches_scalar(self, rows):
+        """Rows of (endpoint, endpoint, present) entries; small endpoints
+        make equal, nested and partially overlapping ranges common."""
+        entries = np.array(rows, dtype=np.int64).reshape(
+            len(rows), len(rows[0]), 3
+        )
+        first = entries[:, :, :2].min(axis=2)
+        last = entries[:, :, :2].max(axis=2)
+        present = entries[:, :, 2].astype(bool)
+        expected = [
+            find_non_hierarchical_pair([
+                AddressRange(int(f), int(l))
+                for f, l, keep in zip(first[d], last[d], present[d])
+                if keep
+            ]) is not None
+            for d in range(len(rows))
+        ]
+        assert ranges_non_hierarchical_batch(
+            first, last, present
+        ).tolist() == expected
 
     @settings(max_examples=100)
     @given(ranges_strategy)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.store.store import FORMAT_VERSION
 
 
 class TestParser:
@@ -99,3 +100,39 @@ class TestJsonExport:
         assert entry["experiment"] == "fig5"
         assert entry["headers"]
         assert entry["rows"]
+
+
+class TestRefusedStore:
+    """A store in another format fails as a one-line usage error that
+    names the path, both versions and the remedy — not a traceback."""
+
+    @pytest.fixture
+    def v1_store(self, tmp_path):
+        root = tmp_path / "old-store"
+        (root / "segments").mkdir(parents=True)
+        (root / "store.json").write_text('{"version": 1, "shards": 16}\n')
+        return root
+
+    def _assert_refused(self, capsys, root):
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert str(root) in lines[0]
+        assert "v1" in lines[0]
+        assert f"v{FORMAT_VERSION}" in lines[0]
+        assert "new --store directory" in lines[0]
+        assert "Traceback" not in captured.err
+
+    def test_store_info(self, v1_store, capsys):
+        assert main(["store", "info", str(v1_store)]) == 2
+        self._assert_refused(capsys, v1_store)
+
+    def test_campaign(self, v1_store, capsys):
+        argv = [
+            "campaign", "--profile", "tiny", "--limit", "2",
+            "--store", str(v1_store),
+        ]
+        assert main(argv) == 2
+        self._assert_refused(capsys, v1_store)
+        # Refused, not rewritten: the old store is left as it was.
+        assert '"version": 1' in (v1_store / "store.json").read_text()

@@ -31,13 +31,20 @@ undone.
 
 :func:`weak_intra_cluster_fraction` is the whole-graph definition of the
 Section 6.4 sweep score, which the sweep folds from per-component counts.
+
+:func:`build_confidence_table` builds the Section 3.2 table one subset at
+a time, deciding each with :func:`recognised` (regroup the subset by
+last-hop router, then the scalar hierarchy test);
+:meth:`repro.core.ConfidenceTable.build` must produce the same cells,
+in the same order, from the same ``rng.sample`` stream.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +52,14 @@ import repro.aggregation.pipeline as aggregation_module
 import repro.core.pipeline as pipeline_module
 import repro.netsim.internet as internet_module
 from repro.aggregation import AggregatedBlock, WeightedGraph
+from repro.core.confidence import ConfidenceTable
+from repro.core.grouping import (
+    Observations,
+    group_by_lasthop,
+    identical_lasthop_sets,
+    union_lasthops,
+)
+from repro.core.hierarchy import groups_hierarchical
 from repro.net.trie import PrefixTrie
 from repro.netsim.allocation import Allocation
 from repro.netsim.internet import SimulatedInternet
@@ -195,6 +210,42 @@ def weak_intra_cluster_fraction(
         return 0.0
     weak = int(np.count_nonzero(w[intra] < median_weight))
     return weak / total
+
+
+def recognised(observations: Observations) -> bool:
+    """Would Hobbit call these observations homogeneous?
+
+    Either a single common last-hop router, or a non-hierarchical
+    grouping.
+    """
+    lasthops = union_lasthops(observations)
+    if len(lasthops) <= 1 or identical_lasthop_sets(observations):
+        return True
+    groups = group_by_lasthop(observations)
+    return not groups_hierarchical(groups)
+
+
+def build_confidence_table(
+    datasets: Mapping[object, Observations],
+    seed: int = 0,
+    samples_per_block: int = 64,
+    max_probed: int = 50,
+    min_trials: int = 50,
+) -> ConfidenceTable:
+    """:meth:`ConfidenceTable.build`, one sampled subset at a time."""
+    table = ConfidenceTable(min_trials=min_trials)
+    rng = random.Random(seed)
+    for observations in datasets.values():
+        addresses = sorted(observations)
+        if len(addresses) < 4:
+            continue
+        full_cardinality = len(union_lasthops(observations))
+        for probed in range(4, min(len(addresses), max_probed) + 1):
+            for _ in range(samples_per_block):
+                subset = rng.sample(addresses, probed)
+                sub_obs = {a: observations[a] for a in subset}
+                table.record(full_cardinality, probed, recognised(sub_obs))
+    return table
 
 
 def install(monkeypatch, parts: Iterable[str] = PARTS) -> None:

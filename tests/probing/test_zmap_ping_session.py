@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.selection import meets_selection_criteria, slash26_groups
 from repro.net import Prefix
 from repro.probing import (
+    ActivitySnapshot,
     ProbeBudgetExceeded,
     Prober,
     ping,
@@ -38,15 +40,37 @@ class TestScan:
         snapshot = scan(internet)
         eligible = snapshot.eligible_slash24s()
         assert eligible
-        groups = snapshot.slash26_groups(eligible[0])
-        assert len(groups) == 4
+        for slash24 in eligible:
+            assert len(slash26_groups(snapshot.active_in(slash24))) == 4
 
     def test_eligibility_criteria(self, internet):
+        """Eligibility is exactly Section 3.3's criteria, over every /24
+        the scan saw, in address order."""
         snapshot = scan(internet)
-        for slash24 in snapshot.eligible_slash24s()[:20]:
-            active = snapshot.active_in(slash24)
-            assert len(active) >= 4
-            assert snapshot.covers_every_slash26(slash24)
+        expected = [
+            Prefix(network, 24)
+            for network in sorted(snapshot.active_by_slash24)
+            if meets_selection_criteria(
+                snapshot.active_by_slash24[network]
+            )
+        ]
+        eligible = snapshot.eligible_slash24s()
+        assert eligible == expected
+        # Both sides of the criteria occur in the scenario.
+        assert 0 < len(eligible) < snapshot.slash24_count
+
+    def test_eligibility_needs_every_slash26(self):
+        base = 0x0A000000
+        snapshot = ActivitySnapshot(
+            epoch=0,
+            active_by_slash24={
+                base: [base + 1, base + 65, base + 129, base + 193],
+                # Five active addresses, but the top /26 is empty.
+                base + 256: [base + 256 + i for i in (1, 2, 65, 129, 130)],
+            },
+        )
+        assert snapshot.eligible_slash24s() == [Prefix(base, 24)]
+        assert snapshot.eligible_slash24s(min_active=5) == []
 
     def test_scan_restricted_slash24s(self, internet):
         some = internet.universe_slash24s[:3]

@@ -1,11 +1,14 @@
 """MeasurementStore: persistence, verification, and compaction."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.store import MeasurementStore, StoreError
 from repro.store.codec import HEADER_SIZE, frame_record
+from repro.store.fingerprint import active_list_fingerprint, digest
+from repro.store.store import FORMAT_VERSION
 
 
 def doc(key, value=0):
@@ -56,9 +59,13 @@ class TestRoundTrip:
     def test_version_mismatch_rejected(self, tmp_path):
         MeasurementStore(tmp_path / "s").close()
         meta = tmp_path / "s" / "store.json"
-        meta.write_text(json.dumps({"version": 99, "shards": 16}))
-        with pytest.raises(StoreError, match="v99"):
-            MeasurementStore(tmp_path / "s")
+        # v1 keyed records with the splitmix64 string hash; its keys
+        # must never be looked up with today's.
+        for version in (1, 99):
+            meta.write_text(json.dumps({"version": version, "shards": 16}))
+            refused = f"v{version} at .*reads v{FORMAT_VERSION}.*new --store"
+            with pytest.raises(StoreError, match=refused):
+                MeasurementStore(tmp_path / "s")
 
     def test_unreadable_metadata_rejected(self, tmp_path):
         MeasurementStore(tmp_path / "s").close()
@@ -153,5 +160,32 @@ class TestInfo:
         assert info["records"] == 2
         assert info["artifact_records"] == 2
         assert info["slash24_records"] == 0
-        assert info["format_version"] == 1
+        assert info["format_version"] == FORMAT_VERSION
         assert info["bytes"] > 0
+
+
+class TestKeyFingerprints:
+    """Known answers: a store written by one process must be found by
+    every other, so the key functions may never drift silently."""
+
+    def test_digest_is_blake2b_128(self):
+        # The published BLAKE2b-128 digest of the empty string.
+        assert digest("") == "cae66941d9efbd404e4d88758ea67670"
+        assert (
+            digest("slash24::abc::10.0.0.0/24::00")
+            == "ab42b8939020f494be631464d8b4f5ec"
+        )
+
+    def test_active_list_fingerprint(self):
+        assert active_list_fingerprint([]) == 0xB4B2797457A0A6E4
+        assert (
+            active_list_fingerprint([0x0A000001, 0x0A000042, 0x0A0000FE])
+            == 0xB8181BC55A755B5D
+        )
+        packed = bytes([1, 0, 0, 0, 0, 1, 0, 0])  # 1 and 256, <u4
+        assert active_list_fingerprint([1, 256]) == int.from_bytes(
+            hashlib.blake2b(packed, digest_size=8).digest(), "little"
+        )
+        assert active_list_fingerprint([1, 256]) != active_list_fingerprint(
+            [256, 1]
+        )
