@@ -138,19 +138,20 @@ def _measure_in_context(
 # ``workers=N`` no longer shards the /24 list statically: the list is
 # cut into bounded batches, published as a plan in a lease ledger next
 # to the measurement store (:mod:`repro.store.lease`), and worker
-# processes *claim* batches as time-limited leases, checkpointing every
-# completed /24 through the store. A dead worker's lease lapses and is
-# re-claimed by a surviving worker (or, if all workers died, by the
-# parent), so the campaign loses at most the un-checkpointed part of
-# one batch per death — and re-measuring that part is byte-identical
-# anyway, because each /24's measurement is a pure function of its
-# deterministic context.
+# processes *claim* batches as time-limited leases, checkpointing the
+# completed /24s through the store in group commits. A batch is marked
+# done only after its records are committed. A dead worker's lease
+# lapses and is re-claimed by a surviving worker (or, if all workers
+# died, by the parent), so the campaign loses at most the uncommitted
+# part of one batch per death — and re-measuring that part is
+# byte-identical anyway, because each /24's measurement is a pure
+# function of its deterministic context.
 
 #: Batches planned per worker. More batches than workers is what makes
 #: work-stealing effective: a fast worker drains several while a slow
 #: one holds only its current lease, and a dead worker forfeits at most
-#: its one in-flight batch — everything it completed is already durably
-#: checkpointed and marked done.
+#: its one in-flight batch — every batch it completed was committed to
+#: the store before it was marked done.
 _BATCHES_PER_WORKER = 4
 
 #: How long claimants sleep when every remaining batch is under a live
@@ -163,12 +164,14 @@ _LEASE_POLL_SECONDS = 0.05
 _LEASE_TTL_ENV = "REPRO_LEASE_TTL"
 
 #: Fault injection: comma-separated ``"<worker_index>:<checkpoints>"``
-#: entries. Each named worker SIGKILLs itself right after durably
-#: checkpointing that many fresh /24s — i.e. mid-batch, lease held,
-#: rest of the batch unfinished. ``"0:1"`` kills one worker (lease
-#: stolen by a peer); ``"0:1,1:1"`` with ``workers=2`` kills them all
-#: (parent takeover). The crash-consistency tests and the CI
-#: faulty-worker smoke job drive this.
+#: entries. Each named worker SIGKILLs itself right after the group
+#: commit that brings its committed fresh /24s to that many — with the
+#: lease held and the batch not yet marked done (a batch smaller than
+#: the commit group is committed whole just before it would be).
+#: ``"0:1"`` kills one worker (lease stolen by a peer); ``"0:1,1:1"``
+#: with ``workers=2`` kills them all (parent takeover). The
+#: crash-consistency tests and the CI faulty-worker smoke job drive
+#: this.
 _LEASE_KILL_ENV = "REPRO_LEASE_KILL"
 
 
@@ -241,11 +244,19 @@ def _lease_worker_main(
         if internet.events is not None
         else None
     )
-    checkpoints = claims = steals = 0
+    claims = steals = 0
     with MeasurementStore(store_root, fsync=fsync) as store, LeaseLedger(
         store_root, campaign, ttl=ttl, fsync=fsync
     ) as ledger:
         cache = CampaignCache(store, campaign)
+
+        def die_if_due() -> None:
+            # Fault injection: die the hard way, lease held, batch not
+            # marked done — exactly what the reclamation machinery must
+            # survive.
+            if kill_after is not None and cache.committed >= kill_after:
+                os.kill(os.getpid(), 9)
+
         # Renew often enough that a live lease can never lapse: well
         # inside both the tentative window and the half-TTL threshold
         # below which renewals actually append.
@@ -286,12 +297,10 @@ def _lease_worker_main(
                     seed, clock_base, max_destinations,
                 )
                 cache.record(slash24, active, measurement, stats)
-                checkpoints += 1
-                if kill_after is not None and checkpoints >= kill_after:
-                    # Fault injection: die the hard way, mid-batch, with
-                    # the lease held — exactly what the reclamation
-                    # machinery must survive.
-                    os.kill(os.getpid(), 9)
+                die_if_due()
+            # A batch is DONE only once its records are durable.
+            cache.commit()
+            die_if_due()
             if completed:
                 ledger.mark_done(claim)
         event_attrs = {}
@@ -307,7 +316,7 @@ def _lease_worker_main(
             engine_seconds=internet.probe_seconds - base[0],
             engine_batches=internet.probe_batches - base[1],
             engine_batched=internet.batched_probes - base[2],
-            claims=claims, steals=steals, checkpoints=checkpoints,
+            claims=claims, steals=steals, checkpoints=cache.committed,
             **event_attrs,
         )
 
@@ -393,6 +402,7 @@ def _lease_takeover(
                 seed, clock_base, max_destinations,
             )
             cache.record(slash24, active, measurement, stats)
+        cache.commit()
         ledger.mark_done(claim)
     deltas = (
         internet.probe_seconds - base[1],
@@ -576,6 +586,8 @@ def _run_shards_parallel(
                     slash24, snapshot.active_in(slash24),
                     measurement, record_stats,
                 )
+        if external_cache is not None:
+            external_cache.commit()
 
         # Engine timing deltas come from the workers' exit records; a
         # SIGKILLed worker never writes one, so its (diagnostic-only)
@@ -656,9 +668,10 @@ def _bind_store(
     """Turn the ``store`` argument into a campaign-bound cache.
 
     Accepts a :class:`repro.store.MeasurementStore` (or anything with
-    its ``get``/``put`` surface), or an already-bound object exposing
-    ``lookup``/``record``. Imported lazily so :mod:`repro.core` never
-    depends on :mod:`repro.store` at import time.
+    its ``get``/``put_many`` surface), or an already-bound object
+    exposing ``lookup``/``record``/``commit``. Imported lazily so
+    :mod:`repro.core` never depends on :mod:`repro.store` at import
+    time.
     """
     if store is None:
         return None
@@ -697,10 +710,12 @@ def run_campaign(
     when both are given, the campaign runs serially.
 
     ``store`` attaches an on-disk measurement store (see
-    :mod:`repro.store`): every completed /24 is durably checkpointed,
-    and /24s whose full input fingerprint (scenario, policy, seed,
-    clock base, destination cap, snapshot active list) is already
-    stored are replayed without sending a single probe. A run killed
+    :mod:`repro.store`): completed /24s are durably checkpointed in
+    group commits (every :data:`repro.store.campaign.COMMIT_EVERY`
+    /24s, at the end of the run and when it raises), and /24s whose
+    full input fingerprint (scenario, policy, seed, clock base,
+    destination cap, snapshot active list) is already stored are
+    replayed without sending a single probe. A run killed
     mid-campaign therefore resumes where it left off, and the resumed
     result — measurements, insertion order and ``probes_used`` — is
     bit-identical to an uninterrupted run. Replayed /24s still advance
@@ -832,42 +847,57 @@ def _run_campaign_observed(
     else:
         remaining = max_probes
         done = 0
-        for slash24 in slash24s:
-            if slash24 in cached:
-                measurement, measure_stats = cached[slash24]
-                # Replays charge the budget exactly what the original
-                # measurement cost, so a budgeted run stops at the same
-                # point whether or not its prefix was cached.
-                if remaining is not None and measure_stats.sent > remaining:
-                    raise ProbeBudgetExceeded(
-                        f"budget exhausted replaying {slash24} from store"
-                    )
-            else:
-                with span("campaign.slash24", prefix=slash24):
-                    measurement, measure_stats = _measure_in_context(
-                        internet, policy, slash24,
-                        snapshot.active_in(slash24),
-                        seed, clock_base, max_destinations_per_slash24,
-                        max_probes=remaining,
-                    )
-                if cache is not None:
-                    cache.record(
-                        slash24, snapshot.active_in(slash24),
-                        measurement, measure_stats,
-                    )
-            if remaining is not None:
-                remaining -= measure_stats.sent
-            stats.merge(measure_stats)
-            _fold_measurement_metrics(registry, measurement, measure_stats)
-            result.add(measurement)
-            done += 1
-            if progress is not None:
-                progress.update(
-                    done,
-                    probes=stats.sent,
-                    store_hits=len(cached),
-                    store_lookups=len(slash24s) if cache is not None else 0,
+        try:
+            for slash24 in slash24s:
+                if slash24 in cached:
+                    measurement, measure_stats = cached[slash24]
+                    # Replays charge the budget exactly what the
+                    # original measurement cost, so a budgeted run stops
+                    # at the same point whether or not its prefix was
+                    # cached.
+                    if (
+                        remaining is not None
+                        and measure_stats.sent > remaining
+                    ):
+                        raise ProbeBudgetExceeded(
+                            f"budget exhausted replaying {slash24} from "
+                            "store"
+                        )
+                else:
+                    with span("campaign.slash24", prefix=slash24):
+                        measurement, measure_stats = _measure_in_context(
+                            internet, policy, slash24,
+                            snapshot.active_in(slash24),
+                            seed, clock_base, max_destinations_per_slash24,
+                            max_probes=remaining,
+                        )
+                    if cache is not None:
+                        cache.record(
+                            slash24, snapshot.active_in(slash24),
+                            measurement, measure_stats,
+                        )
+                if remaining is not None:
+                    remaining -= measure_stats.sent
+                stats.merge(measure_stats)
+                _fold_measurement_metrics(
+                    registry, measurement, measure_stats
                 )
+                result.add(measurement)
+                done += 1
+                if progress is not None:
+                    progress.update(
+                        done,
+                        probes=stats.sent,
+                        store_hits=len(cached),
+                        store_lookups=(
+                            len(slash24s) if cache is not None else 0
+                        ),
+                    )
+        finally:
+            # Everything measured so far is committed, also when the
+            # loop raises (a probe budget running out mid-campaign).
+            if cache is not None:
+                cache.commit()
 
     # Honest what-actually-ran accounting: netsim.* counts probes this
     # process (and its workers) physically sent, while campaign.probes.*

@@ -18,7 +18,7 @@ hosts cause the "Too few active" attrition of Table 1.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -154,19 +154,24 @@ def hosts_up_in_epoch_np(
     seed: int,
     addrs: np.ndarray,
     epoch: int,
-    density: float,
-    stability: float,
-    sleep_probability: float = BLOCK_SLEEP_PROBABILITY,
+    density: Union[float, np.ndarray],
+    stability: Union[float, np.ndarray],
+    sleep_probability: Union[float, np.ndarray] = BLOCK_SLEEP_PROBABILITY,
 ) -> np.ndarray:
-    """Vectorised :func:`host_up_in_epoch` — boolean mask per address."""
-    addrs = addrs.astype(np.uint64)
+    """Vectorised :func:`host_up_in_epoch` — boolean mask per address.
+
+    ``density``, ``stability`` and ``sleep_probability`` are each either
+    one value for every address or an array of one value per address
+    (the ZMap sweep hashes spans of several pods in one call).
+    """
+    addrs = np.asarray(addrs, dtype=np.uint64)
     exists = _unit_np(_mix_np(seed ^ _EXISTS, addrs)) < density
     stable = _unit_np(_mix_np(seed ^ _STABLE, addrs)) < stability
     flap_up = (
         _unit_np(_mix_np(seed ^ _FLAP, addrs, epoch)) < FLAPPY_UP_PROBABILITY
     )
     up = exists & (stable | flap_up)
-    if sleep_probability > 0.0:
+    if np.any(np.asarray(sleep_probability) > 0.0):
         slash24s = addrs & np.uint64(0xFFFFFF00)
         asleep = (
             _unit_np(_mix_np(seed ^ _SLEEP, slash24s, epoch))

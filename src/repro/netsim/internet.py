@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +58,11 @@ BITCOIN_NODE_PROBABILITY = 0.004
 #: Below this size the batched path's numpy setup costs more than the
 #: serial loop; results are identical either way.
 MIN_VECTOR_BATCH = 4
+
+#: Addresses hashed per numpy pass of :meth:`SimulatedInternet.
+#: active_addresses` (256 /24s): large enough that per-call overhead
+#: vanishes, small enough that the sweep's temporaries stay a few MiB.
+SWEEP_CHUNK_ADDRESSES = 1 << 16
 
 
 class SimulatedInternet:
@@ -577,35 +582,97 @@ class SimulatedInternet:
     def active_addresses_in_slash24(
         self, slash24: Prefix, epoch: Optional[int] = None
     ) -> List[int]:
-        """Vectorised sweep of one /24: all addresses up in ``epoch``."""
+        """All addresses of one /24 that are up in ``epoch``."""
+        return self.active_addresses([slash24], epoch).get(
+            slash24.network, []
+        )
+
+    def active_addresses(
+        self, slash24s: Iterable[Prefix], epoch: Optional[int] = None
+    ) -> Dict[int, List[int]]:
+        """Vectorised sweep: /24 network → addresses up in ``epoch``.
+
+        Only /24s with an active address appear, in input order. Each
+        chunk of at most :data:`SWEEP_CHUNK_ADDRESSES` addresses is
+        hashed in one :func:`hosts.hosts_up_in_epoch_np` call over the
+        allocation spans of its /24s, with each span's pod parameters
+        repeated per address, and the kept addresses are split back per
+        /24 with ``searchsorted``.
+        """
         if epoch is None:
             epoch = self.current_epoch
-        result: List[int] = []
-        ordered = True
-        previous_last = -1
-        for allocation in self.allocations.allocations_within(slash24):
-            first = max(allocation.prefix.first, slash24.first)
-            last = min(allocation.prefix.last, slash24.last)
-            if first <= previous_last:
-                ordered = False
-            previous_last = last
-            addrs = np.arange(first, last + 1, dtype=np.uint64)
-            key_addrs = (
-                self.events.availability_keys_np(
-                    allocation.pod, addrs, epoch
-                )
-                if self.events is not None
-                else addrs
-            )
-            mask = hostmod.hosts_up_in_epoch_np(
-                self._built.host_seed, key_addrs, epoch,
-                allocation.pod.host_density, allocation.pod.host_stability,
-                allocation.pod.sleep_probability,
-            )
-            result.extend(addrs[mask].tolist())
-        # allocations_within walks the trie in address order, so the
-        # concatenation is already sorted unless spans overlapped.
-        return result if ordered else sorted(result)
+        slash24s = list(slash24s)
+        per_chunk = SWEEP_CHUNK_ADDRESSES // 256
+        result: Dict[int, List[int]] = {}
+        for start in range(0, len(slash24s), per_chunk):
+            self._sweep_chunk(slash24s[start:start + per_chunk], epoch, result)
+        return result
+
+    def _sweep_chunk(
+        self, chunk: List[Prefix], epoch: int, result: Dict[int, List[int]]
+    ) -> None:
+        """Sweep one chunk of :meth:`active_addresses` into ``result``."""
+        firsts: List[int] = []
+        sizes: List[int] = []
+        owners: List[int] = []
+        pods: List[Pod] = []
+        unordered: set = set()
+        for index, slash24 in enumerate(chunk):
+            bottom, top = slash24.first, slash24.last
+            previous_last = -1
+            for allocation in self.allocations.allocations_within(slash24):
+                first = max(allocation.prefix.first, bottom)
+                last = min(allocation.prefix.last, top)
+                # allocations_within walks the trie in address order,
+                # so a /24's spans concatenate sorted unless they
+                # overlap.
+                if first <= previous_last:
+                    unordered.add(index)
+                previous_last = last
+                firsts.append(first)
+                sizes.append(last - first + 1)
+                owners.append(index)
+                pods.append(allocation.pod)
+        if not sizes:
+            return
+        span_sizes = np.array(sizes, dtype=np.int64)
+        ends = np.cumsum(span_sizes)
+        starts = ends - span_sizes
+        addrs = np.repeat(
+            np.array(firsts, dtype=np.uint64) - starts.astype(np.uint64),
+            span_sizes,
+        ) + np.arange(int(ends[-1]), dtype=np.uint64)
+        keys = addrs
+        if self.events is not None:
+            keys = addrs.copy()
+            for span, pod in enumerate(pods):
+                if self.events.renumbering(pod):
+                    span_addrs = slice(int(starts[span]), int(ends[span]))
+                    keys[span_addrs] = self.events.availability_keys_np(
+                        pod, addrs[span_addrs], epoch
+                    )
+
+        def per_address(values: List[float]) -> np.ndarray:
+            return np.repeat(np.array(values, dtype=np.float64), span_sizes)
+
+        mask = hostmod.hosts_up_in_epoch_np(
+            self._built.host_seed, keys, epoch,
+            per_address([pod.host_density for pod in pods]),
+            per_address([pod.host_stability for pod in pods]),
+            per_address([pod.sleep_probability for pod in pods]),
+        )
+        kept = addrs[mask].tolist()
+        owner_of = np.repeat(np.array(owners, dtype=np.int64), span_sizes)
+        bounds = np.searchsorted(
+            owner_of[mask], np.arange(len(chunk) + 1)
+        ).tolist()
+        for index, slash24 in enumerate(chunk):
+            active = kept[bounds[index]:bounds[index + 1]]
+            if not active:
+                continue
+            if index in unordered:
+                active.sort()
+            result[slash24.network] = active
 
     # -- dynamic events ------------------------------------------------------
 

@@ -13,8 +13,10 @@ Two sweep engines produce identical address sets:
 * :func:`scan_with_probes` sends one echo probe per address through the
   ordinary probe path (plus retransmissions to smooth stochastic loss) —
   faithful but slow; used on small ranges and in equivalence tests.
-* :func:`scan` uses the simulator's vectorised host-state fast path —
-  what experiments use for multi-million-address universes.
+* :func:`scan` asks the simulator's host model directly
+  (:meth:`SimulatedInternet.active_addresses`), hashing the allocation
+  spans of 256 /24s at a time in one vectorised pass — what experiments
+  use for multi-million-address universes.
 """
 
 from __future__ import annotations
@@ -77,12 +79,10 @@ def scan(
         epoch = internet.config.snapshot_epoch
     if slash24s is None:
         slash24s = internet.universe_slash24s
-    snapshot = ActivitySnapshot(epoch=epoch)
-    for slash24 in slash24s:
-        active = internet.active_addresses_in_slash24(slash24, epoch)
-        if active:
-            snapshot.active_by_slash24[slash24.network] = active
-    return snapshot
+    return ActivitySnapshot(
+        epoch=epoch,
+        active_by_slash24=internet.active_addresses(slash24s, epoch),
+    )
 
 
 def scan_with_probes(

@@ -1,11 +1,19 @@
 """Binding between a campaign run and the measurement store.
 
 :class:`CampaignCache` pins one campaign's full input fingerprint
-(scenario, policy, seed, clock base, destination cap) and exposes just
-the two operations the campaign executor needs: look up a /24's cached
-measurement, and durably checkpoint a freshly measured one. Keys also
-cover the /24's snapshot active list, so a snapshot taken at a different
-epoch can never satisfy a lookup.
+(scenario, policy, seed, clock base, destination cap) and exposes the
+operations the campaign executor needs: look up a /24's cached
+measurement, record a freshly measured one, and commit the recorded
+/24s durably. Keys also cover the /24's snapshot active list, so a
+snapshot taken at a different epoch can never satisfy a lookup.
+
+Checkpoints are group commits: :meth:`CampaignCache.record` buffers,
+and :meth:`CampaignCache.commit` writes the buffer with one
+:meth:`MeasurementStore.put_many` — one lock, one tail check and one
+fsync per touched shard. ``record`` commits by itself every
+:data:`COMMIT_EVERY` /24s, so a crash loses at most that many
+uncommitted /24s, which the resumed campaign re-measures
+byte-identically.
 
 The executor takes any object with this interface (it never imports
 this package at module level), which keeps ``repro.core`` free of a
@@ -14,7 +22,7 @@ dependency cycle on ``repro.store``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.classifier import Slash24Measurement
 from ..net.prefix import Prefix
@@ -29,6 +37,12 @@ from .fingerprint import (
 )
 from .store import MeasurementStore
 
+#: /24s a campaign buffers before :meth:`CampaignCache.record` commits
+#: them by itself, and so the most a crash can lose. At 256, a serial
+#: 5,331-/24 campaign over a 16-shard store makes 336 fsyncs instead of
+#: 5,331; groups of 1,024 ran only a few percent faster.
+COMMIT_EVERY = 256
+
 
 class CampaignCache:
     """One campaign's view of a store: lookups and checkpoints."""
@@ -42,6 +56,11 @@ class CampaignCache:
         #: warm-run assertions in CI).
         self.hits = 0
         self.misses = 0
+        #: /24s written by :meth:`commit` (the fault injection of the
+        #: lease executor counts these).
+        self.committed = 0
+        #: Recorded, not yet committed: (document, prefix, probes sent).
+        self._pending: List[Tuple[Dict[str, Any], Prefix, int]] = []
 
     @classmethod
     def bind(
@@ -93,13 +112,26 @@ class CampaignCache:
         measurement: Slash24Measurement,
         stats: ProbeStats,
     ) -> None:
-        """Durably checkpoint one freshly measured /24."""
-        self.store.put(
-            slash24_record(
-                self.key_for(slash24, active),
-                self.campaign,
-                measurement,
-                stats,
-            )
+        """Buffer one freshly measured /24 for the next commit; every
+        :data:`COMMIT_EVERY` buffered /24s are committed here."""
+        document = slash24_record(
+            self.key_for(slash24, active), self.campaign, measurement, stats
         )
-        trace_event("store.checkpoint", prefix=slash24, probes=stats.sent)
+        self._pending.append((document, slash24, stats.sent))
+        if len(self._pending) >= COMMIT_EVERY:
+            self.commit()
+
+    def commit(self) -> None:
+        """Durably write every buffered /24 in one group commit.
+
+        The buffer is emptied before the write, so a commit that raises
+        is not retried: its /24s are lost like any uncommitted ones, and
+        a resumed campaign re-measures them.
+        """
+        pending, self._pending = self._pending, []
+        if not pending:
+            return
+        self.store.put_many([document for document, _, _ in pending])
+        self.committed += len(pending)
+        for _, slash24, sent in pending:
+            trace_event("store.checkpoint", prefix=slash24, probes=sent)

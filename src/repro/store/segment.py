@@ -139,15 +139,16 @@ def validated_tail(path: str, start: int = 0) -> Tuple[int, int]:
     return offset, size
 
 
-def append(handle: IO[bytes], frame: bytes, fsync: bool = True) -> int:
-    """Append one framed record; returns its starting offset.
+def append(handle: IO[bytes], frames: bytes, fsync: bool = True) -> int:
+    """Append one or more framed records; returns the starting offset.
 
-    The frame is written with a single ``write`` call and flushed (plus
-    ``fsync`` unless disabled), so a crash leaves at worst a truncated
-    tail that :func:`recover` trims on the next open.
+    ``frames`` is the records' frames concatenated. They are written
+    with a single ``write`` call and flushed (plus one ``fsync`` unless
+    disabled), so a crash leaves every earlier frame whole and at worst
+    a truncated tail that :func:`recover` trims on the next open.
     """
     offset = handle.tell()
-    handle.write(frame)
+    handle.write(frames)
     handle.flush()
     if fsync:
         os.fsync(handle.fileno())

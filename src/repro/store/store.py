@@ -12,9 +12,11 @@ long campaigns never funnel every append through one ever-growing file
 and ``gc`` compaction rewrites stay bounded. Opening a store scans every
 segment once: truncated tails (interrupted appends) are trimmed in
 place, damaged interior records are remembered for ``verify``/``gc``,
-and an in-memory key index of intact records is built. Appends fsync
-per record, so a /24 checkpointed by a campaign survives any subsequent
-crash.
+and an in-memory key index of intact records is built. Appends are
+group commits (:meth:`MeasurementStore.put_many`): one lock, one tail
+check and one ``write`` + flush + fsync per touched shard per batch, so
+a record survives any crash once its batch's commit has returned.
+Campaigns commit their /24s in batches (see :mod:`.campaign`).
 
 The store is safe for *multiple concurrent writer processes*: every
 append (and the open-time tail recovery, and gc compaction) runs under
@@ -32,7 +34,7 @@ import contextlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import IO, Any, Dict, Iterator, List, Optional, Tuple
+from typing import IO, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.trace import span, trace_event, trace_warning
 from ..util.fileio import atomic_write_text, atomic_writer
@@ -78,11 +80,12 @@ class MeasurementStore:
     ) -> None:
         self.root = os.path.abspath(root)
         self.segment_dir = os.path.join(self.root, SEGMENT_DIR)
-        #: Whether appends fsync per record. True for durable stores;
-        #: the lease executor's *ephemeral* coordination stores disable
-        #: it (flush still happens per record, so a SIGKILLed worker
-        #: loses nothing — only an OS crash could, and an ephemeral
-        #: store does not outlive the run anyway).
+        #: Whether each commit fsyncs its shards. True for durable
+        #: stores; the lease executor's *ephemeral* coordination stores
+        #: disable it (the flush still happens per commit, so a
+        #: SIGKILLed worker loses nothing it committed — only an OS
+        #: crash could, and an ephemeral store does not outlive the run
+        #: anyway).
         self.fsync = fsync
         self._append_handles: Dict[int, IO[bytes]] = {}
         #: key → (shard index, decoded document). Records are small at
@@ -241,31 +244,44 @@ class MeasurementStore:
     # -- writes -----------------------------------------------------------
 
     def put(self, document: Dict[str, Any]) -> None:
-        """Durably append one record (document must carry a ``key``).
+        """Durably append one record (document must carry a ``key``)."""
+        self.put_many([document])
 
-        Appends serialize across processes on the store's advisory
-        lock. Before writing, the frame boundary is re-walked from this
+    def put_many(self, documents: Sequence[Dict[str, Any]]) -> None:
+        """Durably append records in one group commit.
+
+        Every document must carry a ``key``. The store's advisory lock
+        is taken once, across processes. For each shard the batch
+        touches, the frame boundary is re-walked once from this
         process's last validated offset: frames appended by *other*
         processes since then are stepped over, and a torn tail left by
-        a writer killed mid-append is truncated — otherwise our record
-        would land beyond garbage where no scanner could reach it.
+        a writer killed mid-append is truncated — otherwise our records
+        would land beyond garbage where no scanner could reach them.
+        The shard's frames then go down in one ``write``, flushed and
+        fsynced once, in batch order, so a segment ends up byte-equal
+        to what one ``put`` per document would have written.
         """
-        key = document["key"]
-        shard = self._shard_of(key)
-        frame = frame_record(document)
+        shards = [self._shard_of(document["key"]) for document in documents]
+        frames: Dict[int, List[bytes]] = {}
+        for shard, document in zip(shards, documents):
+            frames.setdefault(shard, []).append(frame_record(document))
         with self._lock.exclusive():
-            handle = self._append_handles.get(shard)
-            if handle is None:
-                handle = open(self._segment_path(shard), "ab")
-                self._append_handles[shard] = handle
-            valid_end = self._reclaim_tail(shard, handle)
-            segmod.append(handle, frame, fsync=self.fsync)
-            self._valid_offsets[shard] = valid_end + len(frame)
-        if key in self._index:
-            self.superseded += 1
-        self._index[key] = (shard, document)
-        kind = str(document.get("kind", "?"))
-        self.appended[kind] = self.appended.get(kind, 0) + 1
+            for shard, shard_frames in frames.items():
+                data = b"".join(shard_frames)
+                handle = self._append_handles.get(shard)
+                if handle is None:
+                    handle = open(self._segment_path(shard), "ab")
+                    self._append_handles[shard] = handle
+                valid_end = self._reclaim_tail(shard, handle)
+                segmod.append(handle, data, fsync=self.fsync)
+                self._valid_offsets[shard] = valid_end + len(data)
+        for shard, document in zip(shards, documents):
+            key = document["key"]
+            if key in self._index:
+                self.superseded += 1
+            self._index[key] = (shard, document)
+            kind = str(document.get("kind", "?"))
+            self.appended[kind] = self.appended.get(kind, 0) + 1
 
     def _reclaim_tail(self, shard: int, handle: IO[bytes]) -> int:
         """Validate (and if torn, trim) the segment tail; returns the

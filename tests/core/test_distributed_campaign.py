@@ -18,6 +18,7 @@ from repro.netsim import SimulatedInternet, tiny_scenario
 from repro.obs.metrics import MetricsRegistry
 from repro.probing import scan
 from repro.store import CampaignCache, MeasurementStore
+from repro.store import campaign as campaign_module
 from repro.store.lease import LeaseLedger
 
 SEED = 5
@@ -196,6 +197,40 @@ class TestWorkerDeathRecovery:
         assert result.probes_used == serial_result.probes_used
         assert internet.clock_seconds == serial_clock
         assert internet.probe_count == serial_probes
+
+
+class TestPartialBatchSteal:
+    def test_thief_remeasures_only_the_uncommitted_rest(
+        self, selection, serial_state, tmp_path, monkeypatch
+    ):
+        """With one-/24 commit groups, worker 0 dies after committing
+        the first /24 of its batch: the thief replays that one from the
+        store and measures the rest, bit-identical to serial."""
+        serial_result, serial_clock, serial_probes = serial_state
+        monkeypatch.setattr(campaign_module, "COMMIT_EVERY", 1)
+        monkeypatch.setenv("REPRO_LEASE_TTL", TEST_TTL)
+        monkeypatch.setenv("REPRO_LEASE_KILL", "0:1")
+        internet, snapshot = _fresh_internet()
+        registry = MetricsRegistry()
+        with MeasurementStore(str(tmp_path / "store")) as store:
+            result = _run(
+                internet, snapshot, selection,
+                workers=3, store=store, registry=registry,
+            )
+            # Every /24 went down once: the committed one was not
+            # measured again.
+            assert store.verify().records_ok == len(selection)
+        assert result.measurements == serial_result.measurements
+        assert list(result.measurements) == list(serial_result.measurements)
+        assert result.probes_used == serial_result.probes_used
+        assert internet.clock_seconds == serial_clock
+        assert internet.probe_count == serial_probes
+        assert registry.counter_value(
+            "campaign.parallel.lease.workers_lost"
+        ) == 1
+        assert registry.counter_value(
+            "campaign.parallel.lease.steals"
+        ) >= 1
 
 
 class TestResumability:

@@ -99,6 +99,51 @@ class TestVectorEquivalence:
         assert vector.tolist() == scalar
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=(1 << 24) - 1),
+        st.integers(min_value=-3, max_value=3),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=40),
+                st.floats(min_value=0.0, max_value=1.0),
+                st.floats(min_value=0.0, max_value=1.0),
+                st.sampled_from([0.0, 0.22, 0.5, 1.0]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_per_address_parameters_match_segments(
+        self, block, epoch, segments
+    ):
+        """Per-address arrays of pod parameters give, segment by
+        segment, what one scalar-parameter call per segment gives."""
+        sizes = [size for size, _, _, _ in segments]
+        addrs = (block << 8) + np.arange(sum(sizes), dtype=np.uint64)
+
+        def per_address(column):
+            return np.repeat(
+                np.array([segment[column] for segment in segments]), sizes
+            )
+
+        vector = hosts.hosts_up_in_epoch_np(
+            SEED, addrs, epoch, per_address(1), per_address(2),
+            per_address(3),
+        )
+        expected = []
+        start = 0
+        for size, density, stability, sleep in segments:
+            expected.extend(
+                hosts.hosts_up_in_epoch_np(
+                    SEED, addrs[start:start + size], epoch, density,
+                    stability, sleep,
+                ).tolist()
+            )
+            start += size
+        assert vector.tolist() == expected
+
+
 class TestAttributes:
     def test_default_ttl_values_common(self):
         weights = ((64, 0.6), (128, 0.35), (255, 0.05))

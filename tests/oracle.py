@@ -37,6 +37,13 @@ a time, deciding each with :func:`recognised` (regroup the subset by
 last-hop router, then the scalar hierarchy test);
 :meth:`repro.core.ConfidenceTable.build` must produce the same cells,
 in the same order, from the same ``rng.sample`` stream.
+
+:func:`scan` takes the ZMap snapshot one /24 and one allocation span
+at a time (:func:`active_addresses_in_slash24`, one
+``hosts_up_in_epoch_np`` call per span); :func:`repro.probing.scan`,
+which sweeps chunks of /24s in one call each, must produce the same
+dict in the same key order and leave the same ``events.renumber``
+count. Like the table build, it is called directly, not installed.
 """
 
 from __future__ import annotations
@@ -61,6 +68,8 @@ from repro.core.grouping import (
 )
 from repro.core.hierarchy import groups_hierarchical
 from repro.net.trie import PrefixTrie
+from repro.net.prefix import Prefix
+from repro.netsim import hosts as hostmod
 from repro.netsim.allocation import Allocation
 from repro.netsim.internet import SimulatedInternet
 from repro.netsim.routing import (
@@ -71,6 +80,7 @@ from repro.netsim.routing import (
     RouteEntry,
 )
 from repro.netsim.topology import Router
+from repro.probing.zmap import ActivitySnapshot
 
 #: The probe-level parts. A reference campaign also installs
 #: ``campaign``, because the compiled campaign engine reads the compiled
@@ -246,6 +256,55 @@ def build_confidence_table(
                 sub_obs = {a: observations[a] for a in subset}
                 table.record(full_cardinality, probed, recognised(sub_obs))
     return table
+
+
+def active_addresses_in_slash24(
+    internet: SimulatedInternet, slash24: Prefix, epoch: int
+) -> List[int]:
+    """All addresses of one /24 up in ``epoch``, hashed one allocation
+    span at a time."""
+    result: List[int] = []
+    ordered = True
+    previous_last = -1
+    for allocation in internet.allocations.allocations_within(slash24):
+        first = max(allocation.prefix.first, slash24.first)
+        last = min(allocation.prefix.last, slash24.last)
+        if first <= previous_last:
+            ordered = False
+        previous_last = last
+        addrs = np.arange(first, last + 1, dtype=np.uint64)
+        key_addrs = (
+            internet.events.availability_keys_np(allocation.pod, addrs, epoch)
+            if internet.events is not None
+            else addrs
+        )
+        mask = hostmod.hosts_up_in_epoch_np(
+            internet._built.host_seed, key_addrs, epoch,
+            allocation.pod.host_density, allocation.pod.host_stability,
+            allocation.pod.sleep_probability,
+        )
+        result.extend(addrs[mask].tolist())
+    # allocations_within walks the trie in address order, so the
+    # concatenation is already sorted unless spans overlapped.
+    return result if ordered else sorted(result)
+
+
+def scan(
+    internet: SimulatedInternet,
+    epoch: Optional[int] = None,
+    slash24s: Optional[Iterable[Prefix]] = None,
+) -> ActivitySnapshot:
+    """:func:`repro.probing.scan`, one /24 at a time."""
+    if epoch is None:
+        epoch = internet.config.snapshot_epoch
+    if slash24s is None:
+        slash24s = internet.universe_slash24s
+    snapshot = ActivitySnapshot(epoch=epoch)
+    for slash24 in slash24s:
+        active = active_addresses_in_slash24(internet, slash24, epoch)
+        if active:
+            snapshot.active_by_slash24[slash24.network] = active
+    return snapshot
 
 
 def install(monkeypatch, parts: Iterable[str] = PARTS) -> None:

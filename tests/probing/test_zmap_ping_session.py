@@ -1,9 +1,17 @@
 """Tests for the ZMap scan, ping and probe sessions."""
 
+import dataclasses
+import random
+import tracemalloc
+
 import pytest
 
 from repro.core.selection import meets_selection_criteria, slash26_groups
 from repro.net import Prefix
+from repro.netsim import SimulatedInternet
+from repro.netsim import internet as internet_module
+from repro.netsim.allocation import Allocation
+from repro.netsim.config import EventConfig, paper_scenario
 from repro.probing import (
     ActivitySnapshot,
     ProbeBudgetExceeded,
@@ -12,6 +20,10 @@ from repro.probing import (
     scan,
     scan_with_probes,
 )
+from tests import oracle
+
+#: The whole-pipeline benchmark's scenario scale.
+BENCH_SCALE = 0.25
 
 
 class TestScan:
@@ -88,6 +100,135 @@ class TestScan:
         assert len(oracle.symmetric_difference(found)) <= max(
             2, len(oracle) // 20
         )
+
+
+def assert_same_snapshot(sweep, reference):
+    """Same epoch, same /24s in the same order, same address lists —
+    of Python ints, as the per-/24 loop's ``tolist`` gives."""
+    assert sweep.epoch == reference.epoch
+    assert list(sweep.active_by_slash24.items()) == list(
+        reference.active_by_slash24.items()
+    )
+    for active in sweep.active_by_slash24.values():
+        assert active
+        assert all(type(addr) is int for addr in active)
+
+
+@pytest.fixture(scope="module")
+def traced_bench_scans():
+    """Sweep and oracle snapshots of the benchmark's seed-2016 scenario,
+    each taken under ``tracemalloc``: [(snapshot, peak bytes), ...]."""
+    internet = SimulatedInternet.from_config(
+        paper_scenario(scale=BENCH_SCALE, seed=2016)
+    )
+    scans = []
+    for sweep in (scan, oracle.scan):
+        tracemalloc.start()
+        try:
+            snapshot = sweep(internet)
+            scans.append((snapshot, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+    return scans
+
+
+class TestSweepMatchesOracle:
+    """The chunked sweep against the per-/24, per-span loop it
+    replaced (``tests/oracle.py``)."""
+
+    def test_tiny(self, internet):
+        assert_same_snapshot(scan(internet), oracle.scan(internet))
+
+    def test_benchmark_scale_seed_2016(self, traced_bench_scans):
+        (sweep, _), (reference, _) = traced_bench_scans
+        assert_same_snapshot(sweep, reference)
+
+    def test_benchmark_scale_seed_4242(self):
+        internet = SimulatedInternet.from_config(
+            paper_scenario(scale=BENCH_SCALE, seed=4242)
+        )
+        assert_same_snapshot(scan(internet), oracle.scan(internet))
+
+    def test_peak_memory_near_oracle(self, traced_bench_scans):
+        (_, sweep_peak), (_, oracle_peak) = traced_bench_scans
+        assert sweep_peak <= oracle_peak + 8 * 2**20
+
+    def test_events_keys_and_renumber_count(self, tiny_config):
+        config = dataclasses.replace(
+            tiny_config, events=EventConfig.at_intensity(0.6)
+        )
+        internet = SimulatedInternet.from_config(config)
+        counters = internet.events.counters
+        start = counters["renumber"]
+        sweep = scan(internet)
+        swept = counters["renumber"] - start
+        reference = oracle.scan(internet)
+        assert swept > 0
+        assert counters["renumber"] - start == 2 * swept
+        assert_same_snapshot(sweep, reference)
+
+    def test_shuffled_subset_with_duplicates(self, internet):
+        rng = random.Random(3)
+        universe = list(internet.universe_slash24s)
+        subset = rng.sample(universe, 60) + rng.sample(universe, 20)
+        rng.shuffle(subset)
+        assert len(set(subset)) < len(subset)
+        assert_same_snapshot(
+            scan(internet, slash24s=subset),
+            oracle.scan(internet, slash24s=subset),
+        )
+
+    def test_slash24s_no_allocation_covers(self, internet):
+        uncovered = [Prefix(0xC6000000, 24), Prefix(0xCB007100, 24)]
+        for slash24 in uncovered:
+            assert not internet.allocations.allocations_within(slash24)
+        mixed = (
+            uncovered[:1] + list(internet.universe_slash24s[:6])
+            + uncovered[1:]
+        )
+        sweep = scan(internet, slash24s=mixed)
+        assert_same_snapshot(sweep, oracle.scan(internet, slash24s=mixed))
+        assert not set(sweep.active_by_slash24) & {
+            slash24.network for slash24 in uncovered
+        }
+        assert scan(internet, slash24s=uncovered).active_by_slash24 == {}
+
+    def test_longer_than_one_chunk(self, internet, monkeypatch):
+        universe = list(internet.universe_slash24s)
+        per_chunk = internet_module.SWEEP_CHUNK_ADDRESSES // 256
+        assert len(universe) > per_chunk
+        assert_same_snapshot(
+            scan(internet, slash24s=universe),
+            oracle.scan(internet, slash24s=universe),
+        )
+        # Chunks of three /24s put a boundary nearly everywhere.
+        monkeypatch.setattr(internet_module, "SWEEP_CHUNK_ADDRESSES", 768)
+        assert_same_snapshot(scan(internet), oracle.scan(internet))
+
+    def test_overlapping_spans_sorted(self, internet):
+        """A /26 of another pod nested in an allocated /24: both spans
+        are hashed, and the /24's list is sorted like the oracle's."""
+        whole = next(
+            allocation for allocation in internet.allocations
+            if allocation.prefix.length == 24
+        )
+        other = next(
+            pod for pod in internet.pods if pod.pod_id != whole.pod.pod_id
+        )
+        internet.allocations.add(
+            Allocation(
+                Prefix(whole.prefix.network + 64, 26), other,
+                "nested", "nowhere", "00000", "20160101",
+            )
+        )
+        slash24s = [whole.prefix] + list(internet.universe_slash24s[:4])
+        sweep = scan(internet, slash24s=slash24s)
+        assert_same_snapshot(sweep, oracle.scan(internet, slash24s=slash24s))
+        active = sweep.active_by_slash24[whole.prefix.network]
+        assert active == sorted(active)
+        assert internet.active_addresses_in_slash24(
+            whole.prefix, sweep.epoch
+        ) == active
 
 
 class TestPing:

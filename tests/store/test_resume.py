@@ -2,14 +2,22 @@
 store must be bit-identical to an uninterrupted run — measurements,
 insertion order, and probe accounting — serially and in parallel."""
 
+import math
+import multiprocessing
+import os
+import signal
+
 import pytest
 
 from repro.core import TerminationPolicy, run_campaign
+from repro.net import Prefix
 from repro.netsim import SimulatedInternet, tiny_scenario
 from repro.probing import scan
 from repro.probing.session import ProbeBudgetExceeded
 from repro.store import MeasurementStore
-from repro.store.codec import HEADER_SIZE
+from repro.store import campaign as campaign_module
+from repro.store import segment as segmod
+from repro.store.codec import HEADER_SIZE, decode_slash24_record
 
 SEED = 5
 MAX_DESTINATIONS = 48
@@ -62,8 +70,10 @@ class CrashInjected(RuntimeError):
 
 
 class FlakyStore:
-    """Store wrapper whose ``put`` dies after a budget of checkpoints —
-    the injected fault simulating a run killed mid-campaign."""
+    """Store wrapper whose writes die after a budget of checkpoints —
+    the injected fault simulating a run killed mid-campaign. A group
+    commit stores its documents one by one against the same budget, so
+    it dies partway through."""
 
     def __init__(self, store, puts_allowed):
         self.store = store
@@ -77,6 +87,10 @@ class FlakyStore:
             raise CrashInjected("injected crash during checkpoint")
         self.puts_left -= 1
         self.store.put(document)
+
+    def put_many(self, documents):
+        for document in documents:
+            self.put(document)
 
 
 class TestColdAndWarm:
@@ -254,3 +268,134 @@ class TestBudgetInteraction:
             )
         assert_bit_identical(result, warm_internet, baseline)
         assert warm_internet.probe_count == 0
+
+
+def _serial_campaign_killed_mid_commit(root, prefixes, commit_every, kill_at):
+    """Child-process body: a serial campaign over a one-shard store that
+    SIGKILLs itself halfway through the ``write`` of its ``kill_at``-th
+    group commit (of ``commit_every`` /24s each)."""
+    campaign_module.COMMIT_EVERY = commit_every
+    real_append = segmod.append
+    appends = []
+
+    def tearing_append(handle, frames, fsync=True):
+        appends.append(len(frames))
+        if len(appends) == kill_at:
+            handle.write(frames[: len(frames) // 2])
+            handle.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_append(handle, frames, fsync=fsync)
+
+    segmod.append = tearing_append
+    internet, snapshot = _fresh_internet()
+    with MeasurementStore(root, shards=1) as store:
+        _run(internet, snapshot, [Prefix.parse(p) for p in prefixes],
+             store=store)
+
+
+def _segment(root):
+    return root / "segments" / "shard-00.seg"
+
+
+class TestGroupCommits:
+    def test_sigkill_mid_commit_write_resumes_bit_identical(
+        self, selection, baseline, tmp_path
+    ):
+        # The uninterrupted run's segment: the byte stream every commit
+        # grouping must reproduce, and its frame boundaries.
+        internet, snapshot = _fresh_internet()
+        with MeasurementStore(tmp_path / "whole", shards=1) as store:
+            _run(internet, snapshot, selection, store=store)
+        whole = _segment(tmp_path / "whole").read_bytes()
+        boundaries = [
+            offset for offset, _ in segmod.scan(
+                str(_segment(tmp_path / "whole"))
+            ).records
+        ] + [len(whole)]
+
+        context = multiprocessing.get_context(
+            "fork"
+            if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
+        child = context.Process(
+            target=_serial_campaign_killed_mid_commit,
+            args=(
+                str(tmp_path / "s"), [str(p) for p in selection], 4, 3,
+            ),
+        )
+        child.start()
+        child.join(timeout=120)
+        assert not child.is_alive()
+        assert child.exitcode == -signal.SIGKILL
+        torn = _segment(tmp_path / "s").read_bytes()
+        # Two whole commits of four /24s, then half of the third.
+        third_start, third_end = boundaries[8], boundaries[12]
+        assert len(torn) == third_start + (third_end - third_start) // 2
+        assert torn == whole[: len(torn)]
+        assert len(torn) not in boundaries  # the tail is mid-frame
+        kept = max(offset for offset in boundaries if offset <= len(torn))
+
+        resumed_internet, resumed_snapshot = _fresh_internet()
+        with MeasurementStore(tmp_path / "s") as store:
+            # Reopening trims the torn tail and keeps every complete
+            # frame before it.
+            assert _segment(tmp_path / "s").read_bytes() == whole[:kept]
+            assert len(store) == boundaries.index(kept) >= 8
+            result = _run(
+                resumed_internet, resumed_snapshot, selection, store=store,
+            )
+        assert_bit_identical(result, resumed_internet, baseline)
+        assert 0 < resumed_internet.probe_count < baseline[1]
+        assert _segment(tmp_path / "s").read_bytes() == whole
+
+    def test_budget_exhausted_mid_campaign_commits_measured(
+        self, selection, tmp_path
+    ):
+        internet, snapshot = _fresh_internet()
+        with MeasurementStore(tmp_path / "whole") as whole:
+            _run(internet, snapshot, selection, store=whole)
+            records = {
+                decode_slash24_record(document)[0].slash24: document
+                for document in whole.documents()
+            }
+        costs = [
+            decode_slash24_record(records[slash24])[1].sent
+            for slash24 in selection
+        ]
+        measured = len(selection) // 2
+        # Enough for the first half; one probe short of the next /24.
+        budget = sum(costs[: measured + 1]) - 1
+        budget_internet, budget_snapshot = _fresh_internet()
+        with MeasurementStore(tmp_path / "s") as store:
+            with pytest.raises(ProbeBudgetExceeded):
+                _run(
+                    budget_internet, budget_snapshot, selection,
+                    store=store, max_probes=budget,
+                )
+        with MeasurementStore(tmp_path / "s") as store:
+            assert {key: store.get(key) for key in store.keys()} == {
+                records[slash24]["key"]: records[slash24]
+                for slash24 in selection[:measured]
+            }
+
+    def test_one_fsync_per_commit_on_one_shard_store(
+        self, tmp_path, monkeypatch
+    ):
+        internet, snapshot = _fresh_internet()
+        slash24s = snapshot.eligible_slash24s()
+        assert len(slash24s) > campaign_module.COMMIT_EVERY
+        fsynced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsynced.append(fd)
+            real_fsync(fd)
+
+        with MeasurementStore(tmp_path / "s", shards=1) as store:
+            monkeypatch.setattr(segmod.os, "fsync", counting_fsync)
+            _run(internet, snapshot, slash24s, store=store)
+            assert len(store) == len(slash24s)
+        assert len(fsynced) == math.ceil(
+            len(slash24s) / campaign_module.COMMIT_EVERY
+        )

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 
 from repro.store import MeasurementStore, StoreError
+from repro.store import segment as segmod
 from repro.store.codec import HEADER_SIZE, frame_record
 from repro.store.fingerprint import active_list_fingerprint, digest
 from repro.store.store import FORMAT_VERSION
@@ -149,6 +151,58 @@ class TestVerifyAndGc:
             assert store.get("k1") == doc("k1", 1)
             assert store.get("k2") is None
             assert store.verify().clean  # tail was trimmed on open
+
+
+def _segment_bytes(root):
+    return {
+        path.name: path.read_bytes()
+        for path in sorted((root / "segments").iterdir())
+    }
+
+
+class TestGroupCommit:
+    #: Keys over several shards, one of them written twice.
+    DOCUMENTS = [
+        doc(f"{index * 0x9E3779B1 & 0xFFFFFFFF:08x}", index)
+        for index in range(40)
+    ] + [doc(f"{7 * 0x9E3779B1 & 0xFFFFFFFF:08x}", "again")]
+
+    def test_put_many_equals_one_put_per_record(self, tmp_path):
+        with MeasurementStore(tmp_path / "one") as one:
+            for document in self.DOCUMENTS:
+                one.put(document)
+        with MeasurementStore(tmp_path / "many") as many:
+            many.put_many(self.DOCUMENTS[:25])
+            many.put_many(self.DOCUMENTS[25:])
+        assert _segment_bytes(tmp_path / "many") == _segment_bytes(
+            tmp_path / "one"
+        )
+        assert many._index == one._index
+        assert list(many.keys()) == list(one.keys())
+        assert many.appended == one.appended == {"artifact": 41}
+        assert many.superseded == one.superseded == 1
+        with MeasurementStore(tmp_path / "many") as reopened:
+            assert reopened._index == one._index
+
+    def test_one_fsync_per_touched_shard(self, tmp_path, monkeypatch):
+        fsynced = []
+        real_fsync = os.fsync
+        documents = self.DOCUMENTS[:8] + self.DOCUMENTS[-1:]
+        with MeasurementStore(tmp_path / "s") as store:
+            shards = {
+                store._shard_of(document["key"]) for document in documents
+            }
+            assert 1 < len(shards) < len(documents)
+
+            def counting_fsync(fd):
+                fsynced.append(fd)
+                real_fsync(fd)
+
+            monkeypatch.setattr(segmod.os, "fsync", counting_fsync)
+            store.put_many(documents)
+            assert len(fsynced) == len(shards)
+            store.put_many([])
+            assert len(fsynced) == len(shards)
 
 
 class TestInfo:
