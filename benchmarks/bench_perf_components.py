@@ -12,7 +12,6 @@ from repro.core.grouping import group_by_lasthop
 from repro.core.hierarchy import groups_hierarchical
 from repro.probing import (
     Prober,
-    enumerate_hops,
     enumerate_paths,
     identify_lasthops,
     scan,
@@ -70,15 +69,6 @@ def bench_identify_lasthops(benchmark, workspace):
     dst = snapshot.active_in(slash24)[0]
     prober = Prober(internet)
     benchmark(identify_lasthops, prober, dst)
-
-
-def bench_mda_per_hop(benchmark, workspace):
-    internet = workspace.internet
-    snapshot = workspace.snapshot
-    slash24 = snapshot.eligible_slash24s()[4]
-    dst = snapshot.active_in(slash24)[0]
-    prober = Prober(internet)
-    benchmark(enumerate_hops, prober, dst)
 
 
 def bench_mda_path_level(benchmark, workspace):

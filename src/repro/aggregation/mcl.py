@@ -52,9 +52,6 @@ class MclResult:
     def cluster_count(self) -> int:
         return len(self.clusters)
 
-    def non_singleton_clusters(self) -> List[List[int]]:
-        return [cluster for cluster in self.clusters if len(cluster) > 1]
-
 
 def mcl(
     adjacency: sparse.spmatrix,

@@ -29,7 +29,7 @@ from ..obs.metrics import current_metrics
 from ..obs.trace import span
 from ..probing.zmap import ActivitySnapshot
 from .graph import WeightedGraph
-from .identical import AggregatedBlock, size_histogram
+from .identical import AggregatedBlock
 from .mcl import DEFAULT_INFLATION
 from .reprobe import (
     DEFAULT_MAX_PAIRS,
@@ -75,12 +75,6 @@ class AggregationOutcome:
     reprobe_records: Dict[Prefix, tuple] = field(default_factory=dict)
 
     # -- summaries ---------------------------------------------------------
-
-    def identical_size_histogram(self) -> Dict[int, int]:
-        return size_histogram(self.identical_blocks)
-
-    def final_size_histogram(self) -> Dict[int, int]:
-        return size_histogram(self.final_blocks)
 
     @property
     def confirmed_cluster_count(self) -> int:

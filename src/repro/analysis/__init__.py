@@ -13,7 +13,6 @@ from .adjacency import (
 )
 from .cdf import (
     cdf_at,
-    cdf_table,
     empirical_cdf,
     fraction_above,
     histogram_fractions,
@@ -36,7 +35,6 @@ from .pathmetrics import (
     RouteSets,
     lasthop_cardinality,
     links_of_route,
-    links_of_route_sets,
     per_destination_lasthops,
     per_destination_route_values,
     subpath_cardinality,
@@ -47,7 +45,6 @@ from .rdns_patterns import (
     PatternMiningResult,
     check_negative_controls,
     distinct_pattern_count,
-    matches_signature,
     mine_block_patterns,
     signature_of,
     signature_regex,
@@ -98,7 +95,6 @@ __all__ = [
     "compare_campaigns",
     "compare_search_strategies",
     "cdf_at",
-    "cdf_table",
     "check_negative_controls",
     "compare_sampling",
     "contiguous_segment_sizes",
@@ -117,8 +113,6 @@ __all__ = [
     "lasthop_cardinality",
     "length_distribution",
     "links_of_route",
-    "links_of_route_sets",
-    "matches_signature",
     "mine_block_patterns",
     "per_destination_lasthops",
     "per_destination_route_values",

@@ -70,13 +70,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(np.percentile(_as_array(values, "percentile"), q))
 
 
-def cdf_table(
-    values: Sequence[float], points: Sequence[float]
-) -> List[Tuple[float, float]]:
-    """CDF sampled at chosen x points — how figures get tabulated."""
-    return [(float(x), cdf_at(values, x)) for x in points]
-
-
 def histogram_fractions(
     values: Sequence[int],
 ) -> List[Tuple[int, int, float]]:

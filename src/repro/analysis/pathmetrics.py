@@ -104,9 +104,3 @@ def links_of_route(route: Route) -> Set[Tuple[int, int]]:
             links.add((left, right))
     return links
 
-
-def links_of_route_sets(route_sets: RouteSets) -> Set[Tuple[int, int]]:
-    links: Set[Tuple[int, int]] = set()
-    for route in all_routes(route_sets):
-        links.update(links_of_route(route))
-    return links

@@ -40,10 +40,6 @@ def signature_regex(signature: str) -> "re.Pattern[str]":
     return re.compile(f"^{escaped}$")
 
 
-def matches_signature(signature: str, name: str) -> bool:
-    return signature_regex(signature).match(name) is not None
-
-
 @dataclass
 class PatternMiningResult:
     """Dominant rDNS patterns of a block."""

@@ -46,16 +46,6 @@ def total_links(dataset: TracerouteDataset) -> Set[Tuple[int, int]]:
     return links
 
 
-def links_of_destinations(
-    dataset: TracerouteDataset, destinations: Sequence[int]
-) -> Set[Tuple[int, int]]:
-    links: Set[Tuple[int, int]] = set()
-    for dst in destinations:
-        for route in dataset.get(dst, ()):  # type: ignore[arg-type]
-            links.update(links_of_route(route))
-    return links
-
-
 def discovery_curve(
     dataset: TracerouteDataset,
     groups: Sequence[Sequence[int]],

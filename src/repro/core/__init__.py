@@ -26,15 +26,12 @@ from .heterogeneity import (
 from .hierarchy import (
     find_non_hierarchical_pair,
     groups_hierarchical,
-    groups_non_hierarchical,
-    pairwise_relationships,
     ranges_hierarchical,
     ranges_non_hierarchical_batch,
 )
 from .pipeline import (
     CampaignResult,
     ParallelFallbackWarning,
-    default_policy,
     run_campaign,
     slash24_seed,
 )
@@ -71,18 +68,15 @@ __all__ = [
     "cardinality",
     "classify_observations",
     "composition_distribution",
-    "default_policy",
     "find_non_hierarchical_pair",
     "format_composition",
     "group_by_lasthop",
     "group_by_value",
     "group_ranges",
     "groups_hierarchical",
-    "groups_non_hierarchical",
     "measure_slash24",
     "meets_selection_criteria",
     "one_per_slash26",
-    "pairwise_relationships",
     "ranges_hierarchical",
     "ranges_non_hierarchical_batch",
     "round_robin_order",

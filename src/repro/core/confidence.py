@@ -152,21 +152,6 @@ class ConfidenceTable:
             self._required_cache[level] = cached
         return cached
 
-    def required_probes_vector(
-        self, level: float = DEFAULT_LEVEL
-    ) -> "np.ndarray":
-        """Dense ``required[cardinality]`` vector for batched
-        termination checks: entry ``c`` is the smallest probed count
-        reaching ``level`` for cardinality ``c``, or a sentinel larger
-        than any probe budget (2**31 - 1) where the table has no
-        answer. Index 0 is always the sentinel (no observations)."""
-        mapping = self.required_probes_map(level)
-        size = (max(mapping) + 1) if mapping else 1
-        vector = np.full(size, 2**31 - 1, dtype=np.int64)
-        for card, probed in mapping.items():
-            vector[card] = probed
-        return vector
-
     def cells(self) -> Dict[Tuple[int, int], ConfidenceCell]:
         return dict(self._cells)
 

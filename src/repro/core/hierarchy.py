@@ -77,29 +77,3 @@ def ranges_non_hierarchical_batch(
 def groups_hierarchical(groups: Mapping[Hashable, List[int]]) -> bool:
     """Hierarchy test straight from grouped addresses."""
     return ranges_hierarchical(group_ranges(groups))
-
-
-def groups_non_hierarchical(groups: Mapping[Hashable, List[int]]) -> bool:
-    """True when the grouping *proves* homogeneity (Section 2.3's
-    contrapositive): some pair of groups is non-hierarchical."""
-    return not groups_hierarchical(groups)
-
-
-def pairwise_relationships(
-    ranges: Sequence[AddressRange],
-) -> List[Tuple[AddressRange, AddressRange, str]]:
-    """Label every pair: "disjoint", "inclusive" or "non-hierarchical".
-
-    Quadratic — intended for analysis/debugging, not the hot path.
-    """
-    labels = []
-    for i, a in enumerate(ranges):
-        for b in ranges[i + 1:]:
-            if a.disjoint(b):
-                label = "disjoint"
-            elif a != b and (a.contains(b) or b.contains(a)):
-                label = "inclusive"
-            else:
-                label = "non-hierarchical"
-            labels.append((a, b, label))
-    return labels

@@ -47,7 +47,6 @@ from ..util.envknobs import (
 from ..util.hashing import mix, stable_string_hash
 from .classifier import Slash24Measurement, measure_slash24
 from .columnar import CampaignResult
-from .confidence import ConfidenceTable
 from .fastengine import FastPathUnsupported, fast_engine_for
 from .termination import ReprobePolicy, TerminationPolicy
 
@@ -467,10 +466,10 @@ def _run_shards_parallel(
     store_root = getattr(transport, "root", None)
     ephemeral_dir = None
     external_cache = None
-    if store_root is None or campaign is None:
-        # No real store attached (none, or a custom lookup/record
-        # object): coordinate through an ephemeral one. It outlives the
-        # campaign by microseconds, so skip fsync entirely.
+    if store_root is None:
+        # No on-disk store attached (none, or a store without a root
+        # directory): coordinate through an ephemeral one. It outlives
+        # the campaign by microseconds, so skip fsync entirely.
         external_cache = cache
         ephemeral_dir = tempfile.mkdtemp(prefix="repro-lease-")
         store_root = ephemeral_dir
@@ -665,18 +664,15 @@ def _bind_store(
     clock_base: float,
     max_destinations: Optional[int],
 ):
-    """Turn the ``store`` argument into a campaign-bound cache.
+    """Bind the ``store`` argument to this campaign as a
+    :class:`repro.store.campaign.CampaignCache`, or None without one.
 
-    Accepts a :class:`repro.store.MeasurementStore` (or anything with
-    its ``get``/``put_many`` surface), or an already-bound object
-    exposing ``lookup``/``record``/``commit``. Imported lazily so
-    :mod:`repro.core` never depends on :mod:`repro.store` at import
-    time.
+    Accepts a :class:`repro.store.MeasurementStore` or anything with its
+    ``get``/``put_many`` surface. Imported lazily so :mod:`repro.core`
+    never depends on :mod:`repro.store` at import time.
     """
     if store is None:
         return None
-    if hasattr(store, "lookup") and hasattr(store, "record"):
-        return store
     from ..store.campaign import CampaignCache
 
     return CampaignCache.bind(
@@ -703,9 +699,11 @@ def run_campaign(
     flat-array :class:`repro.core.columnar.CampaignResult`, filled row
     by row so million-/24 campaigns never hold per-/24 objects.
 
-    ``workers`` > 1 shards the /24 list across a process pool; the
-    merged result (measurements, their insertion order, and probe
-    accounting) is identical to the serial run with the same seed.
+    ``workers`` > 1 measures the /24s in worker processes that claim
+    lease batches from a ledger next to the store (see
+    :func:`_run_shards_parallel`); the merged result (measurements,
+    their insertion order, and probe accounting) is identical to the
+    serial run with the same seed.
     A campaign-wide ``max_probes`` budget requires serial accounting —
     when both are given, the campaign runs serially.
 
@@ -780,11 +778,7 @@ def _run_campaign_observed(
         store, internet, policy, seed, clock_base,
         max_destinations_per_slash24,
     )
-    cache_base = (
-        (cache.hits, cache.misses)
-        if cache is not None and hasattr(cache, "hits")
-        else None
-    )
+    cache_base = (cache.hits, cache.misses) if cache is not None else None
     cached: Dict[Prefix, Tuple[Slash24Measurement, ProbeStats]] = {}
     pending: List[Prefix] = []
     if cache is not None:
@@ -939,8 +933,3 @@ def _run_campaign_observed(
         nonce=mix(seed, _END_SALT),
     )
     return result
-
-
-def default_policy(confidence_table: ConfidenceTable) -> TerminationPolicy:
-    """The paper's original strategy with a built confidence table."""
-    return TerminationPolicy(confidence_table=confidence_table)

@@ -24,7 +24,7 @@ import dataclasses
 import os
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional
 
 from ..aggregation import AggregationOutcome, run_aggregation
 from ..core import (
@@ -292,6 +292,53 @@ class Workspace:
             ),
         )
 
+    def _probe_artifact(
+        self,
+        name: str,
+        label: str,
+        params: tuple,
+        build: Callable[[], Mapping],
+        key: str,
+        encode: Callable[[Mapping], dict],
+        decode: Callable[[dict], Dict],
+    ) -> Dict:
+        """A probe-heavy artifact: replayed from the store, or built.
+
+        The artifact is keyed by ``name``, ``params`` and the clock
+        position before the build. A miss builds it with ``build()`` in
+        the ``label`` probe context, puts it in canonical order and, in
+        persistent mode, stores ``encode(value)`` under ``key`` together
+        with ``clock_seconds_after``. A hit decodes the stored value
+        without sending a probe. Either way the ``<label>/end`` context
+        is then pinned at the clock the build left, so later phases see
+        the same world after a replay as after a build.
+        """
+        clock_start = self.internet.clock_seconds
+        params = params + (clock_start,)
+        cached = self._load_artifact(name, params)
+        if cached is not None:
+            value = decode(cached[key])
+            self._probe_context(
+                f"{label}/end", float(cached["clock_seconds_after"])
+            )
+            return value
+        self._probe_context(label, clock_start)
+        from ..store.codec import canonical_dataset_order
+
+        # Canonical order so downstream RNG-driven sampling sees the
+        # same iteration whether the value is fresh or restored.
+        value = canonical_dataset_order(build())
+        self._probe_context(f"{label}/end", self.internet.clock_seconds)
+        if self.store is not None:
+            self._save_artifact(
+                name, params,
+                {
+                    key: encode(value),
+                    "clock_seconds_after": self.internet.clock_seconds,
+                },
+            )
+        return value
+
     def eligible_slash24s(self) -> List[Prefix]:
         return self.snapshot.eligible_slash24s()
 
@@ -336,62 +383,41 @@ class Workspace:
         it (and the clock position it left) without sending a probe.
         """
         if self._confidence_dataset is None:
-            clock_start = self.internet.clock_seconds
-            params = (self.profile.confidence_sample_slash24s, clock_start)
-            cached = self._load_artifact("confidence-dataset", params)
-            if cached is not None:
-                from ..store import observation_map_from_dict
-
-                self._confidence_dataset = observation_map_from_dict(
-                    cached["dataset"]
-                )
-                self._probe_context(
-                    "workspace/confidence-dataset/end",
-                    float(cached["clock_seconds_after"]),
-                )
-                return self._confidence_dataset
-            self._probe_context("workspace/confidence-dataset", clock_start)
-            rng = random.Random(self.internet.config.seed ^ 0xC0FFEE)
-            truth = self.internet.ground_truth
-            candidates = [
-                p for p in self.eligible_slash24s() if truth.is_homogeneous(p)
-            ]
-            # Stride the candidate list so the training sample spans
-            # organizations (and hence cardinalities) rather than
-            # whatever /8 happens to sort first.
-            budget = self.profile.confidence_sample_slash24s
-            stride = max(1, len(candidates) // max(budget, 1))
-            sample = candidates[::stride][:budget]
-            prober = Prober(self.internet)
-            dataset: Dict[Prefix, Dict[int, FrozenSet[int]]] = {}
-            policy = ExhaustivePolicy()
-            for slash24 in sample:
-                measurement = measure_slash24(
-                    prober, slash24, self.snapshot.active_in(slash24),
-                    policy, rng,
-                )
-                if len(measurement.observations) >= 4:
-                    dataset[slash24] = dict(measurement.observations)
-            # Canonical order so downstream RNG-driven sampling sees the
-            # same iteration whether the dataset is fresh or restored.
-            from ..store.codec import canonical_dataset_order
-
-            dataset = canonical_dataset_order(dataset)
-            self._confidence_dataset = dataset
-            self._probe_context(
-                "workspace/confidence-dataset/end",
-                self.internet.clock_seconds,
+            from ..store import (
+                observation_map_from_dict,
+                observation_map_to_dict,
             )
-            if self.store is not None:
-                from ..store import observation_map_to_dict
 
-                self._save_artifact(
-                    "confidence-dataset", params,
-                    {
-                        "dataset": observation_map_to_dict(dataset),
-                        "clock_seconds_after": self.internet.clock_seconds,
-                    },
-                )
+            def build() -> Dict[Prefix, Dict[int, FrozenSet[int]]]:
+                rng = random.Random(self.internet.config.seed ^ 0xC0FFEE)
+                truth = self.internet.ground_truth
+                candidates = [
+                    p for p in self.eligible_slash24s()
+                    if truth.is_homogeneous(p)
+                ]
+                # Stride the candidate list so the training sample spans
+                # organizations (and hence cardinalities) rather than
+                # whatever /8 happens to sort first.
+                budget = self.profile.confidence_sample_slash24s
+                stride = max(1, len(candidates) // max(budget, 1))
+                sample = candidates[::stride][:budget]
+                prober = Prober(self.internet)
+                dataset: Dict[Prefix, Dict[int, FrozenSet[int]]] = {}
+                policy = ExhaustivePolicy()
+                for slash24 in sample:
+                    measurement = measure_slash24(
+                        prober, slash24, self.snapshot.active_in(slash24),
+                        policy, rng,
+                    )
+                    if len(measurement.observations) >= 4:
+                        dataset[slash24] = dict(measurement.observations)
+                return dataset
+
+            self._confidence_dataset = self._probe_artifact(
+                "confidence-dataset", "workspace/confidence-dataset",
+                (self.profile.confidence_sample_slash24s,), build,
+                "dataset", observation_map_to_dict, observation_map_from_dict,
+            )
         return self._confidence_dataset
 
     @property
@@ -491,79 +517,65 @@ class Workspace:
         Bracketed and cached exactly like :attr:`confidence_dataset`.
         """
         if self._path_dataset is None:
-            clock_start = self.internet.clock_seconds
-            params = (
-                self.profile.path_dataset_slash24s,
-                self.profile.path_dataset_max_addresses,
-                clock_start,
-            )
-            cached = self._load_artifact("path-dataset", params)
-            if cached is not None:
-                from ..store import route_dataset_from_dict
+            from ..store import route_dataset_from_dict, route_dataset_to_dict
 
-                self._path_dataset = route_dataset_from_dict(
-                    cached["dataset"]
+            def build() -> Dict[Prefix, Dict[int, FrozenSet[Route]]]:
+                truth = self.internet.ground_truth
+                eligible = set(self.eligible_slash24s())
+                candidates = [p for p in eligible if truth.is_homogeneous(p)]
+                budget = self.profile.path_dataset_slash24s
+                # Include whole multi-/24 blocks (the paper's dataset
+                # covers complete homogeneous blocks — that is what makes
+                # per-block destination selection pay off in Figure 11)
+                # ...
+                sample: list = []
+                chosen: set = set()
+                blocks = sorted(
+                    truth.true_blocks(), key=lambda b: -b.size
                 )
-                self._probe_context(
-                    "workspace/path-dataset/end",
-                    float(cached["clock_seconds_after"]),
+                for block in blocks:
+                    if len(sample) >= budget // 2:
+                        break
+                    if block.size < 3:
+                        break
+                    members = [
+                        p for p in block.slash24s if p in eligible
+                    ][:12]
+                    if len(members) >= 3:
+                        sample.extend(members)
+                        chosen.update(members)
+                # ... then fill with /24s spread across the universe.
+                remainder = [p for p in candidates if p not in chosen]
+                stride = max(
+                    1, len(remainder) // max(budget - len(sample), 1)
                 )
-                return self._path_dataset
-            self._probe_context("workspace/path-dataset", clock_start)
-            truth = self.internet.ground_truth
-            eligible = set(self.eligible_slash24s())
-            candidates = [p for p in eligible if truth.is_homogeneous(p)]
-            budget = self.profile.path_dataset_slash24s
-            # Include whole multi-/24 blocks (the paper's dataset covers
-            # complete homogeneous blocks — that is what makes per-block
-            # destination selection pay off in Figure 11) ...
-            sample: list = []
-            chosen: set = set()
-            blocks = sorted(
-                truth.true_blocks(), key=lambda b: -b.size
-            )
-            for block in blocks:
-                if len(sample) >= budget // 2:
-                    break
-                if block.size < 3:
-                    break
-                members = [p for p in block.slash24s if p in eligible][:12]
-                if len(members) >= 3:
-                    sample.extend(members)
-                    chosen.update(members)
-            # ... then fill with /24s spread across the universe.
-            remainder = [p for p in candidates if p not in chosen]
-            stride = max(1, len(remainder) // max(budget - len(sample), 1))
-            sample.extend(remainder[::stride][: budget - len(sample)])
-            prober = Prober(self.internet)
-            dataset: Dict[Prefix, Dict[int, FrozenSet[Route]]] = {}
-            for slash24 in sample:
-                actives = self.snapshot.active_in(slash24)
-                actives = actives[: self.profile.path_dataset_max_addresses]
-                per_dst: Dict[int, FrozenSet[Route]] = {}
-                for dst in actives:
-                    mp = enumerate_paths(prober, dst, flow_seed=dst & 0xFFFF)
-                    if mp.reached and mp.routes:
-                        per_dst[dst] = frozenset(mp.routes)
-                if len(per_dst) >= 4:
-                    dataset[slash24] = per_dst
-            from ..store.codec import canonical_dataset_order
+                sample.extend(remainder[::stride][: budget - len(sample)])
+                prober = Prober(self.internet)
+                dataset: Dict[Prefix, Dict[int, FrozenSet[Route]]] = {}
+                for slash24 in sample:
+                    actives = self.snapshot.active_in(slash24)[
+                        : self.profile.path_dataset_max_addresses
+                    ]
+                    per_dst: Dict[int, FrozenSet[Route]] = {}
+                    for dst in actives:
+                        mp = enumerate_paths(
+                            prober, dst, flow_seed=dst & 0xFFFF
+                        )
+                        if mp.reached and mp.routes:
+                            per_dst[dst] = frozenset(mp.routes)
+                    if len(per_dst) >= 4:
+                        dataset[slash24] = per_dst
+                return dataset
 
-            dataset = canonical_dataset_order(dataset)
-            self._path_dataset = dataset
-            self._probe_context(
-                "workspace/path-dataset/end", self.internet.clock_seconds
+            self._path_dataset = self._probe_artifact(
+                "path-dataset", "workspace/path-dataset",
+                (
+                    self.profile.path_dataset_slash24s,
+                    self.profile.path_dataset_max_addresses,
+                ),
+                build,
+                "dataset", route_dataset_to_dict, route_dataset_from_dict,
             )
-            if self.store is not None:
-                from ..store import route_dataset_to_dict
-
-                self._save_artifact(
-                    "path-dataset", params,
-                    {
-                        "dataset": route_dataset_to_dict(dataset),
-                        "clock_seconds_after": self.internet.clock_seconds,
-                    },
-                )
         return self._path_dataset
 
     # -- strict heterogeneity (Section 4.2) -----------------------------------
@@ -579,62 +591,44 @@ class Workspace:
         sub-block analysis itself is pure CPU, so a warm workspace
         rebuilds identical analyses with zero probes."""
         if self._strict_het is None:
-            import random as _random
-
             from ..core.classifier import Category
+            from ..store import (
+                observation_map_from_dict,
+                observation_map_to_dict,
+            )
 
+            # The campaign is built (advancing the clock) before the
+            # artifact's clock position is read.
             hierarchical = self.campaign.by_category(Category.HIERARCHICAL)
-            clock_start = self.internet.clock_seconds
-            params = (self.profile.campaign_max_destinations, clock_start)
-            cached = self._load_artifact("strict-het-observations", params)
-            if cached is not None:
-                from ..store import observation_map_from_dict
 
-                observed = observation_map_from_dict(cached["observations"])
-                self._strict_het = {
-                    slash24: analyze_sub_blocks(observations)
-                    for slash24, observations in observed.items()
-                }
-                self._probe_context(
-                    "workspace/strict-het/end",
-                    float(cached["clock_seconds_after"]),
-                )
-                return self._strict_het
-            self._probe_context("workspace/strict-het", clock_start)
-            from ..store.codec import canonical_dataset_order
+            def build() -> Dict[Prefix, Dict[int, FrozenSet[int]]]:
+                prober = Prober(self.internet)
+                rng = random.Random(self.internet.config.seed ^ 0x5E7)
+                observed: Dict[Prefix, Dict[int, FrozenSet[int]]] = {}
+                for measurement in hierarchical:
+                    slash24 = measurement.slash24
+                    full = measure_slash24(
+                        prober, slash24, self.snapshot.active_in(slash24),
+                        ExhaustivePolicy(), rng,
+                        max_destinations=(
+                            self.profile.campaign_max_destinations
+                        ),
+                    )
+                    observed[slash24] = dict(
+                        full.observations or measurement.observations
+                    )
+                return observed
 
-            prober = Prober(self.internet)
-            rng = _random.Random(self.internet.config.seed ^ 0x5E7)
-            observed: Dict[Prefix, Dict[int, FrozenSet[int]]] = {}
-            for measurement in hierarchical:
-                slash24 = measurement.slash24
-                full = measure_slash24(
-                    prober, slash24, self.snapshot.active_in(slash24),
-                    ExhaustivePolicy(), rng,
-                    max_destinations=self.profile.campaign_max_destinations,
-                )
-                observed[slash24] = dict(
-                    full.observations or measurement.observations
-                )
-            observed = canonical_dataset_order(observed)
-            analyses = {
+            observed = self._probe_artifact(
+                "strict-het-observations", "workspace/strict-het",
+                (self.profile.campaign_max_destinations,), build,
+                "observations",
+                observation_map_to_dict, observation_map_from_dict,
+            )
+            self._strict_het = {
                 slash24: analyze_sub_blocks(observations)
                 for slash24, observations in observed.items()
             }
-            self._probe_context(
-                "workspace/strict-het/end", self.internet.clock_seconds
-            )
-            if self.store is not None:
-                from ..store import observation_map_to_dict
-
-                self._save_artifact(
-                    "strict-het-observations", params,
-                    {
-                        "observations": observation_map_to_dict(observed),
-                        "clock_seconds_after": self.internet.clock_seconds,
-                    },
-                )
-            self._strict_het = analyses
         return self._strict_het
 
     def strictly_heterogeneous_slash24s(self) -> List[Prefix]:

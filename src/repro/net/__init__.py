@@ -1,4 +1,5 @@
-"""Address-level primitives: addresses, prefixes, tries and block sets."""
+"""Address-level primitives: addresses, prefixes, a prefix trie and
+CIDR helpers over lists of /24s."""
 
 from .addr import (
     ADDRESS_BITS,
@@ -7,7 +8,6 @@ from .addr import (
     AddressError,
     common_prefix_length,
     format_address,
-    from_octets,
     hostmask,
     netmask,
     network_of,
@@ -15,10 +15,8 @@ from .addr import (
     parse,
     slash24_of,
     slash26_of,
-    slash31_of,
 )
 from .blockset import (
-    BlockSet,
     adjacency_lcp_lengths,
     contiguous_runs,
     extremes_lcp_length,
@@ -29,12 +27,9 @@ from .prefix import (
     AddressRange,
     Prefix,
     enclosing_prefix,
-    lcp_length_between_slash24s,
-    longest_common_prefix,
     to_prefixes,
 )
 from .trie import PrefixTrie
-from . import v6
 
 __all__ = [
     "ADDRESS_BITS",
@@ -42,7 +37,6 @@ __all__ = [
     "MAX_ADDRESS",
     "AddressError",
     "AddressRange",
-    "BlockSet",
     "Prefix",
     "PrefixTrie",
     "adjacency_lcp_lengths",
@@ -51,10 +45,7 @@ __all__ = [
     "enclosing_prefix",
     "extremes_lcp_length",
     "format_address",
-    "from_octets",
     "hostmask",
-    "lcp_length_between_slash24s",
-    "longest_common_prefix",
     "netmask",
     "network_of",
     "normalize",
@@ -62,8 +53,6 @@ __all__ = [
     "parse",
     "slash24_of",
     "slash26_of",
-    "slash31_of",
     "to_prefixes",
-    "v6",
     "visualization_coordinates",
 ]

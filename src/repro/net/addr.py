@@ -9,7 +9,7 @@ representation.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 ADDRESS_BITS = 32
 ADDRESS_SPACE_SIZE = 1 << ADDRESS_BITS
@@ -70,14 +70,6 @@ def octets(addr: int) -> tuple[int, int, int, int]:
     )
 
 
-def from_octets(a: int, b: int, c: int, d: int) -> int:
-    """Build an address from four octets."""
-    for octet in (a, b, c, d):
-        if not 0 <= octet <= 255:
-            raise AddressError(f"octet {octet} out of range")
-    return (a << 24) | (b << 16) | (c << 8) | d
-
-
 def netmask(prefix_len: int) -> int:
     """Return the netmask for a prefix length as an int.
 
@@ -114,12 +106,6 @@ def slash26_of(addr: int) -> int:
     return addr & 0xFFFFFFC0
 
 
-def slash31_of(addr: int) -> int:
-    """Return the /31 network address containing ``addr``."""
-    check_address(addr)
-    return addr & 0xFFFFFFFE
-
-
 def common_prefix_length(a: int, b: int) -> int:
     """Length of the longest common prefix of two addresses (0..32).
 
@@ -132,20 +118,6 @@ def common_prefix_length(a: int, b: int) -> int:
     if diff == 0:
         return ADDRESS_BITS
     return ADDRESS_BITS - diff.bit_length()
-
-
-def address_range(first: int, last: int) -> Iterator[int]:
-    """Iterate addresses from ``first`` to ``last`` inclusive."""
-    check_address(first)
-    check_address(last)
-    if last < first:
-        raise AddressError("range end precedes start")
-    return iter(range(first, last + 1))
-
-
-def sort_key(addr: int) -> int:
-    """Numeric sort key for addresses (identity; documents intent)."""
-    return check_address(addr)
 
 
 def summarize_bounds(addrs: Iterable[int]) -> tuple[int, int]:

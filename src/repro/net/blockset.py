@@ -1,13 +1,11 @@
-"""Collections of prefixes: CIDR aggregation and coverage queries.
-
-Used by the aggregation pipeline to turn lists of /24s into minimal CIDR
-representations, and by the allocation generator to track which parts of
-the address space are already assigned.
+"""Helpers over lists of prefixes: minimal CIDR normalisation, and the
+adjacency metrics that the Figure 7 and 8 analyses compute over the /24s
+of a block (:mod:`repro.analysis.adjacency`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .addr import common_prefix_length
 from .prefix import Prefix, to_prefixes
@@ -101,42 +99,3 @@ def visualization_coordinates(slash24s: Sequence[Prefix]) -> List[float]:
             lcp = min(common_prefix_length(ordered[i - 1].network, p.network), 23)
             coords.append(coords[-1] + (24 - lcp))
     return coords
-
-
-class BlockSet:
-    """A mutable set of prefixes supporting coverage tests and iteration.
-
-    Membership is by coverage: an address is "in" the set if any member
-    prefix contains it. Prefix members may overlap; :meth:`normalized`
-    returns the minimal equivalent.
-    """
-
-    def __init__(self, prefixes: Iterable[Prefix] = ()) -> None:
-        self._prefixes: List[Prefix] = list(prefixes)
-
-    def add(self, prefix: Prefix) -> None:
-        self._prefixes.append(prefix)
-
-    def __len__(self) -> int:
-        return len(self._prefixes)
-
-    def __iter__(self) -> Iterator[Prefix]:
-        return iter(self._prefixes)
-
-    def covers_address(self, addr: int) -> bool:
-        return any(p.contains_address(addr) for p in self._prefixes)
-
-    def covers_prefix(self, prefix: Prefix) -> bool:
-        """True if a single member contains ``prefix`` entirely."""
-        return any(p.contains_prefix(prefix) for p in self._prefixes)
-
-    def overlaps_prefix(self, prefix: Prefix) -> bool:
-        """True if any member shares any address with ``prefix``."""
-        return any(p.overlaps(prefix) for p in self._prefixes)
-
-    def normalized(self) -> List[Prefix]:
-        return normalize(self._prefixes)
-
-    def total_addresses(self) -> int:
-        """Number of distinct addresses covered."""
-        return sum(last - first + 1 for first, last in merged_spans(self._prefixes))

@@ -139,34 +139,6 @@ class Prefix:
             raise AddressError(f"/{self.length} is narrower than /24")
         return self.subnets(24)
 
-    def random_address(self, rng) -> int:
-        """Pick a uniform random address within the prefix.
-
-        ``rng`` is a ``random.Random`` or ``numpy.random.Generator``
-        exposing ``randrange``/``integers``.
-        """
-        if hasattr(rng, "randrange"):
-            return self.first + rng.randrange(self.size)
-        return int(self.first + rng.integers(self.size))
-
-
-def longest_common_prefix(a: Prefix, b: Prefix) -> Prefix:
-    """The longest prefix containing both ``a`` and ``b``."""
-    max_len = min(a.length, b.length)
-    common = min(addrmod.common_prefix_length(a.network, b.network), max_len)
-    return Prefix.of(a.network, common)
-
-
-def lcp_length_between_slash24s(a: Prefix, b: Prefix) -> int:
-    """Longest common prefix length between two /24 networks (0..23 or 24).
-
-    The paper's adjacency analysis (Section 5.3) computes this over /24
-    pairs; adjacent /24s have length 23, identical /24s 24.
-    """
-    if a.length != 24 or b.length != 24:
-        raise AddressError("adjacency analysis expects /24 prefixes")
-    return min(addrmod.common_prefix_length(a.network, b.network), 24)
-
 
 def enclosing_prefix(addresses: Sequence[int]) -> Prefix:
     """The longest prefix whose network covers every address given.

@@ -61,31 +61,6 @@ class PrefixTrie(Generic[V]):
         node.value = value
         node.has_value = True
 
-    def remove(self, prefix: Prefix) -> bool:
-        """Remove an exact prefix; return True if it was present."""
-        path: List[Tuple[_Node[V], int]] = []
-        node = self._root
-        for bit in _bits(prefix):
-            child = node.children[bit]
-            if child is None:
-                return False
-            path.append((node, bit))
-            node = child
-        if not node.has_value:
-            return False
-        node.has_value = False
-        node.value = None
-        self._size -= 1
-        # Prune now-empty branches.
-        for parent, bit in reversed(path):
-            child = parent.children[bit]
-            if child is None:
-                break
-            if child.has_value or any(child.children):
-                break
-            parent.children[bit] = None
-        return True
-
     # -- queries ---------------------------------------------------------
 
     def get(self, prefix: Prefix, default=None):
@@ -132,12 +107,6 @@ class PrefixTrie(Generic[V]):
             if node is None:
                 return
         yield from self._walk(node, prefix.network, prefix.length)
-
-    def has_descendant(self, prefix: Prefix) -> bool:
-        """True if any stored prefix is at or below ``prefix``."""
-        for _ in self.subtree(prefix):
-            return True
-        return False
 
     def ancestors(self, prefix: Prefix) -> Iterator[Tuple[Prefix, V]]:
         """Stored prefixes strictly containing ``prefix``, shortest first."""

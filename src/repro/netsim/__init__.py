@@ -28,7 +28,7 @@ from .internet import SimulatedInternet
 from .orgs import Organization, OrgRegistry, OrgType
 from .routing import Fib, Forwarder, ForwardingError, RouteEntry
 from .topology import Router, RouterRole, Topology
-from .whois import WhoisRecord, WhoisService, render_krnic_response
+from .whois import WhoisRecord, WhoisService
 
 __all__ = [
     "Allocation",
@@ -67,7 +67,6 @@ __all__ = [
     "infer_default_ttl",
     "infer_hop_count",
     "paper_scenario",
-    "render_krnic_response",
     "small_scenario",
     "tiny_scenario",
 ]

@@ -747,32 +747,6 @@ class SimulatedInternet:
 
     # -- diagnostics ----------------------------------------------------------
 
-    def fold_stats_into(self, registry, prefix: str = "internet") -> None:
-        """Record :meth:`stats` into a metrics registry (see
-        :mod:`repro.obs.metrics`): monotonic counts become counters,
-        rates and sizes become gauges, probe time becomes a timer.
-        Called at reporting points (manifests, benches), never on the
-        probe hot path."""
-        registry.count(f"{prefix}.probe_count", self.probe_count)
-        registry.count(f"{prefix}.probe_batches", self.probe_batches)
-        registry.count(f"{prefix}.batched_probes", self.batched_probes)
-        registry.add_seconds(
-            f"{prefix}.probe_seconds", self.probe_seconds, calls=0
-        )
-        forwarder = self.forwarder.cache_stats()
-        registry.count(f"{prefix}.forwarder_cache_hits", forwarder["hits"])
-        registry.count(
-            f"{prefix}.forwarder_cache_misses", forwarder["misses"]
-        )
-        registry.gauge(
-            f"{prefix}.forwarder_cache_hit_rate", forwarder["hit_rate"]
-        )
-        registry.gauge(f"{prefix}.forwarder_cache", self.forwarder.cache_size)
-        registry.gauge(f"{prefix}.clock_seconds", self.clock_seconds)
-        if self.events is not None:
-            for name, value in sorted(self.events.counters.items()):
-                registry.count(f"events.{name}", value)
-
     def stats(self) -> Dict[str, float]:
         forwarder = self.forwarder.cache_stats()
         if self.events is not None:

@@ -130,21 +130,3 @@ class HybridBalancer(NextHopSelector):
     def select(self, src: int, dst: int, flow_id: int, nonce: int) -> int:
         pair = self.pair_for(dst)
         return pair[mix_choice(self.salt ^ 0x5A5A, 2, src, dst, flow_id)]
-
-
-def make_selector(
-    kind: str, next_hops: Sequence[int], salt: int, include_source: bool = False
-) -> NextHopSelector:
-    """Factory used by the scenario builder; ``kind`` is one of
-    ``"single"``, ``"per-flow"``, ``"per-destination"``, ``"per-packet"``."""
-    if kind == "single":
-        if len(next_hops) != 1:
-            raise ValueError("single selector takes exactly one next hop")
-        return SingleNextHop(next_hops[0])
-    if kind == "per-flow":
-        return PerFlowBalancer(next_hops, salt)
-    if kind == "per-destination":
-        return PerDestinationBalancer(next_hops, salt, include_source)
-    if kind == "per-packet":
-        return PerPacketBalancer(next_hops, salt)
-    raise ValueError(f"unknown selector kind {kind!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import List, Set
 
 
 class OrgType(Enum):
@@ -27,12 +27,6 @@ class OrgType(Enum):
     @property
     def is_hosting(self) -> bool:
         return self in (OrgType.HOSTING, OrgType.HOSTING_CLOUD)
-
-    @property
-    def may_run_cellular(self) -> bool:
-        """Cellular pools appear in mobile carriers and mixed broadband
-        ISPs (Section 5.2)."""
-        return self in (OrgType.BROADBAND, OrgType.MOBILE_BROADBAND)
 
 
 @dataclass(frozen=True)
@@ -55,11 +49,11 @@ class Organization:
 
 
 class OrgRegistry:
-    """Lookup of organizations by id and ASN."""
+    """Organizations by id, each with a distinct ASN."""
 
     def __init__(self) -> None:
         self._orgs: List[Organization] = []
-        self._by_asn: Dict[int, Organization] = {}
+        self._asns: Set[int] = set()
 
     def add(
         self,
@@ -69,7 +63,7 @@ class OrgRegistry:
         city: str,
         org_type: OrgType,
     ) -> Organization:
-        if asn in self._by_asn:
+        if asn in self._asns:
             raise ValueError(f"duplicate ASN {asn}")
         org = Organization(
             org_id=len(self._orgs),
@@ -80,14 +74,11 @@ class OrgRegistry:
             org_type=org_type,
         )
         self._orgs.append(org)
-        self._by_asn[asn] = org
+        self._asns.add(asn)
         return org
 
     def by_id(self, org_id: int) -> Organization:
         return self._orgs[org_id]
-
-    def by_asn(self, asn: int) -> Optional[Organization]:
-        return self._by_asn.get(asn)
 
     def __iter__(self):
         return iter(self._orgs)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List
 
 from ..net.prefix import Prefix
-from ..util.tables import render_table
 from .allocation import Allocation, AllocationMap
 
 
@@ -66,21 +65,3 @@ class WhoisService:
         return len(records) > 1 or any(
             r.prefix.length > 24 for r in records
         )
-
-
-def render_krnic_response(records: List[WhoisRecord]) -> str:
-    """Format records the way Table 4 presents a KRNIC response: one
-    column per sub-allocation."""
-    if not records:
-        return "no records"
-    fields = [
-        ("IPv4 Address", [str(r.prefix) for r in records]),
-        ("Organization Name", [r.organization_name for r in records]),
-        ("Network Type", [r.network_type for r in records]),
-        ("Address", [r.address for r in records]),
-        ("Zip Code", [r.zip_code for r in records]),
-        ("Registration Date", [r.registration_date for r in records]),
-    ]
-    headers = ["Field"] + [f"Record {i + 1}" for i in range(len(records))]
-    rows = [[name] + values for name, values in fields]
-    return render_table(headers, rows)

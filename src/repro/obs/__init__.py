@@ -42,7 +42,6 @@ from .trace import (
     trace_path_from_env,
     trace_warning,
     tracer,
-    tracing_enabled,
 )
 
 __all__ = [
@@ -66,6 +65,5 @@ __all__ = [
     "trace_path_from_env",
     "trace_warning",
     "tracer",
-    "tracing_enabled",
     "write_run_manifest",
 ]

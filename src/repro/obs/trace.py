@@ -132,10 +132,6 @@ def tracer() -> Tracer:
     return _TRACER
 
 
-def tracing_enabled() -> bool:
-    return _TRACER.enabled
-
-
 def configure_tracing(path: Optional[str]) -> Tracer:
     """Install (or, with None, disable) the ambient tracer.
 

@@ -1,5 +1,5 @@
-"""Probing tools: ZMap-style scanning, ping, traceroute variants and
-Paris traceroute MDA, all driven through budgeted probe sessions."""
+"""Probing tools: ZMap-style scanning, ping, Paris traceroute and MDA,
+all driven through budgeted probe sessions."""
 
 from .mda import (
     LasthopResult,
@@ -7,15 +7,13 @@ from .mda import (
     enumerate_paths,
     identify_lasthops,
 )
-from .mda_perhop import HopSet, PerHopResult, enumerate_hops
 from .ping import PingResult, ping
 from .session import ProbeBudgetExceeded, ProbeStats, Prober
-from .stopping import probes_required, probes_to_rule_out, stopping_table
+from .stopping import probes_required, probes_to_rule_out
 from .traceroute import (
     Route,
     TracerouteHop,
     TracerouteResult,
-    classic_traceroute,
     paris_traceroute,
     route_sets_share_route,
     routes_equal,
@@ -24,10 +22,8 @@ from .zmap import ActivitySnapshot, scan, scan_with_probes
 
 __all__ = [
     "ActivitySnapshot",
-    "HopSet",
     "LasthopResult",
     "MultipathResult",
-    "PerHopResult",
     "PingResult",
     "ProbeBudgetExceeded",
     "ProbeStats",
@@ -35,8 +31,6 @@ __all__ = [
     "Route",
     "TracerouteHop",
     "TracerouteResult",
-    "classic_traceroute",
-    "enumerate_hops",
     "enumerate_paths",
     "identify_lasthops",
     "paris_traceroute",
@@ -47,5 +41,4 @@ __all__ = [
     "routes_equal",
     "scan",
     "scan_with_probes",
-    "stopping_table",
 ]

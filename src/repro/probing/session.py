@@ -178,11 +178,6 @@ class Prober:
                 return reply
         return None
 
-    def absorb(self, stats: ProbeStats) -> None:
-        """Account probes sent by another session (e.g. a parallel
-        shard's worker) into this session's totals."""
-        self.stats.merge(stats)
-
     @property
     def probes_sent(self) -> int:
         return self.stats.sent

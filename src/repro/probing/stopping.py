@@ -47,8 +47,3 @@ def probes_required(observed: int, confidence: float = DEFAULT_CONFIDENCE) -> in
     if observed < 0:
         raise ValueError("observed count cannot be negative")
     return probes_to_rule_out(max(observed, 1) + 1, confidence)
-
-
-def stopping_table(max_observed: int = 16, confidence: float = DEFAULT_CONFIDENCE):
-    """The (observed → total probes) table, for documentation/tests."""
-    return {k: probes_required(k, confidence) for k in range(1, max_observed + 1)}

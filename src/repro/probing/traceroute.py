@@ -1,4 +1,4 @@
-"""Traceroute: classic and Paris variants.
+"""Paris traceroute and route comparison.
 
 Classic traceroute changes header fields from probe to probe, so
 per-flow load balancers scatter its probes across branches and the
@@ -48,13 +48,6 @@ class TracerouteResult:
         return tuple(hop.address for hop in self.hops)
 
     @property
-    def last_responsive_hop(self) -> Optional[int]:
-        for hop in reversed(self.hops):
-            if hop.address is not None:
-                return hop.address
-        return None
-
-    @property
     def lasthop_address(self) -> Optional[int]:
         """Address of the final router before the destination (None if
         it did not respond or the destination was not reached)."""
@@ -78,37 +71,6 @@ def paris_traceroute(
         rtt: Optional[float] = None
         for _attempt in range(retries + 1):
             reply = prober.probe(dst, ttl, flow_id)
-            result.probes_used += 1
-            if reply is None:
-                continue
-            if reply.is_echo:
-                result.reached = True
-                return result
-            address = reply.source
-            rtt = reply.rtt_ms
-            break
-        result.hops.append(TracerouteHop(ttl, address, rtt))
-    return result
-
-
-def classic_traceroute(
-    prober: Prober,
-    dst: int,
-    base_flow_id: int = 0,
-    first_ttl: int = 1,
-    max_ttl: int = DEFAULT_MAX_TTL,
-    retries: int = 2,
-) -> TracerouteResult:
-    """Trace with a *different* flow id per probe — the classic
-    traceroute behaviour that per-flow load balancing corrupts."""
-    result = TracerouteResult(dst=dst, flow_id=base_flow_id)
-    probe_index = 0
-    for ttl in range(first_ttl, max_ttl + 1):
-        address: Optional[int] = None
-        rtt: Optional[float] = None
-        for _attempt in range(retries + 1):
-            reply = prober.probe(dst, ttl, base_flow_id + probe_index)
-            probe_index += 1
             result.probes_used += 1
             if reply is None:
                 continue

@@ -41,7 +41,7 @@ from .lease import (
     LedgerState,
     summarize_ledgers,
 )
-from .locking import FileLock, locking_supported
+from .locking import FileLock
 from .segment import CorruptRecord
 from .store import MeasurementStore, StoreError, VerifyReport
 
@@ -67,7 +67,6 @@ __all__ = [
     "canonical_dataset_order",
     "confidence_table_fingerprint",
     "decode_slash24_record",
-    "locking_supported",
     "measurement_from_dict",
     "measurement_key",
     "measurement_to_dict",

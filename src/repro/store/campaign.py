@@ -15,9 +15,9 @@ fsync per touched shard. ``record`` commits by itself every
 uncommitted /24s, which the resumed campaign re-measures
 byte-identically.
 
-The executor takes any object with this interface (it never imports
-this package at module level), which keeps ``repro.core`` free of a
-dependency cycle on ``repro.store``.
+The campaign executor binds the store it is given to a
+:class:`CampaignCache` itself, importing this package only then, which
+keeps ``repro.core`` free of a dependency cycle on ``repro.store``.
 """
 
 from __future__ import annotations

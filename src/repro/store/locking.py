@@ -31,11 +31,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 _warned_unsupported = False
 
 
-def locking_supported() -> bool:
-    """Whether real inter-process locks are available on this platform."""
-    return fcntl is not None
-
-
 def _note_unsupported() -> None:
     global _warned_unsupported
     if _warned_unsupported:

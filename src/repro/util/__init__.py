@@ -16,7 +16,7 @@ from .hashing import (
     stable_string_hash,
 )
 from .randomness import SeedSpawner
-from .tables import format_percent, render_series, render_table
+from .tables import format_percent, render_table
 
 __all__ = [
     "MASK64",
@@ -29,7 +29,6 @@ __all__ = [
     "mix",
     "mix_choice",
     "mix_to_unit",
-    "render_series",
     "render_table",
     "splitmix64",
     "stable_string_hash",

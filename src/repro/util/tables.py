@@ -47,14 +47,6 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def render_series(
-    name: str, pairs: Iterable[Sequence[object]], x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """Render an (x, y) series the way a figure's data would be tabulated."""
-    return render_table([x_label, y_label], pairs, title=name)
-
-
 def format_percent(numerator: float, denominator: float) -> str:
     """``"12.3%"`` or ``"n/a"`` when the denominator is zero."""
     if denominator == 0:

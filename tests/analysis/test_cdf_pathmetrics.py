@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     cdf_at,
-    cdf_table,
     empirical_cdf,
     fraction_above,
     histogram_fractions,
     lasthop_cardinality,
     links_of_route,
-    links_of_route_sets,
     per_destination_lasthops,
     percentile,
     subpath_cardinality,
@@ -48,7 +46,6 @@ class TestCdf:
             lambda: percentile([], 50),
             lambda: cdf_at([], 1),
             lambda: fraction_above([], 1),
-            lambda: cdf_table([], [1.0]),
         ],
     )
     def test_empty_inputs_raise_value_error(self, call):
@@ -75,10 +72,6 @@ class TestCdf:
 
     def test_histogram_fractions_empty(self):
         assert histogram_fractions([]) == []
-
-    def test_cdf_table(self):
-        table = cdf_table([1, 2, 3], [1.5, 3.0])
-        assert table == [(1.5, pytest.approx(1 / 3)), (3.0, 1.0)]
 
     def test_histogram_fractions(self):
         rows = histogram_fractions([1, 1, 2])
@@ -139,7 +132,3 @@ class TestPathMetrics:
     def test_links_skip_unresponsive(self):
         assert links_of_route((1, None, 3)) == set()
         assert links_of_route((1, 2, None, 4)) == {(1, 2)}
-
-    def test_links_of_route_sets(self):
-        sets = {1: frozenset({(1, 2)}), 2: frozenset({(2, 3)})}
-        assert links_of_route_sets(sets) == {(1, 2), (2, 3)}

@@ -12,7 +12,6 @@ from repro.analysis import (
     distinct_pattern_count,
     groups_from_blocks,
     groups_from_slash24s,
-    matches_signature,
     mine_block_patterns,
     signature_of,
     signature_regex,
@@ -36,14 +35,14 @@ class TestSignatures:
 
     def test_signature_regex_matches_same_scheme(self):
         signature = signature_of("ip1-2-3-4.denver.example-isp.net")
-        assert matches_signature(
-            signature, "ip9-9-9-9.denver.example-isp.net"
+        assert signature_regex(signature).match(
+            "ip9-9-9-9.denver.example-isp.net"
         )
 
     def test_signature_regex_rejects_other_scheme(self):
         signature = signature_of("ip1-2-3-4.denver.example-isp.net")
-        assert not matches_signature(
-            signature, "server-1-2-3-4.dc0.examplehosting.net"
+        assert not signature_regex(signature).match(
+            "server-1-2-3-4.dc0.examplehosting.net"
         )
 
     def test_no_digits(self):

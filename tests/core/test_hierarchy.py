@@ -9,8 +9,6 @@ from repro.net import AddressRange
 from repro.core import (
     find_non_hierarchical_pair,
     groups_hierarchical,
-    groups_non_hierarchical,
-    pairwise_relationships,
     ranges_hierarchical,
     ranges_non_hierarchical_batch,
 )
@@ -130,18 +128,7 @@ class TestGroupsInterface:
     def test_groups_hierarchical(self):
         groups = {"a": [0, 4], "b": [5, 9]}
         assert groups_hierarchical(groups)
-        assert not groups_non_hierarchical(groups)
 
     def test_groups_interleaved(self):
         groups = {"a": [0, 6], "b": [3, 9]}
-        assert groups_non_hierarchical(groups)
-
-    def test_pairwise_labels(self):
-        labels = pairwise_relationships([r(0, 4), r(5, 9), r(2, 7)])
-        kinds = {label for _a, _b, label in labels}
-        assert "disjoint" in kinds
-        assert "non-hierarchical" in kinds
-
-    def test_pairwise_inclusive(self):
-        labels = pairwise_relationships([r(0, 10), r(2, 5)])
-        assert labels[0][2] == "inclusive"
+        assert not groups_hierarchical(groups)

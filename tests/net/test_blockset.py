@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import (
-    BlockSet,
     Prefix,
     adjacency_lcp_lengths,
     contiguous_runs,
@@ -110,38 +109,3 @@ class TestAdjacencyMetrics:
         )
         assert coords == sorted(coords)
         assert len(set(coords)) == len(coords)
-
-
-class TestBlockSet:
-    def test_coverage(self):
-        blocks = BlockSet([Prefix.parse("10.0.0.0/24")])
-        assert blocks.covers_address(parse("10.0.0.9"))
-        assert not blocks.covers_address(parse("10.0.1.0"))
-
-    def test_covers_prefix(self):
-        blocks = BlockSet([Prefix.parse("10.0.0.0/16")])
-        assert blocks.covers_prefix(Prefix.parse("10.0.5.0/24"))
-        assert not blocks.covers_prefix(Prefix.parse("10.0.0.0/8"))
-
-    def test_overlaps_prefix(self):
-        blocks = BlockSet([Prefix.parse("10.0.5.0/24")])
-        assert blocks.overlaps_prefix(Prefix.parse("10.0.0.0/16"))
-        assert not blocks.overlaps_prefix(Prefix.parse("11.0.0.0/16"))
-
-    def test_total_addresses_deduplicates(self):
-        blocks = BlockSet(
-            [Prefix.parse("10.0.0.0/25"), Prefix.parse("10.0.0.0/24")]
-        )
-        assert blocks.total_addresses() == 256
-
-    def test_normalized(self):
-        blocks = BlockSet(
-            [Prefix.parse("10.0.0.0/25"), Prefix.parse("10.0.0.128/25")]
-        )
-        assert blocks.normalized() == [Prefix.parse("10.0.0.0/24")]
-
-    def test_len_and_iter(self):
-        members = [Prefix.parse("10.0.0.0/24"), Prefix.parse("11.0.0.0/24")]
-        blocks = BlockSet(members)
-        assert len(blocks) == 2
-        assert list(blocks) == members

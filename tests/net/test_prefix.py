@@ -9,8 +9,6 @@ from repro.net import (
     AddressRange,
     Prefix,
     enclosing_prefix,
-    lcp_length_between_slash24s,
-    longest_common_prefix,
     parse,
     to_prefixes,
 )
@@ -130,26 +128,6 @@ class TestDerivation:
 
 
 class TestLcp:
-    def test_longest_common_prefix(self):
-        a = Prefix.parse("10.0.0.0/24")
-        b = Prefix.parse("10.0.1.0/24")
-        assert longest_common_prefix(a, b) == Prefix.parse("10.0.0.0/23")
-
-    def test_lcp_between_slash24s(self):
-        a = Prefix.parse("10.0.0.0/24")
-        b = Prefix.parse("10.0.1.0/24")
-        assert lcp_length_between_slash24s(a, b) == 23
-
-    def test_lcp_identical_slash24s(self):
-        a = Prefix.parse("10.0.0.0/24")
-        assert lcp_length_between_slash24s(a, a) == 24
-
-    def test_lcp_requires_slash24(self):
-        with pytest.raises(AddressError):
-            lcp_length_between_slash24s(
-                Prefix.parse("10.0.0.0/25"), Prefix.parse("10.0.1.0/24")
-            )
-
     def test_enclosing_prefix(self):
         block = enclosing_prefix([parse("10.0.0.2"), parse("10.0.0.125")])
         assert block == Prefix.parse("10.0.0.0/25")

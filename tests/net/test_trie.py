@@ -36,24 +36,6 @@ class TestBasics:
         assert trie.get(p) == "b"
         assert len(trie) == 1
 
-    def test_remove(self):
-        trie = PrefixTrie()
-        p = Prefix.parse("10.0.0.0/8")
-        trie.insert(p, "a")
-        assert trie.remove(p)
-        assert trie.get(p) is None
-        assert len(trie) == 0
-        assert not trie.remove(p)
-
-    def test_remove_keeps_siblings(self):
-        trie = PrefixTrie()
-        a = Prefix.parse("10.0.0.0/9")
-        b = Prefix.parse("10.128.0.0/9")
-        trie.insert(a, 1)
-        trie.insert(b, 2)
-        trie.remove(a)
-        assert trie.get(b) == 2
-
     def test_contains(self):
         trie = PrefixTrie()
         p = Prefix.parse("10.0.0.0/8")
@@ -135,11 +117,6 @@ class TestTraversal:
     def test_subtree_empty(self):
         trie = self._populated()
         assert list(trie.subtree(Prefix.parse("12.0.0.0/8"))) == []
-
-    def test_has_descendant(self):
-        trie = self._populated()
-        assert trie.has_descendant(Prefix.parse("10.1.0.0/16"))
-        assert not trie.has_descendant(Prefix.parse("12.0.0.0/8"))
 
     def test_ancestors(self):
         trie = self._populated()

@@ -9,7 +9,6 @@ from repro.netsim.loadbalance import (
     PerFlowBalancer,
     PerPacketBalancer,
     SingleNextHop,
-    make_selector,
 )
 
 HOPS = (10, 11, 12, 13)
@@ -103,27 +102,3 @@ class TestHybrid:
     def test_rejects_short_list(self):
         with pytest.raises(ValueError):
             HybridBalancer((1,), salt=0)
-
-
-class TestFactory:
-    def test_single(self):
-        assert isinstance(make_selector("single", (1,), 0), SingleNextHop)
-
-    def test_single_rejects_multiple(self):
-        with pytest.raises(ValueError):
-            make_selector("single", (1, 2), 0)
-
-    def test_kinds(self):
-        assert isinstance(
-            make_selector("per-flow", HOPS, 0), PerFlowBalancer
-        )
-        assert isinstance(
-            make_selector("per-destination", HOPS, 0), PerDestinationBalancer
-        )
-        assert isinstance(
-            make_selector("per-packet", HOPS, 0), PerPacketBalancer
-        )
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_selector("bogus", HOPS, 0)

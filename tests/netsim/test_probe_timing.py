@@ -142,18 +142,3 @@ class TestEngineTimingParity:
         assert stats["probe_count"] == 10
         assert stats["probe_batches"] == 1
         assert stats["batched_probes"] == 8
-
-    def test_fold_stats_reports_engine_counters(self, fake_clock):
-        from repro.obs.metrics import MetricsRegistry
-
-        internet = _internet()
-        targets = _probe_targets(internet, 8)
-        internet.send_probe_batch(targets, 32)
-        registry = MetricsRegistry()
-        internet.fold_stats_into(registry)
-        assert registry.counter_value("internet.probe_count") == 8
-        assert registry.counter_value("internet.probe_batches") == 1
-        assert registry.counter_value("internet.batched_probes") == 8
-        assert registry.timer_seconds("internet.probe_seconds") == (
-            pytest.approx(internet.probe_seconds)
-        )

@@ -12,7 +12,6 @@ from repro.netsim.rdns import (
     rdns_name,
     router_rdns_name,
 )
-from repro.netsim.whois import render_krnic_response
 
 
 class TestGeoDatabase:
@@ -56,16 +55,6 @@ class TestWhois:
         slash24 = shared_internet.universe_slash24s[0]
         records = shared_internet.whois.query_address(slash24.network + 5)
         assert len(records) == 1
-
-    def test_render_krnic(self, shared_internet):
-        splits = shared_internet.ground_truth.split_slash24s()
-        records = shared_internet.whois.query(splits[0])
-        text = render_krnic_response(records)
-        assert "IPv4 Address" in text
-        assert "Registration Date" in text
-
-    def test_render_empty(self):
-        assert render_krnic_response([]) == "no records"
 
 
 class TestRdnsSchemes:

@@ -14,7 +14,6 @@ from repro.obs.trace import (
     trace_path_from_env,
     trace_warning,
     tracer,
-    tracing_enabled,
 )
 
 
@@ -145,7 +144,6 @@ class TestSummarize:
 
 class TestDisabledPath:
     def test_disabled_by_default(self):
-        assert not tracing_enabled()
         assert not tracer().enabled
 
     def test_span_returns_shared_null_context(self):

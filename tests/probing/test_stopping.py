@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.probing import probes_required, probes_to_rule_out, stopping_table
+from repro.probing import probes_required, probes_to_rule_out
 
 
 class TestStoppingRule:
@@ -43,11 +43,6 @@ class TestStoppingRule:
             probes_to_rule_out(2, confidence=1.0)
         with pytest.raises(ValueError):
             probes_to_rule_out(2, confidence=0.0)
-
-    def test_stopping_table_shape(self):
-        table = stopping_table(max_observed=8)
-        assert set(table) == set(range(1, 9))
-        assert table[1] == 6
 
     def test_statistical_guarantee(self):
         # With j equally-loaded next hops and N(j) probes, the chance of

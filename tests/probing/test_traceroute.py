@@ -4,7 +4,6 @@ import pytest
 
 from repro.probing import (
     Prober,
-    classic_traceroute,
     paris_traceroute,
     route_sets_share_route,
     routes_equal,
@@ -59,21 +58,6 @@ class TestParisTraceroute:
         result = paris_traceroute(prober, 0xC6000001, max_ttl=5, retries=0)
         assert not result.reached
         assert all(h.address is None for h in result.hops)
-
-
-class TestClassicTraceroute:
-    def test_reaches_destination(self, internet, snapshot, prober):
-        dst = _responsive_destination(internet, snapshot)
-        result = classic_traceroute(prober, dst)
-        assert result.reached
-
-    def test_classic_can_mix_paths(self, internet, snapshot, prober):
-        # Across many destinations, classic traceroute should sometimes
-        # report a route that no single Paris trace produces (mixing
-        # per-flow branches). We only assert it runs and reaches.
-        dst = _responsive_destination(internet, snapshot)
-        result = classic_traceroute(prober, dst, base_flow_id=100)
-        assert result.probes_used >= len(result.hops)
 
 
 class TestRouteComparison:

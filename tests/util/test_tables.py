@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util import format_percent, render_series, render_table
+from repro.util import format_percent, render_table
 
 
 class TestRenderTable:
@@ -27,11 +27,6 @@ class TestRenderTable:
     def test_float_formatting(self):
         text = render_table(["v"], [[0.123456789]])
         assert "0.1235" in text
-
-    def test_render_series(self):
-        text = render_series("name", [(1, 2)], x_label="x", y_label="y")
-        assert "name" in text
-        assert "x" in text
 
 
 class TestFormatPercent:
