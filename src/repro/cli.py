@@ -49,11 +49,11 @@ from .obs import (
     tracer,
     write_run_manifest,
 )
-from .store.store import StoreError
+from .store.store import META_FILE, StoreError
 from .util.fileio import atomic_writer
 from .util.tables import render_table
 
-STORE_ACTIONS = ("ls", "info", "verify", "gc", "leases")
+STORE_ACTIONS = ("ls", "info", "verify", "gc")
 TRACE_ACTIONS = ("summarize",)
 
 
@@ -177,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "ls: stored campaigns; info: store summary; verify: full "
             "checksum pass; gc: compact segments, dropping damaged and "
-            "superseded records; leases: per-campaign lease-ledger "
-            "state (distributed executor claims/steals/progress)"
+            "superseded records"
         ),
     )
     store_parser.add_argument(
@@ -610,32 +609,11 @@ def command_store(action: str, path: Optional[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    if action == "leases":
-        from .store import summarize_ledgers
-
-        rows = [
-            [
-                summary["campaign"][:16],
-                summary["generation"],
-                f"{summary['slash24s_done']}/{summary['slash24s']}",
-                summary["done"],
-                summary["batches"],
-                summary["claims"],
-                summary["steals"],
-                summary["lapsed"],
-                summary["workers"],
-            ]
-            for summary in summarize_ledgers(root)
-        ]
-        print(render_table(
-            [
-                "campaign", "gen", "/24s", "done", "batches",
-                "claims", "steals", "lapsed", "workers",
-            ],
-            rows,
-            title=f"lease ledgers in {root}",
-        ))
-        return 0
+    if not os.path.exists(os.path.join(root, META_FILE)):
+        # Opening would create an empty store there: a mistyped path
+        # must not verify clean.
+        print(f"hobbit-repro: no store at {root}", file=sys.stderr)
+        return 2
     with MeasurementStore(root) as store:
         if action == "info":
             rows = [[key, value] for key, value in store.info().items()]

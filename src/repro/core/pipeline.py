@@ -26,11 +26,11 @@ import multiprocessing
 import os
 import pickle
 import random
-import shutil
-import tempfile
-import time
+import signal
 import warnings
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from collections import deque
+from multiprocessing.connection import Connection, wait
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..net.prefix import Prefix
 from ..netsim.internet import SimulatedInternet
@@ -39,11 +39,7 @@ from ..obs.progress import ProgressReporter, progress_enabled
 from ..obs.trace import configure_tracing, span, trace_event, trace_warning
 from ..probing.session import ProbeBudgetExceeded, Prober, ProbeStats
 from ..probing.zmap import ActivitySnapshot, scan
-from ..util.envknobs import (
-    kill_after_for_worker,
-    parse_kill_spec,
-    positive_float_env,
-)
+from ..util.envknobs import kill_after_for_worker
 from ..util.hashing import mix, stable_string_hash
 from .classifier import Slash24Measurement, measure_slash24
 from .columnar import CampaignResult
@@ -132,192 +128,102 @@ def _measure_in_context(
     return measurement, prober.stats
 
 
-# -- lease-based distributed execution --------------------------------------
+# -- parallel execution ------------------------------------------------------
 #
-# ``workers=N`` no longer shards the /24 list statically: the list is
-# cut into bounded batches, published as a plan in a lease ledger next
-# to the measurement store (:mod:`repro.store.lease`), and worker
-# processes *claim* batches as time-limited leases, checkpointing the
-# completed /24s through the store in group commits. A batch is marked
-# done only after its records are committed. A dead worker's lease
-# lapses and is re-claimed by a surviving worker (or, if all workers
-# died, by the parent), so the campaign loses at most the uncommitted
-# part of one batch per death — and re-measuring that part is
-# byte-identical anyway, because each /24's measurement is a pure
-# function of its deterministic context.
+# ``workers=N`` forks N worker processes and hands each one chunk of the
+# pending /24s at a time over its own pipe. Workers only measure: they
+# open no store and send each measured chunk back, and the parent, the
+# store's only writer, records it and hands out the next chunk. A worker
+# that dies (its pipe hits EOF) forfeits only its in-flight chunk, which
+# goes to a live worker or, once none is left, is measured by the parent
+# itself. Measuring a chunk again is byte-identical, because each /24's
+# measurement is a pure function of its deterministic context.
 
-#: Batches planned per worker. More batches than workers is what makes
-#: work-stealing effective: a fast worker drains several while a slow
-#: one holds only its current lease, and a dead worker forfeits at most
-#: its one in-flight batch — every batch it completed was committed to
-#: the store before it was marked done.
-_BATCHES_PER_WORKER = 4
+#: Chunks planned per worker. More chunks than workers balances the
+#: load: a fast worker drains several while a slow one holds one, and a
+#: death costs at most the one chunk in flight.
+_CHUNKS_PER_WORKER = 4
 
-#: How long claimants sleep when every remaining batch is under a live
-#: lease (waiting for a completion or a lapse), and how often the
-#: parent polls the ledger for progress.
-_LEASE_POLL_SECONDS = 0.05
-
-#: Lease time-to-live override (seconds). Tests and the CI faulty-worker
-#: smoke job shrink it so a killed worker's batch is reclaimed quickly.
-_LEASE_TTL_ENV = "REPRO_LEASE_TTL"
-
-#: Fault injection: comma-separated ``"<worker_index>:<checkpoints>"``
-#: entries. Each named worker SIGKILLs itself right after the group
-#: commit that brings its committed fresh /24s to that many — with the
-#: lease held and the batch not yet marked done (a batch smaller than
-#: the commit group is committed whole just before it would be).
-#: ``"0:1"`` kills one worker (lease stolen by a peer); ``"0:1,1:1"``
-#: with ``workers=2`` kills them all (parent takeover). The
-#: crash-consistency tests and the CI faulty-worker smoke job drive
-#: this.
-_LEASE_KILL_ENV = "REPRO_LEASE_KILL"
+#: Fault injection: comma-separated ``"<worker_index>:<slash24s>"``
+#: entries. Each named worker SIGKILLs itself right after measuring the
+#: chunk that brings its measured /24s to that many, before sending that
+#: chunk back. ``"0:1"`` kills one worker after its first chunk (a live
+#: peer measures the chunk again); ``"0:1,1:1"`` with ``workers=2`` kills
+#: them all (the parent finishes). The crash-consistency tests and the
+#: CI faulty-worker smoke job drive this.
+_WORKER_KILL_ENV = "REPRO_WORKER_KILL"
 
 
-def _parse_kill_spec(spec: Optional[str], worker_index: int) -> Optional[int]:
-    """Checkpoint count after which *this* worker self-destructs.
-
-    Malformed specs raise :class:`repro.util.envknobs.EnvKnobError`
-    (naming the variable) rather than silently disarming the fault
-    injection they were supposed to switch on.
-    """
-    return kill_after_for_worker(spec, worker_index, name=_LEASE_KILL_ENV)
-
-
-def _fold_measurement_metrics(
-    registry: MetricsRegistry,
-    measurement: Slash24Measurement,
-    stats: ProbeStats,
-) -> None:
-    """One /24's contribution to the campaign-wide counters.
-
-    Serial execution and parallel workers fold through this same
-    helper, so merged shard registries reconstruct the serial totals
-    bit-identically (integer sums are associative and commutative).
-    """
-    registry.count("campaign.slash24s")
-    stats.fold_into(registry, "campaign.probes")
-    registry.count(
-        f"campaign.categories.{measurement.category.name.lower()}"
-    )
+def _measure_chunk(
+    internet: SimulatedInternet,
+    policy: TerminationPolicy | ReprobePolicy,
+    chunk: List[Tuple[str, List[int]]],
+    seed: int,
+    clock_base: float,
+    max_destinations: Optional[int],
+) -> List[Tuple[Slash24Measurement, ProbeStats]]:
+    """Measure a chunk of ``(prefix text, active list)`` pairs in order."""
+    return [
+        _measure_in_context(
+            internet, policy, Prefix.parse(text), active,
+            seed, clock_base, max_destinations,
+        )
+        for text, active in chunk
+    ]
 
 
-def _lease_worker_main(
+def _worker_main(
+    link: Connection,
     payload: bytes,
-    store_root: str,
-    campaign: str,
-    generation: int,
-    worker_id: str,
-    worker_index: int,
-    ttl: float,
-    fsync: bool,
+    kill_after: Optional[int],
+    inherited: List[Connection],
 ) -> None:
-    """One worker process's claim → measure → checkpoint → renew loop.
+    """One worker process: measure each chunk the parent sends and send
+    back its results with the engine and event counter deltas they cost;
+    exit on ``None``.
 
-    Workers receive the campaign fingerprint as a string computed by
-    the parent (never recomputed — ``repr``-based policy fingerprints
-    are only stable within the process that minted them) and coordinate
-    exclusively through the store directory: measurements go into the
-    measurement store, claims into the lease ledger. Nothing flows back
-    over a pipe, which is precisely why losing this process loses no
-    completed work.
+    The deltas travel with their chunk so that a chunk lost with a dead
+    worker costs its counters too, and the chunk measured again in its
+    place brings them back: the parent's totals match the serial run's.
+    ``kill_after`` is this worker's :data:`_WORKER_KILL_ENV` count.
+    ``inherited`` are the parent's ends of the pipes, which a forked
+    worker holds copies of; closing them lets every worker see EOF, and
+    exit, if the parent dies.
     """
+    for end in inherited:
+        end.close()
     # Workers never write the parent's trace journal: concurrent appends
     # from several processes would interleave.
     configure_tracing(None)
-    from ..store import CampaignCache, MeasurementStore
-    from ..store.lease import LeaseLedger
-
-    kill_after = _parse_kill_spec(
-        os.environ.get(_LEASE_KILL_ENV), worker_index
-    )
     internet, policy, seed, clock_base, max_destinations = pickle.loads(
         payload
     )
-    base = (
-        internet.probe_seconds, internet.probe_batches,
-        internet.batched_probes,
-    )
-    events_base = (
-        internet.events.counter_snapshot()
-        if internet.events is not None
-        else None
-    )
-    claims = steals = 0
-    with MeasurementStore(store_root, fsync=fsync) as store, LeaseLedger(
-        store_root, campaign, ttl=ttl, fsync=fsync
-    ) as ledger:
-        cache = CampaignCache(store, campaign)
-
-        def die_if_due() -> None:
-            # Fault injection: die the hard way, lease held, batch not
-            # marked done — exactly what the reclamation machinery must
-            # survive.
-            if kill_after is not None and cache.committed >= kill_after:
-                os.kill(os.getpid(), 9)
-
-        # Renew often enough that a live lease can never lapse: well
-        # inside both the tentative window and the half-TTL threshold
-        # below which renewals actually append.
-        renew_every = min(ledger.tentative_ttl, ledger.ttl / 2) / 2
-        while True:
-            claim, campaign_done = ledger.claim(
-                worker_id, generation, pid=os.getpid()
-            )
-            if claim is None:
-                if campaign_done:
-                    break
-                time.sleep(_LEASE_POLL_SECONDS)
-                continue
-            claims += 1
-            steals += int(claim.stolen)
-            if claim.stolen:
-                # The previous owner may have checkpointed part of this
-                # batch before dying; pick its records up so only the
-                # genuinely unmeasured rest is re-measured.
-                store.refresh()
-            completed = True
-            next_renew = 0.0
-            for prefix_text, active in claim.slash24s:
-                now = time.time()
-                if now >= next_renew:
-                    if not ledger.renew(claim):
-                        # Stolen out from under us (we stalled past the
-                        # TTL); the thief re-measures what we didn't
-                        # checkpoint, identically. Abandon the batch.
-                        completed = False
-                        break
-                    next_renew = now + renew_every
-                slash24 = Prefix.parse(prefix_text)
-                if claim.stolen and cache.lookup(slash24, active) is not None:
-                    continue  # the dead owner got this far
-                measurement, stats = _measure_in_context(
-                    internet, policy, slash24, active,
-                    seed, clock_base, max_destinations,
-                )
-                cache.record(slash24, active, measurement, stats)
-                die_if_due()
-            # A batch is DONE only once its records are durable.
-            cache.commit()
-            die_if_due()
-            if completed:
-                ledger.mark_done(claim)
-        event_attrs = {}
-        if events_base is not None:
-            event_attrs = {
-                f"events_{name}": delta
-                for name, delta in internet.events.counter_deltas(
-                    events_base
-                ).items()
-            }
-        ledger.record_exit(
-            worker_id, generation,
-            engine_seconds=internet.probe_seconds - base[0],
-            engine_batches=internet.probe_batches - base[1],
-            engine_batched=internet.batched_probes - base[2],
-            claims=claims, steals=steals, checkpoints=cache.committed,
-            **event_attrs,
+    events = internet.events
+    measured = 0
+    while True:
+        chunk = link.recv()
+        if chunk is None:
+            return
+        engine_base = (
+            internet.probe_seconds, internet.probe_batches,
+            internet.batched_probes,
         )
+        events_base = events.counter_snapshot() if events is not None else None
+        done = _measure_chunk(
+            internet, policy, chunk, seed, clock_base, max_destinations
+        )
+        measured += len(done)
+        if kill_after is not None and measured >= kill_after:
+            # Die the hard way, chunk measured but not reported: exactly
+            # what the parent's reassignment must survive.
+            os.kill(os.getpid(), signal.SIGKILL)
+        link.send((
+            done,
+            internet.probe_seconds - engine_base[0],
+            internet.probe_batches - engine_base[1],
+            internet.batched_probes - engine_base[2],
+            events.counter_deltas(events_base) if events is not None else {},
+        ))
 
 
 class _ParallelUnavailable(Exception):
@@ -351,98 +257,31 @@ def _note_parallel_fallback(
     )
 
 
-def _lease_takeover(
+def _run_parallel(
     internet: SimulatedInternet,
     policy: TerminationPolicy | ReprobePolicy,
-    seed: int,
-    clock_base: float,
-    max_destinations: Optional[int],
-    transport,
-    campaign: str,
-    ledger,
-    generation: int,
-    dead_owners: Set[str],
-) -> Tuple[float, int, int]:
-    """Finish a campaign whose worker processes all died.
-
-    The parent claims the leftover batches itself, through the same
-    lease protocol (so any *other* process working this campaign still
-    coordinates correctly); its own children are certainly dead, so
-    their leases are claimable immediately rather than after the TTL.
-    Engine counters are restored to their pre-takeover values and the
-    deltas returned, because the caller folds all worker engine
-    activity into the parent simulator in one place.
-    """
-    from ..store.campaign import CampaignCache
-
-    transport.refresh()
-    cache = CampaignCache(transport, campaign)
-    worker_id = f"w{os.getpid()}.takeover"
-    base = (
-        internet.probe_count, internet.probe_seconds,
-        internet.probe_batches, internet.batched_probes,
-    )
-    while True:
-        claim, campaign_done = ledger.claim(
-            worker_id, generation, pid=os.getpid(),
-            takeover_owners=dead_owners,
-        )
-        if claim is None:
-            if campaign_done:
-                break
-            time.sleep(_LEASE_POLL_SECONDS)
-            continue
-        for prefix_text, active in claim.slash24s:
-            slash24 = Prefix.parse(prefix_text)
-            if cache.lookup(slash24, active) is not None:
-                continue
-            measurement, stats = _measure_in_context(
-                internet, policy, slash24, active,
-                seed, clock_base, max_destinations,
-            )
-            cache.record(slash24, active, measurement, stats)
-        cache.commit()
-        ledger.mark_done(claim)
-    deltas = (
-        internet.probe_seconds - base[1],
-        internet.probe_batches - base[2],
-        internet.batched_probes - base[3],
-    )
-    internet.probe_count = base[0]
-    internet.probe_seconds = base[1]
-    internet.probe_batches = base[2]
-    internet.batched_probes = base[3]
-    return deltas
-
-
-def _run_shards_parallel(
-    internet: SimulatedInternet,
-    policy: TerminationPolicy | ReprobePolicy,
-    slash24s: List[Prefix],
+    pending: List[Prefix],
     snapshot: ActivitySnapshot,
     seed: int,
     clock_base: float,
     max_destinations: Optional[int],
     workers: int,
+    registry: MetricsRegistry,
     cache=None,
     progress: Optional[ProgressReporter] = None,
-) -> Tuple[Dict[Prefix, Slash24Measurement], ProbeStats, MetricsRegistry, Tuple]:
-    """Measure the /24 list with lease-claiming worker processes.
+) -> Dict[Prefix, Tuple[Slash24Measurement, ProbeStats]]:
+    """Measure the pending /24s on ``workers`` worker processes.
 
-    The /24s are batched into a lease-ledger plan next to the
-    measurement store (an ephemeral one when the campaign has no store
-    attached); ``workers`` processes claim, measure, checkpoint and
-    renew until every batch is done, stealing lapsed leases from dead
-    or stalled peers along the way. The parent then reconstructs the
-    merged result *from the store records* — bit-identical to serial
-    because each record is the pure function of its /24's context.
+    Each returned chunk is recorded in ``cache`` (when bound) as it
+    arrives, with the serial loop's group commits; the caller commits
+    the rest. The workers' probes, engine timing and event activity are
+    folded into ``internet``, so its counters match the serial run's.
 
-    Returns the merged (measurements, probe stats, shard metrics,
-    engine timing deltas). Raises :class:`_ParallelUnavailable` when
-    the simulator or policy cannot ship to workers (unpicklable
-    scenario, process start failure) — the caller then falls back to
-    the serial path, which produces identical results anyway, and
-    reports the degradation.
+    Returns every pending /24's (measurement, probe stats). Raises
+    :class:`_ParallelUnavailable` when the simulator or policy cannot
+    ship to workers (unpicklable scenario, process start failure) — the
+    caller then falls back to the serial path, which produces identical
+    results anyway, and reports the degradation.
     """
     try:
         payload = pickle.dumps(
@@ -451,209 +290,137 @@ def _run_shards_parallel(
         )
     except Exception as error:
         raise _ParallelUnavailable("unpicklable", error) from error
-    from ..store import MeasurementStore
-    from ..store.codec import KIND_SLASH24, decode_slash24_record
-    from ..store.fingerprint import (
-        campaign_fingerprint,
-        measurement_key,
-        policy_fingerprint,
-        scenario_fingerprint,
-    )
-    from ..store.lease import DEFAULT_TTL_SECONDS, LeaseLedger
+    from ..store import campaign as store_campaign
 
-    transport = getattr(cache, "store", None)
-    campaign = getattr(cache, "campaign", None)
-    store_root = getattr(transport, "root", None)
-    ephemeral_dir = None
-    external_cache = None
-    if store_root is None:
-        # No on-disk store attached (none, or a store without a root
-        # directory): coordinate through an ephemeral one. It outlives
-        # the campaign by microseconds, so skip fsync entirely.
-        external_cache = cache
-        ephemeral_dir = tempfile.mkdtemp(prefix="repro-lease-")
-        store_root = ephemeral_dir
-        campaign = campaign_fingerprint(
-            scenario_fingerprint(internet.config),
-            policy_fingerprint(policy),
-            seed, clock_base, max_destinations,
-        )
-        transport = MeasurementStore(store_root, fsync=False)
-        fsync = False
-    else:
-        fsync = getattr(transport, "fsync", True)
-
-    worker_count = min(workers, len(slash24s))
-    batch_count = min(len(slash24s), worker_count * _BATCHES_PER_WORKER)
-    # Interleave assignment: adjacent prefixes have correlated probing
-    # cost (same organization), so striding balances batch loads.
-    batches = [
-        [(str(p), snapshot.active_in(p)) for p in slash24s[index::batch_count]]
-        for index in range(batch_count)
+    worker_count = min(workers, len(pending))
+    # Read the kill knob here, in the parent, before any worker forks: a
+    # malformed value raises one clear EnvKnobError instead of killing
+    # workers at startup (which would look like an ordinary worker death
+    # and silently disarm fault injection).
+    kill_spec = os.environ.get(_WORKER_KILL_ENV)
+    kill_after = [
+        kill_after_for_worker(kill_spec, index, name=_WORKER_KILL_ENV)
+        for index in range(worker_count)
     ]
-    # Validate the operational knobs here, in the parent, before any
-    # worker forks: a malformed value raises one clear EnvKnobError
-    # instead of killing workers at startup (which would look like an
-    # ordinary worker death and silently disarm fault injection).
-    parse_kill_spec(os.environ.get(_LEASE_KILL_ENV), name=_LEASE_KILL_ENV)
-    ttl = positive_float_env(_LEASE_TTL_ENV, DEFAULT_TTL_SECONDS)
-    ledger = LeaseLedger(store_root, campaign, ttl=ttl, fsync=fsync)
-    worker_ids = [f"w{os.getpid()}.{index}" for index in range(worker_count)]
+    chunk_count = max(
+        -(-len(pending) // store_campaign.COMMIT_EVERY),
+        min(len(pending), worker_count * _CHUNKS_PER_WORKER),
+    )
+    # Interleave assignment: adjacent prefixes have correlated probing
+    # cost (same organization), so striding balances chunk loads.
+    chunks = [pending[index::chunk_count] for index in range(chunk_count)]
+    queue = deque(range(chunk_count))
+    fresh: Dict[Prefix, Tuple[Slash24Measurement, ProbeStats]] = {}
+
+    def wire(index: int) -> List[Tuple[str, List[int]]]:
+        return [(str(p), snapshot.active_in(p)) for p in chunks[index]]
+
+    def record(index: int, done) -> None:
+        for slash24, (measurement, stats) in zip(chunks[index], done):
+            fresh[slash24] = (measurement, stats)
+            if cache is not None:
+                cache.record(
+                    slash24, snapshot.active_in(slash24), measurement, stats
+                )
+        if progress is not None:
+            progress.update(progress.total - len(pending) + len(fresh))
+
+    # fork keeps worker start cheap; the explicit payload round-trip
+    # above still guarantees the campaign *could* ship to a spawned
+    # process.
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    )
+    links: List[Connection] = []
     procs: List[multiprocessing.Process] = []
+    lost = 0
     try:
-        with span(
-            "campaign.lease_plan", batches=batch_count, workers=worker_count
-        ):
-            generation = ledger.plan(batches)
-        # fork keeps worker start as cheap as the old process pool's;
-        # the explicit payload round-trip above still guarantees the
-        # campaign *could* ship to a spawned process.
-        context = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
         try:
-            for index, worker_id in enumerate(worker_ids):
+            for index in range(worker_count):
+                link, child_link = context.Pipe()
                 proc = context.Process(
-                    target=_lease_worker_main,
+                    target=_worker_main,
                     args=(
-                        payload, store_root, campaign, generation,
-                        worker_id, index, ttl, fsync,
+                        child_link, payload, kill_after[index],
+                        links + [link],
                     ),
                     daemon=True,
                 )
                 proc.start()
+                child_link.close()
                 procs.append(proc)
+                links.append(link)
         except OSError as error:
             raise _ParallelUnavailable("pool_failure", error) from error
-        while any(proc.is_alive() for proc in procs):
-            if progress is not None:
-                state = ledger.state()
-                if state is not None:
-                    progress.update(state.counts()["slash24s_done"])
-            time.sleep(_LEASE_POLL_SECONDS)
-        for proc in procs:
-            proc.join()
-
-        state = ledger.state()
-        takeover_deltas = (0.0, 0, 0)
-        took_over = False
-        if state is None or not state.all_done:
-            # Every worker exited with batches unfinished — the case
-            # the static-chunk executor simply lost. Reclaim and finish
-            # in the parent.
-            took_over = True
-            with span("campaign.lease_takeover"):
-                takeover_deltas = _lease_takeover(
-                    internet, policy, seed, clock_base, max_destinations,
-                    transport, campaign, ledger, generation, set(worker_ids),
-                )
-            state = ledger.state()
-
-        # Reconstruct the merged result from the store: every pending
-        # /24 was checkpointed by whoever measured it.
-        transport.refresh()
-        by_prefix: Dict[Prefix, Slash24Measurement] = {}
-        stats = ProbeStats()
-        shard_metrics = MetricsRegistry()
-        missing: List[Prefix] = []
-        collected: List[Tuple[Prefix, Slash24Measurement, ProbeStats]] = []
-        for slash24 in slash24s:
-            document = transport.get(
-                measurement_key(campaign, slash24, snapshot.active_in(slash24))
-            )
-            if document is None or document.get("kind") != KIND_SLASH24:
-                missing.append(slash24)
-                continue
-            measurement, record_stats = decode_slash24_record(document)
-            collected.append((slash24, measurement, record_stats))
-        if missing:
-            raise _ParallelUnavailable(
-                "incomplete",
-                RuntimeError(
-                    f"{len(missing)} of {len(slash24s)} /24s missing from "
-                    f"the lease-coordinated store (e.g. {missing[0]})"
-                ),
-            )
-        for slash24, measurement, record_stats in collected:
-            by_prefix[slash24] = measurement
-            stats.merge(record_stats)
-            _fold_measurement_metrics(shard_metrics, measurement, record_stats)
-            if external_cache is not None:
-                external_cache.record(
-                    slash24, snapshot.active_in(slash24),
-                    measurement, record_stats,
-                )
-        if external_cache is not None:
-            external_cache.commit()
-
-        # Engine timing deltas come from the workers' exit records; a
-        # SIGKILLed worker never writes one, so its (diagnostic-only)
-        # timing is lost while its measurements survive via the store.
-        exits = state.exits if state is not None else {}
-        engine_seconds, engine_batches, engine_batched = takeover_deltas
-        lost = 0
-        event_deltas: Dict[str, int] = {}
-        for worker_id in worker_ids:
-            exit_info = exits.get(worker_id)
-            if exit_info is None:
-                lost += 1
-                continue
-            engine_seconds += float(exit_info.get("engine_seconds", 0.0))
-            engine_batches += int(exit_info.get("engine_batches", 0))
-            engine_batched += int(exit_info.get("engine_batched", 0))
-            for attr, value in exit_info.items():
-                if attr.startswith("events_"):
-                    name = attr[len("events_"):]
-                    event_deltas[name] = event_deltas.get(name, 0) + int(value)
-        if event_deltas and internet.events is not None:
-            # The workers probed pickled copies of the simulator; fold
-            # their event activity back so the parent's schedule counts
-            # the whole campaign (SIGKILLed workers lose their deltas,
-            # like engine timing — diagnostics only).
-            internet.events.add_counter_deltas(event_deltas)
-        counts = state.counts() if state is not None else {}
-        shard_metrics.count(
-            "campaign.parallel.lease.batches", counts.get("batches", 0)
-        )
-        shard_metrics.count(
-            "campaign.parallel.lease.claims", counts.get("claims", 0)
-        )
-        shard_metrics.count(
-            "campaign.parallel.lease.steals", counts.get("steals", 0)
-        )
-        shard_metrics.count(
-            "campaign.parallel.lease.renews", counts.get("renews", 0)
-        )
+        del payload
+        idle = list(reversed(links))
+        busy: Dict[Connection, int] = {}
+        while queue or busy:
+            while queue and idle:
+                link = idle.pop()
+                index = queue.popleft()
+                try:
+                    link.send(wire(index))
+                    busy[link] = index
+                except OSError:
+                    queue.appendleft(index)
+                    lost += 1
+            if not busy:
+                break  # chunks left, but no worker to run them
+            for link in wait(list(busy)):
+                index = busy.pop(link)
+                try:
+                    done, seconds, batches, batched, event_deltas = (
+                        link.recv()
+                    )
+                except (EOFError, OSError):
+                    queue.appendleft(index)
+                    lost += 1
+                    continue
+                # The workers probe pickled copies of the simulator;
+                # fold what this chunk cost into the parent's, so its
+                # counters and event schedule count the whole campaign.
+                internet.probe_count += sum(stats.sent for _, stats in done)
+                internet.probe_seconds += seconds
+                internet.probe_batches += batches
+                internet.batched_probes += batched
+                if internet.events is not None:
+                    internet.events.add_counter_deltas(event_deltas)
+                record(index, done)
+                idle.append(link)
+        if queue:
+            # Every worker died: the parent measures the rest itself,
+            # on its own simulator (so its counters need no folding).
+            registry.count("campaign.parallel.takeover")
+            with span("campaign.takeover", chunks=len(queue)):
+                while queue:
+                    index = queue.popleft()
+                    record(index, _measure_chunk(
+                        internet, policy, wire(index), seed, clock_base,
+                        max_destinations,
+                    ))
+        for link in idle:
+            try:
+                link.send(None)
+            except OSError:
+                pass  # already gone, and owed nothing
+        registry.count("campaign.parallel.chunks", chunk_count)
         if lost:
-            shard_metrics.count("campaign.parallel.lease.workers_lost", lost)
+            registry.count("campaign.parallel.workers_lost", lost)
             trace_warning(
-                "campaign.lease_worker_lost",
+                "campaign.worker_lost",
                 f"{lost} of {worker_count} campaign workers died; their "
-                "leases were reclaimed and the campaign completed",
+                "chunks were measured again and the campaign completed",
                 workers_lost=lost,
-                takeover=took_over,
             )
-        if took_over:
-            shard_metrics.count("campaign.parallel.lease.takeover")
-        if progress is not None:
-            progress.update(len(by_prefix), probes=stats.sent)
-        return (
-            by_prefix,
-            stats,
-            shard_metrics,
-            (engine_seconds, engine_batches, engine_batched),
-        )
+        return fresh
     finally:
         for proc in procs:
             if proc.is_alive():
                 proc.terminate()
-                proc.join()
-        ledger.close()
-        if ephemeral_dir is not None:
-            transport.close()
-            shutil.rmtree(ephemeral_dir, ignore_errors=True)
+            proc.join()
+        for link in links:
+            link.close()
 
 
 def _bind_store(
@@ -699,11 +466,10 @@ def run_campaign(
     flat-array :class:`repro.core.columnar.CampaignResult`, filled row
     by row so million-/24 campaigns never hold per-/24 objects.
 
-    ``workers`` > 1 measures the /24s in worker processes that claim
-    lease batches from a ledger next to the store (see
-    :func:`_run_shards_parallel`); the merged result (measurements,
-    their insertion order, and probe accounting) is identical to the
-    serial run with the same seed.
+    ``workers`` > 1 measures the /24s in worker processes that the
+    parent feeds chunks over pipes (see :func:`_run_parallel`); the
+    merged result (measurements, their insertion order, and probe
+    accounting) is identical to the serial run with the same seed.
     A campaign-wide ``max_probes`` budget requires serial accounting —
     when both are given, the campaign runs serially.
 
@@ -796,102 +562,81 @@ def _run_campaign_observed(
     result = CampaignResult()
     stats = ProbeStats()
 
-    parallel = None
-    if workers > 1 and pending:
-        if max_probes is not None:
-            # Documented behaviour (a campaign-wide budget needs serial
-            # accounting), but still worth a breadcrumb in the journal.
-            registry.count("campaign.parallel_skipped.budget")
-            trace_event(
-                "campaign.parallel_skipped", reason="max_probes",
-                workers=workers,
-            )
-        else:
-            try:
-                parallel = _run_shards_parallel(
-                    internet, policy, pending, snapshot, seed, clock_base,
-                    max_destinations_per_slash24, workers, cache=cache,
-                    progress=progress,
+    fresh: Dict[Prefix, Tuple[Slash24Measurement, ProbeStats]] = {}
+    remaining = max_probes
+    done = 0
+    try:
+        if workers > 1 and pending:
+            if max_probes is not None:
+                # Documented behaviour (a campaign-wide budget needs
+                # serial accounting), but still worth a breadcrumb in
+                # the journal.
+                registry.count("campaign.parallel_skipped.budget")
+                trace_event(
+                    "campaign.parallel_skipped", reason="max_probes",
+                    workers=workers,
                 )
-            except _ParallelUnavailable as fallback:
-                _note_parallel_fallback(registry, fallback)
-    if parallel is not None:
-        by_prefix, fresh_stats, shard_metrics, engine_deltas = parallel
-        registry.count("campaign.parallel")
-        registry.merge(shard_metrics)
-        for measurement, replay_stats in cached.values():
-            stats.merge(replay_stats)
-            _fold_measurement_metrics(registry, measurement, replay_stats)
-        stats.merge(fresh_stats)
-        # Re-insert following the input order so even the measurement
-        # dict's iteration order matches the serial run exactly.
+            else:
+                try:
+                    fresh = _run_parallel(
+                        internet, policy, pending, snapshot, seed,
+                        clock_base, max_destinations_per_slash24, workers,
+                        registry, cache=cache, progress=progress,
+                    )
+                    registry.count("campaign.parallel")
+                except _ParallelUnavailable as fallback:
+                    _note_parallel_fallback(registry, fallback)
+        # One pass in input order, so even the measurement dict's
+        # iteration order is the same whether a /24 was replayed,
+        # measured by a worker or measured here.
         for slash24 in slash24s:
             if slash24 in cached:
-                result.add(cached[slash24][0])
-            else:
-                result.add(by_prefix[slash24])
-        # The parent simulator never saw the workers' probes; account
-        # for them — counts *and* engine timing — so diagnostics match
-        # the serial run. (Replayed /24s sent nothing, so they don't
-        # count here.)
-        internet.probe_count += fresh_stats.sent
-        internet.probe_seconds += engine_deltas[0]
-        internet.probe_batches += engine_deltas[1]
-        internet.batched_probes += engine_deltas[2]
-    else:
-        remaining = max_probes
-        done = 0
-        try:
-            for slash24 in slash24s:
-                if slash24 in cached:
-                    measurement, measure_stats = cached[slash24]
-                    # Replays charge the budget exactly what the
-                    # original measurement cost, so a budgeted run stops
-                    # at the same point whether or not its prefix was
-                    # cached.
-                    if (
-                        remaining is not None
-                        and measure_stats.sent > remaining
-                    ):
-                        raise ProbeBudgetExceeded(
-                            f"budget exhausted replaying {slash24} from "
-                            "store"
-                        )
-                else:
-                    with span("campaign.slash24", prefix=slash24):
-                        measurement, measure_stats = _measure_in_context(
-                            internet, policy, slash24,
-                            snapshot.active_in(slash24),
-                            seed, clock_base, max_destinations_per_slash24,
-                            max_probes=remaining,
-                        )
-                    if cache is not None:
-                        cache.record(
-                            slash24, snapshot.active_in(slash24),
-                            measurement, measure_stats,
-                        )
-                if remaining is not None:
-                    remaining -= measure_stats.sent
-                stats.merge(measure_stats)
-                _fold_measurement_metrics(
-                    registry, measurement, measure_stats
-                )
-                result.add(measurement)
-                done += 1
-                if progress is not None:
-                    progress.update(
-                        done,
-                        probes=stats.sent,
-                        store_hits=len(cached),
-                        store_lookups=(
-                            len(slash24s) if cache is not None else 0
-                        ),
+                measurement, measure_stats = cached[slash24]
+                # Replays charge the budget exactly what the original
+                # measurement cost, so a budgeted run stops at the same
+                # point whether or not its prefix was cached.
+                if remaining is not None and measure_stats.sent > remaining:
+                    raise ProbeBudgetExceeded(
+                        f"budget exhausted replaying {slash24} from store"
                     )
-        finally:
-            # Everything measured so far is committed, also when the
-            # loop raises (a probe budget running out mid-campaign).
-            if cache is not None:
-                cache.commit()
+            elif slash24 in fresh:
+                measurement, measure_stats = fresh[slash24]
+            else:
+                with span("campaign.slash24", prefix=slash24):
+                    measurement, measure_stats = _measure_in_context(
+                        internet, policy, slash24,
+                        snapshot.active_in(slash24),
+                        seed, clock_base, max_destinations_per_slash24,
+                        max_probes=remaining,
+                    )
+                if cache is not None:
+                    cache.record(
+                        slash24, snapshot.active_in(slash24),
+                        measurement, measure_stats,
+                    )
+            if remaining is not None:
+                remaining -= measure_stats.sent
+            stats.merge(measure_stats)
+            registry.count("campaign.slash24s")
+            measure_stats.fold_into(registry, "campaign.probes")
+            registry.count(
+                f"campaign.categories.{measurement.category.name.lower()}"
+            )
+            result.add(measurement)
+            done += 1
+            if progress is not None and not fresh:
+                progress.update(
+                    done,
+                    probes=stats.sent,
+                    store_hits=len(cached),
+                    store_lookups=len(slash24s) if cache is not None else 0,
+                )
+    finally:
+        # Everything measured so far, here or by the workers, is
+        # committed, also when the run raises (a probe budget running
+        # out mid-campaign).
+        if cache is not None:
+            cache.commit()
 
     # Honest what-actually-ran accounting: netsim.* counts probes this
     # process (and its workers) physically sent, while campaign.probes.*

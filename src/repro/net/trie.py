@@ -1,9 +1,12 @@
 """Binary radix trie over IPv4 prefixes.
 
-Routers in the simulator resolve next hops with longest-prefix match
-(:meth:`PrefixTrie.lookup`); the allocation generator uses
-:meth:`PrefixTrie.subtree` and :meth:`PrefixTrie.covers` to keep
-allocations hierarchical.
+:class:`PrefixTrie` is a longest-prefix-match map
+(:meth:`PrefixTrie.lookup`); the simulator's geolocation database
+(:mod:`repro.netsim.geodb`) is built on one, and the test oracle uses
+it as the reference LPM for forwarding. Routing tables and the
+allocation map do not build tries: they flatten their sorted entries
+with :func:`leaf_intervals_from_items` and look addresses up by
+bisection.
 """
 
 from __future__ import annotations

@@ -32,29 +32,14 @@ from .fingerprint import (
     policy_fingerprint,
     scenario_fingerprint,
 )
-from .lease import (
-    BatchLease,
-    ClaimedLease,
-    LeaseError,
-    LeaseLedger,
-    LeaseState,
-    LedgerState,
-    summarize_ledgers,
-)
 from .locking import FileLock
 from .segment import CorruptRecord
 from .store import MeasurementStore, StoreError, VerifyReport
 
 __all__ = [
-    "BatchLease",
     "CampaignCache",
-    "ClaimedLease",
     "CorruptRecord",
     "FileLock",
-    "LeaseError",
-    "LeaseLedger",
-    "LeaseState",
-    "LedgerState",
     "KIND_ARTIFACT",
     "KIND_SLASH24",
     "MeasurementStore",
@@ -77,5 +62,4 @@ __all__ = [
     "route_dataset_to_dict",
     "scenario_fingerprint",
     "slash24_record",
-    "summarize_ledgers",
 ]

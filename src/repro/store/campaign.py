@@ -13,7 +13,9 @@ and :meth:`CampaignCache.commit` writes the buffer with one
 fsync per touched shard. ``record`` commits by itself every
 :data:`COMMIT_EVERY` /24s, so a crash loses at most that many
 uncommitted /24s, which the resumed campaign re-measures
-byte-identically.
+byte-identically. A ``workers=N`` campaign records the chunks its
+workers send back through the parent's one cache, so a campaign always
+has a single writer.
 
 The campaign executor binds the store it is given to a
 :class:`CampaignCache` itself, importing this package only then, which
@@ -40,7 +42,8 @@ from .store import MeasurementStore
 #: /24s a campaign buffers before :meth:`CampaignCache.record` commits
 #: them by itself, and so the most a crash can lose. At 256, a serial
 #: 5,331-/24 campaign over a 16-shard store makes 336 fsyncs instead of
-#: 5,331; groups of 1,024 ran only a few percent faster.
+#: 5,331; groups of 1,024 ran only a few percent faster. It also caps
+#: the chunks a ``workers=N`` campaign hands its workers.
 COMMIT_EVERY = 256
 
 
@@ -56,9 +59,6 @@ class CampaignCache:
         #: warm-run assertions in CI).
         self.hits = 0
         self.misses = 0
-        #: /24s written by :meth:`commit` (the fault injection of the
-        #: lease executor counts these).
-        self.committed = 0
         #: Recorded, not yet committed: (document, prefix, probes sent).
         self._pending: List[Tuple[Dict[str, Any], Prefix, int]] = []
 
@@ -132,6 +132,5 @@ class CampaignCache:
         if not pending:
             return
         self.store.put_many([document for document, _, _ in pending])
-        self.committed += len(pending)
         for _, slash24, sent in pending:
             trace_event("store.checkpoint", prefix=slash24, probes=sent)

@@ -1,13 +1,12 @@
 """Advisory inter-process file locking for the store.
 
-The measurement store was a single-writer design until the lease-based
-distributed executor arrived: now several worker *processes* append to
-the same segment files and the same lease ledger. POSIX ``flock`` gives
-exactly the coordination shape that needs — advisory, per open-file-
-description (so every process takes its own lock independently), and
-released automatically by the kernel when the holder dies, which is the
-property that lets a lease lapse instead of deadlocking the campaign
-when a worker is SIGKILLed mid-append.
+A campaign's parent process is its store's only writer, but two runs
+(or a run and ``hobbit-repro store gc``) may still open one store at
+once. POSIX ``flock`` gives exactly the coordination shape that needs —
+advisory, per open-file-description (so every process takes its own
+lock independently), and released automatically by the kernel when the
+holder dies, so a writer SIGKILLed mid-append never deadlocks the next
+one.
 
 Locks are taken on a dedicated sidecar file (never on the data file
 itself) so lock acquisition can never collide with data truncation or
@@ -48,11 +47,9 @@ def _note_unsupported() -> None:
 class FileLock:
     """An advisory lock on a sidecar file.
 
-    One instance per process per protected resource; ``shared()`` and
-    ``exclusive()`` are context managers. Locks do not nest — callers
-    hold at most one store lock at a time (the store and the lease
-    ledger use *separate* lock files precisely so neither ever waits on
-    the other while holding its own).
+    One instance per process per protected resource; ``exclusive()`` is
+    a context manager. Locks do not nest — callers hold at most one
+    store lock at a time.
     """
 
     def __init__(self, path: str) -> None:
@@ -68,25 +65,18 @@ class FileLock:
         return self._handle
 
     @contextlib.contextmanager
-    def _locked(self, operation: int) -> Iterator[None]:
+    def exclusive(self) -> Iterator[None]:
+        """Writer lock: appends, tail recovery, compaction."""
         if fcntl is None:
             _note_unsupported()
             yield
             return
         handle = self._ensure_handle()
-        fcntl.flock(handle.fileno(), operation)
+        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
         try:
             yield
         finally:
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
-    def exclusive(self) -> contextlib.AbstractContextManager:
-        """Writer lock: appends, tail recovery, compaction."""
-        return self._locked(fcntl.LOCK_EX if fcntl is not None else 0)
-
-    def shared(self) -> contextlib.AbstractContextManager:
-        """Reader lock: index refresh scans, ledger state snapshots."""
-        return self._locked(fcntl.LOCK_SH if fcntl is not None else 0)
 
     def close(self) -> None:
         if self._handle is not None:

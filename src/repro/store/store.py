@@ -18,14 +18,14 @@ check and one ``write`` + flush + fsync per touched shard per batch, so
 a record survives any crash once its batch's commit has returned.
 Campaigns commit their /24s in batches (see :mod:`.campaign`).
 
-The store is safe for *multiple concurrent writer processes*: every
+A campaign has one writer, its parent process (``workers=N`` workers
+only measure). Two campaigns sharing a store still write safely: every
 append (and the open-time tail recovery, and gc compaction) runs under
 an advisory ``flock`` on a sidecar lock file (see :mod:`.locking`), so
 frames from different processes never interleave and a torn tail left
 by a SIGKILLed writer is trimmed by the next appender before its record
-goes down. Readers catch up on records appended by other processes with
-:meth:`MeasurementStore.refresh`, an incremental re-scan from the last
-known frame boundary.
+goes down. A process sees records other processes appended after it
+opened the store only when it opens it again.
 """
 
 from __future__ import annotations
@@ -75,18 +75,9 @@ class StoreError(RuntimeError):
 class MeasurementStore:
     """Append-only, sharded, checksummed key → record store."""
 
-    def __init__(
-        self, root: str, shards: int = DEFAULT_SHARDS, fsync: bool = True
-    ) -> None:
+    def __init__(self, root: str, shards: int = DEFAULT_SHARDS) -> None:
         self.root = os.path.abspath(root)
         self.segment_dir = os.path.join(self.root, SEGMENT_DIR)
-        #: Whether each commit fsyncs its shards. True for durable
-        #: stores; the lease executor's *ephemeral* coordination stores
-        #: disable it (the flush still happens per commit, so a
-        #: SIGKILLed worker loses nothing it committed — only an OS
-        #: crash could, and an ephemeral store does not outlive the run
-        #: anyway).
-        self.fsync = fsync
         self._append_handles: Dict[int, IO[bytes]] = {}
         #: key → (shard index, decoded document). Records are small at
         #: our scenario scales, so the index keeps documents in memory;
@@ -98,9 +89,6 @@ class MeasurementStore:
         #: Duplicate keys seen while scanning (later record wins); gc
         #: compaction drops the superseded ones.
         self.superseded = 0
-        #: Per-shard frame boundary up to which this process has decoded
-        #: records into its index; refresh() scans forward from here.
-        self._indexed_offsets: Dict[int, int] = {}
         #: Per-shard frame boundary this process has structurally
         #: validated; the append path walks forward from here to find
         #: (and trim) torn tails left by writers that died mid-append.
@@ -161,7 +149,6 @@ class MeasurementStore:
             if not os.path.exists(path):
                 continue
             outcome = segmod.recover(path)
-            self._indexed_offsets[shard] = outcome.tail_offset
             self._valid_offsets[shard] = outcome.tail_offset
             self.corrupt_records.extend(outcome.corrupt)
             for offset, document in outcome.records:
@@ -273,7 +260,7 @@ class MeasurementStore:
                     handle = open(self._segment_path(shard), "ab")
                     self._append_handles[shard] = handle
                 valid_end = self._reclaim_tail(shard, handle)
-                segmod.append(handle, data, fsync=self.fsync)
+                segmod.append(handle, data)
                 self._valid_offsets[shard] = valid_end + len(data)
         for shard, document in zip(shards, documents):
             key = document["key"]
@@ -304,70 +291,6 @@ class MeasurementStore:
                 trimmed=size - valid_end,
             )
         return valid_end
-
-    def refresh(self) -> int:
-        """Fold records appended by *other processes* into the index.
-
-        Scans each segment forward from the last indexed frame boundary
-        under the shared lock (so a concurrent append is either fully
-        visible or not started — never half-read). Returns the number of
-        records newly indexed. Records this process wrote itself decode
-        identically and are skipped without counting as superseded.
-
-        Lease workers refresh before re-measuring a stolen batch. When
-        nothing has been appended since the last refresh, a lock-free
-        size probe answers:
-        segment files are append-only and ``_indexed_offsets`` records a
-        validated frame boundary, so ``size <= indexed`` proves there is
-        no unindexed complete frame — without touching the store lock a
-        concurrent writer may be holding through an fsync. Only when
-        some segment has grown does refresh take the shared lock and
-        scan (re-checking sizes under it, since the probe races writers
-        by design).
-        """
-        grew = False
-        for shard in range(self.shards):
-            path = self._segment_path(shard)
-            try:
-                size = os.path.getsize(path)
-            except OSError:
-                continue
-            if size > self._indexed_offsets.get(shard, 0):
-                grew = True
-                break
-        if not grew:
-            return 0
-        added = 0
-        with self._lock.shared():
-            for shard in range(self.shards):
-                path = self._segment_path(shard)
-                if not os.path.exists(path):
-                    continue
-                start = self._indexed_offsets.get(shard, 0)
-                if os.path.getsize(path) <= start:
-                    continue
-                outcome = segmod.scan(path, start=start)
-                for offset, document in outcome.records:
-                    key = document.get("key")
-                    if not isinstance(key, str):
-                        self.corrupt_records.append(
-                            CorruptRecord(path, offset, "record missing key")
-                        )
-                        continue
-                    current = self._index.get(key)
-                    if current is not None and current[1] == document:
-                        continue
-                    if current is not None:
-                        self.superseded += 1
-                    self._index[key] = (shard, document)
-                    added += 1
-                self._indexed_offsets[shard] = outcome.tail_offset
-                self._valid_offsets[shard] = max(
-                    self._valid_offsets.get(shard, 0), outcome.tail_offset
-                )
-        if added:
-            trace_event("store.refreshed", path=self.root, records=added)
-        return added
 
     # -- maintenance ------------------------------------------------------
 
@@ -437,7 +360,6 @@ class MeasurementStore:
         self.superseded = 0
         # Rebuild the index from the compacted files.
         self._index.clear()
-        self._indexed_offsets.clear()
         self._valid_offsets.clear()
         self._load()
         trace_event(

@@ -1,7 +1,7 @@
 """Validated environment-variable knobs.
 
-Operational knobs (``REPRO_LEASE_TTL``, ``REPRO_LEASE_KILL``,
-``REPRO_EVENTS``, ``REPRO_WORKERS``, ...) are read in the middle of
+Operational knobs (``REPRO_WORKER_KILL``, ``REPRO_EVENTS``,
+``REPRO_WORKERS``, ...) are read in the middle of
 deep call stacks; a malformed value must fail *at the knob* with a
 message naming the variable and the expected shape, not as a
 ``ValueError`` traceback twelve frames inside the campaign executor.
@@ -51,16 +51,6 @@ def float_env(
     return value
 
 
-def positive_float_env(name: str, default: float) -> float:
-    """Like :func:`float_env` but the value must be strictly positive."""
-    value = float_env(name, default)
-    if value <= 0.0:
-        raise EnvKnobError(
-            f"{name}={os.environ.get(name)!r} must be > 0"
-        )
-    return value
-
-
 def positive_int_env(name: str, default: int) -> int:
     """The whole-number value of ``$name``, or ``default`` when
     unset/empty.
@@ -84,12 +74,12 @@ def positive_int_env(name: str, default: int) -> int:
 
 
 def parse_kill_spec(
-    spec: Optional[str], name: str = "REPRO_LEASE_KILL"
+    spec: Optional[str], name: str = "REPRO_WORKER_KILL"
 ) -> List[Tuple[int, int]]:
     """Parse a fault-injection spec: comma-separated ``index:count``.
 
-    Returns ``[(worker_index, checkpoint_count), ...]``; counts are
-    clamped to at least 1 (killing before the first checkpoint would
+    Returns ``[(worker_index, slash24_count), ...]``; counts are
+    clamped to at least 1 (killing before the first measured /24 would
     test nothing). Raises :class:`EnvKnobError` on malformed or
     negative entries instead of silently skipping them — a typo'd kill
     spec that quietly disarms fault injection makes a crash test pass
@@ -106,7 +96,7 @@ def parse_kill_spec(
         if not sep:
             raise EnvKnobError(
                 f"{name} entry {entry!r} is missing ':'; expected "
-                "'<worker_index>:<checkpoints>' (e.g. '0:3')"
+                "'<worker_index>:<slash24s>' (e.g. '0:3')"
             )
         try:
             index = int(index_text)
@@ -114,21 +104,21 @@ def parse_kill_spec(
         except ValueError:
             raise EnvKnobError(
                 f"{name} entry {entry!r} is not numeric; expected "
-                "'<worker_index>:<checkpoints>' (e.g. '0:3')"
+                "'<worker_index>:<slash24s>' (e.g. '0:3')"
             ) from None
         if index < 0 or count < 0:
             raise EnvKnobError(
                 f"{name} entry {entry!r} is negative; worker index and "
-                "checkpoint count must both be >= 0"
+                "/24 count must both be >= 0"
             )
         entries.append((index, max(1, count)))
     return entries
 
 
 def kill_after_for_worker(
-    spec: Optional[str], worker_index: int, name: str = "REPRO_LEASE_KILL"
+    spec: Optional[str], worker_index: int, name: str = "REPRO_WORKER_KILL"
 ) -> Optional[int]:
-    """Checkpoint count after which worker ``worker_index`` self-kills,
+    """Measured /24s after which worker ``worker_index`` self-kills,
     or None when the spec does not target it."""
     for index, count in parse_kill_spec(spec, name):
         if index == worker_index:

@@ -1,11 +1,12 @@
-"""Crash consistency of the lease-based distributed executor.
+"""Crash consistency of the parallel campaign executor.
 
 The contract under attack: a ``workers=N`` campaign in which a worker
-is SIGKILLed *mid-batch* (lease held, some /24s checkpointed, some not)
-must still complete — surviving workers re-claim the lapsed lease — and
-the result must be bit-identical to the serial run: measurements, their
-insertion order, probe accounting, store records, and the simulator's
-end-of-campaign clock.
+is SIGKILLed after measuring a chunk, before sending it back, must
+still complete — the parent hands the chunk to a live worker, or
+measures it itself once none is left — and the result must be
+bit-identical to the serial run: measurements, their insertion order,
+probe accounting, store records, and the simulator's end-of-campaign
+clock.
 """
 
 import multiprocessing
@@ -19,13 +20,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.probing import scan
 from repro.store import CampaignCache, MeasurementStore
 from repro.store import campaign as campaign_module
-from repro.store.lease import LeaseLedger
 
 SEED = 5
 MAX_DESTINATIONS = 48
-#: Short enough that a killed worker's lease is reclaimed in test time,
-#: long enough that a *live* worker can never lapse by accident.
-TEST_TTL = "2.0"
 
 
 def _fresh_internet():
@@ -73,12 +70,11 @@ class TestWorkerDeathRecovery:
     def test_killed_worker_mid_batch_bit_identical(
         self, selection, serial_state, tmp_path, monkeypatch
     ):
-        """Kill worker 0 after its first checkpoint: its lease lapses
-        mid-batch, a surviving worker steals it, and everything the
-        serial run would have produced is reproduced exactly."""
+        """Kill worker 0 after its first chunk: a surviving worker
+        measures that chunk again, and everything the serial run would
+        have produced is reproduced exactly."""
         serial_result, serial_clock, serial_probes = serial_state
-        monkeypatch.setenv("REPRO_LEASE_TTL", TEST_TTL)
-        monkeypatch.setenv("REPRO_LEASE_KILL", "0:1")
+        monkeypatch.setenv("REPRO_WORKER_KILL", "0:1")
         internet, snapshot = _fresh_internet()
         registry = MetricsRegistry()
         with MeasurementStore(str(tmp_path / "store")) as store:
@@ -91,34 +87,12 @@ class TestWorkerDeathRecovery:
         assert result.probes_used == serial_result.probes_used
         assert internet.clock_seconds == serial_clock
         assert internet.probe_count == serial_probes
-        # The death was not silent: the worker is reported lost, and
-        # its lease was re-claimed by someone.
+        # The death was not silent: the worker is reported lost, and a
+        # live worker, not the parent, measured its chunk again.
         assert registry.counter_value(
-            "campaign.parallel.lease.workers_lost"
+            "campaign.parallel.workers_lost"
         ) == 1
-        claims = registry.counter_value("campaign.parallel.lease.claims")
-        batches = registry.counter_value("campaign.parallel.lease.batches")
-        assert claims > batches  # at least one batch was claimed twice
-
-    def test_lease_lapse_recorded_in_ledger(
-        self, selection, tmp_path, monkeypatch
-    ):
-        """The ledger itself shows the steal (or parent takeover): the
-        killed worker's batch ends DONE under a different owner."""
-        monkeypatch.setenv("REPRO_LEASE_TTL", TEST_TTL)
-        monkeypatch.setenv("REPRO_LEASE_KILL", "0:1")
-        internet, snapshot = _fresh_internet()
-        clock_base = internet.clock_seconds
-        with MeasurementStore(str(tmp_path / "store")) as store:
-            _run(internet, snapshot, selection, workers=3, store=store)
-            cache = _bound_cache(store, internet, clock_base)
-            with LeaseLedger(store.root, cache.campaign) as ledger:
-                state = ledger.state()
-        assert state is not None
-        assert state.all_done
-        counts = state.counts()
-        assert counts["steals"] >= 1
-        assert counts["slash24s_done"] == len(selection)
+        assert registry.counter_value("campaign.parallel.takeover") == 0
 
     def test_store_records_bit_identical_to_serial(
         self, selection, tmp_path, monkeypatch
@@ -142,8 +116,7 @@ class TestWorkerDeathRecovery:
                 for slash24 in selection
             }
 
-        monkeypatch.setenv("REPRO_LEASE_TTL", TEST_TTL)
-        monkeypatch.setenv("REPRO_LEASE_KILL", "0:1")
+        monkeypatch.setenv("REPRO_WORKER_KILL", "0:1")
         internet, snapshot = _fresh_internet()
         clock_base = internet.clock_seconds
         with MeasurementStore(str(tmp_path / "killed")) as store:
@@ -160,12 +133,11 @@ class TestWorkerDeathRecovery:
     def test_all_workers_dead_parent_takes_over(
         self, selection, serial_state, tmp_path, monkeypatch
     ):
-        """Every worker dies: nobody is left to steal, so the parent
-        reclaims the leftovers itself and the campaign still completes,
-        bit-identical."""
+        """Every worker dies: nobody is left to take the chunks, so the
+        parent measures the rest itself and the campaign still
+        completes, bit-identical."""
         serial_result, serial_clock, serial_probes = serial_state
-        monkeypatch.setenv("REPRO_LEASE_TTL", TEST_TTL)
-        monkeypatch.setenv("REPRO_LEASE_KILL", "0:1,1:1")
+        monkeypatch.setenv("REPRO_WORKER_KILL", "0:1,1:1")
         internet, snapshot = _fresh_internet()
         registry = MetricsRegistry()
         with MeasurementStore(str(tmp_path / "store")) as store:
@@ -173,9 +145,9 @@ class TestWorkerDeathRecovery:
                 internet, snapshot, selection,
                 workers=2, store=store, registry=registry,
             )
-        assert registry.counter_value("campaign.parallel.lease.takeover") == 1
+        assert registry.counter_value("campaign.parallel.takeover") == 1
         assert registry.counter_value(
-            "campaign.parallel.lease.workers_lost"
+            "campaign.parallel.workers_lost"
         ) == 2
         assert result.measurements == serial_result.measurements
         assert result.probes_used == serial_result.probes_used
@@ -185,12 +157,10 @@ class TestWorkerDeathRecovery:
     def test_sole_survivor_finishes_everything(
         self, selection, serial_state, monkeypatch
     ):
-        """workers=2 where worker 0 dies immediately — and no store is
-        attached, so recovery runs over the ephemeral coordination
-        store: worker 1 finishes the whole campaign via steals."""
+        """workers=2 where worker 0 dies after its first chunk, and no
+        store is attached: worker 1 finishes the whole campaign."""
         serial_result, serial_clock, serial_probes = serial_state
-        monkeypatch.setenv("REPRO_LEASE_TTL", TEST_TTL)
-        monkeypatch.setenv("REPRO_LEASE_KILL", "0:1")
+        monkeypatch.setenv("REPRO_WORKER_KILL", "0:1")
         internet, snapshot = _fresh_internet()
         result = _run(internet, snapshot, selection, workers=2)
         assert result.measurements == serial_result.measurements
@@ -199,17 +169,17 @@ class TestWorkerDeathRecovery:
         assert internet.probe_count == serial_probes
 
 
-class TestPartialBatchSteal:
-    def test_thief_remeasures_only_the_uncommitted_rest(
+class TestChunkLostBeforeReport:
+    def test_lost_chunk_stored_once(
         self, selection, serial_state, tmp_path, monkeypatch
     ):
-        """With one-/24 commit groups, worker 0 dies after committing
-        the first /24 of its batch: the thief replays that one from the
-        store and measures the rest, bit-identical to serial."""
+        """With one-/24 chunks and commit groups, worker 0 dies after
+        measuring its first chunk, before reporting it: a live worker
+        measures that chunk again, and the parent stores every /24
+        exactly once, bit-identical to serial."""
         serial_result, serial_clock, serial_probes = serial_state
         monkeypatch.setattr(campaign_module, "COMMIT_EVERY", 1)
-        monkeypatch.setenv("REPRO_LEASE_TTL", TEST_TTL)
-        monkeypatch.setenv("REPRO_LEASE_KILL", "0:1")
+        monkeypatch.setenv("REPRO_WORKER_KILL", "0:1")
         internet, snapshot = _fresh_internet()
         registry = MetricsRegistry()
         with MeasurementStore(str(tmp_path / "store")) as store:
@@ -217,8 +187,8 @@ class TestPartialBatchSteal:
                 internet, snapshot, selection,
                 workers=3, store=store, registry=registry,
             )
-            # Every /24 went down once: the committed one was not
-            # measured again.
+            # Every /24 went down once: the lost chunk was measured
+            # twice but recorded once.
             assert store.verify().records_ok == len(selection)
         assert result.measurements == serial_result.measurements
         assert list(result.measurements) == list(serial_result.measurements)
@@ -226,11 +196,11 @@ class TestPartialBatchSteal:
         assert internet.clock_seconds == serial_clock
         assert internet.probe_count == serial_probes
         assert registry.counter_value(
-            "campaign.parallel.lease.workers_lost"
+            "campaign.parallel.workers_lost"
         ) == 1
         assert registry.counter_value(
-            "campaign.parallel.lease.steals"
-        ) >= 1
+            "campaign.parallel.chunks"
+        ) == len(selection)
 
 
 class TestResumability:
@@ -240,12 +210,11 @@ class TestResumability:
         """A campaign resumed over the store a killed run left behind
         replays every stored /24 and re-measures nothing."""
         serial_result, _, _ = serial_state
-        monkeypatch.setenv("REPRO_LEASE_TTL", TEST_TTL)
-        monkeypatch.setenv("REPRO_LEASE_KILL", "0:1")
+        monkeypatch.setenv("REPRO_WORKER_KILL", "0:1")
         with MeasurementStore(str(tmp_path / "store")) as store:
             internet, snapshot = _fresh_internet()
             _run(internet, snapshot, selection, workers=3, store=store)
-        monkeypatch.delenv("REPRO_LEASE_KILL")
+        monkeypatch.delenv("REPRO_WORKER_KILL")
         with MeasurementStore(str(tmp_path / "store")) as store:
             internet, snapshot = _fresh_internet()
             base_probes = internet.probe_count
@@ -260,7 +229,7 @@ def _concurrent_appender(root, start, count):
     """Child-process body for the two-writer locking test."""
     from repro.store import MeasurementStore, artifact_record
 
-    with MeasurementStore(root, fsync=False) as store:
+    with MeasurementStore(root) as store:
         for index in range(start, start + count):
             store.put(artifact_record(f"sc::k{index}", index))
 

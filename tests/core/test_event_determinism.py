@@ -28,7 +28,6 @@ from tests import oracle
 SEED = 77
 MAX_DESTINATIONS = 32
 INTENSITY = 0.6
-TEST_TTL = "2.0"
 
 
 def _config():
@@ -109,8 +108,8 @@ class TestSerialVsParallel:
         assert result.probes_used == serial_result.probes_used
         assert internet.clock_seconds == serial_clock
         assert internet.probe_count == serial_probes
-        # Worker event deltas were shipped home through the ledger, so
-        # the parent's counters agree with the serial run's.
+        # Worker event deltas were shipped home over the pipes, so the
+        # parent's counters agree with the serial run's.
         assert dict(internet.events.counters) == serial_counters
 
 
@@ -118,12 +117,15 @@ class TestKillResume:
     def test_killed_worker_recovery_bit_identical(
         self, selection, serial_state, tmp_path, monkeypatch
     ):
-        """Worker 0 is SIGKILLed mid-batch while events are active: the
-        lease lapses, a survivor steals it, and the result is still
-        bit-identical to the serial events-enabled run."""
-        serial_result, serial_clock, serial_probes, _ = serial_state
-        monkeypatch.setenv("REPRO_LEASE_TTL", TEST_TTL)
-        monkeypatch.setenv("REPRO_LEASE_KILL", "0:1")
+        """Worker 0 is SIGKILLed after its second chunk while events are
+        active: a survivor measures the chunk again, and the result is
+        still bit-identical to the serial events-enabled run. The event
+        counters of the chunk it did report are kept, so they match
+        too."""
+        serial_result, serial_clock, serial_probes, serial_counters = (
+            serial_state
+        )
+        monkeypatch.setenv("REPRO_WORKER_KILL", "0:3")
         internet, snapshot = _fresh_internet()
         with MeasurementStore(str(tmp_path / "store")) as store:
             result = _run(
@@ -133,6 +135,7 @@ class TestKillResume:
         assert result.probes_used == serial_result.probes_used
         assert internet.clock_seconds == serial_clock
         assert internet.probe_count == serial_probes
+        assert dict(internet.events.counters) == serial_counters
 
     def test_resume_from_store_replays_without_probes(
         self, selection, serial_state, tmp_path, monkeypatch
@@ -141,12 +144,11 @@ class TestKillResume:
         without sending a probe — reroutes are reapplied idempotently
         and change nothing the store does not already reflect."""
         serial_result, _, _, _ = serial_state
-        monkeypatch.setenv("REPRO_LEASE_TTL", TEST_TTL)
-        monkeypatch.setenv("REPRO_LEASE_KILL", "0:1")
+        monkeypatch.setenv("REPRO_WORKER_KILL", "0:1")
         with MeasurementStore(str(tmp_path / "store")) as store:
             internet, snapshot = _fresh_internet()
             _run(internet, snapshot, selection, workers=3, store=store)
-        monkeypatch.delenv("REPRO_LEASE_KILL")
+        monkeypatch.delenv("REPRO_WORKER_KILL")
         with MeasurementStore(str(tmp_path / "store")) as store:
             internet, snapshot = _fresh_internet()
             base_probes = internet.probe_count

@@ -85,6 +85,18 @@ class TestStoreCommand:
         # After compaction the store verifies clean again.
         assert main(["store", "verify", str(store_root)]) == 0
 
+    @pytest.mark.parametrize("action", ["ls", "info", "verify", "gc"])
+    def test_missing_store_refused_and_not_created(
+        self, tmp_path, capsys, action
+    ):
+        """A mistyped path must not pass as an empty, clean store."""
+        typo = tmp_path / "typo"
+        assert main(["store", action, str(typo)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"hobbit-repro: no store at {typo}"
+        assert not typo.exists()
+
     def test_no_path_and_no_env(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_STORE", raising=False)
         assert main(["store", "info"]) == 2

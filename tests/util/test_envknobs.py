@@ -13,7 +13,6 @@ from repro.util.envknobs import (
     float_env,
     kill_after_for_worker,
     parse_kill_spec,
-    positive_float_env,
     positive_int_env,
 )
 
@@ -73,27 +72,6 @@ class TestFloatEnv:
         assert issubclass(EnvKnobError, ValueError)
 
 
-class TestPositiveFloatEnv:
-    def test_positive_value_accepted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEASE_TTL", "2.0")
-        assert positive_float_env("REPRO_LEASE_TTL", 30.0) == 2.0
-
-    def test_zero_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEASE_TTL", "0")
-        with pytest.raises(EnvKnobError, match="REPRO_LEASE_TTL"):
-            positive_float_env("REPRO_LEASE_TTL", 30.0)
-
-    def test_negative_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEASE_TTL", "-5")
-        with pytest.raises(EnvKnobError, match="> 0"):
-            positive_float_env("REPRO_LEASE_TTL", 30.0)
-
-    def test_junk_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEASE_TTL", "fast")
-        with pytest.raises(EnvKnobError, match="REPRO_LEASE_TTL"):
-            positive_float_env("REPRO_LEASE_TTL", 30.0)
-
-
 class TestPositiveIntEnv:
     def test_unset_and_empty_return_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_X", raising=False)
@@ -129,7 +107,7 @@ class TestParseKillSpec:
         assert parse_kill_spec("0:1,2:5") == [(0, 1), (2, 5)]
 
     def test_zero_count_clamped_to_one(self):
-        # Killing before the first checkpoint would test nothing.
+        # Killing before the first measured /24 would test nothing.
         assert parse_kill_spec("1:0") == [(1, 1)]
 
     def test_missing_colon_raises(self):
@@ -147,8 +125,8 @@ class TestParseKillSpec:
             parse_kill_spec("-1:2")
 
     def test_error_names_the_variable(self):
-        with pytest.raises(EnvKnobError, match="REPRO_LEASE_KILL"):
-            parse_kill_spec("oops", name="REPRO_LEASE_KILL")
+        with pytest.raises(EnvKnobError, match="REPRO_WORKER_KILL"):
+            parse_kill_spec("oops", name="REPRO_WORKER_KILL")
         with pytest.raises(EnvKnobError, match="CUSTOM_KNOB"):
             parse_kill_spec("oops", name="CUSTOM_KNOB")
 
@@ -212,12 +190,7 @@ class TestCampaignIntegration:
             workers=workers,
         )
 
-    def test_bad_ttl_fails_fast(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEASE_TTL", "short")
-        with pytest.raises(EnvKnobError, match="REPRO_LEASE_TTL"):
-            self._tiny_campaign(workers=2)
-
     def test_bad_kill_spec_fails_fast(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEASE_KILL", "first-worker")
-        with pytest.raises(EnvKnobError, match="REPRO_LEASE_KILL"):
+        monkeypatch.setenv("REPRO_WORKER_KILL", "first-worker")
+        with pytest.raises(EnvKnobError, match="REPRO_WORKER_KILL"):
             self._tiny_campaign(workers=2)
