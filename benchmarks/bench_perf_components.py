@@ -7,9 +7,10 @@ import os
 import random
 
 from repro.aggregation import build_similarity_graph, mcl
-from repro.core import TerminationPolicy, measure_slash24, run_campaign
+from repro.core import TerminationPolicy, run_campaign
 from repro.core.grouping import group_by_lasthop
 from repro.core.hierarchy import groups_hierarchical
+from repro.core.pipeline import measure
 from repro.probing import (
     Prober,
     enumerate_paths,
@@ -86,8 +87,8 @@ def bench_measure_one_slash24(benchmark, workspace):
     slash24 = snapshot.eligible_slash24s()[3]
     prober = Prober(internet)
 
-    def measure():
-        return measure_slash24(
+    def measure_one():
+        return measure(
             prober,
             slash24,
             snapshot.active_in(slash24),
@@ -96,7 +97,7 @@ def bench_measure_one_slash24(benchmark, workspace):
             max_destinations=48,
         )
 
-    benchmark(measure)
+    benchmark(measure_one)
 
 
 #: /24s measured by the campaign benches (enough to amortise pool

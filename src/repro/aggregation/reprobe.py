@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.classifier import measure_slash24
+from ..core.pipeline import measure
 from ..core.termination import ReprobePolicy
 from ..net.prefix import Prefix
 from ..netsim.internet import SimulatedInternet
@@ -96,7 +96,7 @@ class Reprober:
             self._replayed_probes += probes
             return lasthops
         probes_before = self.prober.probes_sent
-        measurement = measure_slash24(
+        measurement = measure(
             self.prober,
             slash24,
             self.snapshot.active_in(slash24),

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence
 
-from ..core.classifier import measure_slash24
+from ..core.pipeline import measure
 from ..core.termination import ReprobePolicy
 from ..net.prefix import Prefix
 from ..netsim.internet import SimulatedInternet
@@ -107,7 +107,7 @@ def study_vantages(
         prober = Prober(internet, source=source)
         rng = random.Random(seed ^ (index * 0x9E37))
         for slash24 in slash24s:
-            measurement = measure_slash24(
+            measurement = measure(
                 prober,
                 slash24,
                 snapshot.active_in(slash24),

@@ -7,8 +7,8 @@ probed TTL (or that the TTL overshoots the path), whether that router
 responds and has rate-limiter tokens, one stochastic-loss draw, and —
 for host probes — the destination's availability in the current epoch
 plus two per-address constants (default TTL, reverse-path delta). RTT
-values and the cellular radio tracker never influence what the
-classifier observes, so the engine skips them entirely.
+values never influence what the classifier observes, so the engine
+skips them entirely.
 
 This module exploits that: for each /24 it flattens the compiled
 forwarding plane into a **route template** — one slot per path position,
@@ -21,18 +21,25 @@ evaluation (the slot at position ``t-1``) instead of a full
 
 Parity contract: for every supported policy the engine's measurement
 (observations, category, stop reason, ``probes_used``), its
-:class:`~repro.probing.session.ProbeStats`, and the simulator end state
-(``probe_count``, clock, nonce) are bit-identical to the object path
-(:func:`repro.core.classifier.measure_slash24` through a
-:class:`~repro.probing.session.Prober`). The golden suite in
-``tests/core/test_columnar_campaign.py`` enforces this on whole
-campaigns, with the object path installed by the ``tests/oracle.py``
-switch.
+:class:`~repro.probing.session.ProbeStats`, the RNG it draws from and
+the simulator end state (``probe_count``, clock, nonce, rate-limiter
+buckets, the cellular radio tracker, event counters) are bit-identical
+to the object path (:func:`repro.core.classifier.measure_slash24`
+through a :class:`~repro.probing.session.Prober`). The engine continues
+whatever measurement context the simulator is in: the campaign pins a
+fresh one per /24, while the confidence dataset, strict-het re-probing
+and cluster-validation reprobing run a sequence of /24s in one context
+with one RNG. ``tests/core/test_columnar_campaign.py`` enforces the
+contract on whole campaigns and ``tests/core/test_phase_parity.py`` on
+shared-context sequences, with the object path installed by the
+``tests/oracle.py`` switch.
 
-Engine state that probes would normally mutate on the simulator — rate
-limiter buckets, the clock, the nonce — is mirrored locally and only
-committed to the simulator when the /24 completes, which keeps a
-fallback mid-/24 side-effect free.
+Simulator state that probes mutate — the clock, the nonce, rate-limiter
+buckets (seeded from their live state) and the radio tracker — is
+mirrored locally and only committed when the /24 completes; event
+counters bumped before a :class:`FastPathUnsupported` are rolled back.
+A fallback mid-/24 is therefore side-effect free on the simulator (the
+caller restores the RNG).
 """
 
 from __future__ import annotations
@@ -123,22 +130,30 @@ class _DstProgram:
     __slots__ = (
         "slots", "length", "observed_ttl",
         "density", "stability", "sleep_p", "up_epoch", "allocated", "pod",
+        "cellular_dst",
     )
 
     def __init__(self, slots, length, observed_ttl,
-                 density, stability, sleep_p, allocated, pod=None):
+                 density, stability, sleep_p, allocated, pod=None,
+                 cellular_dst=None):
         self.slots = slots
         self.length = length
         self.observed_ttl = observed_ttl
         self.density = density
         self.stability = stability
         self.sleep_p = sleep_p
-        #: Memoized (epoch, up) availability of this destination.
-        self.up_epoch: Optional[Tuple[int, bool]] = None
+        #: Memoized (epoch, up, renumbered) availability of this
+        #: destination; ``renumbered`` is whether its availability key
+        #: differed from the address (each such lookup counts once in
+        #: ``events.renumber``).
+        self.up_epoch: Optional[Tuple[int, bool, bool]] = None
         self.allocated = allocated
         #: The destination's pod — only consulted when a dynamic-event
         #: schedule is active (outage windows, renumbering keys).
         self.pod = pod
+        #: The destination when its pod is cellular (its echo replies
+        #: wake the radio the tracker follows), else None.
+        self.cellular_dst = cellular_dst
 
 
 class FastCampaignEngine:
@@ -347,7 +362,7 @@ class FastCampaignEngine:
         return _DstProgram(
             tuple(slots), length, observed_ttl,
             pod.host_density, pod.host_stability, pod.sleep_probability,
-            True, pod,
+            True, pod, dst if pod.cellular else None,
         )
 
     # -- measurement ------------------------------------------------------
@@ -359,13 +374,16 @@ class FastCampaignEngine:
         snapshot_active: List[int],
         rng: random.Random,
         max_destinations: Optional[int],
+        source: Optional[int] = None,
     ) -> Tuple[Slash24Measurement, ProbeStats]:
-        """Measure one /24 — bit-identical to the object path.
+        """Measure one /24 from ``source`` (None: the default vantage) —
+        bit-identical to the object path.
 
-        The caller must have entered the /24's measurement context
-        (``begin_measurement_context``) and pass the /24's fresh RNG.
-        Raises :class:`FastPathUnsupported` (before mutating any
-        simulator state) when a route template cannot be built.
+        Continues the simulator's running measurement context and draws
+        from ``rng`` exactly as the object path does, so neither needs
+        to be fresh. Raises :class:`FastPathUnsupported` when a route
+        template cannot be built; the simulator is then as it was, but
+        ``rng`` may have advanced.
         """
         started = time.perf_counter()
         internet = self.internet
@@ -391,9 +409,6 @@ class FastCampaignEngine:
             return result, stats
 
         flow_seed = rng.randrange(1 << 30)
-        # The RNG is unused after round_robin_order, so materializing
-        # the (lazy) order up front cannot shift any later draw.
-        order = list(round_robin_order(snapshot_active, rng))
 
         clock = internet.clock_seconds
         nonce = internet._nonce
@@ -401,11 +416,15 @@ class FastCampaignEngine:
         answered = 0
         echo_replies = 0
         ttl_exceeded = 0
-        # Local token-bucket mirrors: at context start every simulator
-        # limiter is at its reset state (contexts reset all touched
-        # limiters), so fresh mirrors reproduce `allow` bit for bit
-        # without mutating the shared buckets.
-        limiters: Dict[int, List[float]] = {}
+        # Local token-bucket mirrors, each seeded from its limiter's live
+        # state on first use and written back when the /24 completes:
+        # they reproduce `allow` bit for bit without mutating the shared
+        # buckets mid-/24.
+        limiters: Dict[object, List[float]] = {}
+        # Cellular destination → clock of its latest echo reply (the
+        # radio tracker's record, committed with the buckets).
+        radio: Dict[int, float] = {}
+        events_base = events.counter_snapshot() if events is not None else None
         local_templates: Dict[int, tuple] = {}
 
         def send(prog: _DstProgram, ttl: int, flow: int):
@@ -433,10 +452,10 @@ class FastCampaignEngine:
                 if not responds:
                     return None
                 if limiter is not None:
-                    state = limiters.get(id(limiter))
+                    state = limiters.get(limiter)
                     if state is None:
-                        state = [limiter.capacity, 0.0]
-                        limiters[id(limiter)] = state
+                        state = [limiter._tokens, limiter._last_time]
+                        limiters[limiter] = state
                     tokens = state[0]
                     # Mirror RateLimiter.allow arithmetic-for-arithmetic,
                     # including the storm-scaled capacity/rate and clamp.
@@ -474,6 +493,10 @@ class FastCampaignEngine:
             memo = prog.up_epoch
             if memo is not None and memo[0] == epoch:
                 up = memo[1]
+                if memo[2]:
+                    # The object path looks the key up on every host
+                    # probe, and each remapped lookup counts.
+                    events.counters["renumber"] += 1
             else:
                 # Renumbering keys availability on the subscriber identity
                 # (canonical address), so the memo stays valid per epoch:
@@ -485,7 +508,7 @@ class FastCampaignEngine:
                     host_seed, key, epoch,
                     prog.density, prog.stability, prog.sleep_p,
                 )
-                prog.up_epoch = (epoch, up)
+                prog.up_epoch = (epoch, up, key != dst)
             if not up:
                 return None
             if (
@@ -495,6 +518,8 @@ class FastCampaignEngine:
                 return None
             answered += 1
             echo_replies += 1
+            if prog.cellular_dst is not None:
+                radio[prog.cellular_dst] = clock
             return -1
 
         observations: Dict[int, frozenset] = {}
@@ -502,13 +527,21 @@ class FastCampaignEngine:
         policy_kind = type(policy)
         is_termination = policy_kind is TerminationPolicy
         is_closing_policy = policy_kind in (ReprobePolicy, ExhaustivePolicy)
-        src = internet.vantage_address
+        src = source if source is not None else internet.vantage_address
         stopped = False
 
-        for index, dst in enumerate(order):
+        # The order stays lazy: the object path draws each round's
+        # shuffle only when it asks for the round's first destination,
+        # and a caller that keeps using ``rng`` sees every draw.
+        for index, dst in enumerate(round_robin_order(snapshot_active, rng)):
             if max_destinations is not None and index >= max_destinations:
                 break
-            prog = self._program_for(dst, src, local_templates)
+            try:
+                prog = self._program_for(dst, src, local_templates)
+            except FastPathUnsupported:
+                if events is not None:
+                    events.counters.update(events_base)
+                raise
             fs = flow_seed + index * 101
 
             # Step 1 (mda): echo with retries — 3 attempts, flows 0..2;
@@ -617,6 +650,13 @@ class FastCampaignEngine:
         internet.probe_count += sent
         internet.clock_seconds = clock
         internet._nonce = nonce
+        touched = internet._touched_limiters
+        for limiter, (tokens, last_time) in limiters.items():
+            limiter._tokens = tokens
+            limiter._last_time = last_time
+            touched.add(limiter)
+        if radio:
+            internet._radio.record(radio)
         internet.probe_seconds += time.perf_counter() - started
         stats.sent = sent
         stats.answered = answered

@@ -76,6 +76,58 @@ def slash24_nonce(campaign_seed: int, slash24: Prefix) -> int:
     return mix(campaign_seed, _NONCE_SALT, slash24.network, slash24.length)
 
 
+def measure(
+    prober: Prober,
+    slash24: Prefix,
+    snapshot_active: List[int],
+    policy: TerminationPolicy | ReprobePolicy,
+    rng: random.Random,
+    max_destinations: Optional[int] = None,
+) -> Slash24Measurement:
+    """Measure and classify one /24 through ``prober``: every phase's
+    per-/24 entry point.
+
+    Bit-identical to :func:`repro.core.classifier.measure_slash24` on
+    the same prober and RNG — the measurement, the RNG's draws, the
+    prober's stats and the simulator's clock, nonce, token buckets,
+    radio tracker and event counters — but on the compiled engine
+    (:mod:`repro.core.fastengine`) whenever it accepts the policy and
+    the prober has no budget. It continues the simulator's running
+    measurement context, so a phase may measure a sequence of /24s in
+    one context with one RNG. A /24 the engine declines is counted in
+    ``campaign.fastpath_fallback`` and measured on the object path from
+    where the RNG stood before the call.
+    """
+    engine = fast_engine_for(prober.internet, policy, prober.max_probes)
+    if engine is not None:
+        rng_state = rng.getstate()
+        try:
+            measurement, stats = engine.measure(
+                policy, slash24, snapshot_active, rng, max_destinations,
+                prober.source,
+            )
+        except FastPathUnsupported as unsupported:
+            # The engine touched no simulator state; only the RNG moved.
+            # Loudly: a fallback is correct but slower, and a phase that
+            # silently degrades per-/24 is invisible in benchmarks.
+            rng.setstate(rng_state)
+            current_metrics().count("campaign.fastpath_fallback")
+            trace_warning(
+                "campaign.fastpath_fallback",
+                f"compiled engine declined {slash24}; measured on the "
+                "object path (identical result, slower)",
+                prefix=str(slash24),
+                reason=str(unsupported),
+            )
+        else:
+            prober.stats.merge(stats)
+            return measurement
+    return measure_slash24(
+        prober, slash24, snapshot_active, policy, rng,
+        max_destinations=max_destinations,
+    )
+
+
 def _measure_in_context(
     internet: SimulatedInternet,
     policy: TerminationPolicy | ReprobePolicy,
@@ -91,39 +143,11 @@ def _measure_in_context(
         clock_seconds=clock_base,
         nonce=slash24_nonce(campaign_seed, slash24),
     )
-    engine = fast_engine_for(internet, policy, max_probes)
-    if engine is not None:
-        rng = random.Random(slash24_seed(campaign_seed, slash24))
-        try:
-            return engine.measure(
-                policy, slash24, snapshot_active, rng, max_destinations
-            )
-        except FastPathUnsupported as unsupported:
-            # The engine touched no simulator state; re-pin the context
-            # and let the object path measure this /24 from scratch.
-            # Loudly: a fallback is correct but slower, and a campaign
-            # that silently degrades per-/24 is invisible in benchmarks.
-            current_metrics().count("campaign.fastpath_fallback")
-            trace_warning(
-                "campaign.fastpath_fallback",
-                f"compiled engine declined {slash24}; measured on the "
-                "object path (identical result, slower)",
-                prefix=str(slash24),
-                reason=str(unsupported),
-            )
-            internet.begin_measurement_context(
-                clock_seconds=clock_base,
-                nonce=slash24_nonce(campaign_seed, slash24),
-            )
     prober = Prober(internet, max_probes=max_probes)
-    rng = random.Random(slash24_seed(campaign_seed, slash24))
-    measurement = measure_slash24(
-        prober,
-        slash24,
-        snapshot_active,
-        policy,
-        rng,
-        max_destinations=max_destinations,
+    measurement = measure(
+        prober, slash24, snapshot_active, policy,
+        random.Random(slash24_seed(campaign_seed, slash24)),
+        max_destinations,
     )
     return measurement, prober.stats
 

@@ -14,11 +14,8 @@ from __future__ import annotations
 import random
 from typing import List
 
-from ..core import (
-    ExhaustivePolicy,
-    TerminationPolicy,
-    measure_slash24,
-)
+from ..core import ExhaustivePolicy, TerminationPolicy
+from ..core.pipeline import measure
 from ..probing import Prober
 from .common import ExperimentResult, Workspace
 
@@ -57,7 +54,7 @@ def run(workspace: Workspace) -> ExperimentResult:
         correct = 0
         judged = 0
         for slash24 in sample:
-            measurement = measure_slash24(
+            measurement = measure(
                 prober, slash24, snapshot.active_in(slash24), policy, rng,
                 max_destinations=workspace.profile.campaign_max_destinations,
             )

@@ -33,10 +33,10 @@ from ..core import (
     ExhaustivePolicy,
     Slash24Measurement,
     TerminationPolicy,
-    measure_slash24,
     run_campaign,
 )
 from ..core.heterogeneity import SubBlockAnalysis, analyze_sub_blocks
+from ..core.pipeline import measure
 from ..net.prefix import Prefix
 from ..netsim import (
     EventConfig,
@@ -405,7 +405,7 @@ class Workspace:
                 dataset: Dict[Prefix, Dict[int, FrozenSet[int]]] = {}
                 policy = ExhaustivePolicy()
                 for slash24 in sample:
-                    measurement = measure_slash24(
+                    measurement = measure(
                         prober, slash24, self.snapshot.active_in(slash24),
                         policy, rng,
                     )
@@ -607,7 +607,7 @@ class Workspace:
                 observed: Dict[Prefix, Dict[int, FrozenSet[int]]] = {}
                 for measurement in hierarchical:
                     slash24 = measurement.slash24
-                    full = measure_slash24(
+                    full = measure(
                         prober, slash24, self.snapshot.active_in(slash24),
                         ExhaustivePolicy(), rng,
                         max_destinations=(

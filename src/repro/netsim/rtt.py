@@ -84,5 +84,12 @@ class CellularRadioTracker:
         self._last_probe[addr] = now_seconds
         return last is None or (now_seconds - last) > self.idle_timeout_seconds
 
+    def record(self, last_probe: Dict[int, float]) -> None:
+        """Record probes without asking :meth:`promotion_applies` (the
+        compiled campaign engine computes no RTTs, but later probes in
+        the context must see its replies): address → the time of its
+        latest probe."""
+        self._last_probe.update(last_probe)
+
     def reset(self) -> None:
         self._last_probe.clear()

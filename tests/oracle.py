@@ -18,7 +18,11 @@ suites compare against the implementations kept here:
 * ``serial`` — ``MIN_VECTOR_BATCH`` raised out of reach, so every
   ``send_probe_batch`` loops over ``send_probe``;
 * ``campaign`` — :func:`no_fast_engine` in place of ``fast_engine_for``,
-  so every /24 is measured by ``measure_slash24`` through a ``Prober``;
+  so every per-/24 measurement that goes through
+  :func:`repro.core.pipeline.measure` is made by ``measure_slash24``
+  through a ``Prober``: the campaign's /24s and those of the confidence
+  dataset, strict-het re-probing, cluster-validation reprobing, the
+  termination ablation and the vantage study;
 * ``similarity`` — :func:`build_similarity_graph`, an inverted index
   plus per-pair dict accumulation, in place of the Gram product that
   :func:`repro.aggregation.run_aggregation` calls.
