@@ -1,5 +1,5 @@
 """Performance benchmarks for the hot components (not tied to a paper
-artifact): probe dispatch, last-hop identification, the hierarchy test,
+artifact): probe dispatch, one /24's measurement, the hierarchy test,
 the ZMap fast scan, MCL, and the campaign executor serial vs sharded
 (``REPRO_BENCH_WORKERS`` workers, default 4)."""
 
@@ -11,12 +11,7 @@ from repro.core import TerminationPolicy, run_campaign
 from repro.core.grouping import group_by_lasthop
 from repro.core.hierarchy import groups_hierarchical
 from repro.core.pipeline import measure
-from repro.probing import (
-    Prober,
-    enumerate_paths,
-    identify_lasthops,
-    scan,
-)
+from repro.probing import Prober, enumerate_paths, scan
 from repro.probing.traceroute import paris_traceroute
 
 
@@ -61,15 +56,6 @@ def bench_paris_traceroute(benchmark, workspace):
     dst = snapshot.active_in(slash24)[0]
     prober = Prober(internet)
     benchmark(paris_traceroute, prober, dst, 3)
-
-
-def bench_identify_lasthops(benchmark, workspace):
-    internet = workspace.internet
-    snapshot = workspace.snapshot
-    slash24 = snapshot.eligible_slash24s()[2]
-    dst = snapshot.active_in(slash24)[0]
-    prober = Prober(internet)
-    benchmark(identify_lasthops, prober, dst)
 
 
 def bench_mda_path_level(benchmark, workspace):

@@ -6,7 +6,6 @@ from .classifier import (
     Category,
     Slash24Measurement,
     classify_observations,
-    measure_slash24,
 )
 from .confidence import ConfidenceCell, ConfidenceTable
 from .grouping import (
@@ -74,7 +73,6 @@ __all__ = [
     "group_by_value",
     "group_ranges",
     "groups_hierarchical",
-    "measure_slash24",
     "meets_selection_criteria",
     "one_per_slash26",
     "ranges_hierarchical",

@@ -1,22 +1,20 @@
-"""Per-/24 measurement and classification (Table 1's categories).
+"""Per-/24 measurement records and classification (Table 1's categories).
 
-For one /24, the classifier walks destinations in the Section 3.3
-round-robin order, identifies each destination's last-hop router(s)
-with the Section 3.4 procedure, checks the termination policy after
-every destination, and finally assigns one of the five Table 1
-categories.
+The compiled engine (:mod:`repro.core.fastengine`) measures a /24 —
+destinations in the Section 3.3 round-robin order, each one's last-hop
+router(s) by the Section 3.4 procedure, the termination policy checked
+after every destination — into a :class:`Slash24Measurement`, and
+assigns one of the five Table 1 categories with the decision procedure
+defined here.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, Optional
 
 from ..net.prefix import Prefix
-from ..probing.mda import identify_lasthops
-from ..probing.session import Prober
 from .grouping import (
     Observations,
     group_by_lasthop,
@@ -24,13 +22,7 @@ from .grouping import (
     union_lasthops,
 )
 from .hierarchy import groups_hierarchical
-from .selection import meets_selection_criteria, round_robin_order
-from .termination import (
-    ExhaustivePolicy,
-    ReprobePolicy,
-    StopReason,
-    TerminationPolicy,
-)
+from .termination import StopReason
 
 
 class Category(Enum):
@@ -81,73 +73,6 @@ class Slash24Measurement:
     @property
     def is_homogeneous(self) -> bool:
         return self.category.homogeneous
-
-
-def measure_slash24(
-    prober: Prober,
-    slash24: Prefix,
-    snapshot_active: List[int],
-    policy: TerminationPolicy | ReprobePolicy,
-    rng: random.Random,
-    max_destinations: Optional[int] = None,
-) -> Slash24Measurement:
-    """Measure and classify one /24.
-
-    ``snapshot_active`` is the ZMap-snapshot active list (possibly stale
-    by probe time). Destinations that no longer answer echo probes do
-    not count as probed addresses.
-    """
-    result = Slash24Measurement(slash24=slash24, category=Category.TOO_FEW_ACTIVE)
-    if not meets_selection_criteria(snapshot_active):
-        return result
-
-    observations: Dict[int, FrozenSet[int]] = {}
-    lasthop_unresponsive_dests = 0
-    flow_seed = rng.randrange(1 << 30)
-
-    for index, dst in enumerate(round_robin_order(snapshot_active, rng)):
-        if max_destinations is not None and index >= max_destinations:
-            break
-        identification = identify_lasthops(
-            prober, dst, flow_seed=flow_seed + index * 101
-        )
-        result.probes_used += identification.probes_used
-        if not identification.host_responsive:
-            continue
-        result.hosts_responsive += 1
-        if not identification.lasthops:
-            lasthop_unresponsive_dests += 1
-            continue
-        observations[dst] = identification.lasthops
-        result.destinations_probed = len(observations)
-        reason = policy.should_stop(observations)
-        if reason is not None:
-            result.observations = observations
-            result.stop_reason = reason
-            result.category = _closing_category(observations)
-            return result
-
-    # Ran out of destinations before the policy was satisfied.
-    result.observations = observations
-    result.destinations_probed = len(observations)
-    if result.hosts_responsive < 4:
-        result.category = Category.TOO_FEW_ACTIVE
-    elif not observations:
-        result.category = Category.UNRESPONSIVE_LASTHOP
-    elif isinstance(policy, (ReprobePolicy, ExhaustivePolicy)):
-        # These strategies classify whatever they gathered.
-        result.category = _closing_category(observations)
-    elif (
-        isinstance(policy, TerminationPolicy)
-        and policy.required_probes(observations) is None
-    ):
-        # No populated confidence cell for this cardinality: the paper
-        # probes every active address and classifies the outcome.
-        result.category = _closing_category(observations)
-    else:
-        # Active addresses ran out below the confidence requirement.
-        result.category = Category.TOO_FEW_ACTIVE
-    return result
 
 
 def _closing_category(observations: Observations) -> Category:

@@ -1,45 +1,50 @@
-"""Compiled per-/24 campaign engine: route templates + incremental rules.
+"""Compiled per-/24 measurement engine: route templates + incremental rules.
 
-The campaign hot path measures each /24 with a long serial probe
-sequence (echo, locate ladder, last-hop enumeration) whose *replies*
-depend on only a handful of facts per probe: which router sits at the
-probed TTL (or that the TTL overshoots the path), whether that router
-responds and has rate-limiter tokens, one stochastic-loss draw, and —
-for host probes — the destination's availability in the current epoch
-plus two per-address constants (default TTL, reverse-path delta). RTT
-values never influence what the classifier observes, so the engine
-skips them entirely.
+Every per-/24 measurement — destination selection (Section 3.3),
+last-hop identification by echo-TTL inference with halving (3.4) and
+the termination rules (3.5) — is a long serial probe sequence (echo,
+locate ladder, last-hop enumeration) whose *replies* depend on only a
+handful of facts per probe: which router sits at the probed TTL (or
+that the TTL overshoots the path), whether that router responds and has
+rate-limiter tokens, one stochastic-loss draw, and — for host probes —
+the destination's availability in the current epoch plus two
+per-address constants (default TTL, reverse-path delta). RTT values
+never influence what the classifier observes, so the engine skips them
+entirely.
 
 This module exploits that: for each /24 it flattens the compiled
 forwarding plane into a **route template** — one slot per path position,
 each slot either a fixed router or a load-balancer choice — under the
 invariant that every branch of a choice has an identical continuation
-(true of the builder's diamond topologies; violations fall back to the
-object path). A probe at TTL *t* then needs at most one splitmix64
-evaluation (the slot at position ``t-1``) instead of a full
-``resolve_path`` walk plus reply-object construction.
+(true of the builder's diamond topologies). A probe at TTL *t* then
+needs at most one splitmix64 evaluation (the slot at position ``t-1``)
+instead of a full ``resolve_path`` walk plus reply-object construction.
+A destination whose template cannot be built (a forwarding loop, a
+router with no FIB or no route, divergent branch continuations, a
+balancer type the engine does not know, a path of
+:data:`~repro.probing.session.ECHO_TTL` or more hops) raises
+:class:`RouteTemplateError` naming its /24; nothing measures that /24
+another way.
 
-Parity contract: for every supported policy the engine's measurement
-(observations, category, stop reason, ``probes_used``), its
+Parity contract: for every policy type the engine accepts, its
+measurement (observations, category, stop reason, ``probes_used``), its
 :class:`~repro.probing.session.ProbeStats`, the RNG it draws from and
 the simulator end state (``probe_count``, clock, nonce, rate-limiter
 buckets, the cellular radio tracker, event counters) are bit-identical
-to the object path (:func:`repro.core.classifier.measure_slash24`
-through a :class:`~repro.probing.session.Prober`). The engine continues
-whatever measurement context the simulator is in: the campaign pins a
-fresh one per /24, while the confidence dataset, strict-het re-probing
-and cluster-validation reprobing run a sequence of /24s in one context
-with one RNG. ``tests/core/test_columnar_campaign.py`` enforces the
-contract on whole campaigns and ``tests/core/test_phase_parity.py`` on
-shared-context sequences, with the object path installed by the
-``tests/oracle.py`` switch.
+to the object classifier kept as the reference in ``tests/oracle.py``,
+which probes through a :class:`~repro.probing.session.Prober`. The
+engine continues whatever measurement context the simulator is in: the
+campaign pins a fresh one per /24, while the confidence dataset,
+strict-het re-probing and cluster-validation reprobing run a sequence
+of /24s in one context with one RNG.
+``tests/core/test_columnar_campaign.py`` enforces the contract on whole
+campaigns and ``tests/core/test_phase_parity.py`` on shared-context
+sequences, with the reference installed by the ``tests/oracle.py``
+switch.
 
 Simulator state that probes mutate — the clock, the nonce, rate-limiter
 buckets (seeded from their live state) and the radio tracker — is
-mirrored locally and only committed when the /24 completes; event
-counters bumped before a :class:`FastPathUnsupported` are rolled back.
-A fallback mid-/24 is therefore side-effect free on the simulator (the
-caller restores the RNG).
+mirrored locally and committed when the /24 completes.
 """
 
 from __future__ import annotations
@@ -50,15 +55,18 @@ import time
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
+from ..net.addr import format_address
 from ..netsim import hosts as hostmod
+from ..netsim.icmp import infer_hop_count
 from ..netsim.loadbalance import (
     HybridBalancer,
     PerDestinationBalancer,
     PerFlowBalancer,
     PerPacketBalancer,
 )
-from ..probing.session import ProbeStats
+from ..probing.session import ECHO_TTL, ProbeStats
 from ..probing.stopping import DEFAULT_CONFIDENCE, probes_required
+from ..probing.traceroute import DEFAULT_MAX_TTL
 from ..util.hashing import MASK64, splitmix64
 from .classifier import (
     Category,
@@ -73,12 +81,6 @@ from .termination import (
     TerminationPolicy,
     TerminationState,
 )
-
-#: Echo probes use this TTL (mirrors ``repro.probing.session.ECHO_TTL``;
-#: duplicated to avoid importing the Prober module on the hot path).
-_ECHO_TTL = 64
-#: The locate ladder's TTL ceiling (``repro.probing.mda.DEFAULT_MAX_TTL``).
-_MAX_TTL = 32
 
 _TWO64 = float(1 << 64)
 
@@ -95,28 +97,32 @@ _T_HYBRID = 3
 _T_PER_PACKET = 4
 
 
-class FastPathUnsupported(Exception):
-    """The compiled campaign engine cannot measure this /24; the caller
-    must fall back to the object path (no simulator state was touched)."""
+class RouteTemplateError(RuntimeError):
+    """The route towards a destination cannot be flattened into a route
+    template, so its /24 cannot be measured."""
 
 
-def fast_engine_for(internet, policy, max_probes) -> Optional["FastCampaignEngine"]:
-    """The engine for this (internet, policy) if eligible, else None.
+def fast_engine_for(internet, policy) -> "FastCampaignEngine":
+    """The engine that measures /24s on ``internet`` under ``policy``.
 
-    Eligibility is deliberately narrow: the exact policy types the
-    engine replicates (subclasses may override hooks the engine inlines)
-    and no probe budget (budget accounting must raise mid-/24 at the
-    exact probe, which only the Prober path does).
+    Only the exact policy and confidence-table types the engine
+    replicates are accepted: a subclass may override hooks the engine
+    inlines, so it raises :class:`TypeError` rather than being measured
+    by rules it does not define.
     """
-    if max_probes is not None:
-        return None
     kind = type(policy)
     if kind is TerminationPolicy:
         table = policy.confidence_table
         if table is not None and type(table) is not ConfidenceTable:
-            return None
+            raise TypeError(
+                "the campaign engine measures with ConfidenceTable, not "
+                f"{type(table).__name__}"
+            )
     elif kind not in (ReprobePolicy, ExhaustivePolicy):
-        return None
+        raise TypeError(
+            "the campaign engine measures TerminationPolicy, ReprobePolicy "
+            f"or ExhaustivePolicy, not {kind.__name__}"
+        )
     engine = getattr(internet, "_fast_engine", None)
     if engine is None or not engine.valid():
         engine = FastCampaignEngine(internet)
@@ -166,7 +172,8 @@ class FastCampaignEngine:
         # object wholesale, and allocation changes bump the revision.
         self._compiled_ref = forwarder._compiled
         self._alloc_revision = internet.allocations.revision
-        #: key24 → (template slots, uniform-for-/24) or None (build failed).
+        #: key24 → (template slots, uniform-for-/24), or None when the
+        #: /24's destinations need templates of their own.
         self._templates: Dict[int, Optional[Tuple[tuple, bool]]] = {}
         built = internet._built
         self._host_seed = built.host_seed
@@ -205,7 +212,7 @@ class FastCampaignEngine:
                 _T_PER_PACKET, splitmix64(selector.salt & MASK64),
                 len(data), data,
             )
-        raise FastPathUnsupported(f"selector {kind.__name__}")
+        raise RouteTemplateError(f"selector {kind.__name__}")
 
     def _build_template(self, dst: int) -> Tuple[tuple, bool]:
         """Flatten the forwarding DAG towards ``dst`` into slots.
@@ -229,18 +236,18 @@ class FastCampaignEngine:
             if cached is not None:
                 return cached
             if rid in building:
-                raise FastPathUnsupported("forwarding loop")
+                raise RouteTemplateError("forwarding loop")
             building.add(rid)
             fib = fibs.get(rid)
             if fib is None:
-                raise FastPathUnsupported("router has no FIB")
+                raise RouteTemplateError("router has no FIB")
             cfib = compiled_fib(rid, fib)
             index = bisect_right(cfib.starts, dst) - 1
             if not cfib.covers24[index]:
                 uniform[0] = False
             entry = cfib.values[index]
             if entry is None:
-                raise FastPathUnsupported("no route")
+                raise RouteTemplateError("no route")
             if entry.delivers:
                 out: tuple = ((_FIXED, self._member(router)),)
             else:
@@ -259,7 +266,7 @@ class FastCampaignEngine:
                             # A branch changes the downstream path: the
                             # slot-per-position model cannot represent
                             # it, and the builder never produces it.
-                            raise FastPathUnsupported(
+                            raise RouteTemplateError(
                                 "divergent branch continuations"
                             )
                     out = (
@@ -271,10 +278,10 @@ class FastCampaignEngine:
             return out
 
         slots = chain(forwarder.source_router)
-        if len(slots) >= _ECHO_TTL:
-            # Echo probes would land on a router; possible in theory,
-            # never in built scenarios — leave it to the object path.
-            raise FastPathUnsupported("path reaches echo TTL")
+        if len(slots) >= ECHO_TTL:
+            # Echo probes would land on a router, which the echo step
+            # does not model; built scenarios never come close.
+            raise RouteTemplateError("path reaches echo TTL")
         return slots, uniform[0]
 
     def _template_for(
@@ -283,11 +290,7 @@ class FastCampaignEngine:
         key24 = dst >> 8
         cached = self._templates.get(key24, False)
         if cached is False:
-            try:
-                slots, uniform = self._build_template(dst)
-            except FastPathUnsupported:
-                self._templates[key24] = None
-                raise
+            slots, uniform = self._build_template(dst)
             self._templates[key24] = (slots, uniform) if uniform else None
             if not uniform:
                 local[dst] = slots
@@ -377,13 +380,13 @@ class FastCampaignEngine:
         source: Optional[int] = None,
     ) -> Tuple[Slash24Measurement, ProbeStats]:
         """Measure one /24 from ``source`` (None: the default vantage) —
-        bit-identical to the object path.
+        bit-identical to the object classifier.
 
         Continues the simulator's running measurement context and draws
-        from ``rng`` exactly as the object path does, so neither needs
-        to be fresh. Raises :class:`FastPathUnsupported` when a route
-        template cannot be built; the simulator is then as it was, but
-        ``rng`` may have advanced.
+        from ``rng`` exactly as the object classifier does, so neither
+        needs to be fresh. Raises :class:`RouteTemplateError`, naming the
+        /24, the destination and the reason, when a destination's route
+        template cannot be built.
         """
         started = time.perf_counter()
         internet = self.internet
@@ -424,7 +427,6 @@ class FastCampaignEngine:
         # Cellular destination → clock of its latest echo reply (the
         # radio tracker's record, committed with the buckets).
         radio: Dict[int, float] = {}
-        events_base = events.counter_snapshot() if events is not None else None
         local_templates: Dict[int, tuple] = {}
 
         def send(prog: _DstProgram, ttl: int, flow: int):
@@ -538,41 +540,35 @@ class FastCampaignEngine:
                 break
             try:
                 prog = self._program_for(dst, src, local_templates)
-            except FastPathUnsupported:
-                if events is not None:
-                    events.counters.update(events_base)
-                raise
+            except RouteTemplateError as error:
+                raise RouteTemplateError(
+                    f"cannot measure {slash24}: no route template towards "
+                    f"{format_address(dst)} ({error})"
+                ) from None
             fs = flow_seed + index * 101
 
             # Step 1 (mda): echo with retries — 3 attempts, flows 0..2;
             # counts once in probes_used, each attempt in stats.sent.
             reply = None
             for attempt in range(3):
-                reply = send(prog, _ECHO_TTL, attempt)
+                reply = send(prog, ECHO_TTL, attempt)
                 if reply is not None:
                     break
             result.probes_used += 1
             if reply is None:
                 continue
             result.hosts_responsive += 1
-            observed = prog.observed_ttl if reply == -1 else 255 - _ECHO_TTL
-            if observed < 64:
-                assumed = 64
-            elif observed < 128:
-                assumed = 128
-            elif observed < 192:
-                assumed = 192
-            else:
-                assumed = 255
-            estimate = max(1, assumed - observed)
+            # The template is shorter than ECHO_TTL, so the echo reached
+            # the host: ``reply`` is an echo reply.
+            estimate = max(1, infer_hop_count(prog.observed_ttl))
 
             # Step 2: locate the last-hop TTL, halving on overshoot.
-            first_ttl = min(estimate, _MAX_TTL)
+            first_ttl = min(estimate, DEFAULT_MAX_TTL)
             distance = None
             while first_ttl >= 1:
                 overshoot = False
                 found = None
-                for ttl in range(first_ttl, _MAX_TTL + 1):
+                for ttl in range(first_ttl, DEFAULT_MAX_TTL + 1):
                     got_echo = False
                     for attempt in range(2):
                         reply = send(prog, ttl, fs + attempt)

@@ -37,13 +37,13 @@ from ..netsim.internet import SimulatedInternet
 from ..obs.metrics import MetricsRegistry, current_metrics
 from ..obs.progress import ProgressReporter, progress_enabled
 from ..obs.trace import configure_tracing, span, trace_event, trace_warning
-from ..probing.session import ProbeBudgetExceeded, Prober, ProbeStats
+from ..probing.session import Prober, ProbeStats
 from ..probing.zmap import ActivitySnapshot, scan
 from ..util.envknobs import kill_after_for_worker
 from ..util.hashing import mix, stable_string_hash
-from .classifier import Slash24Measurement, measure_slash24
+from .classifier import Slash24Measurement
 from .columnar import CampaignResult
-from .fastengine import FastPathUnsupported, fast_engine_for
+from .fastengine import fast_engine_for
 from .termination import ReprobePolicy, TerminationPolicy
 
 
@@ -87,45 +87,20 @@ def measure(
     """Measure and classify one /24 through ``prober``: every phase's
     per-/24 entry point.
 
-    Bit-identical to :func:`repro.core.classifier.measure_slash24` on
-    the same prober and RNG — the measurement, the RNG's draws, the
-    prober's stats and the simulator's clock, nonce, token buckets,
-    radio tracker and event counters — but on the compiled engine
-    (:mod:`repro.core.fastengine`) whenever it accepts the policy and
-    the prober has no budget. It continues the simulator's running
-    measurement context, so a phase may measure a sequence of /24s in
-    one context with one RNG. A /24 the engine declines is counted in
-    ``campaign.fastpath_fallback`` and measured on the object path from
-    where the RNG stood before the call.
+    The compiled engine (:mod:`repro.core.fastengine`) measures it and
+    its probe counts are merged into ``prober.stats``. It continues the
+    simulator's running measurement context, so a phase may measure a
+    sequence of /24s in one context with one RNG. Raises
+    :class:`TypeError` for a policy type the engine does not replicate,
+    and :class:`repro.core.fastengine.RouteTemplateError` for a /24 it
+    cannot measure.
     """
-    engine = fast_engine_for(prober.internet, policy, prober.max_probes)
-    if engine is not None:
-        rng_state = rng.getstate()
-        try:
-            measurement, stats = engine.measure(
-                policy, slash24, snapshot_active, rng, max_destinations,
-                prober.source,
-            )
-        except FastPathUnsupported as unsupported:
-            # The engine touched no simulator state; only the RNG moved.
-            # Loudly: a fallback is correct but slower, and a phase that
-            # silently degrades per-/24 is invisible in benchmarks.
-            rng.setstate(rng_state)
-            current_metrics().count("campaign.fastpath_fallback")
-            trace_warning(
-                "campaign.fastpath_fallback",
-                f"compiled engine declined {slash24}; measured on the "
-                "object path (identical result, slower)",
-                prefix=str(slash24),
-                reason=str(unsupported),
-            )
-        else:
-            prober.stats.merge(stats)
-            return measurement
-    return measure_slash24(
-        prober, slash24, snapshot_active, policy, rng,
-        max_destinations=max_destinations,
+    measurement, stats = fast_engine_for(prober.internet, policy).measure(
+        policy, slash24, snapshot_active, rng, max_destinations,
+        prober.source,
     )
+    prober.stats.merge(stats)
+    return measurement
 
 
 def _measure_in_context(
@@ -136,14 +111,13 @@ def _measure_in_context(
     campaign_seed: int,
     clock_base: float,
     max_destinations: Optional[int],
-    max_probes: Optional[int] = None,
 ) -> Tuple[Slash24Measurement, ProbeStats]:
     """Measure one /24 inside its own deterministic context."""
     internet.begin_measurement_context(
         clock_seconds=clock_base,
         nonce=slash24_nonce(campaign_seed, slash24),
     )
-    prober = Prober(internet, max_probes=max_probes)
+    prober = Prober(internet)
     measurement = measure(
         prober, slash24, snapshot_active, policy,
         random.Random(slash24_seed(campaign_seed, slash24)),
@@ -161,7 +135,10 @@ def _measure_in_context(
 # that dies (its pipe hits EOF) forfeits only its in-flight chunk, which
 # goes to a live worker or, once none is left, is measured by the parent
 # itself. Measuring a chunk again is byte-identical, because each /24's
-# measurement is a pure function of its deterministic context.
+# measurement is a pure function of its deterministic context. A chunk
+# whose measurement raises ends its worker the same way, and so every
+# worker it is handed to; the parent's takeover then raises that error,
+# and :func:`run_campaign` still commits every chunk that came back.
 
 #: Chunks planned per worker. More chunks than workers balances the
 #: load: a fast worker drains several while a slow one holds one, and a
@@ -477,7 +454,6 @@ def run_campaign(
     slash24s: Optional[Iterable[Prefix]] = None,
     snapshot: Optional[ActivitySnapshot] = None,
     seed: int = 0,
-    max_probes: Optional[int] = None,
     max_destinations_per_slash24: Optional[int] = None,
     workers: int = 1,
     store=None,
@@ -494,8 +470,6 @@ def run_campaign(
     parent feeds chunks over pipes (see :func:`_run_parallel`); the
     merged result (measurements, their insertion order, and probe
     accounting) is identical to the serial run with the same seed.
-    A campaign-wide ``max_probes`` budget requires serial accounting —
-    when both are given, the campaign runs serially.
 
     ``store`` attaches an on-disk measurement store (see
     :mod:`repro.store`): completed /24s are durably checkpointed in
@@ -528,7 +502,7 @@ def run_campaign(
     slash24s = list(slash24s)
     with span("campaign.run", slash24s=len(slash24s), workers=workers):
         result = _run_campaign_observed(
-            internet, policy, slash24s, snapshot, seed, max_probes,
+            internet, policy, slash24s, snapshot, seed,
             max_destinations_per_slash24, workers, store, registry,
         )
     return result
@@ -540,7 +514,6 @@ def _run_campaign_observed(
     slash24s: List[Prefix],
     snapshot: ActivitySnapshot,
     seed: int,
-    max_probes: Optional[int],
     max_destinations_per_slash24: Optional[int],
     workers: int,
     store,
@@ -587,42 +560,24 @@ def _run_campaign_observed(
     stats = ProbeStats()
 
     fresh: Dict[Prefix, Tuple[Slash24Measurement, ProbeStats]] = {}
-    remaining = max_probes
     done = 0
     try:
         if workers > 1 and pending:
-            if max_probes is not None:
-                # Documented behaviour (a campaign-wide budget needs
-                # serial accounting), but still worth a breadcrumb in
-                # the journal.
-                registry.count("campaign.parallel_skipped.budget")
-                trace_event(
-                    "campaign.parallel_skipped", reason="max_probes",
-                    workers=workers,
+            try:
+                fresh = _run_parallel(
+                    internet, policy, pending, snapshot, seed,
+                    clock_base, max_destinations_per_slash24, workers,
+                    registry, cache=cache, progress=progress,
                 )
-            else:
-                try:
-                    fresh = _run_parallel(
-                        internet, policy, pending, snapshot, seed,
-                        clock_base, max_destinations_per_slash24, workers,
-                        registry, cache=cache, progress=progress,
-                    )
-                    registry.count("campaign.parallel")
-                except _ParallelUnavailable as fallback:
-                    _note_parallel_fallback(registry, fallback)
+                registry.count("campaign.parallel")
+            except _ParallelUnavailable as fallback:
+                _note_parallel_fallback(registry, fallback)
         # One pass in input order, so even the measurement dict's
         # iteration order is the same whether a /24 was replayed,
         # measured by a worker or measured here.
         for slash24 in slash24s:
             if slash24 in cached:
                 measurement, measure_stats = cached[slash24]
-                # Replays charge the budget exactly what the original
-                # measurement cost, so a budgeted run stops at the same
-                # point whether or not its prefix was cached.
-                if remaining is not None and measure_stats.sent > remaining:
-                    raise ProbeBudgetExceeded(
-                        f"budget exhausted replaying {slash24} from store"
-                    )
             elif slash24 in fresh:
                 measurement, measure_stats = fresh[slash24]
             else:
@@ -631,15 +586,12 @@ def _run_campaign_observed(
                         internet, policy, slash24,
                         snapshot.active_in(slash24),
                         seed, clock_base, max_destinations_per_slash24,
-                        max_probes=remaining,
                     )
                 if cache is not None:
                     cache.record(
                         slash24, snapshot.active_in(slash24),
                         measurement, measure_stats,
                     )
-            if remaining is not None:
-                remaining -= measure_stats.sent
             stats.merge(measure_stats)
             registry.count("campaign.slash24s")
             measure_stats.fold_into(registry, "campaign.probes")
@@ -657,8 +609,8 @@ def _run_campaign_observed(
                 )
     finally:
         # Everything measured so far, here or by the workers, is
-        # committed, also when the run raises (a probe budget running
-        # out mid-campaign).
+        # committed, also when the run raises (a /24 whose route
+        # template cannot be built).
         if cache is not None:
             cache.commit()
 

@@ -1,14 +1,9 @@
 """Probing tools: ZMap-style scanning, ping, Paris traceroute and MDA,
-all driven through budgeted probe sessions."""
+with probe accounting kept by probe sessions."""
 
-from .mda import (
-    LasthopResult,
-    MultipathResult,
-    enumerate_paths,
-    identify_lasthops,
-)
+from .mda import MultipathResult, enumerate_paths
 from .ping import PingResult, ping
-from .session import ProbeBudgetExceeded, ProbeStats, Prober
+from .session import ProbeStats, Prober
 from .stopping import probes_required, probes_to_rule_out
 from .traceroute import (
     Route,
@@ -18,21 +13,18 @@ from .traceroute import (
     route_sets_share_route,
     routes_equal,
 )
-from .zmap import ActivitySnapshot, scan, scan_with_probes
+from .zmap import ActivitySnapshot, scan
 
 __all__ = [
     "ActivitySnapshot",
-    "LasthopResult",
     "MultipathResult",
     "PingResult",
-    "ProbeBudgetExceeded",
     "ProbeStats",
     "Prober",
     "Route",
     "TracerouteHop",
     "TracerouteResult",
     "enumerate_paths",
-    "identify_lasthops",
     "paris_traceroute",
     "ping",
     "probes_required",
@@ -40,5 +32,4 @@ __all__ = [
     "route_sets_share_route",
     "routes_equal",
     "scan",
-    "scan_with_probes",
 ]

@@ -1,20 +1,16 @@
-"""Paris traceroute MDA: multipath enumeration and last-hop discovery.
+"""Paris traceroute MDA: per-flow path enumeration for the path dataset.
 
-Two capabilities built on the stopping rule of :mod:`.stopping`:
+:func:`enumerate_paths` discovers all per-flow load-balanced paths
+towards one destination by tracing with varied flow ids until the
+stopping rule of :mod:`.stopping` says no further path is likely to
+exist. (This is a path-level formulation of MDA; with the simulator's
+equal-length, uniformly-hashed branches it discovers exactly the
+per-hop MDA path set. Per-destination branches are invisible to it by
+nature — only probing *other destinations* reveals those, which is the
+paper's whole point.)
 
-* :func:`enumerate_paths` — discover all per-flow load-balanced paths
-  towards one destination by tracing with varied flow ids until the
-  stopping rule says no further path is likely to exist. (This is a
-  path-level formulation of MDA; with the simulator's equal-length,
-  uniformly-hashed branches it discovers exactly the per-hop MDA path
-  set. Per-destination branches are invisible to it by nature — only
-  probing *other destinations* reveals those, which is the paper's
-  whole point.)
-
-* :func:`identify_lasthops` — Hobbit's workhorse (Sections 3.4-3.5):
-  infer the distance of the last-hop router from an Echo Reply's TTL,
-  jump a Paris traceroute MDA there with ``first_ttl``, halve on
-  overshoot, then enumerate the last-hop routers with the stopping rule.
+Hobbit's own last-hop identification (Sections 3.4-3.5) runs on the
+compiled engine, :mod:`repro.core.fastengine`.
 """
 
 from __future__ import annotations
@@ -22,12 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Set
 
-from ..netsim.icmp import infer_hop_count
 from .session import Prober
 from .stopping import DEFAULT_CONFIDENCE, probes_required
-from .traceroute import Route, TracerouteResult, paris_traceroute
-
-DEFAULT_MAX_TTL = 32
+from .traceroute import (
+    DEFAULT_MAX_TTL,
+    Route,
+    TracerouteResult,
+    paris_traceroute,
+)
 
 
 @dataclass
@@ -78,131 +76,3 @@ def enumerate_paths(
         result.traces.append(trace)
         result.routes.add(trace.route)
     return result
-
-
-@dataclass
-class LasthopResult:
-    """Outcome of last-hop identification for one destination."""
-
-    dst: int
-    #: Addresses of responsive last-hop routers (empty if none answered).
-    lasthops: FrozenSet[int] = frozenset()
-    #: TTL distance of the last-hop router (None if never located).
-    distance: Optional[int] = None
-    #: Whether the destination answered echo probes at all.
-    host_responsive: bool = False
-    #: Whether a last-hop position was located but no router answered.
-    lasthop_unresponsive: bool = False
-    probes_used: int = 0
-
-    @property
-    def usable(self) -> bool:
-        return bool(self.lasthops)
-
-
-def identify_lasthops(
-    prober: Prober,
-    dst: int,
-    confidence: float = DEFAULT_CONFIDENCE,
-    max_ttl: int = DEFAULT_MAX_TTL,
-    flow_seed: int = 0,
-    retries: int = 1,
-) -> LasthopResult:
-    """Identify the last-hop router(s) of ``dst`` (Sections 3.4-3.5).
-
-    The per-destination enumeration always uses the full stopping-rule
-    budget; the Section 6.5 "modified strategy" differs at the /24
-    level (no early termination, more destinations), which is the
-    classifier's and reprober's job.
-    """
-    result = LasthopResult(dst=dst)
-
-    # Step 1: hop-count inference from an Echo Reply's TTL (§3.4).
-    echo = prober.echo_with_retries(dst, retries=retries + 1)
-    result.probes_used += 1
-    if echo is None:
-        return result
-    result.host_responsive = True
-    estimate = max(1, infer_hop_count(echo.ttl))
-
-    # Step 2: locate the last-hop TTL, halving first_ttl on overshoot.
-    first_ttl = min(estimate, max_ttl)
-    distance = None
-    while first_ttl >= 1:
-        distance = _locate_lasthop_distance(
-            prober, dst, first_ttl, max_ttl, flow_seed, retries, result
-        )
-        if distance == _OVERSHOOT:
-            first_ttl //= 2
-            continue
-        break
-    if distance in (None, _OVERSHOOT):
-        return result
-    result.distance = distance
-
-    # Step 3: enumerate routers at the last hop with the stopping rule.
-    # probes_required is nondecreasing in |seen|, so the serial loop
-    # would always send at least (required - sent) more probes before
-    # re-checking — each shortfall batches through the vectorised probe
-    # path with the exact flow/nonce sequence of the serial loop.
-    seen: Set[int] = set()
-    sent = 0
-    answered_any = False
-    while True:
-        required = probes_required(max(len(seen), 1), confidence)
-        if sent >= required:
-            break
-        replies = prober.probe_batch(
-            [dst] * (required - sent),
-            distance,
-            range(flow_seed + sent, flow_seed + required),
-        )
-        result.probes_used += required - sent
-        sent = required
-        for reply in replies:
-            if reply is None:
-                continue
-            if reply.is_echo:
-                # Path-length variation across flows; no router here.
-                continue
-            answered_any = True
-            seen.add(reply.source)
-    result.lasthops = frozenset(seen)
-    result.lasthop_unresponsive = not answered_any
-    return result
-
-
-_OVERSHOOT = -1
-
-
-def _locate_lasthop_distance(
-    prober: Prober,
-    dst: int,
-    first_ttl: int,
-    max_ttl: int,
-    flow_seed: int,
-    retries: int,
-    result: LasthopResult,
-) -> Optional[int]:
-    """Walk forward from ``first_ttl`` until the destination answers;
-    the previous TTL is the last-hop distance.
-
-    Returns the distance, ``_OVERSHOOT`` if the very first TTL already
-    reaches the destination (first_ttl must be halved, §3.4), or None if
-    the destination never answers within ``max_ttl``.
-    """
-    for ttl in range(first_ttl, max_ttl + 1):
-        got_echo = False
-        for attempt in range(retries + 1):
-            reply = prober.probe(dst, ttl, flow_seed + attempt)
-            result.probes_used += 1
-            if reply is None:
-                continue
-            if reply.is_echo:
-                got_echo = True
-            break
-        if got_echo:
-            if ttl == first_ttl and first_ttl > 1:
-                return _OVERSHOOT
-            return ttl - 1 if ttl > 1 else None
-    return None

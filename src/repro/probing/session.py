@@ -1,8 +1,9 @@
-"""Probe sessions: accounting and budgets on top of the raw probe API.
+"""Probe sessions: accounting on top of the raw probe API.
 
-All probing tools go through a :class:`Prober` so that experiments can
-report measurement loads (a central concern of the paper) and tests can
-cap runaway probing.
+Ping, traceroute and the path dataset's MDA probe through a
+:class:`Prober`, and every per-/24 measurement merges its probe counts
+into one, so that experiments can report measurement loads (a central
+concern of the paper).
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ from ..netsim.internet import SimulatedInternet
 
 #: Default TTL for plain echo probes (a typical OS default).
 ECHO_TTL = 64
-
-
-class ProbeBudgetExceeded(RuntimeError):
-    """Raised when a session exceeds its probe budget."""
 
 
 @dataclass
@@ -92,11 +89,9 @@ class Prober:
     def __init__(
         self,
         internet: SimulatedInternet,
-        max_probes: Optional[int] = None,
         source: Optional[int] = None,
     ) -> None:
         self.internet = internet
-        self.max_probes = max_probes
         #: Vantage address the session probes from (None → the
         #: scenario's default vantage). Source-hashing per-destination
         #: balancers resolve differently per vantage (Section 6.1).
@@ -107,10 +102,6 @@ class Prober:
         self, dst: int, ttl: int, flow_id: int = 0
     ) -> Optional[IcmpReply]:
         """Send one probe; returns the reply or None on timeout."""
-        if self.max_probes is not None and self.stats.sent >= self.max_probes:
-            raise ProbeBudgetExceeded(
-                f"budget of {self.max_probes} probes exhausted"
-            )
         reply = self.internet.send_probe(dst, ttl, flow_id, self.source)
         self.stats.sent += 1
         if reply is not None:
@@ -133,9 +124,7 @@ class Prober:
         Bit-identical to probing ``dsts`` one by one (with
         ``inter_probe_seconds`` of clock between consecutive probes) —
         the simulator vectorises the stochastic draws but sequences the
-        nonce and clock exactly as the serial loop. Budgeted sessions
-        take the serial path so :class:`ProbeBudgetExceeded` raises at
-        exactly the same probe it would have.
+        nonce and clock exactly as the serial loop.
         """
         count = len(dsts)
         if isinstance(flow_ids, int):
@@ -144,13 +133,6 @@ class Prober:
             flows = flow_ids
             if len(flows) != count:
                 raise ValueError("flow_ids must match dsts in length")
-        if self.max_probes is not None:
-            replies: List[Optional[IcmpReply]] = []
-            for index in range(count):
-                if index and inter_probe_seconds:
-                    self.internet.advance_clock(inter_probe_seconds)
-                replies.append(self.probe(dsts[index], ttl, flows[index]))
-            return replies
         replies = self.internet.send_probe_batch(
             dsts, ttl, flows, self.source, inter_probe_seconds
         )

@@ -8,15 +8,10 @@ the measurement run, so some of its "active" addresses will be down by
 probe time (the availability churn the paper notes in Section 2.1's
 footnote).
 
-Two sweep engines produce identical address sets:
-
-* :func:`scan_with_probes` sends one echo probe per address through the
-  ordinary probe path (plus retransmissions to smooth stochastic loss) —
-  faithful but slow; used on small ranges and in equivalence tests.
-* :func:`scan` asks the simulator's host model directly
-  (:meth:`SimulatedInternet.active_addresses`), hashing the allocation
-  spans of 256 /24s at a time in one vectorised pass — what experiments
-  use for multi-million-address universes.
+:func:`scan` asks the simulator's host model directly
+(:meth:`SimulatedInternet.active_addresses`), hashing the allocation
+spans of 256 /24s at a time in one vectorised pass, so it scales to
+multi-million-address universes.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ from typing import Dict, Iterable, List, Optional
 from ..net.addr import slash24_of
 from ..net.prefix import Prefix
 from ..netsim.internet import SimulatedInternet
-from .session import ECHO_TTL, Prober
 
 
 @dataclass
@@ -84,36 +78,3 @@ def scan(
         active_by_slash24=internet.active_addresses(slash24s, epoch),
     )
 
-
-def scan_with_probes(
-    prober: Prober,
-    slash24s: Iterable[Prefix],
-    retries: int = 2,
-) -> ActivitySnapshot:
-    """Probe-level scan of the given /24s at the *current* clock epoch."""
-    internet = prober.internet
-    snapshot = ActivitySnapshot(epoch=internet.current_epoch)
-    for slash24 in slash24s:
-        active: List[int] = []
-        if retries == 0:
-            # One probe per address with no adaptive retransmission:
-            # the whole /24 batches through the vectorised probe path
-            # (bit-identical to the serial loop below).
-            addrs = list(slash24)
-            replies = prober.probe_batch(addrs, ECHO_TTL)
-            active = [
-                addr
-                for addr, reply in zip(addrs, replies)
-                if reply is not None and reply.is_echo
-            ]
-        else:
-            # Retransmissions are adaptive (each address consumes a
-            # reply-dependent number of nonces), so batching across
-            # addresses would change the probe sequence.
-            for addr in slash24:
-                reply = prober.echo_with_retries(addr, retries=retries)
-                if reply is not None and reply.is_echo:
-                    active.append(addr)
-        if active:
-            snapshot.active_by_slash24[slash24.network] = active
-    return snapshot

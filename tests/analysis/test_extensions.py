@@ -168,7 +168,8 @@ class TestMultiVantage:
     def test_source_changes_some_lasthops(self, internet, snapshot):
         """Some pod has a source-hashing last-hop balancer, so probing
         from a different vantage flips some destination's last hop."""
-        from repro.probing import Prober, identify_lasthops
+        from repro.probing import Prober
+        from tests.oracle import identify_lasthops
 
         truth = internet.ground_truth
         pods = [

@@ -1,5 +1,7 @@
 """Tests for the per-/24 classifier against the simulator's ground
-truth."""
+truth: the decision procedure on fixed observations, and whole /24s
+measured through the production entry point,
+:func:`repro.core.pipeline.measure`."""
 
 import random
 
@@ -12,9 +14,9 @@ from repro.core import (
     StopReason,
     TerminationPolicy,
     classify_observations,
-    measure_slash24,
 )
-from repro.probing import Prober, scan
+from repro.core.pipeline import measure
+from repro.probing import Prober
 
 
 def fs(*values):
@@ -66,7 +68,7 @@ class TestClassifyObservations:
 class TestMeasureSlash24:
     def _measure(self, internet, snapshot, slash24, policy=None):
         prober = Prober(internet)
-        return measure_slash24(
+        return measure(
             prober,
             slash24,
             snapshot.active_in(slash24),
@@ -77,7 +79,7 @@ class TestMeasureSlash24:
     def test_ineligible_snapshot(self, internet, snapshot):
         slash24 = internet.universe_slash24s[0]
         prober = Prober(internet)
-        result = measure_slash24(
+        result = measure(
             prober, slash24, [], TerminationPolicy(), random.Random(1)
         )
         assert result.category is Category.TOO_FEW_ACTIVE
@@ -158,7 +160,7 @@ class TestMeasureSlash24:
     def test_max_destinations_caps_probing(self, internet, snapshot):
         slash24 = snapshot.eligible_slash24s()[0]
         prober = Prober(internet)
-        result = measure_slash24(
+        result = measure(
             prober,
             slash24,
             snapshot.active_in(slash24),

@@ -1,8 +1,9 @@
 """Golden parity for the columnar campaign path.
 
 The compiled campaign engine (``core.fastengine``) must be
-*bit-identical* to the object path it falls back to (``measure_slash24``
-through a ``Prober``, installed for every /24 by ``tests/oracle.py``):
+*bit-identical* to the object classifier it replaced (``measure_slash24``
+through a ``Prober``, kept in and installed for every /24 by
+``tests/oracle.py``):
 same measurements (through the canonical store codec, byte for byte),
 same probe accounting, same store records, same simulator end state —
 on tiny and small profiles, serial and with workers=2. The columnar

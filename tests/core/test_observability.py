@@ -197,25 +197,6 @@ class TestParallelFallbackVisibility:
             )
         assert registry.counter_value("campaign.parallel_fallback") == 0
 
-    def test_budgeted_parallel_request_counted_as_skip(self, selection):
-        internet, snapshot = _fresh_internet()
-        registry = MetricsRegistry()
-        run_campaign(
-            internet,
-            TerminationPolicy(),
-            slash24s=selection[:4],
-            snapshot=snapshot,
-            seed=SEED,
-            max_probes=100_000,
-            max_destinations_per_slash24=MAX_DESTINATIONS,
-            workers=2,
-            metrics=registry,
-        )
-        assert registry.counter_value(
-            "campaign.parallel_skipped.budget"
-        ) == 1
-        assert registry.counter_value("campaign.parallel") == 0
-
 
 class TestCampaignTracing:
     def test_serial_campaign_round_trips_through_summarize(

@@ -7,10 +7,10 @@ through one Prober, one ``random.Random`` and one running measurement
 context: each /24 starts from the clock, nonce, token buckets and radio
 tracker the previous one left, and draws from where it left the RNG.
 :func:`repro.core.pipeline.measure` must continue such a context on the
-compiled engine exactly as the object path does. Every case measures
-the same sequence twice, as shipped and with every /24 forced onto the
-object Prober (``tests/oracle.py``), and compares everything the
-sequence leaves behind.
+compiled engine exactly as the object classifier does. Every case
+measures the same sequence twice, as shipped and with every /24 forced
+onto the object classifier's ``Prober`` (``tests/oracle.py``), and
+compares everything the sequence leaves behind.
 """
 
 import dataclasses
@@ -19,12 +19,17 @@ import random
 import pytest
 
 from repro.analysis.multivantage import vantage_addresses
-from repro.core import ExhaustivePolicy, ReprobePolicy
-from repro.core.fastengine import FastCampaignEngine, FastPathUnsupported
+from repro.core import (
+    ConfidenceTable,
+    ExhaustivePolicy,
+    ReprobePolicy,
+    TerminationPolicy,
+)
+from repro.core.fastengine import FastCampaignEngine, RouteTemplateError
 from repro.core.pipeline import measure
 from repro.experiments.common import PROFILES, Workspace
+from repro.net.addr import format_address
 from repro.netsim import EventConfig, SimulatedInternet, tiny_scenario
-from repro.obs.metrics import metrics_scope
 from repro.probing import Prober, scan
 from tests import oracle
 
@@ -87,7 +92,7 @@ def _end_state(internet, prober, rng, measurements):
 
 def _run_sequence(policy_name, alternate_source, intensity, prober_path):
     """Measure a strided selection of /24s in one context, one RNG and
-    one Prober; returns (end state, the simulator, fallbacks counted)."""
+    one Prober; returns (end state, the simulator)."""
     kind, cap = POLICIES[policy_name]
     with pytest.MonkeyPatch.context() as patch:
         if prober_path:
@@ -104,20 +109,14 @@ def _run_sequence(policy_name, alternate_source, intensity, prober_path):
         prober = Prober(internet, source=source)
         rng = random.Random(RNG_SEED)
         policy = kind()
-        with metrics_scope() as registry:
-            measurements = [
-                measure(
-                    prober, slash24, snapshot.active_in(slash24), policy,
-                    rng, max_destinations=cap,
-                )
-                for slash24 in selection[:SELECTION]
-            ]
-        fallbacks = registry.counter_value("campaign.fastpath_fallback")
-        return (
-            _end_state(internet, prober, rng, measurements),
-            internet,
-            fallbacks,
-        )
+        measurements = [
+            measure(
+                prober, slash24, snapshot.active_in(slash24), policy,
+                rng, max_destinations=cap,
+            )
+            for slash24 in selection[:SELECTION]
+        ]
+        return _end_state(internet, prober, rng, measurements), internet
 
 
 @pytest.mark.parametrize("intensity", [0.0, INTENSITY])
@@ -126,16 +125,13 @@ def _run_sequence(policy_name, alternate_source, intensity, prober_path):
 )
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 def test_sequence_matches_prober(policy_name, alternate_source, intensity):
-    shipped, internet, fallbacks = _run_sequence(
+    shipped, internet = _run_sequence(
         policy_name, alternate_source, intensity, prober_path=False
     )
-    reference, _, _ = _run_sequence(
+    reference, _ = _run_sequence(
         policy_name, alternate_source, intensity, prober_path=True
     )
-    # The engine measured every /24 (no silent fallback to the object
-    # path, which would make the comparison vacuous).
     assert getattr(internet, "_fast_engine", None) is not None
-    assert fallbacks == 0
     for name in reference:
         assert shipped[name] == reference[name], name
 
@@ -143,7 +139,7 @@ def test_sequence_matches_prober(policy_name, alternate_source, intensity):
 def test_sequence_exercises_carried_state():
     """The sequence really carries state from /24 to /24: drained
     buckets, a woken cellular radio and renumbered availability keys."""
-    shipped, internet, _ = _run_sequence(
+    shipped, internet = _run_sequence(
         "exhaustive-cap12", False, INTENSITY, prober_path=False
     )
     assert any(
@@ -155,35 +151,60 @@ def test_sequence_exercises_carried_state():
     assert shipped["events"]["storm"] > 0
 
 
-def test_fallback_mid_sequence_restores_rng(monkeypatch):
-    """The engine declines one /24 in the middle of the sequence, on its
-    third destination (after probing the first two): the RNG is put
-    back, the decline is counted, the object path measures the /24, and
-    the sequence still ends exactly where the object path's does."""
-    reference, _, _ = _run_sequence(
-        "exhaustive-cap12", True, INTENSITY, prober_path=True
-    )
+def test_unbuildable_template_mid_sequence_names_the_slash24(monkeypatch):
+    """A /24 in the middle of the sequence whose route template cannot
+    be built stops the sequence with an error naming the /24, the
+    destination and the reason; nothing measures it another way."""
     internet, snapshot = _internet(INTENSITY)
     eligible = snapshot.eligible_slash24s()
     victim = eligible[:: max(1, len(eligible) // SELECTION)][SELECTION // 2]
-    programmed = []
+    failed = []
     real = FastCampaignEngine._program_for
 
-    def declining(self, dst, src, local):
+    def failing(self, dst, src, local):
         if dst >> 8 == victim.network >> 8:
-            programmed.append(dst)
-            if len(programmed) == 3:
-                raise FastPathUnsupported("declined for the test")
+            failed.append(dst)
+            raise RouteTemplateError("injected for the test")
         return real(self, dst, src, local)
 
-    monkeypatch.setattr(FastCampaignEngine, "_program_for", declining)
-    shipped, _, fallbacks = _run_sequence(
-        "exhaustive-cap12", True, INTENSITY, prober_path=False
-    )
-    assert len(programmed) == 3
-    assert fallbacks == 1
-    for name in reference:
-        assert shipped[name] == reference[name], name
+    monkeypatch.setattr(FastCampaignEngine, "_program_for", failing)
+    with pytest.raises(RouteTemplateError) as raised:
+        _run_sequence("exhaustive-cap12", True, INTENSITY, prober_path=False)
+    assert len(failed) == 1
+    message = str(raised.value)
+    assert str(victim) in message
+    assert format_address(failed[0]) in message
+    assert "injected for the test" in message
+
+
+class _CustomTable(ConfidenceTable):
+    pass
+
+
+class _CustomPolicy(ReprobePolicy):
+    pass
+
+
+@pytest.mark.parametrize(
+    "policy, name",
+    [
+        (_CustomPolicy(), "_CustomPolicy"),
+        (TerminationPolicy(confidence_table=_CustomTable()), "_CustomTable"),
+    ],
+    ids=["policy-subclass", "table-subclass"],
+)
+def test_policy_of_another_type_raises_type_error(policy, name):
+    """The engine replicates the exact policy and table types; a
+    subclass may override what it inlines, so it is refused before a
+    probe is sent."""
+    internet, snapshot = _internet(0.0)
+    slash24 = snapshot.eligible_slash24s()[0]
+    with pytest.raises(TypeError, match=name):
+        measure(
+            Prober(internet), slash24, snapshot.active_in(slash24), policy,
+            random.Random(RNG_SEED),
+        )
+    assert internet.probe_count == 0
 
 
 def _workspace_phases(intensity, prober_path):
@@ -203,7 +224,7 @@ def _workspace_phases(intensity, prober_path):
         patch.setattr(Workspace, "_probe_artifact", capturing)
         with Workspace(
             PROFILES["tiny"], workers=1, event_intensity=intensity
-        ) as workspace, metrics_scope() as registry:
+        ) as workspace:
             workspace.confidence_dataset
             workspace.campaign
             reprobe = workspace.aggregation.reprobe_records
@@ -217,9 +238,6 @@ def _workspace_phases(intensity, prober_path):
                 "nonce": internet._nonce,
                 "probe_count": internet.probe_count,
                 "events": dict(internet.events.counters),
-                "fallbacks": registry.counter_value(
-                    "campaign.fastpath_fallback"
-                ),
             }
 
 
@@ -228,6 +246,5 @@ def test_workspace_phases_match_prober():
     reference = _workspace_phases(INTENSITY, prober_path=True)
     assert shipped["reprobe_records"]
     assert shipped["strict_het"]
-    assert shipped["fallbacks"] == 0
     for name in reference:
         assert shipped[name] == reference[name], name

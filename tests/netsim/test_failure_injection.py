@@ -2,9 +2,10 @@
 pipeline gracefully, not break it.
 
 Campaigns run on the compiled engine by default; ``TestProberPath``
-reruns every campaign case with each /24 on the object Prober
-(installed by ``tests/oracle.py``), the path budgeted runs and /24s the
-compiled engine declines take.
+reruns every campaign case with each /24 measured by the reference
+object classifier (installed by ``tests/oracle.py``), and the
+per-destination cases call that reference's ``identify_lasthops``
+directly.
 """
 
 import dataclasses
@@ -20,8 +21,9 @@ from repro.netsim import (
 )
 from repro.netsim.config import OrgSpec
 from repro.netsim.orgs import OrgType
-from repro.probing import Prober, identify_lasthops, paris_traceroute, scan
+from repro.probing import Prober, paris_traceroute, scan
 from tests import oracle
+from tests.oracle import identify_lasthops
 
 
 def _one_org_config(**org_overrides) -> ScenarioConfig:

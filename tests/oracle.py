@@ -3,12 +3,12 @@
 Production measures on one path: the compiled forwarding plane
 (:mod:`repro.netsim.routing`), batched probing
 (:meth:`repro.netsim.SimulatedInternet.send_probe_batch`) and the
-compiled campaign engine (:mod:`repro.core.fastengine`), which hands a
-/24 it cannot replay to the object :class:`repro.probing.Prober`. It
-aggregates on one path too: the similarity graph is a sparse incidence
-Gram product (:mod:`repro.aggregation.similarity`). Each of those
-claims bit-identity with a straightforward implementation; the parity
-suites compare against the implementations kept here:
+compiled campaign engine (:mod:`repro.core.fastengine`), which measures
+every /24 of every phase. It aggregates on one path too: the similarity
+graph is a sparse incidence Gram product
+(:mod:`repro.aggregation.similarity`). Each of those claims
+bit-identity with a straightforward implementation; the parity suites
+compare against the implementations kept here:
 
 * ``forwarding`` — :func:`resolve_path`, which walks every FIB with a
   longest-prefix match (:func:`fib_lookup`) per hop and caches paths
@@ -17,12 +17,13 @@ suites compare against the implementations kept here:
   directly instead of the simulator's compiled interval index;
 * ``serial`` — ``MIN_VECTOR_BATCH`` raised out of reach, so every
   ``send_probe_batch`` loops over ``send_probe``;
-* ``campaign`` — :func:`no_fast_engine` in place of ``fast_engine_for``,
-  so every per-/24 measurement that goes through
-  :func:`repro.core.pipeline.measure` is made by ``measure_slash24``
-  through a ``Prober``: the campaign's /24s and those of the confidence
-  dataset, strict-het re-probing, cluster-validation reprobing, the
-  termination ablation and the vantage study;
+* ``campaign`` — :func:`prober_engine_for` in place of
+  ``fast_engine_for``, so every per-/24 measurement that goes through
+  :func:`repro.core.pipeline.measure` is made by the object classifier,
+  :func:`measure_slash24` over :func:`identify_lasthops`, through a
+  ``Prober``: the campaign's /24s and those of the confidence dataset,
+  strict-het re-probing, cluster-validation reprobing, the termination
+  ablation and the vantage study;
 * ``similarity`` — :func:`build_similarity_graph`, an inverted index
   plus per-pair dict accumulation, in place of the Gram product that
   :func:`repro.aggregation.run_aggregation` calls.
@@ -48,6 +49,8 @@ at a time (:func:`active_addresses_in_slash24`, one
 which sweeps chunks of /24s in one call each, must produce the same
 dict in the same key order and leave the same ``events.renumber``
 count. Like the table build, it is called directly, not installed.
+:func:`scan_with_probes` is the probe-level form of the same snapshot,
+one echo (with retransmissions) per address through a ``Prober``.
 """
 
 from __future__ import annotations
@@ -55,7 +58,18 @@ from __future__ import annotations
 import random
 import sys
 import weakref
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -63,6 +77,11 @@ import repro.aggregation.pipeline as aggregation_module
 import repro.core.pipeline as pipeline_module
 import repro.netsim.internet as internet_module
 from repro.aggregation import AggregatedBlock, WeightedGraph
+from repro.core.classifier import (
+    Category,
+    Slash24Measurement,
+    _closing_category,
+)
 from repro.core.confidence import ConfidenceTable
 from repro.core.grouping import (
     Observations,
@@ -71,10 +90,17 @@ from repro.core.grouping import (
     union_lasthops,
 )
 from repro.core.hierarchy import groups_hierarchical
+from repro.core.selection import meets_selection_criteria, round_robin_order
+from repro.core.termination import (
+    ExhaustivePolicy,
+    ReprobePolicy,
+    TerminationPolicy,
+)
 from repro.net.trie import PrefixTrie
 from repro.net.prefix import Prefix
 from repro.netsim import hosts as hostmod
 from repro.netsim.allocation import Allocation
+from repro.netsim.icmp import infer_hop_count
 from repro.netsim.internet import SimulatedInternet
 from repro.netsim.routing import (
     MAX_FORWARD_HOPS,
@@ -84,6 +110,9 @@ from repro.netsim.routing import (
     RouteEntry,
 )
 from repro.netsim.topology import Router
+from repro.probing.session import Prober, ProbeStats
+from repro.probing.stopping import DEFAULT_CONFIDENCE, probes_required
+from repro.probing.traceroute import DEFAULT_MAX_TTL
 from repro.probing.zmap import ActivitySnapshot
 
 #: The probe-level parts. A reference campaign also installs
@@ -166,10 +195,229 @@ def allocation_of(
     return internet.allocations.lookup(addr)
 
 
-def no_fast_engine(internet, policy, max_probes) -> None:
-    """``fast_engine_for`` that declines every /24, leaving each to the
-    object Prober."""
+@dataclass
+class LasthopResult:
+    """Outcome of last-hop identification for one destination."""
+
+    dst: int
+    #: Addresses of responsive last-hop routers (empty if none answered).
+    lasthops: FrozenSet[int] = frozenset()
+    #: TTL distance of the last-hop router (None if never located).
+    distance: Optional[int] = None
+    #: Whether the destination answered echo probes at all.
+    host_responsive: bool = False
+    #: Whether a last-hop position was located but no router answered.
+    lasthop_unresponsive: bool = False
+    probes_used: int = 0
+
+    @property
+    def usable(self) -> bool:
+        return bool(self.lasthops)
+
+
+def identify_lasthops(
+    prober: Prober,
+    dst: int,
+    confidence: float = DEFAULT_CONFIDENCE,
+    max_ttl: int = DEFAULT_MAX_TTL,
+    flow_seed: int = 0,
+    retries: int = 1,
+) -> LasthopResult:
+    """Identify the last-hop router(s) of ``dst`` (Sections 3.4-3.5).
+
+    The per-destination enumeration always uses the full stopping-rule
+    budget; the Section 6.5 "modified strategy" differs at the /24
+    level (no early termination, more destinations), which is the
+    classifier's and reprober's job.
+    """
+    result = LasthopResult(dst=dst)
+
+    # Step 1: hop-count inference from an Echo Reply's TTL (§3.4).
+    echo = prober.echo_with_retries(dst, retries=retries + 1)
+    result.probes_used += 1
+    if echo is None:
+        return result
+    result.host_responsive = True
+    estimate = max(1, infer_hop_count(echo.ttl))
+
+    # Step 2: locate the last-hop TTL, halving first_ttl on overshoot.
+    first_ttl = min(estimate, max_ttl)
+    distance = None
+    while first_ttl >= 1:
+        distance = _locate_lasthop_distance(
+            prober, dst, first_ttl, max_ttl, flow_seed, retries, result
+        )
+        if distance == _OVERSHOOT:
+            first_ttl //= 2
+            continue
+        break
+    if distance in (None, _OVERSHOOT):
+        return result
+    result.distance = distance
+
+    # Step 3: enumerate routers at the last hop with the stopping rule.
+    # probes_required is nondecreasing in |seen|, so the serial loop
+    # would always send at least (required - sent) more probes before
+    # re-checking — each shortfall batches through the vectorised probe
+    # path with the exact flow/nonce sequence of the serial loop.
+    seen: Set[int] = set()
+    sent = 0
+    answered_any = False
+    while True:
+        required = probes_required(max(len(seen), 1), confidence)
+        if sent >= required:
+            break
+        replies = prober.probe_batch(
+            [dst] * (required - sent),
+            distance,
+            range(flow_seed + sent, flow_seed + required),
+        )
+        result.probes_used += required - sent
+        sent = required
+        for reply in replies:
+            if reply is None:
+                continue
+            if reply.is_echo:
+                # Path-length variation across flows; no router here.
+                continue
+            answered_any = True
+            seen.add(reply.source)
+    result.lasthops = frozenset(seen)
+    result.lasthop_unresponsive = not answered_any
+    return result
+
+
+_OVERSHOOT = -1
+
+
+def _locate_lasthop_distance(
+    prober: Prober,
+    dst: int,
+    first_ttl: int,
+    max_ttl: int,
+    flow_seed: int,
+    retries: int,
+    result: LasthopResult,
+) -> Optional[int]:
+    """Walk forward from ``first_ttl`` until the destination answers;
+    the previous TTL is the last-hop distance.
+
+    Returns the distance, ``_OVERSHOOT`` if the very first TTL already
+    reaches the destination (first_ttl must be halved, §3.4), or None if
+    the destination never answers within ``max_ttl``.
+    """
+    for ttl in range(first_ttl, max_ttl + 1):
+        got_echo = False
+        for attempt in range(retries + 1):
+            reply = prober.probe(dst, ttl, flow_seed + attempt)
+            result.probes_used += 1
+            if reply is None:
+                continue
+            if reply.is_echo:
+                got_echo = True
+            break
+        if got_echo:
+            if ttl == first_ttl and first_ttl > 1:
+                return _OVERSHOOT
+            return ttl - 1 if ttl > 1 else None
     return None
+
+
+def measure_slash24(
+    prober: Prober,
+    slash24: Prefix,
+    snapshot_active: List[int],
+    policy: TerminationPolicy | ReprobePolicy,
+    rng: random.Random,
+    max_destinations: Optional[int] = None,
+) -> Slash24Measurement:
+    """Measure and classify one /24.
+
+    ``snapshot_active`` is the ZMap-snapshot active list (possibly stale
+    by probe time). Destinations that no longer answer echo probes do
+    not count as probed addresses.
+    """
+    result = Slash24Measurement(slash24=slash24, category=Category.TOO_FEW_ACTIVE)
+    if not meets_selection_criteria(snapshot_active):
+        return result
+
+    observations: Dict[int, FrozenSet[int]] = {}
+    lasthop_unresponsive_dests = 0
+    flow_seed = rng.randrange(1 << 30)
+
+    for index, dst in enumerate(round_robin_order(snapshot_active, rng)):
+        if max_destinations is not None and index >= max_destinations:
+            break
+        identification = identify_lasthops(
+            prober, dst, flow_seed=flow_seed + index * 101
+        )
+        result.probes_used += identification.probes_used
+        if not identification.host_responsive:
+            continue
+        result.hosts_responsive += 1
+        if not identification.lasthops:
+            lasthop_unresponsive_dests += 1
+            continue
+        observations[dst] = identification.lasthops
+        result.destinations_probed = len(observations)
+        reason = policy.should_stop(observations)
+        if reason is not None:
+            result.observations = observations
+            result.stop_reason = reason
+            result.category = _closing_category(observations)
+            return result
+
+    # Ran out of destinations before the policy was satisfied.
+    result.observations = observations
+    result.destinations_probed = len(observations)
+    if result.hosts_responsive < 4:
+        result.category = Category.TOO_FEW_ACTIVE
+    elif not observations:
+        result.category = Category.UNRESPONSIVE_LASTHOP
+    elif isinstance(policy, (ReprobePolicy, ExhaustivePolicy)):
+        # These strategies classify whatever they gathered.
+        result.category = _closing_category(observations)
+    elif (
+        isinstance(policy, TerminationPolicy)
+        and policy.required_probes(observations) is None
+    ):
+        # No populated confidence cell for this cardinality: the paper
+        # probes every active address and classifies the outcome.
+        result.category = _closing_category(observations)
+    else:
+        # Active addresses ran out below the confidence requirement.
+        result.category = Category.TOO_FEW_ACTIVE
+    return result
+
+
+class ProberEngine:
+    """Stands in for the compiled engine: measures each /24 with
+    :func:`measure_slash24` through a ``Prober`` of its own."""
+
+    def __init__(self, internet: SimulatedInternet) -> None:
+        self.internet = internet
+
+    def measure(
+        self,
+        policy,
+        slash24: Prefix,
+        snapshot_active: List[int],
+        rng: random.Random,
+        max_destinations: Optional[int],
+        source: Optional[int] = None,
+    ) -> Tuple[Slash24Measurement, ProbeStats]:
+        prober = Prober(self.internet, source=source)
+        measurement = measure_slash24(
+            prober, slash24, snapshot_active, policy, rng,
+            max_destinations=max_destinations,
+        )
+        return measurement, prober.stats
+
+
+def prober_engine_for(internet, policy) -> ProberEngine:
+    """``fast_engine_for`` that hands every /24 to the object
+    classifier."""
+    return ProberEngine(internet)
 
 
 def build_similarity_graph(
@@ -311,6 +559,28 @@ def scan(
     return snapshot
 
 
+def scan_with_probes(
+    prober: Prober,
+    slash24s: Iterable[Prefix],
+    retries: int = 2,
+) -> ActivitySnapshot:
+    """Probe-level scan of the given /24s at the *current* clock epoch."""
+    internet = prober.internet
+    snapshot = ActivitySnapshot(epoch=internet.current_epoch)
+    for slash24 in slash24s:
+        active: List[int] = []
+        # Retransmissions are adaptive (each address consumes a
+        # reply-dependent number of nonces), so batching across
+        # addresses would change the probe sequence.
+        for addr in slash24:
+            reply = prober.echo_with_retries(addr, retries=retries)
+            if reply is not None and reply.is_echo:
+                active.append(addr)
+        if active:
+            snapshot.active_by_slash24[slash24.network] = active
+    return snapshot
+
+
 def install(monkeypatch, parts: Iterable[str] = PARTS) -> None:
     """Patch the named parts (see the module docstring) into the
     production path for the rest of ``monkeypatch``'s lifetime."""
@@ -330,7 +600,7 @@ def install(monkeypatch, parts: Iterable[str] = PARTS) -> None:
         )
     if "campaign" in parts:
         monkeypatch.setattr(
-            pipeline_module, "fast_engine_for", no_fast_engine
+            pipeline_module, "fast_engine_for", prober_engine_for
         )
     if "similarity" in parts:
         monkeypatch.setattr(

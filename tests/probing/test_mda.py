@@ -1,13 +1,12 @@
-"""Tests for MDA path enumeration and last-hop identification."""
+"""Tests for MDA path enumeration, and for the reference last-hop
+identification (``tests/oracle.py``) that the compiled engine's parity
+suites compare against."""
 
 import pytest
 
 from repro.net import Prefix
-from repro.probing import (
-    Prober,
-    enumerate_paths,
-    identify_lasthops,
-)
+from repro.probing import enumerate_paths
+from tests.oracle import identify_lasthops
 
 
 def _addresses_of_pod(internet, snapshot, predicate, count=4):

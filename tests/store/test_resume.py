@@ -5,15 +5,16 @@ insertion order, and probe accounting — serially and in parallel."""
 import math
 import multiprocessing
 import os
+import re
 import signal
 
 import pytest
 
 from repro.core import TerminationPolicy, run_campaign
+from repro.core.fastengine import FastCampaignEngine, RouteTemplateError
 from repro.net import Prefix
 from repro.netsim import SimulatedInternet, tiny_scenario
 from repro.probing import scan
-from repro.probing.session import ProbeBudgetExceeded
 from repro.store import MeasurementStore
 from repro.store import campaign as campaign_module
 from repro.store import segment as segmod
@@ -29,14 +30,13 @@ def _fresh_internet():
     return internet, snapshot
 
 
-def _run(internet, snapshot, slash24s, workers=1, store=None, max_probes=None):
+def _run(internet, snapshot, slash24s, workers=1, store=None):
     return run_campaign(
         internet,
         TerminationPolicy(),
         slash24s=slash24s,
         snapshot=snapshot,
         seed=SEED,
-        max_probes=max_probes,
         max_destinations_per_slash24=MAX_DESTINATIONS,
         workers=workers,
         store=store,
@@ -237,39 +237,6 @@ class TestCorruption:
         assert warm_internet.probe_count == 0
 
 
-class TestBudgetInteraction:
-    def test_replay_charges_budget(self, selection, tmp_path):
-        internet, snapshot = _fresh_internet()
-        with MeasurementStore(tmp_path / "s") as store:
-            _run(internet, snapshot, selection[:4], store=store)
-        total_sent = internet.probe_count
-        # A budget below the first four /24s' recorded cost must fail
-        # even though every measurement replays from the store.
-        warm_internet, warm_snapshot = _fresh_internet()
-        with MeasurementStore(tmp_path / "s") as store:
-            with pytest.raises(ProbeBudgetExceeded):
-                _run(
-                    warm_internet, warm_snapshot, selection[:4],
-                    store=store, max_probes=total_sent - 1,
-                )
-
-    def test_sufficient_budget_replays_cleanly(
-        self, selection, baseline, tmp_path
-    ):
-        internet, snapshot = _fresh_internet()
-        with MeasurementStore(tmp_path / "s") as store:
-            _run(internet, snapshot, selection, store=store)
-        total_sent = internet.probe_count
-        warm_internet, warm_snapshot = _fresh_internet()
-        with MeasurementStore(tmp_path / "s") as store:
-            result = _run(
-                warm_internet, warm_snapshot, selection, store=store,
-                max_probes=total_sent,
-            )
-        assert_bit_identical(result, warm_internet, baseline)
-        assert warm_internet.probe_count == 0
-
-
 def _serial_campaign_killed_mid_commit(root, prefixes, commit_every, kill_at):
     """Child-process body: a serial campaign over a one-shard store that
     SIGKILLs itself halfway through the ``write`` of its ``kill_at``-th
@@ -349,9 +316,13 @@ class TestGroupCommits:
         assert 0 < resumed_internet.probe_count < baseline[1]
         assert _segment(tmp_path / "s").read_bytes() == whole
 
-    def test_budget_exhausted_mid_campaign_commits_measured(
-        self, selection, tmp_path
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_slash24_mid_campaign_commits_measured(
+        self, selection, tmp_path, monkeypatch, workers
     ):
+        """The route template of the (N/2+1)-th /24 cannot be built: the
+        campaign raises an error naming it, serially and from the
+        workers' chunks, and commits what was measured before it."""
         internet, snapshot = _fresh_internet()
         with MeasurementStore(tmp_path / "whole") as whole:
             _run(internet, snapshot, selection, store=whole)
@@ -359,25 +330,40 @@ class TestGroupCommits:
                 decode_slash24_record(document)[0].slash24: document
                 for document in whole.documents()
             }
-        costs = [
-            decode_slash24_record(records[slash24])[1].sent
-            for slash24 in selection
-        ]
         measured = len(selection) // 2
-        # Enough for the first half; one probe short of the next /24.
-        budget = sum(costs[: measured + 1]) - 1
-        budget_internet, budget_snapshot = _fresh_internet()
+        victim = selection[measured]
+        real = FastCampaignEngine._program_for
+
+        def failing(self, dst, src, local):
+            if dst >> 8 == victim.network >> 8:
+                raise RouteTemplateError("injected for the test")
+            return real(self, dst, src, local)
+
+        # A class attribute, so forked workers inherit the patch.
+        monkeypatch.setattr(FastCampaignEngine, "_program_for", failing)
+        failing_internet, failing_snapshot = _fresh_internet()
         with MeasurementStore(tmp_path / "s") as store:
-            with pytest.raises(ProbeBudgetExceeded):
+            with pytest.raises(
+                RouteTemplateError, match=re.escape(str(victim))
+            ):
                 _run(
-                    budget_internet, budget_snapshot, selection,
-                    store=store, max_probes=budget,
+                    failing_internet, failing_snapshot, selection,
+                    workers=workers, store=store,
                 )
         with MeasurementStore(tmp_path / "s") as store:
-            assert {key: store.get(key) for key in store.keys()} == {
+            stored = {key: store.get(key) for key in store.keys()}
+        if workers == 1:
+            assert stored == {
                 records[slash24]["key"]: records[slash24]
                 for slash24 in selection[:measured]
             }
+        else:
+            by_key = {
+                document["key"]: document for document in records.values()
+            }
+            assert stored
+            assert all(stored[key] == by_key[key] for key in stored)
+            assert records[victim]["key"] not in stored
 
     def test_one_fsync_per_commit_on_one_shard_store(
         self, tmp_path, monkeypatch
