@@ -1,7 +1,8 @@
 """Performance benchmarks for the hot components (not tied to a paper
-artifact): probe dispatch, one /24's measurement, the hierarchy test,
-the ZMap fast scan, MCL, and the campaign executor serial vs sharded
-(``REPRO_BENCH_WORKERS`` workers, default 4)."""
+artifact): probe dispatch, one destination's MDA, one /24's
+measurement, the hierarchy test, the ZMap fast scan, MCL, and the
+campaign executor serial vs sharded (``REPRO_BENCH_WORKERS`` workers,
+default 4)."""
 
 import os
 import random
@@ -10,9 +11,8 @@ from repro.aggregation import build_similarity_graph, mcl
 from repro.core import TerminationPolicy, run_campaign
 from repro.core.grouping import group_by_lasthop
 from repro.core.hierarchy import groups_hierarchical
-from repro.core.pipeline import measure
-from repro.probing import Prober, enumerate_paths, scan
-from repro.probing.traceroute import paris_traceroute
+from repro.core.pipeline import enumerate_paths, measure
+from repro.probing import Prober, scan
 
 
 def bench_probe_dispatch(benchmark, workspace):
@@ -47,15 +47,6 @@ def bench_probe_batch_mda_fanout(benchmark, workspace):
     dst = snapshot.active_in(slash24)[0]
     flows = list(range(64))
     benchmark(internet.send_probe_batch, [dst] * 64, 6, flows)
-
-
-def bench_paris_traceroute(benchmark, workspace):
-    internet = workspace.internet
-    snapshot = workspace.snapshot
-    slash24 = snapshot.eligible_slash24s()[1]
-    dst = snapshot.active_in(slash24)[0]
-    prober = Prober(internet)
-    benchmark(paris_traceroute, prober, dst, 3)
 
 
 def bench_mda_path_level(benchmark, workspace):

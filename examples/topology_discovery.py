@@ -23,8 +23,9 @@ from repro.analysis import (
 )
 from repro.analysis.topo_discovery import average_discovery_ratios
 from repro.core import TerminationPolicy, run_campaign
+from repro.core.pipeline import enumerate_paths
 from repro.netsim import SimulatedInternet, tiny_scenario
-from repro.probing import Prober, enumerate_paths, scan
+from repro.probing import Prober, scan
 from repro.util import render_table
 
 

@@ -6,10 +6,11 @@ Packages:
 * :mod:`repro.net` — IPv4 address/prefix primitives.
 * :mod:`repro.netsim` — the synthetic Internet the paper's probing runs
   against (routing, load balancing, hosts, ICMP, registries).
-* :mod:`repro.probing` — ZMap-style scanning, ping, traceroute and
-  Paris traceroute MDA.
+* :mod:`repro.probing` — ZMap-style scanning, ping, the MDA stopping
+  rule and route comparison.
 * :mod:`repro.core` — Hobbit itself: the hierarchy test, the confidence
-  table, termination rules and the measurement campaign.
+  table, termination rules and the measurement campaign, on the compiled
+  engine that also runs the path dataset's Paris-traceroute MDA.
 * :mod:`repro.aggregation` — identical-set aggregation and MCL-based
   similarity clustering with reprobe validation.
 * :mod:`repro.analysis` — figure/table analyses and applications.

@@ -1,16 +1,17 @@
-"""Compiled per-/24 measurement engine: route templates + incremental rules.
+"""Compiled measurement engine: route templates + incremental rules.
 
 Every per-/24 measurement — destination selection (Section 3.3),
 last-hop identification by echo-TTL inference with halving (3.4) and
 the termination rules (3.5) — is a long serial probe sequence (echo,
-locate ladder, last-hop enumeration) whose *replies* depend on only a
-handful of facts per probe: which router sits at the probed TTL (or
-that the TTL overshoots the path), whether that router responds and has
-rate-limiter tokens, one stochastic-loss draw, and — for host probes —
-the destination's availability in the current epoch plus two
-per-address constants (default TTL, reverse-path delta). RTT values
-never influence what the classifier observes, so the engine skips them
-entirely.
+locate ladder, last-hop enumeration), and so is the path dataset's
+Paris-traceroute MDA (Sections 3.1 and 7.1): one trace per flow, up to
+three attempts per TTL. Their *replies* depend on only a handful of
+facts per probe: which router sits at the probed TTL (or that the TTL
+overshoots the path), whether that router responds and has rate-limiter
+tokens, one stochastic-loss draw, and — for host probes — the
+destination's availability in the current epoch plus two per-address
+constants (default TTL, reverse-path delta). RTT values never influence
+what either observes, so the engine skips them entirely.
 
 This module exploits that: for each /24 it flattens the compiled
 forwarding plane into a **route template** — one slot per path position,
@@ -23,8 +24,7 @@ A destination whose template cannot be built (a forwarding loop, a
 router with no FIB or no route, divergent branch continuations, a
 balancer type the engine does not know, a path of
 :data:`~repro.probing.session.ECHO_TTL` or more hops) raises
-:class:`RouteTemplateError` naming its /24; nothing measures that /24
-another way.
+:class:`RouteTemplateError` naming it; nothing measures it another way.
 
 Parity contract: for every policy type the engine accepts, its
 measurement (observations, category, stop reason, ``probes_used``), its
@@ -32,11 +32,14 @@ measurement (observations, category, stop reason, ``probes_used``), its
 the simulator end state (``probe_count``, clock, nonce, rate-limiter
 buckets, the cellular radio tracker, event counters) are bit-identical
 to the object classifier kept as the reference in ``tests/oracle.py``,
-which probes through a :class:`~repro.probing.session.Prober`. The
-engine continues whatever measurement context the simulator is in: the
-campaign pins a fresh one per /24, while the confidence dataset,
-strict-het re-probing and cluster-validation reprobing run a sequence
-of /24s in one context with one RNG.
+which probes through a :class:`~repro.probing.session.Prober`; its
+traced routes, ``probes_used``, stats and end state are likewise
+bit-identical to the object MDA, which traces Paris-traceroute style
+through a ``Prober``, kept there. The engine continues whatever
+measurement context the simulator is in: the campaign pins a fresh one
+per /24, while the confidence dataset, strict-het re-probing,
+cluster-validation reprobing and the path dataset run a sequence of
+/24s or destinations in one context.
 ``tests/core/test_columnar_campaign.py`` enforces the contract on whole
 campaigns and ``tests/core/test_phase_parity.py`` on shared-context
 sequences, with the reference installed by the ``tests/oracle.py``
@@ -44,7 +47,9 @@ switch.
 
 Simulator state that probes mutate — the clock, the nonce, rate-limiter
 buckets (seeded from their live state) and the radio tracker — is
-mirrored locally and committed when the /24 completes.
+mirrored locally by one probe mirror
+(:meth:`FastCampaignEngine._probe_mirror`) and committed when the /24
+or the destination's trace completes.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import math
 import random
 import time
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..net.addr import format_address
 from ..netsim import hosts as hostmod
@@ -66,7 +71,7 @@ from ..netsim.loadbalance import (
 )
 from ..probing.session import ECHO_TTL, ProbeStats
 from ..probing.stopping import DEFAULT_CONFIDENCE, probes_required
-from ..probing.traceroute import DEFAULT_MAX_TTL
+from ..probing.traceroute import DEFAULT_MAX_TTL, Route
 from ..util.hashing import MASK64, splitmix64
 from .classifier import (
     Category,
@@ -99,11 +104,11 @@ _T_PER_PACKET = 4
 
 class RouteTemplateError(RuntimeError):
     """The route towards a destination cannot be flattened into a route
-    template, so its /24 cannot be measured."""
+    template, so neither its /24 can be measured nor it traced."""
 
 
-def fast_engine_for(internet, policy) -> "FastCampaignEngine":
-    """The engine that measures /24s on ``internet`` under ``policy``.
+def check_policy(policy) -> None:
+    """Refuse a policy the engine does not replicate.
 
     Only the exact policy and confidence-table types the engine
     replicates are accepted: a subclass may override hooks the engine
@@ -123,6 +128,10 @@ def fast_engine_for(internet, policy) -> "FastCampaignEngine":
             "the campaign engine measures TerminationPolicy, ReprobePolicy "
             f"or ExhaustivePolicy, not {kind.__name__}"
         )
+
+
+def fast_engine_for(internet) -> "FastCampaignEngine":
+    """The engine that measures /24s and traces paths on ``internet``."""
     engine = getattr(internet, "_fast_engine", None)
     if engine is None or not engine.valid():
         engine = FastCampaignEngine(internet)
@@ -134,14 +143,15 @@ class _DstProgram:
     """A route template specialized to one destination."""
 
     __slots__ = (
-        "slots", "length", "observed_ttl",
+        "dst", "slots", "length", "observed_ttl",
         "density", "stability", "sleep_p", "up_epoch", "allocated", "pod",
         "cellular_dst",
     )
 
-    def __init__(self, slots, length, observed_ttl,
+    def __init__(self, dst, slots, length, observed_ttl,
                  density, stability, sleep_p, allocated, pod=None,
                  cellular_dst=None):
+        self.dst = dst
         self.slots = slots
         self.length = length
         self.observed_ttl = observed_ttl
@@ -315,7 +325,7 @@ class FastCampaignEngine:
         if allocation is None:
             # The object path's probes to unallocated space consume
             # clock/nonce and time out; no routing needed.
-            return _DstProgram((), 0, 0, 0.0, 0.0, 0.0, False)
+            return _DstProgram(dst, (), 0, 0, 0.0, 0.0, 0.0, False)
         template = self._template_for(dst, local)
         slots: List[tuple] = []
         for slot in template:
@@ -363,30 +373,24 @@ class FastCampaignEngine:
         )
         observed_ttl = max(0, default - max(1, length + delta))
         return _DstProgram(
-            tuple(slots), length, observed_ttl,
+            dst, tuple(slots), length, observed_ttl,
             pod.host_density, pod.host_stability, pod.sleep_probability,
             True, pod, dst if pod.cellular else None,
         )
 
-    # -- measurement ------------------------------------------------------
+    # -- the probe mirror -------------------------------------------------
 
-    def measure(
-        self,
-        policy,
-        slash24,
-        snapshot_active: List[int],
-        rng: random.Random,
-        max_destinations: Optional[int],
-        source: Optional[int] = None,
-    ) -> Tuple[Slash24Measurement, ProbeStats]:
-        """Measure one /24 from ``source`` (None: the default vantage) —
-        bit-identical to the object classifier.
+    def _probe_mirror(self):
+        """Mirror the simulator's probe primitive over route templates.
 
-        Continues the simulator's running measurement context and draws
-        from ``rng`` exactly as the object classifier does, so neither
-        needs to be fresh. Raises :class:`RouteTemplateError`, naming the
-        /24, the destination and the reason, when a destination's route
-        template cannot be built.
+        Returns ``(send, finish)``. ``send(prog, ttl, flow)`` sends one
+        probe towards ``prog.dst`` and returns None (timeout), -1 (echo
+        reply) or the responding router's address (TTL-exceeded).
+        Simulator state that probes mutate — the clock, the nonce,
+        rate-limiter buckets (seeded from their live state) and the
+        radio tracker — is mirrored locally; ``finish()`` commits it
+        with the probe count and the engine's wall-clock, and returns
+        the probes' :class:`ProbeStats`.
         """
         started = time.perf_counter()
         internet = self.internet
@@ -404,15 +408,6 @@ class FastCampaignEngine:
         #: Dynamic-event schedule (None in the common, event-free case).
         events = internet.events
 
-        result = Slash24Measurement(
-            slash24=slash24, category=Category.TOO_FEW_ACTIVE
-        )
-        stats = ProbeStats()
-        if not meets_selection_criteria(snapshot_active):
-            return result, stats
-
-        flow_seed = rng.randrange(1 << 30)
-
         clock = internet.clock_seconds
         nonce = internet._nonce
         sent = 0
@@ -420,18 +415,15 @@ class FastCampaignEngine:
         echo_replies = 0
         ttl_exceeded = 0
         # Local token-bucket mirrors, each seeded from its limiter's live
-        # state on first use and written back when the /24 completes:
-        # they reproduce `allow` bit for bit without mutating the shared
-        # buckets mid-/24.
+        # state on first use and written back by finish(): they
+        # reproduce `allow` bit for bit without mutating the shared
+        # buckets mid-measurement.
         limiters: Dict[object, List[float]] = {}
         # Cellular destination → clock of its latest echo reply (the
         # radio tracker's record, committed with the buckets).
         radio: Dict[int, float] = {}
-        local_templates: Dict[int, tuple] = {}
 
         def send(prog: _DstProgram, ttl: int, flow: int):
-            """One probe. Returns None (timeout), -1 (echo reply) or the
-            responding router's address (TTL-exceeded)."""
             nonlocal clock, nonce, sent, answered, echo_replies, ttl_exceeded
             sent += 1
             nonce += 1
@@ -503,14 +495,14 @@ class FastCampaignEngine:
                 # Renumbering keys availability on the subscriber identity
                 # (canonical address), so the memo stays valid per epoch:
                 # the key depends only on (pod, dst, epoch).
-                key = dst
+                key = prog.dst
                 if events is not None:
-                    key = events.availability_key(prog.pod, dst, epoch)
+                    key = events.availability_key(prog.pod, key, epoch)
                 up = host_up(
                     host_seed, key, epoch,
                     prog.density, prog.stability, prog.sleep_p,
                 )
-                prog.up_epoch = (epoch, up, key != dst)
+                prog.up_epoch = (epoch, up, key != prog.dst)
             if not up:
                 return None
             if (
@@ -524,6 +516,54 @@ class FastCampaignEngine:
                 radio[prog.cellular_dst] = clock
             return -1
 
+        def finish() -> ProbeStats:
+            # The object path mutated this state probe by probe; the
+            # totals are identical.
+            internet.probe_count += sent
+            internet.clock_seconds = clock
+            internet._nonce = nonce
+            touched = internet._touched_limiters
+            for limiter, (tokens, last_time) in limiters.items():
+                limiter._tokens = tokens
+                limiter._last_time = last_time
+                touched.add(limiter)
+            if radio:
+                internet._radio.record(radio)
+            internet.probe_seconds += time.perf_counter() - started
+            return ProbeStats(sent, answered, echo_replies, ttl_exceeded)
+
+        return send, finish
+
+    # -- measurement ------------------------------------------------------
+
+    def measure(
+        self,
+        policy,
+        slash24,
+        snapshot_active: List[int],
+        rng: random.Random,
+        max_destinations: Optional[int],
+        source: Optional[int] = None,
+    ) -> Tuple[Slash24Measurement, ProbeStats]:
+        """Measure one /24 from ``source`` (None: the default vantage) —
+        bit-identical to the object classifier.
+
+        Continues the simulator's running measurement context and draws
+        from ``rng`` exactly as the object classifier does, so neither
+        needs to be fresh. Raises :class:`RouteTemplateError`, naming the
+        /24, the destination and the reason, when a destination's route
+        template cannot be built.
+        """
+        internet = self.internet
+        result = Slash24Measurement(
+            slash24=slash24, category=Category.TOO_FEW_ACTIVE
+        )
+        if not meets_selection_criteria(snapshot_active):
+            return result, ProbeStats()
+
+        flow_seed = rng.randrange(1 << 30)
+        send, finish = self._probe_mirror()
+        local_templates: Dict[int, tuple] = {}
         observations: Dict[int, frozenset] = {}
         state = TerminationState()
         policy_kind = type(policy)
@@ -640,22 +680,66 @@ class FastCampaignEngine:
                 result.category = closing_category_from_state(state)
             else:
                 result.category = Category.TOO_FEW_ACTIVE
+        return result, finish()
 
-        # Commit the mirrored simulator state (the object path mutated
-        # it probe by probe; end-of-/24 totals are identical).
-        internet.probe_count += sent
-        internet.clock_seconds = clock
-        internet._nonce = nonce
-        touched = internet._touched_limiters
-        for limiter, (tokens, last_time) in limiters.items():
-            limiter._tokens = tokens
-            limiter._last_time = last_time
-            touched.add(limiter)
-        if radio:
-            internet._radio.record(radio)
-        internet.probe_seconds += time.perf_counter() - started
-        stats.sent = sent
-        stats.answered = answered
-        stats.echo_replies = echo_replies
-        stats.ttl_exceeded = ttl_exceeded
-        return result, stats
+    # -- Paris-traceroute MDA ---------------------------------------------
+
+    def enumerate_paths(
+        self,
+        dst: int,
+        source: Optional[int],
+        flow_seed: int,
+        confidence: float,
+        max_ttl: int,
+        max_flows: int,
+    ) -> Tuple[Set[Route], bool, ProbeStats]:
+        """Enumerate the per-flow route set towards ``dst`` from
+        ``source`` (None: the default vantage) — bit-identical to the
+        object MDA over Paris traceroute kept in ``tests/oracle.py``.
+
+        Traces flows ``flow_seed``, ``flow_seed + 1``, … while fewer
+        flows have been tried than the stopping rule requires for the
+        routes seen (at most ``max_flows``). Each trace keeps its flow
+        and walks TTL 1..``max_ttl`` with up to 3 attempts per TTL: a
+        TTL-exceeded reply gives the hop's address, 3 timeouts give
+        None, and an echo reply ends the trace as reached; only reached
+        traces contribute their route.
+
+        Returns ``(routes, reached, stats)``; every probe counts in
+        ``stats.sent``. Continues the simulator's running measurement
+        context. Raises :class:`RouteTemplateError`, naming the
+        destination and the reason, when its route template cannot be
+        built.
+        """
+        internet = self.internet
+        src = source if source is not None else internet.vantage_address
+        try:
+            prog = self._program_for(dst, src, {})
+        except RouteTemplateError as error:
+            raise RouteTemplateError(
+                f"cannot trace {format_address(dst)}: no route template "
+                f"({error})"
+            ) from None
+        send, finish = self._probe_mirror()
+        routes: Set[Route] = set()
+        reached = False
+        flows_tried = 0
+        while flows_tried < min(
+            probes_required(max(len(routes), 1), confidence), max_flows
+        ):
+            flow = flow_seed + flows_tried
+            flows_tried += 1
+            hops: List[Optional[int]] = []
+            for ttl in range(1, max_ttl + 1):
+                address = None
+                for _attempt in range(3):
+                    reply = send(prog, ttl, flow)
+                    if reply is not None:
+                        address = reply
+                        break
+                if address == -1:
+                    reached = True
+                    routes.add(tuple(hops))
+                    break
+                hops.append(address)
+        return routes, reached, finish()

@@ -29,8 +29,9 @@ import random
 import signal
 import warnings
 from collections import deque
+from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..net.prefix import Prefix
 from ..netsim.internet import SimulatedInternet
@@ -38,12 +39,14 @@ from ..obs.metrics import MetricsRegistry, current_metrics
 from ..obs.progress import ProgressReporter, progress_enabled
 from ..obs.trace import configure_tracing, span, trace_event, trace_warning
 from ..probing.session import Prober, ProbeStats
+from ..probing.stopping import DEFAULT_CONFIDENCE
+from ..probing.traceroute import DEFAULT_MAX_TTL, Route
 from ..probing.zmap import ActivitySnapshot, scan
 from ..util.envknobs import kill_after_for_worker
 from ..util.hashing import mix, stable_string_hash
 from .classifier import Slash24Measurement
 from .columnar import CampaignResult
-from .fastengine import fast_engine_for
+from .fastengine import check_policy, fast_engine_for
 from .termination import ReprobePolicy, TerminationPolicy
 
 
@@ -95,12 +98,68 @@ def measure(
     and :class:`repro.core.fastengine.RouteTemplateError` for a /24 it
     cannot measure.
     """
-    measurement, stats = fast_engine_for(prober.internet, policy).measure(
+    check_policy(policy)
+    measurement, stats = fast_engine_for(prober.internet).measure(
         policy, slash24, snapshot_active, rng, max_destinations,
         prober.source,
     )
     prober.stats.merge(stats)
     return measurement
+
+
+@dataclass
+class MultipathResult:
+    """All per-flow paths discovered towards one destination."""
+
+    dst: int
+    routes: Set[Route] = field(default_factory=set)
+    reached: bool = False
+    probes_used: int = 0
+
+    @property
+    def lasthop_addresses(self) -> FrozenSet[Optional[int]]:
+        """Final-router address of each discovered path (None for a
+        path whose last hop never answered)."""
+        return frozenset(route[-1] if route else None for route in self.routes)
+
+    @property
+    def route_count(self) -> int:
+        return len(self.routes)
+
+
+def enumerate_paths(
+    prober: Prober,
+    dst: int,
+    flow_seed: int = 0,
+    confidence: float = DEFAULT_CONFIDENCE,
+    max_ttl: int = DEFAULT_MAX_TTL,
+    max_flows: int = 64,
+) -> MultipathResult:
+    """Enumerate the per-flow path set towards ``dst`` through
+    ``prober``: Paris-traceroute MDA, the path dataset's entry point.
+
+    Traces with flow ids ``flow_seed``, ``flow_seed + 1``, … until the
+    stopping rule of :mod:`repro.probing.stopping` says no further
+    route is likely to exist (at most ``max_flows`` traces). This is a
+    path-level formulation of MDA; with the simulator's equal-length,
+    uniformly-hashed branches it discovers exactly the per-hop MDA path
+    set. Per-destination branches are invisible to it by nature — only
+    probing *other destinations* reveals those, which is the paper's
+    whole point.
+
+    The compiled engine traces it, continuing the simulator's running
+    measurement context, and its probe counts are merged into
+    ``prober.stats``. Raises
+    :class:`repro.core.fastengine.RouteTemplateError` for a destination
+    it cannot trace.
+    """
+    routes, reached, stats = fast_engine_for(prober.internet).enumerate_paths(
+        dst, prober.source, flow_seed, confidence, max_ttl, max_flows
+    )
+    prober.stats.merge(stats)
+    return MultipathResult(
+        dst=dst, routes=routes, reached=reached, probes_used=stats.sent
+    )
 
 
 def _measure_in_context(
@@ -491,9 +550,14 @@ def run_campaign(
     parallel paths; the execution path itself is recorded under
     ``campaign.parallel`` / ``campaign.parallel_fallback`` so a
     degraded run is distinguishable from the one that was asked for.
+
+    A policy type the engine does not replicate raises
+    :class:`TypeError` before the store is consulted or a worker forked,
+    so a store hit cannot return another policy's results as its own.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    check_policy(policy)
     registry = metrics if metrics is not None else current_metrics()
     if snapshot is None:
         snapshot = scan(internet)

@@ -36,7 +36,7 @@ from ..core import (
     run_campaign,
 )
 from ..core.heterogeneity import SubBlockAnalysis, analyze_sub_blocks
-from ..core.pipeline import measure
+from ..core.pipeline import enumerate_paths, measure
 from ..net.prefix import Prefix
 from ..netsim import (
     EventConfig,
@@ -47,7 +47,7 @@ from ..netsim import (
 )
 from ..obs.metrics import current_metrics
 from ..obs.trace import span
-from ..probing import ActivitySnapshot, Prober, enumerate_paths, scan
+from ..probing import ActivitySnapshot, Prober, scan
 from ..probing.traceroute import Route
 from ..util.envknobs import event_intensity_env, positive_int_env
 from ..util.hashing import mix, stable_string_hash

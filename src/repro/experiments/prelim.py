@@ -14,8 +14,9 @@ import random
 from typing import FrozenSet, List
 
 from ..analysis.pathmetrics import lasthop_of_route
+from ..core.pipeline import enumerate_paths
 from ..core.selection import one_per_slash26, slash31_pair
-from ..probing import Prober, enumerate_paths
+from ..probing import Prober
 from ..probing.traceroute import route_sets_share_route
 from ..util.tables import format_percent
 from .common import ExperimentResult, Workspace

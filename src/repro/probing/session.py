@@ -1,9 +1,9 @@
 """Probe sessions: accounting on top of the raw probe API.
 
-Ping, traceroute and the path dataset's MDA probe through a
-:class:`Prober`, and every per-/24 measurement merges its probe counts
-into one, so that experiments can report measurement loads (a central
-concern of the paper).
+Ping probes through a :class:`Prober`. Every per-/24 measurement and
+every path-dataset trace runs on the compiled engine and merges its
+probe counts into one, so that experiments can report measurement loads
+(a central concern of the paper).
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+import repro.core.pipeline as pipeline_module
 from repro.core import TerminationPolicy, run_campaign
 from repro.netsim import SimulatedInternet, tiny_scenario
 from repro.obs.metrics import MetricsRegistry
@@ -265,3 +266,52 @@ class TestConcurrentStoreWriters:
                 document = store.get(f"sc::k{index}")
                 assert document is not None
                 assert document["value"] == index
+
+
+class _OverridingPolicy(TerminationPolicy):
+    """Overrides a hook the campaign engine inlines."""
+
+    def should_stop_state(self, state):
+        return None
+
+
+class TestPolicyTypeAtBoundary:
+    """A policy type the engine does not replicate is refused once, as
+    the campaign starts: before a store hit could return the base
+    policy's results as its own, and before a worker is forked."""
+
+    def _refused(self, store, slash24s, workers, monkeypatch):
+        def past_the_boundary(*args, **kwargs):
+            raise AssertionError("the store was bound or a worker forked")
+
+        monkeypatch.setattr(CampaignCache, "bind", past_the_boundary)
+        monkeypatch.setattr(
+            pipeline_module, "_run_parallel", past_the_boundary
+        )
+        internet, snapshot = _fresh_internet()
+        registry = MetricsRegistry()
+        records = len(store)
+        with pytest.raises(TypeError, match="_OverridingPolicy"):
+            run_campaign(
+                internet, _OverridingPolicy(), slash24s=slash24s,
+                snapshot=snapshot, seed=SEED,
+                max_destinations_per_slash24=MAX_DESTINATIONS,
+                workers=workers, store=store, metrics=registry,
+            )
+        assert internet.probe_count == 0
+        assert len(store) == records
+        assert not [
+            name for name in registry.counters
+            if name.startswith("campaign.parallel")
+        ]
+
+    def test_warm_store(self, selection, tmp_path, monkeypatch):
+        internet, snapshot = _fresh_internet()
+        with MeasurementStore(str(tmp_path / "store")) as store:
+            _run(internet, snapshot, selection[:8], store=store)
+            assert len(store) == 8
+            self._refused(store, selection[:8], 1, monkeypatch)
+
+    def test_parallel_run(self, selection, tmp_path, monkeypatch):
+        with MeasurementStore(str(tmp_path / "store")) as store:
+            self._refused(store, selection[:8], 2, monkeypatch)

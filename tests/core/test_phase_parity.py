@@ -1,4 +1,5 @@
-"""Shared-context parity of the per-/24 entry point.
+"""Shared-context parity of the per-/24 and per-destination entry
+points.
 
 The campaign measures each /24 in a freshly pinned context with a fresh
 RNG. The confidence dataset, strict-het re-probing and
@@ -6,11 +7,14 @@ cluster-validation reprobing instead measure a *sequence* of /24s
 through one Prober, one ``random.Random`` and one running measurement
 context: each /24 starts from the clock, nonce, token buckets and radio
 tracker the previous one left, and draws from where it left the RNG.
-:func:`repro.core.pipeline.measure` must continue such a context on the
-compiled engine exactly as the object classifier does. Every case
-measures the same sequence twice, as shipped and with every /24 forced
-onto the object classifier's ``Prober`` (``tests/oracle.py``), and
-compares everything the sequence leaves behind.
+The path dataset likewise traces a sequence of destinations in one
+context. :func:`repro.core.pipeline.measure` and
+:func:`repro.core.pipeline.enumerate_paths` must continue such a context
+on the compiled engine exactly as the object classifier and the object
+MDA do. Every case runs the same sequence twice, as shipped and with
+every /24 and destination forced onto the reference's ``Prober``
+(``tests/oracle.py``), and compares everything the sequence leaves
+behind.
 """
 
 import dataclasses
@@ -26,7 +30,7 @@ from repro.core import (
     TerminationPolicy,
 )
 from repro.core.fastengine import FastCampaignEngine, RouteTemplateError
-from repro.core.pipeline import measure
+from repro.core.pipeline import enumerate_paths, measure
 from repro.experiments.common import PROFILES, Workspace
 from repro.net.addr import format_address
 from repro.netsim import EventConfig, SimulatedInternet, tiny_scenario
@@ -57,16 +61,15 @@ def _internet(intensity):
     return internet, scan(internet)
 
 
-def _end_state(internet, prober, rng, measurements):
-    """Everything a measured sequence leaves behind."""
+def _end_state(internet, prober, outputs):
+    """Everything a measured or traced sequence leaves behind."""
     routers = {
         id(router.rate_limiter): router.router_id
         for router in internet.topology
         if router.rate_limiter is not None
     }
     return {
-        "measurements": measurements,
-        "rng": rng.getstate(),
+        "outputs": outputs,
         "clock": internet.clock_seconds,
         "nonce": internet._nonce,
         "probe_count": internet.probe_count,
@@ -116,7 +119,9 @@ def _run_sequence(policy_name, alternate_source, intensity, prober_path):
             )
             for slash24 in selection[:SELECTION]
         ]
-        return _end_state(internet, prober, rng, measurements), internet
+        state = _end_state(internet, prober, measurements)
+        state["rng"] = rng.getstate()
+        return state, internet
 
 
 @pytest.mark.parametrize("intensity", [0.0, INTENSITY])
@@ -136,19 +141,112 @@ def test_sequence_matches_prober(policy_name, alternate_source, intensity):
         assert shipped[name] == reference[name], name
 
 
+def _assert_carried_state(state, internet):
+    """Drained buckets, a woken cellular radio and renumbered
+    availability keys under rate-limit storms."""
+    assert any(
+        tokens < internet.topology.by_id(router_id).rate_limiter.capacity - 1
+        for router_id, tokens, _ in state["buckets"]
+    )
+    assert state["radio"]
+    assert state["events"]["renumber"] > 0
+    assert state["events"]["storm"] > 0
+
+
 def test_sequence_exercises_carried_state():
-    """The sequence really carries state from /24 to /24: drained
-    buckets, a woken cellular radio and renumbered availability keys."""
+    """The sequence really carries state from /24 to /24."""
     shipped, internet = _run_sequence(
         "exhaustive-cap12", False, INTENSITY, prober_path=False
     )
-    assert any(
-        tokens < internet.topology.by_id(router_id).rate_limiter.capacity - 1
-        for router_id, tokens, _ in shipped["buckets"]
+    _assert_carried_state(shipped, internet)
+
+
+#: An address no allocation covers: every probe towards it times out.
+UNALLOCATED = 0xC6000001
+#: Active addresses traced per selected /24.
+PATH_ADDRESSES = 2
+
+
+def _run_paths(alternate_source, intensity, prober_path, max_ttl):
+    """Trace the first active addresses of a strided selection of /24s,
+    with the unallocated address in the middle, through one Prober in
+    one context, as the path dataset does; returns (end state, the
+    simulator)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if prober_path:
+            oracle.install(patch, oracle.PROBER_CAMPAIGN)
+        internet, snapshot = _internet(intensity)
+        assert internet._allocation_of(UNALLOCATED) is None
+        eligible = snapshot.eligible_slash24s()
+        selection = eligible[:: max(1, len(eligible) // SELECTION)]
+        destinations = [
+            address
+            for slash24 in selection[:SELECTION]
+            for address in snapshot.active_in(slash24)[:PATH_ADDRESSES]
+        ]
+        destinations.insert(len(destinations) // 2, UNALLOCATED)
+        source = (
+            vantage_addresses(internet, 2)[1] if alternate_source else None
+        )
+        internet.begin_measurement_context(
+            clock_seconds=CONTEXT_CLOCK, nonce=CONTEXT_NONCE
+        )
+        prober = Prober(internet, source=source)
+        traces = []
+        for dst in destinations:
+            result = enumerate_paths(
+                prober, dst, flow_seed=dst & 0xFFFF, max_ttl=max_ttl
+            )
+            traces.append((
+                result.dst, result.routes, result.reached,
+                result.probes_used, result.route_count,
+                result.lasthop_addresses,
+            ))
+        return _end_state(internet, prober, traces), internet
+
+
+@pytest.mark.parametrize("intensity", [0.0, INTENSITY])
+@pytest.mark.parametrize(
+    "alternate_source", [False, True], ids=["default-source", "vantage-1"]
+)
+def test_paths_match_prober(alternate_source, intensity):
+    shipped, internet = _run_paths(
+        alternate_source, intensity, prober_path=False, max_ttl=32
     )
-    assert shipped["radio"]
-    assert shipped["events"]["renumber"] > 0
-    assert shipped["events"]["storm"] > 0
+    reference, _ = _run_paths(
+        alternate_source, intensity, prober_path=True, max_ttl=32
+    )
+    assert getattr(internet, "_fast_engine", None) is not None
+    assert any(trace[2] for trace in shipped["outputs"])
+    for name in reference:
+        assert shipped[name] == reference[name], name
+
+
+@pytest.mark.parametrize("intensity", [0.0, INTENSITY])
+def test_short_traces_match_prober(intensity):
+    """At ``max_ttl=5`` no trace reaches its destination, so every
+    destination spends its whole flow budget and keeps no route."""
+    shipped, _ = _run_paths(False, intensity, prober_path=False, max_ttl=5)
+    reference, _ = _run_paths(False, intensity, prober_path=True, max_ttl=5)
+    for _, routes, reached, _, _, _ in shipped["outputs"]:
+        assert not reached and not routes
+    for name in reference:
+        assert shipped[name] == reference[name], name
+
+
+def test_paths_exercise_carried_state():
+    """The traced sequence really carries state from destination to
+    destination, and the unallocated address costs probes but reaches
+    nothing."""
+    shipped, internet = _run_paths(
+        False, INTENSITY, prober_path=False, max_ttl=32
+    )
+    _assert_carried_state(shipped, internet)
+    (unallocated,) = [
+        trace for trace in shipped["outputs"] if trace[0] == UNALLOCATED
+    ]
+    assert unallocated[1:3] == (set(), False)
+    assert unallocated[3] > 0
 
 
 def test_unbuildable_template_mid_sequence_names_the_slash24(monkeypatch):
@@ -175,6 +273,23 @@ def test_unbuildable_template_mid_sequence_names_the_slash24(monkeypatch):
     assert str(victim) in message
     assert format_address(failed[0]) in message
     assert "injected for the test" in message
+
+
+def test_unbuildable_template_names_the_traced_destination(monkeypatch):
+    """A destination whose route template cannot be built raises an
+    error naming it and the reason, before a probe is sent."""
+    internet, snapshot = _internet(0.0)
+    dst = snapshot.active_in(snapshot.eligible_slash24s()[0])[0]
+
+    def failing(self, dst, src, local):
+        raise RouteTemplateError("injected for the test")
+
+    monkeypatch.setattr(FastCampaignEngine, "_program_for", failing)
+    with pytest.raises(RouteTemplateError) as raised:
+        enumerate_paths(Prober(internet), dst)
+    assert format_address(dst) in str(raised.value)
+    assert "injected for the test" in str(raised.value)
+    assert internet.probe_count == 0
 
 
 class _CustomTable(ConfidenceTable):
@@ -208,9 +323,9 @@ def test_policy_of_another_type_raises_type_error(policy, name):
 
 
 def _workspace_phases(intensity, prober_path):
-    """The three Prober-driven phases of a tiny Workspace: the confidence
-    dataset, the reprobe records and the strict-het observations, plus
-    the simulator's end state."""
+    """The four Prober-driven phases of a tiny Workspace: the confidence
+    dataset, the reprobe records, the path dataset and the strict-het
+    observations, plus the simulator's end state."""
     artifacts = {}
     real = Workspace._probe_artifact
 
@@ -228,11 +343,13 @@ def _workspace_phases(intensity, prober_path):
             workspace.confidence_dataset
             workspace.campaign
             reprobe = workspace.aggregation.reprobe_records
+            workspace.path_dataset
             workspace.strict_het_analyses
             internet = workspace.internet
             return {
                 "confidence_dataset": artifacts["confidence-dataset"],
                 "reprobe_records": reprobe,
+                "path_dataset": artifacts["path-dataset"],
                 "strict_het": artifacts["strict-het-observations"],
                 "clock": internet.clock_seconds,
                 "nonce": internet._nonce,
@@ -245,6 +362,7 @@ def test_workspace_phases_match_prober():
     shipped = _workspace_phases(INTENSITY, prober_path=False)
     reference = _workspace_phases(INTENSITY, prober_path=True)
     assert shipped["reprobe_records"]
+    assert shipped["path_dataset"]
     assert shipped["strict_het"]
     for name in reference:
         assert shipped[name] == reference[name], name

@@ -11,7 +11,8 @@ import pytest
 
 from repro.analysis.pathmetrics import lasthop_of_route
 from repro.core import one_per_slash26, slash31_pair
-from repro.probing import Prober, enumerate_paths, route_sets_share_route
+from repro.core.pipeline import enumerate_paths
+from repro.probing import Prober, route_sets_share_route
 
 
 @pytest.fixture(scope="module")

@@ -21,9 +21,9 @@ from repro.netsim import (
 )
 from repro.netsim.config import OrgSpec
 from repro.netsim.orgs import OrgType
-from repro.probing import Prober, paris_traceroute, scan
+from repro.probing import Prober, scan
 from tests import oracle
-from tests.oracle import identify_lasthops
+from tests.oracle import identify_lasthops, paris_traceroute
 
 
 def _one_org_config(**org_overrides) -> ScenarioConfig:

@@ -4,9 +4,9 @@ Production measures on one path: the compiled forwarding plane
 (:mod:`repro.netsim.routing`), batched probing
 (:meth:`repro.netsim.SimulatedInternet.send_probe_batch`) and the
 compiled campaign engine (:mod:`repro.core.fastengine`), which measures
-every /24 of every phase. It aggregates on one path too: the similarity
-graph is a sparse incidence Gram product
-(:mod:`repro.aggregation.similarity`). Each of those claims
+every /24 of every phase and traces every path-dataset destination. It
+aggregates on one path too: the similarity graph is a sparse incidence
+Gram product (:mod:`repro.aggregation.similarity`). Each of those claims
 bit-identity with a straightforward implementation; the parity suites
 compare against the implementations kept here:
 
@@ -23,7 +23,14 @@ compare against the implementations kept here:
   :func:`measure_slash24` over :func:`identify_lasthops`, through a
   ``Prober``: the campaign's /24s and those of the confidence dataset,
   strict-het re-probing, cluster-validation reprobing, the termination
-  ablation and the vantage study;
+  ablation and the vantage study; and every destination that goes
+  through :func:`repro.core.pipeline.enumerate_paths` (the path
+  dataset, the Section 2 studies) is traced by the object MDA,
+  :func:`enumerate_paths` over :func:`paris_traceroute`, through a
+  ``Prober``. That MDA is a path-level formulation: it traces with
+  varied flow ids until the stopping rule says no further route is
+  likely to exist, each trace keeping its flow id fixed (the Paris
+  traceroute discipline);
 * ``similarity`` — :func:`build_similarity_graph`, an inverted index
   plus per-pair dict accumulation, in place of the Gram product that
   :func:`repro.aggregation.run_aggregation` calls.
@@ -58,7 +65,7 @@ from __future__ import annotations
 import random
 import sys
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Dict,
     FrozenSet,
@@ -112,7 +119,7 @@ from repro.netsim.routing import (
 from repro.netsim.topology import Router
 from repro.probing.session import Prober, ProbeStats
 from repro.probing.stopping import DEFAULT_CONFIDENCE, probes_required
-from repro.probing.traceroute import DEFAULT_MAX_TTL
+from repro.probing.traceroute import DEFAULT_MAX_TTL, Route
 from repro.probing.zmap import ActivitySnapshot
 
 #: The probe-level parts. A reference campaign also installs
@@ -390,9 +397,121 @@ def measure_slash24(
     return result
 
 
+@dataclass(frozen=True)
+class TracerouteHop:
+    ttl: int
+    address: Optional[int]
+    rtt_ms: Optional[float]
+
+    @property
+    def responded(self) -> bool:
+        return self.address is not None
+
+
+@dataclass
+class TracerouteResult:
+    dst: int
+    flow_id: int
+    hops: List[TracerouteHop] = field(default_factory=list)
+    reached: bool = False
+    probes_used: int = 0
+
+    @property
+    def route(self) -> Route:
+        """Hop addresses up to (excluding) the destination."""
+        return tuple(hop.address for hop in self.hops)
+
+    @property
+    def lasthop_address(self) -> Optional[int]:
+        """Address of the final router before the destination (None if
+        it did not respond or the destination was not reached)."""
+        if not self.reached or not self.hops:
+            return None
+        return self.hops[-1].address
+
+
+def paris_traceroute(
+    prober: Prober,
+    dst: int,
+    flow_id: int = 0,
+    first_ttl: int = 1,
+    max_ttl: int = DEFAULT_MAX_TTL,
+    retries: int = 2,
+) -> TracerouteResult:
+    """Trace with a fixed flow id (the Paris traceroute discipline)."""
+    result = TracerouteResult(dst=dst, flow_id=flow_id)
+    for ttl in range(first_ttl, max_ttl + 1):
+        address: Optional[int] = None
+        rtt: Optional[float] = None
+        for _attempt in range(retries + 1):
+            reply = prober.probe(dst, ttl, flow_id)
+            result.probes_used += 1
+            if reply is None:
+                continue
+            if reply.is_echo:
+                result.reached = True
+                return result
+            address = reply.source
+            rtt = reply.rtt_ms
+            break
+        result.hops.append(TracerouteHop(ttl, address, rtt))
+    return result
+
+
+@dataclass
+class MultipathResult:
+    """All per-flow paths discovered towards one destination."""
+
+    dst: int
+    routes: Set[Route] = field(default_factory=set)
+    traces: List[TracerouteResult] = field(default_factory=list)
+    reached: bool = False
+    probes_used: int = 0
+
+    @property
+    def lasthop_addresses(self) -> FrozenSet[Optional[int]]:
+        """Final-router address of each discovered path (None entries
+        for paths whose last hop never answered)."""
+        lasthops = set()
+        for trace in self.traces:
+            if trace.reached:
+                lasthops.add(trace.lasthop_address)
+        return frozenset(lasthops)
+
+    @property
+    def route_count(self) -> int:
+        return len(self.routes)
+
+
+def enumerate_paths(
+    prober: Prober,
+    dst: int,
+    confidence: float = DEFAULT_CONFIDENCE,
+    max_ttl: int = DEFAULT_MAX_TTL,
+    flow_seed: int = 0,
+    max_flows: int = 64,
+) -> MultipathResult:
+    """Enumerate the per-flow path set towards ``dst``. See module doc."""
+    result = MultipathResult(dst=dst)
+    flows_tried = 0
+    while flows_tried < min(probes_required(max(len(result.routes), 1), confidence), max_flows):
+        trace = paris_traceroute(
+            prober, dst, flow_id=flow_seed + flows_tried, max_ttl=max_ttl
+        )
+        result.probes_used += trace.probes_used
+        flows_tried += 1
+        if not trace.reached:
+            continue
+        result.reached = True
+        result.traces.append(trace)
+        result.routes.add(trace.route)
+    return result
+
+
 class ProberEngine:
     """Stands in for the compiled engine: measures each /24 with
-    :func:`measure_slash24` through a ``Prober`` of its own."""
+    :func:`measure_slash24` and traces each destination with
+    :func:`enumerate_paths`, through a ``Prober`` of its own."""
 
     def __init__(self, internet: SimulatedInternet) -> None:
         self.internet = internet
@@ -413,10 +532,27 @@ class ProberEngine:
         )
         return measurement, prober.stats
 
+    def enumerate_paths(
+        self,
+        dst: int,
+        source: Optional[int],
+        flow_seed: int,
+        confidence: float,
+        max_ttl: int,
+        max_flows: int,
+    ) -> Tuple[Set[Route], bool, ProbeStats]:
+        prober = Prober(self.internet, source=source)
+        result = enumerate_paths(
+            prober, dst, confidence=confidence, max_ttl=max_ttl,
+            flow_seed=flow_seed, max_flows=max_flows,
+        )
+        assert result.probes_used == prober.stats.sent
+        return result.routes, result.reached, prober.stats
 
-def prober_engine_for(internet, policy) -> ProberEngine:
-    """``fast_engine_for`` that hands every /24 to the object
-    classifier."""
+
+def prober_engine_for(internet) -> ProberEngine:
+    """``fast_engine_for`` that hands every /24 to the object classifier
+    and every destination to the object MDA."""
     return ProberEngine(internet)
 
 

@@ -4,8 +4,8 @@ suites compare against."""
 
 import pytest
 
+from repro.core.pipeline import enumerate_paths
 from repro.net import Prefix
-from repro.probing import enumerate_paths
 from tests.oracle import identify_lasthops
 
 

@@ -1,13 +1,10 @@
-"""Tests for traceroute variants and route comparison."""
+"""Tests for the reference Paris traceroute (``tests/oracle.py``) and
+route comparison."""
 
 import pytest
 
-from repro.probing import (
-    Prober,
-    paris_traceroute,
-    route_sets_share_route,
-    routes_equal,
-)
+from repro.probing import route_sets_share_route, routes_equal
+from tests.oracle import paris_traceroute
 
 
 def _responsive_destination(internet, snapshot):
