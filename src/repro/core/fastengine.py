@@ -13,13 +13,18 @@ destination's availability in the current epoch plus two per-address
 constants (default TTL, reverse-path delta). RTT values never influence
 what either observes, so the engine skips them entirely.
 
-This module exploits that: for each /24 it flattens the compiled
-forwarding plane into a **route template** — one slot per path position,
-each slot either a fixed router or a load-balancer choice — under the
-invariant that every branch of a choice has an identical continuation
-(true of the builder's diamond topologies). A probe at TTL *t* then
-needs at most one splitmix64 evaluation (the slot at position ``t-1``)
-instead of a full ``resolve_path`` walk plus reply-object construction.
+This module exploits that: it flattens the compiled forwarding plane
+into a **route template** — one slot per path position, each slot
+either a fixed router or a load-balancer choice — under the invariant
+that every branch of a choice has an identical continuation (true of
+the builder's diamond topologies). One template serves every
+destination in the address range over which each FIB interval its walk
+consulted is the same; it is specialised once per source (the source
+hashed into the balancer slots that read it) and then per destination,
+at one or two splitmix64 evaluations per balancer slot. A probe at TTL
+*t* then needs at most one splitmix64 evaluation (the slot at position
+``t-1``) instead of a full ``resolve_path`` walk plus reply-object
+construction.
 A destination whose template cannot be built (a forwarding loop, a
 router with no FIB or no route, divergent branch continuations, a
 balancer type the engine does not know, a path of
@@ -89,17 +94,27 @@ from .termination import (
 
 _TWO64 = float(1 << 64)
 
-# Slot kinds after per-destination specialization.
+# Slot kinds a probe evaluates. A template holds _FIXED and _BY_NONCE
+# slots as they are; the three kinds below them become one of these per
+# destination.
 _FIXED = 0     # (0, (responds, limiter, address))
 _BY_FLOW = 1   # (1, pre, n, members) — index = splitmix64(pre ^ flow) % n
 _BY_NONCE = 2  # (2, pre, n, members) — index = splitmix64(pre ^ nonce) % n
 
-# Template-slot kinds before specialization (destination unknown).
-_T_FIXED = 0
-_T_PER_FLOW = 1
-_T_PER_DEST = 2
-_T_HYBRID = 3
-_T_PER_PACKET = 4
+# Template-slot kinds that depend on the destination. Each stores its
+# balancer's salt hashed, h = splitmix64(salt) (a hybrid also
+# h2 = splitmix64(salt ^ 0x5A5A)). Specialised to a source, a slot
+# becomes (position, kind, a, b, n, members) with the source hashed in
+# where the balancer reads it; a destination then costs one splitmix64
+# per per-flow or per-destination slot and two per hybrid slot. Below,
+# sm is splitmix64.
+_T_PER_FLOW = 3  # (3, h, n, members); a = sm(h ^ src)
+#                  → (_BY_FLOW, sm(a ^ dst), n, members)
+_T_PER_DEST = 4  # (4, h, include_source, n, members); a = sm(h ^ src) or h
+#                  → (_FIXED, members[sm(a ^ dst) % n])
+_T_HYBRID = 5    # (5, h, h2, n, members); a = h, b = sm(h2 ^ src)
+#                  → (_BY_FLOW, sm(b ^ dst), 2, the pair from
+#                     members[sm(a ^ dst) % n])
 
 
 class RouteTemplateError(RuntimeError):
@@ -182,9 +197,11 @@ class FastCampaignEngine:
         # object wholesale, and allocation changes bump the revision.
         self._compiled_ref = forwarder._compiled
         self._alloc_revision = internet.allocations.revision
-        #: key24 → (template slots, uniform-for-/24), or None when the
-        #: /24's destinations need templates of their own.
-        self._templates: Dict[int, Optional[Tuple[tuple, bool]]] = {}
+        #: Sorted starts of the disjoint address ranges whose route
+        #: template is built, and per range ``(end, template, by_source)``
+        #: with ``by_source`` mapping a source to its specialised slots.
+        self._range_starts: List[int] = []
+        self._ranges: List[Tuple[int, tuple, Dict[int, tuple]]] = []
         built = internet._built
         self._host_seed = built.host_seed
         self._loss_base = splitmix64(built.loss_seed & MASK64)
@@ -208,29 +225,30 @@ class FastCampaignEngine:
     def _choice_slot(self, selector, members: tuple) -> tuple:
         data = tuple(self._member(m) for m in members)
         kind = type(selector)
+        salt = selector.salt
         if kind is PerFlowBalancer:
-            return (_T_PER_FLOW, selector.salt, len(data), data)
+            return (_T_PER_FLOW, splitmix64(salt & MASK64), len(data), data)
         if kind is PerDestinationBalancer:
             return (
-                _T_PER_DEST, selector.salt, selector.include_source,
-                len(data), data,
+                _T_PER_DEST, splitmix64(salt & MASK64),
+                selector.include_source, len(data), data,
             )
         if kind is HybridBalancer:
-            return (_T_HYBRID, selector.salt, len(data), data)
-        if kind is PerPacketBalancer:
             return (
-                _T_PER_PACKET, splitmix64(selector.salt & MASK64),
-                len(data), data,
+                _T_HYBRID, splitmix64(salt & MASK64),
+                splitmix64((salt ^ 0x5A5A) & MASK64), len(data), data,
             )
+        if kind is PerPacketBalancer:
+            return (_BY_NONCE, splitmix64(salt & MASK64), len(data), data)
         raise RouteTemplateError(f"selector {kind.__name__}")
 
-    def _build_template(self, dst: int) -> Tuple[tuple, bool]:
+    def _build_template(self, dst: int) -> Tuple[tuple, int, int]:
         """Flatten the forwarding DAG towards ``dst`` into slots.
 
-        Returns (slots, uniform) where ``uniform`` is True when every
-        FIB interval consulted covers ``dst``'s whole /24 — then the
-        template is valid for every destination in the /24 and is cached
-        under the /24 key.
+        Returns ``(slots, start, end)``: ``[start, end)`` is the
+        intersection of every FIB interval the walk consulted, so each
+        destination in it consults the same entries and gets the same
+        slots. Two such ranges are therefore equal or disjoint.
         """
         forwarder = self.internet.forwarder
         by_id = forwarder.topology.by_id
@@ -238,9 +256,10 @@ class FastCampaignEngine:
         compiled_fib = forwarder._compiled_fib
         memo: Dict[int, tuple] = {}
         building: set = set()
-        uniform = [True]
+        start, end = 0, 1 << 32
 
         def chain(router) -> tuple:
+            nonlocal start, end
             rid = router.router_id
             cached = memo.get(rid)
             if cached is not None:
@@ -252,9 +271,12 @@ class FastCampaignEngine:
             if fib is None:
                 raise RouteTemplateError("router has no FIB")
             cfib = compiled_fib(rid, fib)
-            index = bisect_right(cfib.starts, dst) - 1
-            if not cfib.covers24[index]:
-                uniform[0] = False
+            starts = cfib.starts
+            index = bisect_right(starts, dst) - 1
+            if starts[index] > start:
+                start = starts[index]
+            if index + 1 < len(starts) and starts[index + 1] < end:
+                end = starts[index + 1]
             entry = cfib.values[index]
             if entry is None:
                 raise RouteTemplateError("no route")
@@ -292,74 +314,77 @@ class FastCampaignEngine:
             # Echo probes would land on a router, which the echo step
             # does not model; built scenarios never come close.
             raise RouteTemplateError("path reaches echo TTL")
-        return slots, uniform[0]
+        return slots, start, end
 
-    def _template_for(
-        self, dst: int, local: Dict[int, tuple]
-    ) -> tuple:
-        key24 = dst >> 8
-        cached = self._templates.get(key24, False)
-        if cached is False:
-            slots, uniform = self._build_template(dst)
-            self._templates[key24] = (slots, uniform) if uniform else None
-            if not uniform:
-                local[dst] = slots
-            return slots
-        if cached is not None:
-            return cached[0]
-        # Non-uniform /24 (split-/24 FIB intervals): per-destination
-        # templates, memoized for this measurement only.
-        slots = local.get(dst)
-        if slots is None:
-            slots, _ = self._build_template(dst)
-            local[dst] = slots
-        return slots
+    @staticmethod
+    def _source_slots(template: tuple, src: int) -> tuple:
+        """The template's destination-dependent slots specialised to
+        ``src``: one ``(position, kind, a, b, n, members)`` each."""
+        varying = []
+        for position, slot in enumerate(template):
+            kind = slot[0]
+            if kind == _T_PER_FLOW:
+                _, h, n, members = slot
+                varying.append(
+                    (position, kind, splitmix64(h ^ src), 0, n, members)
+                )
+            elif kind == _T_PER_DEST:
+                _, h, include_source, n, members = slot
+                if include_source:
+                    h = splitmix64(h ^ src)
+                varying.append((position, kind, h, 0, n, members))
+            elif kind == _T_HYBRID:
+                _, h, h2, n, members = slot
+                varying.append(
+                    (position, kind, h, splitmix64(h2 ^ src), n, members)
+                )
+        return tuple(varying)
 
     # -- per-destination specialization -----------------------------------
 
-    def _program_for(
-        self, dst: int, src: int, local: Dict[int, tuple]
-    ) -> _DstProgram:
+    def _program_for(self, dst: int, src: int) -> _DstProgram:
         internet = self.internet
         allocation = internet._allocation_of(dst)
         if allocation is None:
             # The object path's probes to unallocated space consume
             # clock/nonce and time out; no routing needed.
             return _DstProgram(dst, (), 0, 0, 0.0, 0.0, 0.0, False)
-        template = self._template_for(dst, local)
-        slots: List[tuple] = []
-        for slot in template:
-            kind = slot[0]
-            if kind == _T_FIXED:
-                slots.append(slot)
-            elif kind == _T_PER_FLOW:
-                _, salt, n, members = slot
-                pre = splitmix64(
-                    splitmix64(splitmix64(salt & MASK64) ^ src) ^ dst
-                )
-                slots.append((_BY_FLOW, pre, n, members))
-            elif kind == _T_PER_DEST:
-                _, salt, include_source, n, members = slot
-                if include_source:
-                    index = splitmix64(
-                        splitmix64(splitmix64(salt & MASK64) ^ src) ^ dst
-                    ) % n
-                else:
-                    index = splitmix64(splitmix64(salt & MASK64) ^ dst) % n
-                slots.append((_FIXED, members[index]))
-            elif kind == _T_HYBRID:
-                _, salt, n, members = slot
-                first = splitmix64(splitmix64(salt & MASK64) ^ dst) % n
-                pair = (members[first], members[(first + 1) % n])
-                pre = splitmix64(
-                    splitmix64(
-                        splitmix64((salt ^ 0x5A5A) & MASK64) ^ src
-                    ) ^ dst
-                )
-                slots.append((_BY_FLOW, pre, 2, pair))
-            else:  # _T_PER_PACKET
-                _, pre, n, members = slot
-                slots.append((_BY_NONCE, pre, n, members))
+        starts = self._range_starts
+        index = bisect_right(starts, dst) - 1
+        if index >= 0 and dst < self._ranges[index][0]:
+            _, template, by_source = self._ranges[index]
+        else:
+            # A build that raises caches nothing, so the error recurs
+            # whenever a destination in this range is probed.
+            template, start, end = self._build_template(dst)
+            by_source = {}
+            # Ranges are disjoint: the new one sorts right after the
+            # last range starting at or below ``dst``.
+            starts.insert(index + 1, start)
+            self._ranges.insert(index + 1, (end, template, by_source))
+        varying = by_source.get(src)
+        if varying is None:
+            varying = by_source[src] = self._source_slots(template, src)
+        if varying:
+            slots = list(template)
+            for position, kind, a, b, n, members in varying:
+                if kind == _T_PER_FLOW:
+                    slots[position] = (
+                        _BY_FLOW, splitmix64(a ^ dst), n, members
+                    )
+                elif kind == _T_PER_DEST:
+                    slots[position] = (
+                        _FIXED, members[splitmix64(a ^ dst) % n]
+                    )
+                else:  # _T_HYBRID
+                    first = splitmix64(a ^ dst) % n
+                    slots[position] = (
+                        _BY_FLOW, splitmix64(b ^ dst), 2,
+                        (members[first], members[(first + 1) % n]),
+                    )
+            slots = tuple(slots)
+        else:
+            slots = template
         length = len(slots)
         config = internet.config
         pod = allocation.pod
@@ -373,7 +398,7 @@ class FastCampaignEngine:
         )
         observed_ttl = max(0, default - max(1, length + delta))
         return _DstProgram(
-            dst, tuple(slots), length, observed_ttl,
+            dst, slots, length, observed_ttl,
             pod.host_density, pod.host_stability, pod.sleep_probability,
             True, pod, dst if pod.cellular else None,
         )
@@ -563,7 +588,6 @@ class FastCampaignEngine:
 
         flow_seed = rng.randrange(1 << 30)
         send, finish = self._probe_mirror()
-        local_templates: Dict[int, tuple] = {}
         observations: Dict[int, frozenset] = {}
         state = TerminationState()
         policy_kind = type(policy)
@@ -579,7 +603,7 @@ class FastCampaignEngine:
             if max_destinations is not None and index >= max_destinations:
                 break
             try:
-                prog = self._program_for(dst, src, local_templates)
+                prog = self._program_for(dst, src)
             except RouteTemplateError as error:
                 raise RouteTemplateError(
                     f"cannot measure {slash24}: no route template towards "
@@ -714,7 +738,7 @@ class FastCampaignEngine:
         internet = self.internet
         src = source if source is not None else internet.vantage_address
         try:
-            prog = self._program_for(dst, src, {})
+            prog = self._program_for(dst, src)
         except RouteTemplateError as error:
             raise RouteTemplateError(
                 f"cannot trace {format_address(dst)}: no route template "

@@ -12,27 +12,40 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterator, List
 
-from ..net.addr import slash26_of
+from ..net.addr import check_address
 
 #: Minimum active addresses for the hierarchy test to be meaningful:
 #: any grouping of fewer than 4 addresses is always hierarchical.
 MIN_ACTIVE_ADDRESSES = 4
 #: A /24 contains four /26 blocks.
 SLASH26S_PER_SLASH24 = 4
+#: Netmask of a /26: ``addr & _SLASH26_MASK`` is its /26's network.
+_SLASH26_MASK = 0xFFFFFFC0
 
 
 def meets_selection_criteria(active_addresses: List[int]) -> bool:
-    """The Section 3.3 criteria over a /24's active address list."""
+    """The Section 3.3 criteria over a /24's active address list.
+
+    Raises :class:`~repro.net.addr.AddressError` when an address lies
+    outside the IPv4 space.
+    """
     if len(active_addresses) < MIN_ACTIVE_ADDRESSES:
         return False
-    slash26s = {slash26_of(addr) for addr in active_addresses}
+    check_address(min(active_addresses))
+    check_address(max(active_addresses))
+    slash26s = {addr & _SLASH26_MASK for addr in active_addresses}
     return len(slash26s) == SLASH26S_PER_SLASH24
 
 
 def slash26_groups(active_addresses: List[int]) -> Dict[int, List[int]]:
+    """The addresses by /26 network, in address order."""
+    ordered = sorted(active_addresses)
+    if ordered:
+        check_address(ordered[0])
+        check_address(ordered[-1])
     groups: Dict[int, List[int]] = {}
-    for addr in sorted(active_addresses):
-        groups.setdefault(slash26_of(addr), []).append(addr)
+    for addr in ordered:
+        groups.setdefault(addr & _SLASH26_MASK, []).append(addr)
     return groups
 
 

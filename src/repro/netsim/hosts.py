@@ -6,7 +6,11 @@ default TTL, reverse-path asymmetry, cellular promotion delay) is a pure
 deterministic function of (pod parameters, address, epoch), computed by
 hashing. Scalar versions serve the probe path; vectorised versions (used
 by the ZMap scan) compute the same functions over numpy arrays — tests
-assert bitwise agreement between the two.
+assert bitwise agreement between the two, and with the plain
+``mix(seed ^ domain, addr, ...)`` chains. The scalar versions share
+work: ``splitmix64(seed ^ domain)`` is cached per attribute domain, and
+the draws one attribute takes for one address (the default TTL takes up
+to three) finish one shared hash state.
 
 Availability has two components, mirroring the diurnal/churn findings
 the paper cites (Quan et al.): a host either *exists* (is a configured,
@@ -18,12 +22,13 @@ hosts cause the "Too few active" attrition of Table 1.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from ..util import hashing as hashing_np
-from ..util.hashing import mix, mix_to_unit, stable_string_hash
+from ..util.hashing import MASK64, mix_to_unit, splitmix64, stable_string_hash
 
 _EXISTS = stable_string_hash("host-exists")
 _STABLE = stable_string_hash("host-stable")
@@ -44,18 +49,28 @@ BLOCK_SLEEP_PROBABILITY = 0.28
 #: sleeps.
 SLEEP_SURVIVOR_FRACTION = 0.05
 
-_MASK64 = (1 << 64) - 1
-_TO_UNIT = 1.0 / float(1 << 64)
+_TWO64 = float(1 << 64)
+
+
+@lru_cache(maxsize=64)
+def _domain_state(keyed_seed: int) -> int:
+    """``splitmix64`` of a seed xored with an attribute's domain
+    constant: the first step of ``mix(keyed_seed, addr, ...)``, shared
+    by every address (a scenario has one host seed)."""
+    return splitmix64(keyed_seed & MASK64)
 
 
 def host_exists(seed: int, addr: int, density: float) -> bool:
     """Whether an address has a configured host at all."""
-    return mix_to_unit(seed ^ _EXISTS, addr) < density
+    return splitmix64(_domain_state(seed ^ _EXISTS) ^ addr) / _TWO64 < density
 
 
 def host_is_stable(seed: int, addr: int, stability: float) -> bool:
     """Whether an existing host is always-on (vs flappy)."""
-    return mix_to_unit(seed ^ _STABLE, addr) < stability
+    return (
+        splitmix64(_domain_state(seed ^ _STABLE) ^ addr) / _TWO64
+        < stability
+    )
 
 
 def block_asleep(
@@ -65,8 +80,8 @@ def block_asleep(
     """Whether the /24 containing ``addr`` sleeps during ``epoch``."""
     if sleep_probability <= 0.0:
         return False
-    slash24 = addr & 0xFFFFFF00
-    return mix_to_unit(seed ^ _SLEEP, slash24, epoch) < sleep_probability
+    state = splitmix64(_domain_state(seed ^ _SLEEP) ^ (addr & 0xFFFFFF00))
+    return splitmix64(state ^ (epoch & MASK64)) / _TWO64 < sleep_probability
 
 
 def host_up_in_epoch(
@@ -79,10 +94,14 @@ def host_up_in_epoch(
     if host_is_stable(seed, addr, stability):
         up = True
     else:
-        up = mix_to_unit(seed ^ _FLAP, addr, epoch) < FLAPPY_UP_PROBABILITY
+        state = splitmix64(_domain_state(seed ^ _FLAP) ^ addr)
+        up = (
+            splitmix64(state ^ (epoch & MASK64)) / _TWO64
+            < FLAPPY_UP_PROBABILITY
+        )
     if up and block_asleep(seed, addr, epoch, sleep_probability):
         return (
-            mix_to_unit(seed ^ _SLEEP_SURVIVOR, addr)
+            splitmix64(_domain_state(seed ^ _SLEEP_SURVIVOR) ^ addr) / _TWO64
             < SLEEP_SURVIVOR_FRACTION
         )
     return up
@@ -100,12 +119,14 @@ def default_ttl(
     ``custom_probability`` the host instead uses an uncommon value, which
     defeats the Section 3.4 bucketing and exercises Hobbit's fallback.
     """
-    if mix_to_unit(seed ^ _TTL, addr, 1) < custom_probability:
+    # Draw k is mix(seed ^ _TTL, addr, k): one state, three finishes.
+    state = splitmix64(_domain_state(seed ^ _TTL) ^ addr)
+    if splitmix64(state ^ 1) / _TWO64 < custom_probability:
         # Uncommon defaults seen in the wild (e.g. Solaris 255 is common,
         # but some embedded stacks use 100, 60, 30).
         choices = (30, 60, 100, 200)
-        return choices[mix(seed ^ _TTL, addr, 2) % len(choices)]
-    roll = mix_to_unit(seed ^ _TTL, addr, 0)
+        return choices[splitmix64(state ^ 2) % len(choices)]
+    roll = splitmix64(state) / _TWO64
     cumulative = 0.0
     for value, weight in weights:
         cumulative += weight
@@ -122,7 +143,7 @@ def reverse_path_delta(
     Non-zero values make the Section 3.4 hop-count inference over- or
     under-estimate the last-hop distance.
     """
-    roll = mix_to_unit(seed ^ _DELTA, addr)
+    roll = splitmix64(_domain_state(seed ^ _DELTA) ^ addr) / _TWO64
     cumulative = 0.0
     for value, weight in weights:
         cumulative += weight

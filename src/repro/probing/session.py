@@ -98,20 +98,6 @@ class Prober:
         self.source = source
         self.stats = ProbeStats()
 
-    def probe(
-        self, dst: int, ttl: int, flow_id: int = 0
-    ) -> Optional[IcmpReply]:
-        """Send one probe; returns the reply or None on timeout."""
-        reply = self.internet.send_probe(dst, ttl, flow_id, self.source)
-        self.stats.sent += 1
-        if reply is not None:
-            self.stats.answered += 1
-            if reply.is_echo:
-                self.stats.echo_replies += 1
-            else:
-                self.stats.ttl_exceeded += 1
-        return reply
-
     def probe_batch(
         self,
         dsts: Sequence[int],
@@ -145,20 +131,6 @@ class Prober:
                 else:
                     self.stats.ttl_exceeded += 1
         return replies
-
-    def echo(self, dst: int, flow_id: int = 0) -> Optional[IcmpReply]:
-        """An ICMP Echo Request with a standard TTL."""
-        return self.probe(dst, ECHO_TTL, flow_id)
-
-    def echo_with_retries(
-        self, dst: int, retries: int = 2, flow_id: int = 0
-    ) -> Optional[IcmpReply]:
-        """Echo with retransmissions (covers stochastic loss)."""
-        for attempt in range(retries + 1):
-            reply = self.echo(dst, flow_id + attempt)
-            if reply is not None:
-                return reply
-        return None
 
     @property
     def probes_sent(self) -> int:

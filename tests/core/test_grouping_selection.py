@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core import (
+    ExhaustivePolicy,
     cardinality,
     group_by_lasthop,
     group_by_value,
@@ -17,7 +18,10 @@ from repro.core import (
     union_lasthops,
 )
 from repro.core.grouping import identical_lasthop_sets
+from repro.core.pipeline import measure
 from repro.net import parse
+from repro.net.addr import AddressError
+from repro.probing import Prober
 
 
 def fs(*values):
@@ -85,6 +89,29 @@ class TestSelectionCriteria:
         assert len(groups) == 4
         sizes = sorted(len(v) for v in groups.values())
         assert sizes == [1, 1, 1, 2]
+
+    @pytest.mark.parametrize("outside", [-1, 1 << 32])
+    def test_address_outside_ipv4_raises(self, outside):
+        addresses = self._slash24_addresses(1, 70, 140, 200) + [outside]
+        with pytest.raises(AddressError):
+            meets_selection_criteria(addresses)
+        with pytest.raises(AddressError):
+            slash26_groups(addresses)
+
+    @pytest.mark.parametrize("outside", [-1, 1 << 32])
+    def test_measure_refuses_outside_address_before_probing(
+        self, internet, snapshot, outside
+    ):
+        slash24 = snapshot.eligible_slash24s()[0]
+        active = snapshot.active_in(slash24) + [outside]
+        sent, clock = internet.probe_count, internet.clock_seconds
+        with pytest.raises(AddressError):
+            measure(
+                Prober(internet), slash24, active, ExhaustivePolicy(),
+                random.Random(1),
+            )
+        assert internet.probe_count == sent
+        assert internet.clock_seconds == clock
 
 
 class TestRoundRobin:

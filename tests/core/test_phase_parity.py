@@ -259,11 +259,11 @@ def test_unbuildable_template_mid_sequence_names_the_slash24(monkeypatch):
     failed = []
     real = FastCampaignEngine._program_for
 
-    def failing(self, dst, src, local):
+    def failing(self, dst, src):
         if dst >> 8 == victim.network >> 8:
             failed.append(dst)
             raise RouteTemplateError("injected for the test")
-        return real(self, dst, src, local)
+        return real(self, dst, src)
 
     monkeypatch.setattr(FastCampaignEngine, "_program_for", failing)
     with pytest.raises(RouteTemplateError) as raised:
@@ -281,7 +281,7 @@ def test_unbuildable_template_names_the_traced_destination(monkeypatch):
     internet, snapshot = _internet(0.0)
     dst = snapshot.active_in(snapshot.eligible_slash24s()[0])[0]
 
-    def failing(self, dst, src, local):
+    def failing(self, dst, src):
         raise RouteTemplateError("injected for the test")
 
     monkeypatch.setattr(FastCampaignEngine, "_program_for", failing)

@@ -12,7 +12,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.net.addr import MAX_ADDRESS
 from repro.net.prefix import Prefix
 from repro.net.trie import PrefixTrie
 from repro.netsim import SimulatedInternet, tiny_scenario
@@ -24,7 +27,13 @@ from repro.netsim.rtt import (
     path_rtt_ms,
     rtt_draws_for_nonces,
 )
-from repro.util.hashing import mix_np, splitmix64, splitmix64_np, unit_np
+from repro.util.hashing import (
+    MASK64,
+    mix,
+    mix_to_unit,
+    splitmix64,
+    splitmix64_np,
+)
 from tests import oracle
 
 SEED = 13
@@ -265,6 +274,98 @@ class TestNumpyDrawParity:
             if flags[index]:
                 rtt += spike[index]
             assert rtt == path_rtt_ms(path, seed, nonce)
+
+
+def _weighted(roll, weights):
+    cumulative = 0.0
+    for value, weight in weights:
+        cumulative += weight
+        if roll < cumulative:
+            return value
+    return weights[-1][0]
+
+
+SEEDS = st.integers(min_value=0, max_value=MASK64)
+ADDRESSES = st.integers(min_value=0, max_value=MAX_ADDRESS)
+PROBABILITIES = st.floats(min_value=0.0, max_value=1.0)
+TTL_WEIGHTS = ((64, 0.6), (128, 0.3), (255, 0.1))
+DELTA_WEIGHTS = ((0, 0.7), (1, 0.2), (-1, 0.1))
+
+
+class TestHostHashes:
+    """Each scalar host attribute hashes one shared state per seed,
+    domain and address. It must equal the plain ``mix`` chain written
+    out here and its numpy twin. The parity suites cannot catch a
+    host-hash defect, because the engine and the oracle both call these
+    helpers."""
+
+    @settings(max_examples=300)
+    @given(
+        seed=SEEDS,
+        addr=ADDRESSES,
+        epoch=st.integers(min_value=-3, max_value=10),
+        density=PROBABILITIES,
+        stability=PROBABILITIES,
+        sleep=st.sampled_from((0.0, 0.05, 0.28, 0.9)),
+    )
+    def test_availability(self, seed, addr, epoch, density, stability, sleep):
+        exists = mix_to_unit(seed ^ hostmod._EXISTS, addr) < density
+        stable = mix_to_unit(seed ^ hostmod._STABLE, addr) < stability
+        flap_up = (
+            mix_to_unit(seed ^ hostmod._FLAP, addr, epoch)
+            < hostmod.FLAPPY_UP_PROBABILITY
+        )
+        asleep = (
+            sleep > 0.0
+            and mix_to_unit(seed ^ hostmod._SLEEP, addr & 0xFFFFFF00, epoch)
+            < sleep
+        )
+        survivor = (
+            mix_to_unit(seed ^ hostmod._SLEEP_SURVIVOR, addr)
+            < hostmod.SLEEP_SURVIVOR_FRACTION
+        )
+        up = exists and (stable or flap_up) and (not asleep or survivor)
+        assert hostmod.host_exists(seed, addr, density) == exists
+        assert hostmod.host_is_stable(seed, addr, stability) == stable
+        assert hostmod.block_asleep(seed, addr, epoch, sleep) == asleep
+        assert hostmod.host_up_in_epoch(
+            seed, addr, epoch, density, stability, sleep
+        ) == up
+        batch = hostmod.hosts_up_in_epoch_np(
+            seed, np.array([addr], dtype=np.uint64), epoch,
+            density, stability, sleep,
+        )
+        assert batch.tolist() == [up]
+
+    @settings(max_examples=300)
+    @given(
+        seed=SEEDS,
+        addr=ADDRESSES,
+        custom=st.sampled_from((0.0, 0.1, 1.0)),
+    )
+    def test_default_ttl(self, seed, addr, custom):
+        if mix_to_unit(seed ^ hostmod._TTL, addr, 1) < custom:
+            choices = (30, 60, 100, 200)
+            ttl = choices[mix(seed ^ hostmod._TTL, addr, 2) % len(choices)]
+        else:
+            roll = mix_to_unit(seed ^ hostmod._TTL, addr, 0)
+            ttl = _weighted(roll, TTL_WEIGHTS)
+        assert hostmod.default_ttl(seed, addr, TTL_WEIGHTS, custom) == ttl
+        batch = hostmod.default_ttls_np(
+            seed, np.array([addr], dtype=np.uint64), TTL_WEIGHTS, custom
+        )
+        assert batch.tolist() == [ttl]
+
+    @settings(max_examples=300)
+    @given(seed=SEEDS, addr=ADDRESSES)
+    def test_reverse_path_delta(self, seed, addr):
+        roll = mix_to_unit(seed ^ hostmod._DELTA, addr)
+        delta = _weighted(roll, DELTA_WEIGHTS)
+        assert hostmod.reverse_path_delta(seed, addr, DELTA_WEIGHTS) == delta
+        batch = hostmod.reverse_path_deltas_np(
+            seed, np.array([addr], dtype=np.uint64), DELTA_WEIGHTS
+        )
+        assert batch.tolist() == [delta]
 
 
 # -- layer 4: the batched probe API ------------------------------------------

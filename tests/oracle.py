@@ -58,6 +58,11 @@ dict in the same key order and leave the same ``events.renumber``
 count. Like the table build, it is called directly, not installed.
 :func:`scan_with_probes` is the probe-level form of the same snapshot,
 one echo (with retransmissions) per address through a ``Prober``.
+
+The object classifier, the object MDA and :func:`scan_with_probes` send
+one probe at a time with :func:`probe` and :func:`echo_with_retries`,
+which count each probe in the ``Prober``'s stats; production probes
+only in batches (``Prober.probe_batch``) or on the compiled engine.
 """
 
 from __future__ import annotations
@@ -107,7 +112,7 @@ from repro.net.trie import PrefixTrie
 from repro.net.prefix import Prefix
 from repro.netsim import hosts as hostmod
 from repro.netsim.allocation import Allocation
-from repro.netsim.icmp import infer_hop_count
+from repro.netsim.icmp import IcmpReply, infer_hop_count
 from repro.netsim.internet import SimulatedInternet
 from repro.netsim.routing import (
     MAX_FORWARD_HOPS,
@@ -117,7 +122,7 @@ from repro.netsim.routing import (
     RouteEntry,
 )
 from repro.netsim.topology import Router
-from repro.probing.session import Prober, ProbeStats
+from repro.probing.session import ECHO_TTL, Prober, ProbeStats
 from repro.probing.stopping import DEFAULT_CONFIDENCE, probes_required
 from repro.probing.traceroute import DEFAULT_MAX_TTL, Route
 from repro.probing.zmap import ActivitySnapshot
@@ -202,6 +207,36 @@ def allocation_of(
     return internet.allocations.lookup(addr)
 
 
+def probe(
+    prober: Prober, dst: int, ttl: int, flow_id: int = 0
+) -> Optional[IcmpReply]:
+    """Send one probe through ``prober``, counting it in its stats;
+    returns the reply or None on timeout."""
+    reply = prober.internet.send_probe(dst, ttl, flow_id, prober.source)
+    stats = prober.stats
+    stats.sent += 1
+    if reply is not None:
+        stats.answered += 1
+        if reply.is_echo:
+            stats.echo_replies += 1
+        else:
+            stats.ttl_exceeded += 1
+    return reply
+
+
+def echo_with_retries(
+    prober: Prober, dst: int, retries: int = 2, flow_id: int = 0
+) -> Optional[IcmpReply]:
+    """An ICMP Echo Request with a standard TTL, retransmitted up to
+    ``retries`` times on flows ``flow_id + 1``, … (covers stochastic
+    loss)."""
+    for attempt in range(retries + 1):
+        reply = probe(prober, dst, ECHO_TTL, flow_id + attempt)
+        if reply is not None:
+            return reply
+    return None
+
+
 @dataclass
 class LasthopResult:
     """Outcome of last-hop identification for one destination."""
@@ -240,7 +275,7 @@ def identify_lasthops(
     result = LasthopResult(dst=dst)
 
     # Step 1: hop-count inference from an Echo Reply's TTL (§3.4).
-    echo = prober.echo_with_retries(dst, retries=retries + 1)
+    echo = echo_with_retries(prober, dst, retries=retries + 1)
     result.probes_used += 1
     if echo is None:
         return result
@@ -316,7 +351,7 @@ def _locate_lasthop_distance(
     for ttl in range(first_ttl, max_ttl + 1):
         got_echo = False
         for attempt in range(retries + 1):
-            reply = prober.probe(dst, ttl, flow_seed + attempt)
+            reply = probe(prober, dst, ttl, flow_seed + attempt)
             result.probes_used += 1
             if reply is None:
                 continue
@@ -444,7 +479,7 @@ def paris_traceroute(
         address: Optional[int] = None
         rtt: Optional[float] = None
         for _attempt in range(retries + 1):
-            reply = prober.probe(dst, ttl, flow_id)
+            reply = probe(prober, dst, ttl, flow_id)
             result.probes_used += 1
             if reply is None:
                 continue
@@ -709,7 +744,7 @@ def scan_with_probes(
         # reply-dependent number of nonces), so batching across
         # addresses would change the probe sequence.
         for addr in slash24:
-            reply = prober.echo_with_retries(addr, retries=retries)
+            reply = echo_with_retries(prober, addr, retries=retries)
             if reply is not None and reply.is_echo:
                 active.append(addr)
         if active:

@@ -334,10 +334,10 @@ class TestGroupCommits:
         victim = selection[measured]
         real = FastCampaignEngine._program_for
 
-        def failing(self, dst, src, local):
+        def failing(self, dst, src):
             if dst >> 8 == victim.network >> 8:
                 raise RouteTemplateError("injected for the test")
-            return real(self, dst, src, local)
+            return real(self, dst, src)
 
         # A class attribute, so forked workers inherit the patch.
         monkeypatch.setattr(FastCampaignEngine, "_program_for", failing)
