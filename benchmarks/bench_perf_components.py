@@ -1,8 +1,7 @@
 """Performance benchmarks for the hot components (not tied to a paper
-artifact): probe dispatch, one destination's MDA, one /24's
-measurement, the hierarchy test, the ZMap fast scan, MCL, and the
-campaign executor serial vs sharded (``REPRO_BENCH_WORKERS`` workers,
-default 4)."""
+artifact): one destination's MDA, one /24's measurement, the hierarchy
+test, the ZMap fast scan, MCL, and the campaign executor serial vs
+sharded (``REPRO_BENCH_WORKERS`` workers, default 4)."""
 
 import os
 import random
@@ -13,40 +12,6 @@ from repro.core.grouping import group_by_lasthop
 from repro.core.hierarchy import groups_hierarchical
 from repro.core.pipeline import enumerate_paths, measure
 from repro.probing import Prober, scan
-
-
-def bench_probe_dispatch(benchmark, workspace):
-    internet = workspace.internet
-    snapshot = workspace.snapshot
-    slash24 = snapshot.eligible_slash24s()[0]
-    dst = snapshot.active_in(slash24)[0]
-
-    def send_hundred():
-        for flow in range(100):
-            internet.send_probe(dst, 64, flow)
-
-    benchmark(send_hundred)
-
-
-def bench_probe_batch_sweep(benchmark, workspace):
-    """The vectorised hot path: one /24 swept through
-    ``send_probe_batch`` (compare with ``bench_probe_dispatch`` for the
-    per-probe serial cost)."""
-    internet = workspace.internet
-    slash24 = workspace.snapshot.eligible_slash24s()[0]
-    addrs = list(slash24)
-    benchmark(internet.send_probe_batch, addrs, 64)
-
-
-def bench_probe_batch_mda_fanout(benchmark, workspace):
-    """MDA-style fan-out: 64 flows to one destination at a router TTL,
-    batched."""
-    internet = workspace.internet
-    snapshot = workspace.snapshot
-    slash24 = snapshot.eligible_slash24s()[0]
-    dst = snapshot.active_in(slash24)[0]
-    flows = list(range(64))
-    benchmark(internet.send_probe_batch, [dst] * 64, 6, flows)
 
 
 def bench_mda_path_level(benchmark, workspace):

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..aggregation.identical import AggregatedBlock
+from ..core.pipeline import ping
 from ..netsim.internet import SimulatedInternet
-from ..probing.ping import ping
 from ..probing.session import Prober
 from ..probing.zmap import ActivitySnapshot
-from .cdf import cdf_at, fraction_above
+from .cdf import fraction_above
 
 #: The paper samples 200 /24s per block and pings 20 times.
 PAPER_SLASH24_SAMPLE = 200
@@ -44,11 +44,6 @@ class BlockRttStudy:
         """The paper's qualitative reading of Figure 6: cellular blocks
         have ~50% of differences above 0.5s; wired blocks are near 0."""
         return self.fraction_above(0.5) >= 0.25
-
-    def cdf_points(self, xs: Sequence[float]) -> List[tuple]:
-        if not self.differences_seconds:
-            return [(x, 0.0) for x in xs]
-        return [(x, cdf_at(self.differences_seconds, x)) for x in xs]
 
 
 def study_block(

@@ -11,7 +11,9 @@ overshoots the path), whether that router responds and has rate-limiter
 tokens, one stochastic-loss draw, and — for host probes — the
 destination's availability in the current epoch plus two per-address
 constants (default TTL, reverse-path delta). RTT values never influence
-what either observes, so the engine skips them entirely.
+what either observes, so the engine skips them; only ping (Section 5.2's
+RTT series, :meth:`FastCampaignEngine.ping`) computes them, for its echo
+replies alone.
 
 This module exploits that: it flattens the compiled forwarding plane
 into a **route template** — one slot per path position, each slot
@@ -23,8 +25,8 @@ consulted is the same; it is specialised once per source (the source
 hashed into the balancer slots that read it) and then per destination,
 at one or two splitmix64 evaluations per balancer slot. A probe at TTL
 *t* then needs at most one splitmix64 evaluation (the slot at position
-``t-1``) instead of a full ``resolve_path`` walk plus reply-object
-construction.
+``t-1``) instead of a walk through every FIB on the path plus
+reply-object construction.
 A destination whose template cannot be built (a forwarding loop, a
 router with no FIB or no route, divergent branch continuations, a
 balancer type the engine does not know, a path of
@@ -40,21 +42,22 @@ to the object classifier kept as the reference in ``tests/oracle.py``,
 which probes through a :class:`~repro.probing.session.Prober`; its
 traced routes, ``probes_used``, stats and end state are likewise
 bit-identical to the object MDA, which traces Paris-traceroute style
-through a ``Prober``, kept there. The engine continues whatever
-measurement context the simulator is in: the campaign pins a fresh one
-per /24, while the confidence dataset, strict-het re-probing,
-cluster-validation reprobing and the path dataset run a sequence of
-/24s or destinations in one context.
-``tests/core/test_columnar_campaign.py`` enforces the contract on whole
-campaigns and ``tests/core/test_phase_parity.py`` on shared-context
-sequences, with the reference installed by the ``tests/oracle.py``
-switch.
+through a ``Prober``, kept there, and its ping RTTs (compared by their
+bits), stats and end state to the object ping kept there. The engine
+continues whatever measurement context the simulator is in: the
+campaign pins a fresh one per /24, while the confidence dataset,
+strict-het re-probing, cluster-validation reprobing, the path dataset
+and the cellular RTT study run a sequence of /24s or destinations in
+one context. ``tests/core/test_columnar_campaign.py`` enforces the
+contract on whole campaigns and ``tests/core/test_phase_parity.py`` on
+shared-context sequences, with the reference installed by the
+``tests/oracle.py`` switch.
 
 Simulator state that probes mutate — the clock, the nonce, rate-limiter
 buckets (seeded from their live state) and the radio tracker — is
 mirrored locally by one probe mirror
-(:meth:`FastCampaignEngine._probe_mirror`) and committed when the /24
-or the destination's trace completes.
+(:meth:`FastCampaignEngine._probe_mirror`) and committed when the /24,
+the destination's trace or the ping train completes.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ from ..netsim.loadbalance import (
     PerFlowBalancer,
     PerPacketBalancer,
 )
+from ..netsim.rtt import path_rtt_ms
 from ..probing.session import ECHO_TTL, ProbeStats
 from ..probing.stopping import DEFAULT_CONFIDENCE, probes_required
 from ..probing.traceroute import DEFAULT_MAX_TTL, Route
@@ -93,6 +97,11 @@ from .termination import (
 )
 
 _TWO64 = float(1 << 64)
+
+#: Seconds between consecutive echo requests of a ping train.
+PING_INTERVAL_SECONDS = 0.5
+#: The flow id every echo request of a ping carries.
+PING_FLOW = 0
 
 # Slot kinds a probe evaluates. A template holds _FIXED and _BY_NONCE
 # slots as they are; the three kinds below them become one of these per
@@ -349,6 +358,7 @@ class FastCampaignEngine:
             # The object path's probes to unallocated space consume
             # clock/nonce and time out; no routing needed.
             return _DstProgram(dst, (), 0, 0, 0.0, 0.0, 0.0, False)
+        internet.template_lookups += 1
         starts = self._range_starts
         index = bisect_right(starts, dst) - 1
         if index >= 0 and dst < self._ranges[index][0]:
@@ -356,6 +366,7 @@ class FastCampaignEngine:
         else:
             # A build that raises caches nothing, so the error recurs
             # whenever a destination in this range is probed.
+            internet.template_builds += 1
             template, start, end = self._build_template(dst)
             by_source = {}
             # Ranges are disjoint: the new one sorts right after the
@@ -408,14 +419,16 @@ class FastCampaignEngine:
     def _probe_mirror(self):
         """Mirror the simulator's probe primitive over route templates.
 
-        Returns ``(send, finish)``. ``send(prog, ttl, flow)`` sends one
-        probe towards ``prog.dst`` and returns None (timeout), -1 (echo
-        reply) or the responding router's address (TTL-exceeded).
-        Simulator state that probes mutate — the clock, the nonce,
-        rate-limiter buckets (seeded from their live state) and the
-        radio tracker — is mirrored locally; ``finish()`` commits it
-        with the probe count and the engine's wall-clock, and returns
-        the probes' :class:`ProbeStats`.
+        Returns ``(send, ping, finish)``. ``send(prog, ttl, flow)``
+        sends one probe towards ``prog.dst`` and returns None (timeout),
+        -1 (echo reply) or the responding router's address
+        (TTL-exceeded). ``ping(prog, gap)`` lets ``gap`` seconds pass,
+        sends one echo request on :data:`PING_FLOW` and returns its RTT
+        in ms, or None on timeout. Simulator state that probes mutate —
+        the clock, the nonce, rate-limiter buckets (seeded from their
+        live state) and the radio tracker — is mirrored locally;
+        ``finish()`` commits it with the probe count and the engine's
+        wall-clock, and returns the probes' :class:`ProbeStats`.
         """
         started = time.perf_counter()
         internet = self.internet
@@ -541,6 +554,43 @@ class FastCampaignEngine:
                 radio[prog.cellular_dst] = clock
             return -1
 
+        def ping(prog: _DstProgram, gap: float) -> Optional[float]:
+            nonlocal clock
+            if gap:
+                clock += gap
+            cellular = prog.cellular_dst
+            if cellular is not None:
+                # The radio's latest record before this echo: this
+                # mirror's, else the one the simulator holds.
+                last = radio.get(cellular)
+                if last is None:
+                    last = internet._radio._last_probe.get(cellular)
+            if send(prog, ECHO_TTL, PING_FLOW) != -1:
+                return None
+            # The echo's path: the member each slot picks for this flow
+            # and this probe's nonce.
+            by_address = internet.topology.by_address
+            path = []
+            for slot in prog.slots:
+                kind = slot[0]
+                if kind == _FIXED:
+                    member = slot[1]
+                elif kind == _BY_FLOW:
+                    member = slot[3][sm(slot[1] ^ PING_FLOW) % slot[2]]
+                else:
+                    member = slot[3][sm(slot[1] ^ (nonce & mask)) % slot[2]]
+                path.append(by_address(member[2]))
+            rtt = path_rtt_ms(path, internet._built.rtt_seed, nonce)
+            if cellular is not None and (
+                last is None
+                or clock - last > internet._radio.idle_timeout_seconds
+            ):
+                low, high = prog.pod.promotion_delay_range
+                rtt += 1000.0 * hostmod.promotion_delay_seconds(
+                    host_seed, cellular, low, high
+                )
+            return rtt
+
         def finish() -> ProbeStats:
             # The object path mutated this state probe by probe; the
             # totals are identical.
@@ -557,7 +607,7 @@ class FastCampaignEngine:
             internet.probe_seconds += time.perf_counter() - started
             return ProbeStats(sent, answered, echo_replies, ttl_exceeded)
 
-        return send, finish
+        return send, ping, finish
 
     # -- measurement ------------------------------------------------------
 
@@ -587,7 +637,7 @@ class FastCampaignEngine:
             return result, ProbeStats()
 
         flow_seed = rng.randrange(1 << 30)
-        send, finish = self._probe_mirror()
+        send, _, finish = self._probe_mirror()
         observations: Dict[int, frozenset] = {}
         state = TerminationState()
         policy_kind = type(policy)
@@ -744,7 +794,7 @@ class FastCampaignEngine:
                 f"cannot trace {format_address(dst)}: no route template "
                 f"({error})"
             ) from None
-        send, finish = self._probe_mirror()
+        send, _, finish = self._probe_mirror()
         routes: Set[Route] = set()
         reached = False
         flows_tried = 0
@@ -767,3 +817,39 @@ class FastCampaignEngine:
                     break
                 hops.append(address)
         return routes, reached, finish()
+
+    # -- ping -------------------------------------------------------------
+
+    def ping(
+        self, dst: int, source: Optional[int], count: int
+    ) -> Tuple[List[Optional[float]], ProbeStats]:
+        """Send ``count`` echo requests towards ``dst`` from ``source``
+        (None: the default vantage), :data:`PING_INTERVAL_SECONDS` apart
+        on :data:`PING_FLOW` — bit-identical to the object ping kept in
+        ``tests/oracle.py``.
+
+        Returns each echo's RTT in ms (None: timeout) and the probes'
+        stats. An echo reply's RTT is twice the left-to-right sum of
+        the one-way latencies of the routers its slots pick, plus the
+        host latency and the probe's jitter and spike, plus the
+        promotion delay when the destination is cellular and its radio
+        was idle. Continues the simulator's running measurement
+        context. Raises :class:`RouteTemplateError`, naming the
+        destination and the reason, when its route template cannot be
+        built.
+        """
+        internet = self.internet
+        src = source if source is not None else internet.vantage_address
+        try:
+            prog = self._program_for(dst, src)
+        except RouteTemplateError as error:
+            raise RouteTemplateError(
+                f"cannot ping {format_address(dst)}: no route template "
+                f"({error})"
+            ) from None
+        _, ping, finish = self._probe_mirror()
+        rtts = [
+            ping(prog, PING_INTERVAL_SECONDS if index else 0.0)
+            for index in range(count)
+        ]
+        return rtts, finish()

@@ -162,6 +162,57 @@ def enumerate_paths(
     )
 
 
+#: Echo requests per address in the Section 5.2 RTT study.
+PING_COUNT = 20
+
+
+@dataclass
+class PingResult:
+    """RTTs of a ping train; None entries are timeouts."""
+
+    addr: int
+    rtts_ms: List[Optional[float]] = field(default_factory=list)
+
+    @property
+    def successes(self) -> List[float]:
+        return [rtt for rtt in self.rtts_ms if rtt is not None]
+
+    @property
+    def loss_rate(self) -> float:
+        if not self.rtts_ms:
+            return 0.0
+        return 1.0 - len(self.successes) / len(self.rtts_ms)
+
+    def first_minus_max_rest_seconds(self) -> Optional[float]:
+        """First RTT minus the maximum of the remaining RTTs, in seconds
+        (the Figure 6 statistic). None unless the first ping and at
+        least one later ping succeeded."""
+        if not self.rtts_ms or self.rtts_ms[0] is None:
+            return None
+        rest = [rtt for rtt in self.rtts_ms[1:] if rtt is not None]
+        if not rest:
+            return None
+        return (self.rtts_ms[0] - max(rest)) / 1000.0
+
+
+def ping(prober: Prober, addr: int, count: int = PING_COUNT) -> PingResult:
+    """Ping ``addr`` through ``prober``: ``count`` echo requests,
+    :data:`repro.core.fastengine.PING_INTERVAL_SECONDS` apart, the
+    Section 5.2 RTT series.
+
+    The compiled engine sends them, continuing the simulator's running
+    measurement context, and its probe counts are merged into
+    ``prober.stats``. Raises
+    :class:`repro.core.fastengine.RouteTemplateError` for a destination
+    it cannot reach.
+    """
+    rtts, stats = fast_engine_for(prober.internet).ping(
+        addr, prober.source, count
+    )
+    prober.stats.merge(stats)
+    return PingResult(addr=addr, rtts_ms=rtts)
+
+
 def _measure_in_context(
     internet: SimulatedInternet,
     policy: TerminationPolicy | ReprobePolicy,
@@ -264,10 +315,7 @@ def _worker_main(
         chunk = link.recv()
         if chunk is None:
             return
-        engine_base = (
-            internet.probe_seconds, internet.probe_batches,
-            internet.batched_probes,
-        )
+        seconds_base = internet.probe_seconds
         events_base = events.counter_snapshot() if events is not None else None
         done = _measure_chunk(
             internet, policy, chunk, seed, clock_base, max_destinations
@@ -279,9 +327,7 @@ def _worker_main(
             os.kill(os.getpid(), signal.SIGKILL)
         link.send((
             done,
-            internet.probe_seconds - engine_base[0],
-            internet.probe_batches - engine_base[1],
-            internet.batched_probes - engine_base[2],
+            internet.probe_seconds - seconds_base,
             events.counter_deltas(events_base) if events is not None else {},
         ))
 
@@ -430,9 +476,7 @@ def _run_parallel(
             for link in wait(list(busy)):
                 index = busy.pop(link)
                 try:
-                    done, seconds, batches, batched, event_deltas = (
-                        link.recv()
-                    )
+                    done, seconds, event_deltas = link.recv()
                 except (EOFError, OSError):
                     queue.appendleft(index)
                     lost += 1
@@ -442,8 +486,6 @@ def _run_parallel(
                 # counters and event schedule count the whole campaign.
                 internet.probe_count += sum(stats.sent for _, stats in done)
                 internet.probe_seconds += seconds
-                internet.probe_batches += batches
-                internet.batched_probes += batched
                 if internet.events is not None:
                     internet.events.add_counter_deltas(event_deltas)
                 record(index, done)
@@ -597,10 +639,7 @@ def _run_campaign_observed(
         else None
     )
     clock_base = internet.clock_seconds
-    engine_base = (
-        internet.probe_count, internet.probe_seconds,
-        internet.probe_batches, internet.batched_probes,
-    )
+    engine_base = (internet.probe_count, internet.probe_seconds)
     cache = _bind_store(
         store, internet, policy, seed, clock_base,
         max_destinations_per_slash24,
@@ -687,12 +726,6 @@ def _run_campaign_observed(
     registry.add_seconds(
         "netsim.probe_seconds", internet.probe_seconds - engine_base[1],
         calls=0,
-    )
-    registry.count(
-        "netsim.probe_batches", internet.probe_batches - engine_base[2]
-    )
-    registry.count(
-        "netsim.batched_probes", internet.batched_probes - engine_base[3]
     )
     if cache_base is not None:
         registry.count("campaign.store.hits", cache.hits - cache_base[0])

@@ -20,7 +20,6 @@ from .blockset import (
     adjacency_lcp_lengths,
     contiguous_runs,
     extremes_lcp_length,
-    normalize,
     visualization_coordinates,
 )
 from .prefix import (
@@ -48,7 +47,6 @@ __all__ = [
     "hostmask",
     "netmask",
     "network_of",
-    "normalize",
     "octets",
     "parse",
     "slash24_of",

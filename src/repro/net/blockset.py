@@ -1,44 +1,14 @@
-"""Helpers over lists of prefixes: minimal CIDR normalisation, and the
-adjacency metrics that the Figure 7 and 8 analyses compute over the /24s
-of a block (:mod:`repro.analysis.adjacency`).
+"""Helpers over lists of /24s: contiguous runs, and the adjacency
+metrics that the Figure 7 and 8 analyses compute over the /24s of a
+block (:mod:`repro.analysis.adjacency`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
 from .addr import common_prefix_length
-from .prefix import Prefix, to_prefixes
-
-
-def normalize(prefixes: Iterable[Prefix]) -> List[Prefix]:
-    """Minimal sorted CIDR list covering exactly the union of the input.
-
-    Removes prefixes nested inside others and merges adjacent siblings,
-    repeatedly, until a fixed point.
-
-    >>> [str(p) for p in normalize([Prefix.parse("10.0.0.0/25"),
-    ...                             Prefix.parse("10.0.0.128/25")])]
-    ['10.0.0.0/24']
-    """
-    spans = merged_spans(prefixes)
-    result: List[Prefix] = []
-    for first, last in spans:
-        result.extend(to_prefixes(first, last))
-    return result
-
-
-def merged_spans(prefixes: Iterable[Prefix]) -> List[Tuple[int, int]]:
-    """Union of the input prefixes as sorted disjoint [first, last] spans."""
-    spans = sorted((p.first, p.last) for p in prefixes)
-    merged: List[Tuple[int, int]] = []
-    for first, last in spans:
-        if merged and first <= merged[-1][1] + 1:
-            prev_first, prev_last = merged[-1]
-            merged[-1] = (prev_first, max(prev_last, last))
-        else:
-            merged.append((first, last))
-    return merged
+from .prefix import Prefix
 
 
 def contiguous_runs(slash24s: Sequence[Prefix]) -> List[List[Prefix]]:

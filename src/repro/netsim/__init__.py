@@ -17,16 +17,10 @@ from .config import (
 from .events import EventSchedule, build_event_schedule
 from .geodb import GeoDatabase, GeoRecord
 from .groundtruth import GroundTruth, TrueBlock
-from .icmp import (
-    IcmpReply,
-    RateLimiter,
-    ReplyKind,
-    infer_default_ttl,
-    infer_hop_count,
-)
+from .icmp import RateLimiter, infer_default_ttl, infer_hop_count
 from .internet import SimulatedInternet
 from .orgs import Organization, OrgRegistry, OrgType
-from .routing import Fib, Forwarder, ForwardingError, RouteEntry
+from .routing import Fib, Forwarder, RouteEntry
 from .topology import Router, RouterRole, Topology
 from .whois import WhoisRecord, WhoisService
 
@@ -40,18 +34,15 @@ __all__ = [
     "EventSchedule",
     "Fib",
     "Forwarder",
-    "ForwardingError",
     "GeoDatabase",
     "GeoRecord",
     "GroundTruth",
-    "IcmpReply",
     "Organization",
     "OrgRegistry",
     "OrgSpec",
     "OrgType",
     "Pod",
     "RateLimiter",
-    "ReplyKind",
     "RouteEntry",
     "Router",
     "RouterRole",

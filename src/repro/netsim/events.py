@@ -24,8 +24,8 @@ deterministic, seed-derived :class:`EventSchedule`:
 Determinism: every decision is a pure function of the scenario's
 ``"events"`` seed stream, pod ids and the virtual clock. No wall-clock,
 no mutable draw state — so serial, parallel and kill/resumed campaigns
-observe bit-identical dynamics, and the object, batched and compiled
-probe engines agree probe for probe.
+observe bit-identical dynamics, and the compiled engine agrees probe
+for probe with the reference probe path kept in ``tests/oracle.py``.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ The simulator never materialises per-host objects: with millions of
 addresses in a scenario, every host attribute (existence, availability,
 default TTL, reverse-path asymmetry, cellular promotion delay) is a pure
 deterministic function of (pod parameters, address, epoch), computed by
-hashing. Scalar versions serve the probe path; vectorised versions (used
-by the ZMap scan) compute the same functions over numpy arrays — tests
-assert bitwise agreement between the two, and with the plain
-``mix(seed ^ domain, addr, ...)`` chains. The scalar versions share
+hashing. Scalar versions serve the probe path; the vectorised
+availability mask (used by the ZMap scan) computes the same function
+over numpy arrays — tests assert bitwise agreement between the two, and
+with the plain ``mix(seed ^ domain, addr, ...)`` chains. The scalar versions share
 work: ``splitmix64(seed ^ domain)`` is cached per attribute domain, and
 the draws one attribute takes for one address (the default TTL takes up
 to three) finish one shared hash state.
@@ -165,8 +165,8 @@ def promotion_delay_seconds(
 # ---------------------------------------------------------------------------
 
 
-# The vector hash core lives in util.hashing (shared with the batched
-# probe engine); the old private names stay as aliases.
+# The vector hash core lives in util.hashing; the old private names
+# stay as aliases.
 _mix_np = hashing_np.mix_np
 _unit_np = hashing_np.unit_np
 
@@ -204,47 +204,3 @@ def hosts_up_in_epoch_np(
         )
         up &= ~asleep | survivor
     return up
-
-
-def _weighted_rolls_np(
-    rolls: np.ndarray, weights: Sequence[Tuple[int, float]]
-) -> np.ndarray:
-    """Vectorised cumulative-weight selection matching the scalar loop
-    (same accumulation order, so thresholds are bitwise identical)."""
-    out = np.full(rolls.shape, weights[-1][0], dtype=np.int64)
-    unset = np.ones(rolls.shape, dtype=bool)
-    cumulative = 0.0
-    for value, weight in weights:
-        cumulative += weight
-        hit = unset & (rolls < cumulative)
-        out[hit] = value
-        unset &= ~hit
-    return out
-
-
-def default_ttls_np(
-    seed: int,
-    addrs: np.ndarray,
-    weights: Sequence[Tuple[int, float]],
-    custom_probability: float,
-) -> np.ndarray:
-    """Vectorised :func:`default_ttl` — int64 TTL per address."""
-    addrs = addrs.astype(np.uint64)
-    custom = _unit_np(_mix_np(seed ^ _TTL, addrs, 1)) < custom_probability
-    choices = np.array((30, 60, 100, 200), dtype=np.int64)
-    custom_vals = choices[
-        (_mix_np(seed ^ _TTL, addrs, 2) % np.uint64(len(choices))).astype(
-            np.int64
-        )
-    ]
-    rolls = _unit_np(_mix_np(seed ^ _TTL, addrs, 0))
-    return np.where(custom, custom_vals, _weighted_rolls_np(rolls, weights))
-
-
-def reverse_path_deltas_np(
-    seed: int, addrs: np.ndarray, weights: Sequence[Tuple[int, float]]
-) -> np.ndarray:
-    """Vectorised :func:`reverse_path_delta` — int64 delta per address."""
-    addrs = addrs.astype(np.uint64)
-    rolls = _unit_np(_mix_np(seed ^ _DELTA, addrs))
-    return _weighted_rolls_np(rolls, weights)

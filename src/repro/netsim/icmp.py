@@ -1,8 +1,7 @@
-"""ICMP semantics: reply kinds, default TTLs and rate limiting.
+"""ICMP semantics: default TTLs and rate limiting.
 
-Everything a prober can learn from the simulator arrives as an
-:class:`IcmpReply` (or silence, represented by ``None``). This module
-also implements the two pieces of ICMP realism the paper had to fight:
+This module implements the two pieces of ICMP realism the paper had to
+fight:
 
 * **Default TTLs** — hosts initialise the TTL field of their Echo Reply
   from an OS-dependent default (64, 128 or 255 are commonplace; the
@@ -15,41 +14,6 @@ also implements the two pieces of ICMP realism the paper had to fight:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
-from typing import Sequence
-
-from ..util.hashing import mix_np, mix_to_unit, unit_np
-
-COMMON_DEFAULT_TTLS: Sequence[int] = (64, 128, 255)
-
-
-class ReplyKind(Enum):
-    TTL_EXCEEDED = "ttl-exceeded"
-    ECHO_REPLY = "echo-reply"
-
-
-@dataclass(frozen=True)
-class IcmpReply:
-    """A reply observed by the prober.
-
-    ``source`` is the address the reply came from (a router interface for
-    TTL-exceeded, the destination for Echo Reply). ``ttl`` is the TTL
-    field observed *in the reply's own IP header* — for Echo Replies this
-    is what Section 3.4's hop-count inference reads; for TTL-exceeded
-    replies it is present for completeness. ``rtt_ms`` is the round-trip
-    time of the probe.
-    """
-
-    kind: ReplyKind
-    source: int
-    ttl: int
-    rtt_ms: float
-
-    @property
-    def is_echo(self) -> bool:
-        return self.kind is ReplyKind.ECHO_REPLY
 
 
 def infer_default_ttl(observed_ttl: int) -> int:
@@ -119,21 +83,3 @@ class RateLimiter:
     def reset(self) -> None:
         self._tokens = self.capacity
         self._last_time = 0.0
-
-
-def stochastic_loss(seed: int, probe_nonce: int, loss_probability: float) -> bool:
-    """Deterministic per-probe loss decision (True means the probe/reply
-    is lost). Keyed by a nonce so retransmissions fate-share nothing."""
-    if loss_probability <= 0.0:
-        return False
-    return mix_to_unit(seed, probe_nonce) < loss_probability
-
-
-def stochastic_loss_np(seed, nonces, loss_probability: float):
-    """Vectorised :func:`stochastic_loss` — boolean mask per nonce."""
-    import numpy as np
-
-    nonces = np.asarray(nonces, dtype=np.uint64)
-    if loss_probability <= 0.0:
-        return np.zeros(nonces.shape, dtype=bool)
-    return unit_np(mix_np(seed, nonces)) < loss_probability

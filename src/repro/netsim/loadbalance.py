@@ -36,13 +36,6 @@ class NextHopSelector:
         """
         raise NotImplementedError
 
-    @property
-    def width(self) -> int:
-        return len(self.next_hops)
-
-    def is_load_balanced(self) -> bool:
-        return self.width > 1
-
 
 class SingleNextHop(NextHopSelector):
     """Unipath: always the same next hop."""

@@ -10,13 +10,11 @@ its first probe, after which it stays promoted for a short window
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import math
 
-import numpy as np
-
-from ..util.hashing import mix_np, mix_to_unit, stable_string_hash, unit_np
+from ..util.hashing import mix_to_unit, stable_string_hash
 from .topology import Router
 
 _JITTER = stable_string_hash("rtt-jitter")
@@ -33,8 +31,16 @@ SPIKE_MAX_MS = 150.0
 
 def path_rtt_ms(path: Sequence[Router], seed: int, nonce: int) -> float:
     """Base RTT to the end of ``path`` for one probe (before any
-    cellular promotion delay)."""
-    propagation = 2.0 * sum(router.latency_ms for router in path)
+    cellular promotion delay).
+
+    The one-way latencies fold left to right, one float addition per
+    router. Builtin ``sum`` would not do: Python 3.12 made it
+    compensated, which changes the last bits on some paths.
+    """
+    one_way = 0.0
+    for router in path:
+        one_way += router.latency_ms
+    propagation = 2.0 * one_way
     u = mix_to_unit(seed ^ _JITTER, nonce)
     # Inverse-CDF exponential jitter; clamp u away from 1.0.
     jitter = -JITTER_MEAN_MS * math.log(max(1.0 - u, 1e-12))
@@ -42,31 +48,6 @@ def path_rtt_ms(path: Sequence[Router], seed: int, nonce: int) -> float:
     if mix_to_unit(seed ^ _SPIKE, nonce) < SPIKE_PROBABILITY:
         rtt += SPIKE_MAX_MS * mix_to_unit(seed ^ _SPIKE, nonce, 1)
     return rtt
-
-
-def rtt_draws_for_nonces(
-    seed: int, nonces: Sequence[int]
-) -> Tuple[List[float], List[bool], List[float]]:
-    """Per-nonce jitter and spike draws of :func:`path_rtt_ms`,
-    vectorised over a probe batch.
-
-    Returns ``(jitter_ms, spike_flags, spike_ms)``; a probe's RTT is
-    ``propagation + HOST_LATENCY_MS + jitter_ms[i]`` plus
-    ``spike_ms[i]`` when ``spike_flags[i]``. The hash draws run through
-    numpy; the log stays scalar because ``np.log`` is not bitwise
-    identical to ``math.log`` on every input.
-    """
-    arr = np.asarray(nonces, dtype=np.uint64)
-    jitter_units = unit_np(mix_np(seed ^ _JITTER, arr)).tolist()
-    jitter = [
-        -JITTER_MEAN_MS * math.log(max(1.0 - u, 1e-12))
-        for u in jitter_units
-    ]
-    spike_flags = (
-        unit_np(mix_np(seed ^ _SPIKE, arr)) < SPIKE_PROBABILITY
-    ).tolist()
-    spike = (SPIKE_MAX_MS * unit_np(mix_np(seed ^ _SPIKE, arr, 1))).tolist()
-    return jitter, spike_flags, spike
 
 
 class CellularRadioTracker:
@@ -86,9 +67,9 @@ class CellularRadioTracker:
 
     def record(self, last_probe: Dict[int, float]) -> None:
         """Record probes without asking :meth:`promotion_applies` (the
-        compiled campaign engine computes no RTTs, but later probes in
-        the context must see its replies): address → the time of its
-        latest probe."""
+        compiled engine mirrors the tracker while it probes and commits
+        its records when it is done): address → the time of its latest
+        probe."""
         self._last_probe.update(last_probe)
 
     def reset(self) -> None:

@@ -1,17 +1,16 @@
-"""Probe sessions: accounting on top of the raw probe API.
+"""Probe sessions: a vantage address and its probe accounting.
 
-Ping probes through a :class:`Prober`. Every per-/24 measurement and
-every path-dataset trace runs on the compiled engine and merges its
-probe counts into one, so that experiments can report measurement loads
-(a central concern of the paper).
+Every per-/24 measurement, path-dataset trace and ping runs on the
+compiled engine and merges its probe counts into a :class:`Prober`, so
+that experiments can report measurement loads (a central concern of the
+paper).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, Mapping, Optional
 
-from ..netsim.icmp import IcmpReply
 from ..netsim.internet import SimulatedInternet
 
 #: Default TTL for plain echo probes (a typical OS default).
@@ -97,40 +96,6 @@ class Prober:
         #: balancers resolve differently per vantage (Section 6.1).
         self.source = source
         self.stats = ProbeStats()
-
-    def probe_batch(
-        self,
-        dsts: Sequence[int],
-        ttl: int,
-        flow_ids: Union[int, Sequence[int]] = 0,
-        inter_probe_seconds: float = 0.0,
-    ) -> List[Optional[IcmpReply]]:
-        """Send one probe per destination at one TTL, batched.
-
-        Bit-identical to probing ``dsts`` one by one (with
-        ``inter_probe_seconds`` of clock between consecutive probes) —
-        the simulator vectorises the stochastic draws but sequences the
-        nonce and clock exactly as the serial loop.
-        """
-        count = len(dsts)
-        if isinstance(flow_ids, int):
-            flows: Sequence[int] = (flow_ids,) * count
-        else:
-            flows = flow_ids
-            if len(flows) != count:
-                raise ValueError("flow_ids must match dsts in length")
-        replies = self.internet.send_probe_batch(
-            dsts, ttl, flows, self.source, inter_probe_seconds
-        )
-        self.stats.sent += count
-        for reply in replies:
-            if reply is not None:
-                self.stats.answered += 1
-                if reply.is_echo:
-                    self.stats.echo_replies += 1
-                else:
-                    self.stats.ttl_exceeded += 1
-        return replies
 
     @property
     def probes_sent(self) -> int:

@@ -54,8 +54,8 @@ def stable_string_hash(text: str, seed: int = 0) -> int:
 
 # ---------------------------------------------------------------------------
 # Vectorised equivalents (numpy). Tests assert bitwise agreement with the
-# scalar functions, which is what lets the batched probe engine evaluate a
-# whole batch's draws eagerly: every draw is a pure function of its inputs.
+# scalar functions, which is what lets the ZMap sweep hash whole chunks of
+# addresses at once: every draw is a pure function of its inputs.
 # ---------------------------------------------------------------------------
 
 import numpy as np  # noqa: E402  (kept below the scalar core it mirrors)

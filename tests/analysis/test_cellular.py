@@ -40,14 +40,6 @@ class TestBlockRttStudy:
         assert not study.looks_cellular
         assert study.fraction_above(0.5) < 0.1
 
-    def test_cdf_points(self):
-        study = BlockRttStudy(
-            label="x", differences_seconds=[-0.1, 0.0, 0.6, 1.2]
-        )
-        points = study.cdf_points([0.0, 1.0])
-        assert points[0] == (0.0, 0.5)
-        assert points[1] == (1.0, 0.75)
-
     def test_empty_study(self):
         study = BlockRttStudy(label="x")
         assert not study.looks_cellular

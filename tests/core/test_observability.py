@@ -123,12 +123,6 @@ class TestSerialParallelParity:
         assert registry.counter_value("netsim.probes") == (
             internet.probe_count
         )
-        assert registry.counter_value("netsim.probe_batches") == (
-            internet.probe_batches
-        )
-        assert registry.counter_value("netsim.batched_probes") == (
-            internet.batched_probes
-        )
         assert registry.timer_seconds("netsim.probe_seconds") == (
             pytest.approx(internet.probe_seconds)
         )

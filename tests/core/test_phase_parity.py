@@ -30,10 +30,12 @@ from repro.core import (
     TerminationPolicy,
 )
 from repro.core.fastengine import FastCampaignEngine, RouteTemplateError
-from repro.core.pipeline import enumerate_paths, measure
+from repro.core.pipeline import enumerate_paths, measure, ping
 from repro.experiments.common import PROFILES, Workspace
 from repro.net.addr import format_address
 from repro.netsim import EventConfig, SimulatedInternet, tiny_scenario
+from repro.netsim.loadbalance import PerFlowBalancer, PerPacketBalancer
+from repro.netsim.routing import RouteEntry
 from repro.probing import Prober, scan
 from tests import oracle
 
@@ -287,6 +289,141 @@ def test_unbuildable_template_names_the_traced_destination(monkeypatch):
     monkeypatch.setattr(FastCampaignEngine, "_program_for", failing)
     with pytest.raises(RouteTemplateError) as raised:
         enumerate_paths(Prober(internet), dst)
+    assert format_address(dst) in str(raised.value)
+    assert "injected for the test" in str(raised.value)
+    assert internet.probe_count == 0
+
+
+#: Idle seconds before each ping train: the radio of a cellular host
+#: goes idle after 10 s, so it pays the promotion delay after 30 s and
+#: 12 s, but not after 0 s or 5 s.
+PING_GAPS = (30.0, 0.0, 5.0, 12.0)
+
+
+def _ping_targets(internet, snapshot):
+    """Two cellular and two wired snapshot addresses, from distinct
+    /24s, and the unallocated address."""
+    picked = {True: [], False: []}
+    for slash24 in snapshot.eligible_slash24s():
+        addr = snapshot.active_in(slash24)[0]
+        kind = picked[internet.allocations.pod_of(addr).cellular]
+        if len(kind) < 2:
+            kind.append(addr)
+    assert len(picked[True]) == len(picked[False]) == 2
+    return picked[True] + picked[False] + [UNALLOCATED]
+
+
+def _swap_in_per_packet_balancer(internet, destinations):
+    """Replace the first per-flow balancer on the destinations' paths
+    with a per-packet one over the same next hops (the builder makes
+    none)."""
+    forwarder = internet.forwarder
+    for dst in destinations:
+        if internet._allocation_of(dst) is None:
+            continue
+        for router in oracle.resolve_path(
+            forwarder, internet.vantage_address, dst, 0
+        ):
+            fib = forwarder.fibs[router.router_id]
+            entry = oracle.fib_lookup(fib, dst)
+            selector = entry.selector
+            if type(selector) is PerFlowBalancer:
+                fib.install(
+                    RouteEntry(
+                        entry.prefix,
+                        selector=PerPacketBalancer(
+                            selector.next_hops, selector.salt
+                        ),
+                    )
+                )
+                forwarder._reset_compiled_state()
+                return
+    pytest.fail("no per-flow balancer on the destinations' paths")
+
+
+def _run_pings(
+    alternate_source, intensity, count, per_packet, prober_path
+):
+    """Ping each target after each idle gap through one Prober in one
+    context, as the cellular RTT study does; returns (end state, the
+    simulator)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if prober_path:
+            oracle.install(patch, oracle.PROBER_CAMPAIGN)
+        internet, snapshot = _internet(intensity)
+        targets = _ping_targets(internet, snapshot)
+        if per_packet:
+            _swap_in_per_packet_balancer(internet, targets)
+        source = (
+            vantage_addresses(internet, 2)[1] if alternate_source else None
+        )
+        internet.begin_measurement_context(
+            clock_seconds=CONTEXT_CLOCK, nonce=CONTEXT_NONCE
+        )
+        prober = Prober(internet, source=source)
+        trains = []
+        for addr in targets:
+            for gap in PING_GAPS:
+                internet.advance_clock(gap)
+                result = ping(prober, addr, count=count)
+                assert result.addr == addr
+                trains.append([
+                    None if rtt is None else rtt.hex()
+                    for rtt in result.rtts_ms
+                ])
+        return _end_state(internet, prober, trains), internet
+
+
+@pytest.mark.parametrize("per_packet", [False, True], ids=["", "per-packet"])
+@pytest.mark.parametrize("count", [1, 20])
+@pytest.mark.parametrize("intensity", [0.0, INTENSITY])
+@pytest.mark.parametrize(
+    "alternate_source", [False, True], ids=["default-source", "vantage-1"]
+)
+def test_pings_match_prober(alternate_source, intensity, count, per_packet):
+    shipped, internet = _run_pings(
+        alternate_source, intensity, count, per_packet, prober_path=False
+    )
+    reference, _ = _run_pings(
+        alternate_source, intensity, count, per_packet, prober_path=True
+    )
+    assert getattr(internet, "_fast_engine", None) is not None
+    assert any(rtt is not None for train in shipped["outputs"] for rtt in train)
+    for name in reference:
+        assert shipped[name] == reference[name], name
+
+
+def test_pings_exercise_promotion_and_timeouts():
+    """The sequence pays the promotion delay after the 30 s gaps only,
+    and the unallocated address times out."""
+    shipped, _ = _run_pings(False, 0.0, 20, False, prober_path=False)
+    trains = [
+        [None if rtt is None else float.fromhex(rtt) for rtt in train]
+        for train in shipped["outputs"]
+    ]
+    first_minus_rest = [
+        train[0] - max(rtt for rtt in train[1:] if rtt is not None)
+        for train in trains
+        if train[0] is not None and any(rtt is not None for rtt in train[1:])
+    ]
+    assert max(first_minus_rest) > 100.0
+    assert min(first_minus_rest) < 100.0
+    assert shipped["radio"]
+    assert all(rtt is None for train in trains[-len(PING_GAPS):] for rtt in train)
+
+
+def test_unbuildable_template_names_the_pinged_destination(monkeypatch):
+    """A destination whose route template cannot be built raises an
+    error naming it and the reason, before a probe is sent."""
+    internet, snapshot = _internet(0.0)
+    dst = snapshot.active_in(snapshot.eligible_slash24s()[0])[0]
+
+    def failing(self, dst, src):
+        raise RouteTemplateError("injected for the test")
+
+    monkeypatch.setattr(FastCampaignEngine, "_program_for", failing)
+    with pytest.raises(RouteTemplateError) as raised:
+        ping(Prober(internet), dst)
     assert format_address(dst) in str(raised.value)
     assert "injected for the test" in str(raised.value)
     assert internet.probe_count == 0

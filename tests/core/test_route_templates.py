@@ -29,8 +29,12 @@ from repro.core.pipeline import measure
 from repro.net.prefix import Prefix
 from repro.netsim import SimulatedInternet, tiny_scenario
 from repro.netsim.config import paper_scenario
-from repro.netsim.loadbalance import PerFlowBalancer, PerPacketBalancer
-from repro.netsim.routing import RouteEntry, SingleNextHop
+from repro.netsim.loadbalance import (
+    PerFlowBalancer,
+    PerPacketBalancer,
+    SingleNextHop,
+)
+from repro.netsim.routing import RouteEntry
 from repro.netsim.topology import RouterRole
 from repro.probing import Prober, scan
 from repro.util.hashing import splitmix64
@@ -142,7 +146,7 @@ def test_branch_member_boundary_narrows_the_range():
             break
     else:
         pytest.fail("no whole-/24 range ending in a balancer")
-    path = forwarder.resolve_path(src, slash24.network, 0)
+    path = oracle.resolve_path(forwarder, src, slash24.network, 0)
     balancer = forwarder.fibs[path[-2].router_id]
     members = oracle.fib_lookup(balancer, slash24.network).selector.next_hops
     on_path = {router.router_id for router in path} | set(members)
@@ -157,7 +161,7 @@ def test_branch_member_boundary_narrows_the_range():
         forwarder.fibs[member].install(
             RouteEntry(upper, selector=SingleNextHop(onward.router_id))
         )
-    forwarder.precompile()
+    forwarder._reset_compiled_state()
 
     low = [a for a in snapshot.active_in(slash24) if a < upper.network]
     high = [a for a in snapshot.active_in(slash24) if a >= upper.network]
@@ -218,7 +222,9 @@ def test_failed_build_caches_nothing():
     )
     table = (list(engine._range_starts), list(engine._ranges))
 
-    last_hop = internet.forwarder.resolve_path(src, dst, 0)[-1].router_id
+    last_hop = oracle.resolve_path(internet.forwarder, src, dst, 0)[
+        -1
+    ].router_id
     fib = internet.forwarder.fibs.pop(last_hop)
     for _ in range(2):
         with pytest.raises(RouteTemplateError, match="router has no FIB"):
@@ -256,7 +262,7 @@ def test_specialised_slots_pick_as_the_balancers_select():
             prog = engine._program_for(dst, src)
             for flow in range(64):
                 nonce = 0x5EED + 7919 * flow
-                route = forwarder.resolve_path(src, dst, flow, nonce)
+                route = oracle.resolve_path(forwarder, src, dst, flow, nonce)
                 assert [
                     _pick(slot, flow, nonce) for slot in prog.slots
                 ] == [router.address for router in route]
@@ -276,7 +282,9 @@ def _make_one_balancer_per_packet(internet, destinations):
     per-packet one over the same next hops (the builder makes none)."""
     forwarder = internet.forwarder
     for dst in destinations:
-        for router in forwarder.resolve_path(internet.vantage_address, dst, 0):
+        for router in oracle.resolve_path(
+            forwarder, internet.vantage_address, dst, 0
+        ):
             fib = forwarder.fibs[router.router_id]
             entry = oracle.fib_lookup(fib, dst)
             selector = entry.selector
@@ -289,6 +297,6 @@ def _make_one_balancer_per_packet(internet, destinations):
                         ),
                     )
                 )
-                forwarder.precompile()
+                forwarder._reset_compiled_state()
                 return
     pytest.fail("no per-flow balancer on the destinations' paths")

@@ -1,15 +1,18 @@
 """Contract with the pipeline benchmark (``pipebench/``): its traced run
-wraps 14 entry points in ``src`` by owner and attribute name, so a
-rename there must fail here rather than fail every ``--trace`` sample.
+wraps 14 entry points in ``src`` by owner and attribute name, and reads
+the simulator's ``stats()``, so a rename there must fail here rather
+than fail every ``--trace`` sample.
 """
 
 import importlib
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.scoring import score_pipeline
 from repro.experiments.common import PROFILES, Workspace
+from repro.obs.metrics import current_metrics
 
 PIPEBENCH = Path(__file__).resolve().parents[2] / "pipebench"
 
@@ -49,10 +52,17 @@ def test_traced_run_opens_every_span(bench, tmp_path):
     ) as workspace:
         internet = workspace.internet
         recorder.probe_counter = lambda: internet.probe_count
+        start = time.monotonic()
         workspace.ensure_built()
         score_pipeline(
             internet, workspace.campaign, workspace.aggregation.final_blocks
         )
+        layers = sample.layer_metrics(
+            recorder, current_metrics(), internet, start, time.monotonic(),
+            internet.probe_count,
+        )
     opened = {span.name for span in recorder.spans}
     expected = {name for _, _, name in targets}
     assert expected - opened == set()
+    # The pipeline reuses route templates, so the rate is above zero.
+    assert 0.0 < layers["netsim.forwarder_hit_rate"] <= 1.0

@@ -1,15 +1,12 @@
 """Tests for repro.net.blockset."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.net import (
     Prefix,
     adjacency_lcp_lengths,
     contiguous_runs,
     extremes_lcp_length,
-    normalize,
     parse,
     visualization_coordinates,
 )
@@ -17,51 +14,6 @@ from repro.net import (
 
 def s24(text: str) -> Prefix:
     return Prefix.parse(text + "/24")
-
-
-class TestNormalize:
-    def test_merges_sibling_halves(self):
-        result = normalize(
-            [Prefix.parse("10.0.0.0/25"), Prefix.parse("10.0.0.128/25")]
-        )
-        assert result == [Prefix.parse("10.0.0.0/24")]
-
-    def test_removes_nested(self):
-        result = normalize(
-            [Prefix.parse("10.0.0.0/8"), Prefix.parse("10.1.0.0/16")]
-        )
-        assert result == [Prefix.parse("10.0.0.0/8")]
-
-    def test_keeps_disjoint(self):
-        a, b = Prefix.parse("10.0.0.0/24"), Prefix.parse("10.0.2.0/24")
-        assert normalize([b, a]) == [a, b]
-
-    def test_merges_adjacent_runs(self):
-        result = normalize([s24("10.0.0.0"), s24("10.0.1.0"), s24("10.0.2.0")])
-        assert [str(p) for p in result] == ["10.0.0.0/23", "10.0.2.0/24"]
-
-    def test_empty(self):
-        assert normalize([]) == []
-
-    @settings(max_examples=40)
-    @given(
-        st.lists(
-            st.integers(min_value=0, max_value=200).map(
-                lambda n: Prefix(0x0A000000 + n * 256, 24)
-            ),
-            max_size=30,
-        )
-    )
-    def test_normalize_preserves_coverage(self, prefix_list):
-        result = normalize(prefix_list)
-        covered_before = set()
-        for p in prefix_list:
-            covered_before.update(range(p.first, p.last + 1, 64))
-        for probe in covered_before:
-            assert any(p.contains_address(probe) for p in result)
-        # Result is non-overlapping and sorted.
-        for left, right in zip(result, result[1:]):
-            assert left.last < right.first
 
 
 class TestContiguousRuns:

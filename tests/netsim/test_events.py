@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.fastengine import fast_engine_for
 from repro.netsim import EventConfig, SimulatedInternet, tiny_scenario
 from repro.netsim.build import build_scenario
 from repro.netsim.dhcp import EPOCHS_PER_LEASE, PodLeaseMap, renumbered_address
@@ -232,15 +233,18 @@ class TestReroutes:
             events=EventConfig(reroute_fraction=0.8),
         )
         internet = SimulatedInternet.from_config(config)
-        # Compile some state first, then shift routes under it.
+        # Build some route templates first, then shift routes under them.
         dst = internet.universe_slash24s[0].network | 1
-        before = internet.send_probe(dst, ttl=1)
+        engine = fast_engine_for(internet)
+        engine._program_for(dst, internet.vantage_address)
         changed = internet.apply_event_reroutes()
         assert changed > 0
         assert internet.apply_event_reroutes() == 0
-        # Probing still works against the shifted FIBs.
-        internet.send_probe(dst, ttl=1)
-        assert before is None or before.kind is not None
+        assert not engine.valid()
+        # A new engine builds templates against the shifted FIBs.
+        rebuilt = fast_engine_for(internet)
+        assert rebuilt is not engine
+        assert rebuilt._program_for(dst, internet.vantage_address).length
 
 
 class TestScheduleState:

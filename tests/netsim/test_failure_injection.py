@@ -13,6 +13,7 @@ import dataclasses
 import pytest
 
 from repro.core import Category, TerminationPolicy, run_campaign
+from repro.core.fastengine import fast_engine_for
 from repro.netsim import (
     EventConfig,
     ScenarioConfig,
@@ -245,6 +246,18 @@ class TestProberPath(
         oracle.install(monkeypatch, oracle.PROBER_CAMPAIGN)
 
 
+def _mirror_train(internet, dst, train):
+    """Send ``(ttl, flow)`` probes towards ``dst`` through one probe
+    mirror of the compiled engine; returns its replies (None, -1 for an
+    echo reply, or the router address) once it has committed."""
+    engine = fast_engine_for(internet)
+    prog = engine._program_for(dst, internet.vantage_address)
+    send, _, finish = engine._probe_mirror()
+    replies = [send(prog, ttl, flow) for ttl, flow in train]
+    finish()
+    return replies
+
+
 class TestRateLimitStorm:
     """Satellite check: every probe path registers storm-scaled limiters
     identically, so a context reset restores them and paths agree."""
@@ -256,27 +269,40 @@ class TestRateLimitStorm:
         )
 
     def test_batched_replies_bitwise_equal_serial_under_storm(self):
+        """A batch of probes through one engine mirror answers as the
+        reference does probe by probe, and leaves the same buckets."""
         serial_net = SimulatedInternet.from_config(self._storm_config())
         batch_net = SimulatedInternet.from_config(self._storm_config())
         dsts = [
             s24.network | 9 for s24 in serial_net.universe_slash24s[:16]
         ] * 4  # repeats so buckets run dry mid-run
+        engine = fast_engine_for(batch_net)
+        src = batch_net.vantage_address
         for ttl in (1, 2, 3):
-            serial, batch = [], None
+            serial = []
             serial_net.begin_measurement_context(0.0, 1000 + ttl)
             batch_net.begin_measurement_context(0.0, 1000 + ttl)
             for dst in dsts:
-                serial.append(serial_net.send_probe(dst, ttl, 0))
-            batch = batch_net.send_probe_batch(dsts, ttl, 0)
-            assert len(batch) == len(serial)
-            for got, expected in zip(batch, serial):
-                if expected is None:
-                    assert got is None
-                else:
-                    assert got is not None
-                    assert got.source == expected.source
-                    assert got.rtt_ms == expected.rtt_ms
+                reply = oracle.send_probe(serial_net, dst, ttl, 0)
+                serial.append(None if reply is None else reply.source)
+            send, _, finish = engine._probe_mirror()
+            batch = [
+                send(engine._program_for(dst, src), ttl, 0) for dst in dsts
+            ]
+            finish()
+            assert batch == serial
+            assert any(reply is None for reply in batch)
             assert serial_net.clock_seconds == batch_net.clock_seconds
+            assert [
+                (router.rate_limiter._tokens, router.rate_limiter._last_time)
+                for router in serial_net.topology
+                if router.rate_limiter is not None
+            ] == [
+                (router.rate_limiter._tokens, router.rate_limiter._last_time)
+                for router in batch_net.topology
+                if router.rate_limiter is not None
+            ]
+        assert serial_net.events.counters == batch_net.events.counters
 
     def test_denied_probes_still_register_limiters(self):
         """A storm-denied reply must leave its limiter in the touched
@@ -287,23 +313,18 @@ class TestRateLimitStorm:
         internet = SimulatedInternet.from_config(self._storm_config())
         internet.begin_measurement_context(0.0, 7)
         dst = internet.universe_slash24s[0].network | 9
-        train = [(ttl, i) for ttl in range(1, 9) for i in range(4)]
-        replies = [internet.send_probe(dst, ttl=ttl) for ttl, _ in train]
+        train = [(ttl, 0) for ttl in range(1, 9) for _ in range(4)]
+        replies = _mirror_train(internet, dst, train)
         assert internet.events.counters["storm"] > 0
         assert any(reply is None for reply in replies)  # storm denied some
         assert internet._touched_limiters
         # Context reset restores the bucket: the same probe train
         # replays identically.
         internet.begin_measurement_context(0.0, 7)
-        again = [internet.send_probe(dst, ttl=ttl) for ttl, _ in train]
-        for first, second in zip(replies, again):
-            assert (first is None) == (second is None)
-            if first is not None:
-                assert first.rtt_ms == second.rtt_ms
+        assert _mirror_train(internet, dst, train) == replies
 
     def test_storm_counter_fires(self):
         internet = SimulatedInternet.from_config(self._storm_config())
         dst = internet.universe_slash24s[0].network | 9
-        for ttl in range(1, 9):
-            internet.send_probe(dst, ttl=ttl)
+        _mirror_train(internet, dst, [(ttl, 0) for ttl in range(1, 9)])
         assert internet.events.counters["storm"] > 0

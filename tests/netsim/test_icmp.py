@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.netsim import infer_default_ttl, infer_hop_count
-from repro.netsim.icmp import RateLimiter, stochastic_loss
+from repro.netsim.icmp import RateLimiter
+from tests.oracle import stochastic_loss
 
 
 class TestTtlInference:

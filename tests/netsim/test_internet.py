@@ -1,9 +1,12 @@
-"""Tests for the SimulatedInternet probe API."""
+"""Tests for the simulated Internet, probed through the reference probe
+path (``tests/oracle.py``) and the engine's ping."""
 
 import pytest
 
+from repro.core.pipeline import ping
 from repro.net import Prefix
-from repro.netsim import ReplyKind, SimulatedInternet, tiny_scenario
+from repro.probing import Prober
+from tests.oracle import ReplyKind, resolve_path, send_probe
 
 
 def _some_active_address(internet):
@@ -19,7 +22,7 @@ class TestEchoProbes:
         addr = _some_active_address(internet)
         reply = None
         for attempt in range(4):
-            reply = internet.send_probe(addr, 64, flow_id=attempt)
+            reply = send_probe(internet, addr, 64, flow_id=attempt)
             if reply:
                 break
         assert reply is not None
@@ -28,16 +31,16 @@ class TestEchoProbes:
         assert reply.rtt_ms > 0
 
     def test_unallocated_address_is_silent(self, internet):
-        assert internet.send_probe(0xC6000001, 64) is None  # 198.0.0.1
+        assert send_probe(internet, 0xC6000001, 64) is None  # 198.0.0.1
 
     def test_zero_ttl_is_silent(self, internet):
         addr = _some_active_address(internet)
-        assert internet.send_probe(addr, 0) is None
+        assert send_probe(internet, addr, 0) is None
 
     def test_probe_advances_clock_and_counter(self, internet):
         addr = _some_active_address(internet)
         before = internet.clock_seconds
-        internet.send_probe(addr, 64)
+        send_probe(internet, addr, 64)
         assert internet.clock_seconds > before
         assert internet.probe_count == 1
 
@@ -45,7 +48,7 @@ class TestEchoProbes:
         addr = _some_active_address(internet)
         reply = None
         for attempt in range(4):
-            reply = internet.send_probe(addr, 64, flow_id=attempt)
+            reply = send_probe(internet, addr, 64, flow_id=attempt)
             if reply:
                 break
         assert reply.ttl < 255
@@ -56,7 +59,7 @@ class TestTracerouteProbes:
         addr = _some_active_address(internet)
         reply = None
         for attempt in range(5):
-            reply = internet.send_probe(addr, 1, flow_id=attempt)
+            reply = send_probe(internet, addr, 1, flow_id=attempt)
             if reply:
                 break
         assert reply is not None
@@ -67,7 +70,7 @@ class TestTracerouteProbes:
     def test_walk_reaches_destination(self, internet):
         addr = _some_active_address(internet)
         for ttl in range(1, 24):
-            reply = internet.send_probe(addr, ttl)
+            reply = send_probe(internet, addr, ttl)
             if reply is not None and reply.is_echo:
                 assert ttl > 3  # several infrastructure hops exist
                 return
@@ -75,11 +78,11 @@ class TestTracerouteProbes:
 
     def test_paths_deterministic_per_flow(self, internet):
         addr = _some_active_address(internet)
-        path_a = internet.forwarder.resolve_path(
-            internet.vantage_address, addr, 5
+        path_a = resolve_path(
+            internet.forwarder, internet.vantage_address, addr, 5
         )
-        path_b = internet.forwarder.resolve_path(
-            internet.vantage_address, addr, 5
+        path_b = resolve_path(
+            internet.forwarder, internet.vantage_address, addr, 5
         )
         assert path_a == path_b
 
@@ -125,9 +128,6 @@ class TestNaming:
         assert name is not None
         assert "transit.example.net" in name
 
-    def test_pattern_of_unallocated_is_none(self, internet):
-        assert internet.rdns_pattern_of(0xC6000001) is None
-
 
 class TestCellular:
     def test_cellular_first_probe_slower(self, internet):
@@ -140,11 +140,10 @@ class TestCellular:
         assert active
         for addr in active[:10]:
             internet.advance_clock(30.0)
-            first = internet.send_probe(addr, 64)
-            second = internet.send_probe(addr, 64)
+            first, second = ping(Prober(internet), addr, count=2).rtts_ms
             if first is None or second is None:
                 continue
-            assert first.rtt_ms > second.rtt_ms + 100.0
+            assert first > second + 100.0
             return
         pytest.fail("no responsive cellular host found")
 

@@ -19,9 +19,6 @@ class TestSingle:
         sel = SingleNextHop(7)
         assert all(sel.select(1, d, f, n) == 7 for d, f, n in [(1, 2, 3), (9, 9, 9)])
 
-    def test_not_load_balanced(self):
-        assert not SingleNextHop(7).is_load_balanced()
-
 
 class TestPerFlow:
     def test_flow_pinning(self):

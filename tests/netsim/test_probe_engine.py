@@ -1,13 +1,16 @@
-"""Parity tests for the compiled forwarding plane + batched probe engine.
+"""Parity tests for the compiled forwarding plane and the engine's probe
+mirror.
 
 Every optimisation in the probe hot path claims *bit-identity* with the
-serial reference implementation kept in ``tests/oracle.py``. This file
-holds that claim to account layer by layer: trie flattening, compiled
-path resolution, the vectorised stochastic draws, and the batched probe
-API. The end-to-end campaign-level parity check lives in
-``tests/core/test_engine_parity.py``.
+probe-at-a-time reference kept in ``tests/oracle.py``. This file holds
+that claim to account layer by layer: trie flattening, route templates
+against the trie-walking resolver, the hashed draws, and echo trains
+sent through one probe mirror. The end-to-end checks live in
+``tests/core/test_engine_parity.py`` and
+``tests/core/test_phase_parity.py``.
 """
 
+import pickle
 import random
 
 import numpy as np
@@ -15,18 +18,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fastengine import (
+    _BY_FLOW,
+    _FIXED,
+    FastCampaignEngine,
+    fast_engine_for,
+)
+from repro.core.pipeline import ping
 from repro.net.addr import MAX_ADDRESS
 from repro.net.prefix import Prefix
 from repro.net.trie import PrefixTrie
 from repro.netsim import SimulatedInternet, tiny_scenario
 from repro.netsim import hosts as hostmod
-from repro.netsim.icmp import stochastic_loss, stochastic_loss_np
-from repro.netsim.internet import MIN_VECTOR_BATCH
-from repro.netsim.rtt import (
-    HOST_LATENCY_MS,
-    path_rtt_ms,
-    rtt_draws_for_nonces,
-)
+from repro.netsim import rtt as rtt_model
+from repro.netsim.rtt import path_rtt_ms
+from repro.probing import Prober
 from repro.util.hashing import (
     MASK64,
     mix,
@@ -43,11 +49,21 @@ def _fresh(seed=SEED):
     return SimulatedInternet.from_config(tiny_scenario(seed=seed))
 
 
-def _reference(monkeypatch, seed=SEED):
-    """A fresh internet with the oracle's serial reference probing
-    installed (for every simulator, until the test ends)."""
-    oracle.install(monkeypatch, oracle.PROBING)
-    return _fresh(seed)
+def _route(prog, flow, nonce):
+    """The router addresses a program's slots pick for one probe."""
+    addresses = []
+    for slot in prog.slots:
+        if slot[0] == _FIXED:
+            member = slot[1]
+        else:
+            key = flow if slot[0] == _BY_FLOW else nonce
+            member = slot[3][splitmix64(slot[1] ^ key) % slot[2]]
+        addresses.append(member[2])
+    return addresses
+
+
+def _allocated(net, addrs):
+    return [addr for addr in addrs if net._allocation_of(addr) is not None]
 
 
 # -- layer 1: trie flattening ------------------------------------------------
@@ -124,100 +140,124 @@ class TestLeafIntervals:
             assert _interval_lookup(points, addr) is hit
 
 
-# -- layer 2: compiled path resolution ---------------------------------------
+# -- layer 2: route templates against the reference walk ---------------------
 
 
 class TestCompiledResolve:
     def test_matches_reference_walk(self):
-        compiled = _fresh()
-        reference = _fresh()
-        src = compiled.vantage_address
-        dsts = [s24.first + offset
-                for s24 in compiled.universe_slash24s[:24]
-                for offset in (0, 1, 77, 255)]
+        net = _fresh()
+        engine = FastCampaignEngine(net)
+        src = net.vantage_address
+        dsts = _allocated(net, [
+            s24.first + offset
+            for s24 in net.universe_slash24s[:24]
+            for offset in (0, 1, 77, 255)
+        ])
+        assert dsts
         for dst in dsts:
+            prog = engine._program_for(dst, src)
             for flow in range(3):
                 for nonce in (1, 2):
-                    fast = compiled.forwarder.resolve_path(
-                        src, dst, flow, nonce
-                    )
                     slow = oracle.resolve_path(
-                        reference.forwarder, src, dst, flow, nonce
+                        net.forwarder, src, dst, flow, nonce
                     )
-                    assert fast == slow, (hex(dst), flow, nonce)
+                    assert _route(prog, flow, nonce) == [
+                        router.address for router in slow
+                    ], (hex(dst), flow, nonce)
 
     def test_shared_paths_are_identical_objects(self):
+        """Destinations in one FIB range share one route template: the
+        second address of a /24 is served by the template the first one
+        built, and the range table holds fewer templates than
+        destinations looked up."""
         net = _fresh()
-        forwarder = net.forwarder
+        engine = FastCampaignEngine(net)
         src = net.vantage_address
-        # Addresses of one /24 share the leaf route, so (outside
-        # per-packet-balanced regions, whose paths legitimately vary per
-        # probe) resolution must hand back the *same* tuple object — the
-        # memory win of signature-keyed caching. At least some of the
-        # scenario's /24s must exhibit the sharing.
         shared = 0
+        looked_up = 0
         for s24 in net.universe_slash24s:
-            first = forwarder.resolve_path(src, s24.first, 0, 1)
-            second = forwarder.resolve_path(src, s24.first + 1, 0, 2)
-            if first is second:
-                shared += 1
+            pair = _allocated(net, [s24.first, s24.first + 1])
+            if len(pair) < 2:
+                continue
+            engine._program_for(pair[0], src)
+            builds = net.template_builds
+            engine._program_for(pair[1], src)
+            looked_up += 2
+            shared += net.template_builds == builds
         assert shared > 0
-        assert forwarder.cache_stats()["shared_paths"] > 0
+        assert len(engine._ranges) < looked_up
 
     def test_hit_counters_and_stats_keys(self):
+        """Template lookups and builds count on the simulator, so they
+        outlive an engine that routing changes replace."""
         net = _fresh()
-        forwarder = net.forwarder
         src = net.vantage_address
-        dst = net.universe_slash24s[0].first
-        forwarder.resolve_path(src, dst, 0, 1)
-        misses = forwarder.cache_misses
-        forwarder.resolve_path(src, dst, 0, 2)
-        assert forwarder.cache_hits >= 1
-        assert forwarder.cache_misses == misses
-        stats = forwarder.cache_stats()
+        dst = _allocated(net, [s24.first for s24 in net.universe_slash24s])[0]
+        fast_engine_for(net)._program_for(dst, src)
+        fast_engine_for(net)._program_for(dst, src)
+        assert (net.template_lookups, net.template_builds) == (2, 1)
+        net.forwarder._reset_compiled_state()
+        fast_engine_for(net)._program_for(dst, src)
+        assert (net.template_lookups, net.template_builds) == (3, 2)
+        stats = net.stats()
         for key in (
-            "hits", "misses", "hit_rate", "entries",
-            "shared_paths", "entry_memo",
+            "forwarder_cache_hit_rate", "probe_seconds", "probe_us_avg",
         ):
             assert key in stats
-        assert 0.0 <= stats["hit_rate"] <= 1.0
+        assert stats["forwarder_cache_hit_rate"] == 1 / 3
 
     def test_precompile_idempotent(self):
+        """Compiling a FIB again returns the form already compiled and
+        keeps the compiled plane that engines anchor their templates
+        to."""
         net = _fresh()
-        before = net.forwarder.cache_stats()["entry_memo"]
-        net.forwarder.precompile()
-        net.forwarder.precompile()
-        assert net.forwarder.cache_stats()["entry_memo"] == before
+        forwarder = net.forwarder
+        compiled = forwarder._compiled
+        first = {
+            rid: forwarder._compiled_fib(rid, fib)
+            for rid, fib in forwarder.fibs.items()
+        }
+        for rid, fib in forwarder.fibs.items():
+            assert forwarder._compiled_fib(rid, fib) is first[rid]
+        assert forwarder._compiled is compiled
 
     def test_clear_cache_resets(self):
+        """The reference resolver hands back its cached path until the
+        forwarder replaces its compiled state, which drops the cache."""
         net = _fresh()
         src = net.vantage_address
-        net.forwarder.resolve_path(src, net.universe_slash24s[0].first, 0, 1)
-        assert net.forwarder.cache_size > 0
-        net.forwarder.clear_cache()
-        assert net.forwarder.cache_size == 0
+        dst = net.universe_slash24s[0].first
+        first = oracle.resolve_path(net.forwarder, src, dst, 0, 1)
+        assert oracle.resolve_path(net.forwarder, src, dst, 0, 2) is first
+        net.forwarder._reset_compiled_state()
+        again = oracle.resolve_path(net.forwarder, src, dst, 0, 1)
+        assert again == first
+        assert again is not first
 
     def test_pickle_drops_compiled_state(self):
-        import pickle
-
         net = _fresh()
         src = net.vantage_address
-        net.forwarder.resolve_path(src, net.universe_slash24s[0].first, 0, 1)
-        clone = pickle.loads(pickle.dumps(net.forwarder))
-        assert clone.cache_size == 0
-        # ...and resolves identically after the lazy rebuild.
-        for s24 in net.universe_slash24s[:8]:
-            assert clone.resolve_path(
-                src, s24.first, 0, 1
-            ) == net.forwarder.resolve_path(src, s24.first, 0, 1)
+        dsts = _allocated(net, [s24.first for s24 in net.universe_slash24s])
+        engine = fast_engine_for(net)
+        for dst in dsts[:8]:
+            engine._program_for(dst, src)
+        clone = pickle.loads(pickle.dumps(net))
+        assert clone.forwarder._compiled == {}
+        assert not hasattr(clone, "_fast_engine")
+        # ...and builds the same templates after the lazy rebuild.
+        for dst in dsts[:8]:
+            assert _route(
+                fast_engine_for(clone)._program_for(dst, src), 0, 1
+            ) == _route(engine._program_for(dst, src), 0, 1)
 
 
-# -- layer 3: vectorised stochastic draws ------------------------------------
+# -- layer 3: hashed draws ---------------------------------------------------
 
 
 class TestNumpyDrawParity:
-    """The numpy draws must be *bitwise* equal to the scalar ones —
-    close-enough floats would silently fork the simulated universe."""
+    """The numpy and inlined draws must be *bitwise* equal to the scalar
+    ones — close-enough floats would silently fork the simulated
+    universe."""
 
     ADDRS = np.arange(0x0A000000, 0x0A000100, dtype=np.uint64)
 
@@ -237,43 +277,41 @@ class TestNumpyDrawParity:
                     SEED, addr, epoch, 0.4, 0.6, 0.05
                 )
 
-    def test_default_ttls(self):
-        weights = ((64, 0.6), (128, 0.3), (255, 0.1))
-        ttls = hostmod.default_ttls_np(SEED, self.ADDRS, weights, 0.1)
-        for addr, ttl in zip(self.ADDRS.tolist(), ttls.tolist()):
-            assert ttl == hostmod.default_ttl(SEED, addr, weights, 0.1)
-
-    def test_reverse_path_deltas(self):
-        weights = ((0, 0.7), (1, 0.2), (-1, 0.1))
-        deltas = hostmod.reverse_path_deltas_np(SEED, self.ADDRS, weights)
-        for addr, delta in zip(self.ADDRS.tolist(), deltas.tolist()):
-            assert delta == hostmod.reverse_path_delta(SEED, addr, weights)
-
     def test_stochastic_loss(self):
-        nonces = np.arange(1, 2001, dtype=np.uint64)
-        mask = stochastic_loss_np(SEED, nonces, 0.03)
-        for nonce, lost in zip(nonces.tolist(), mask.tolist()):
-            assert lost == stochastic_loss(SEED, nonce, 0.03)
-
-    def test_stochastic_loss_zero_probability(self):
-        nonces = np.arange(1, 50, dtype=np.uint64)
-        assert not stochastic_loss_np(SEED, nonces, 0.0).any()
+        """The engine's inlined loss draw is the reference's."""
+        engine = FastCampaignEngine(_fresh())
+        for nonce in range(1, 2001):
+            draw = splitmix64(engine._loss_base ^ nonce) / float(1 << 64)
+            assert (draw < 0.03) == oracle.stochastic_loss(
+                engine.internet._built.loss_seed, nonce, 0.03
+            )
 
     def test_rtt_draws_reconstruct_path_rtt(self):
+        """Each echo RTT of a ping is path_rtt_ms over the reference
+        path of that echo's nonce, and some of them carry a spike."""
         net = _fresh()
-        seed = net._built.rtt_seed
-        path = net.forwarder.resolve_path(
-            net.vantage_address, net.universe_slash24s[0].first, 0, 1
+        dst = next(
+            addr
+            for s24 in net.universe_slash24s
+            for addr in net.active_addresses_in_slash24(s24)
+            if not net.allocations.pod_of(addr).cellular
         )
-        propagation = 2.0 * sum(router.latency_ms for router in path)
-        nonces = list(range(1, 1001))
-        jitter, flags, spike = rtt_draws_for_nonces(seed, nonces)
-        assert any(flags)  # 1000 draws at 1% spike probability
-        for index, nonce in enumerate(nonces):
-            rtt = propagation + HOST_LATENCY_MS + jitter[index]
-            if flags[index]:
-                rtt += spike[index]
-            assert rtt == path_rtt_ms(path, seed, nonce)
+        nonce = net._nonce
+        rtts = ping(Prober(net), dst, count=1000).rtts_ms
+        seed = net._built.rtt_seed
+        spiked = 0
+        for index, rtt in enumerate(rtts):
+            if rtt is None:
+                continue
+            nonce_i = nonce + index + 1
+            path = oracle.resolve_path(
+                net.forwarder, net.vantage_address, dst, 0, nonce_i
+            )
+            assert rtt == path_rtt_ms(path, seed, nonce_i)
+            spiked += mix_to_unit(seed ^ rtt_model._SPIKE, nonce_i) < (
+                rtt_model.SPIKE_PROBABILITY
+            )
+        assert spiked  # ~1,000 draws at 1% spike probability
 
 
 def _weighted(roll, weights):
@@ -295,9 +333,9 @@ DELTA_WEIGHTS = ((0, 0.7), (1, 0.2), (-1, 0.1))
 class TestHostHashes:
     """Each scalar host attribute hashes one shared state per seed,
     domain and address. It must equal the plain ``mix`` chain written
-    out here and its numpy twin. The parity suites cannot catch a
-    host-hash defect, because the engine and the oracle both call these
-    helpers."""
+    out here (and availability its numpy twin). The parity suites cannot
+    catch a host-hash defect, because the engine and the oracle both
+    call these helpers."""
 
     @settings(max_examples=300)
     @given(
@@ -351,10 +389,6 @@ class TestHostHashes:
             roll = mix_to_unit(seed ^ hostmod._TTL, addr, 0)
             ttl = _weighted(roll, TTL_WEIGHTS)
         assert hostmod.default_ttl(seed, addr, TTL_WEIGHTS, custom) == ttl
-        batch = hostmod.default_ttls_np(
-            seed, np.array([addr], dtype=np.uint64), TTL_WEIGHTS, custom
-        )
-        assert batch.tolist() == [ttl]
 
     @settings(max_examples=300)
     @given(seed=SEEDS, addr=ADDRESSES)
@@ -362,65 +396,79 @@ class TestHostHashes:
         roll = mix_to_unit(seed ^ hostmod._DELTA, addr)
         delta = _weighted(roll, DELTA_WEIGHTS)
         assert hostmod.reverse_path_delta(seed, addr, DELTA_WEIGHTS) == delta
-        batch = hostmod.reverse_path_deltas_np(
-            seed, np.array([addr], dtype=np.uint64), DELTA_WEIGHTS
-        )
-        assert batch.tolist() == [delta]
 
 
-# -- layer 4: the batched probe API ------------------------------------------
+# -- layer 4: probes sent through one probe mirror ----------------------------
 
 
-def _replies_equal(batch, serial):
-    assert len(batch) == len(serial)
-    for got, expected in zip(batch, serial):
-        if expected is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert got.kind == expected.kind
-            assert got.source == expected.source
-            assert got.ttl == expected.ttl
-            assert got.rtt_ms == expected.rtt_ms  # bitwise
+def _same_rtts(got, expected):
+    assert [None if rtt is None else rtt.hex() for rtt in got] == [
+        None if rtt is None else rtt.hex() for rtt in expected
+    ]
+
+
+def _end_state(net):
+    return (
+        net.clock_seconds, net._nonce, net.probe_count,
+        dict(net._radio._last_probe),
+    )
 
 
 class TestSendProbeBatch:
-    def _serial(self, net, dsts, ttl, flows, gap=0.0):
-        replies = []
-        for index, (dst, flow) in enumerate(zip(dsts, flows)):
-            if index and gap:
-                net.advance_clock(gap)
-            replies.append(net.send_probe(dst, ttl, flow))
-        return replies
+    """A batch of probes sent through one engine probe mirror, which
+    commits the state they advance once, against the reference sending
+    them one at a time: replies (RTTs by their bits) and end state."""
 
-    def _assert_batch_matches_serial(self, dsts, ttl, flows, gap=0.0):
-        batch_net, serial_net = _fresh(), _fresh()
-        batch = batch_net.send_probe_batch(
-            dsts, ttl, flows, inter_probe_seconds=gap
-        )
-        serial = self._serial(serial_net, dsts, ttl, flows, gap)
-        _replies_equal(batch, serial)
-        assert batch_net.clock_seconds == serial_net.clock_seconds
-        assert batch_net.probe_count == serial_net.probe_count
-        assert batch_net._nonce == serial_net._nonce
+    def _assert_pings_match(self, dsts, count):
+        shipped, reference = _fresh(), _fresh()
+        got = [
+            ping(Prober(shipped), dst, count).rtts_ms for dst in dsts
+        ]
+        expected = [
+            oracle.ping(Prober(reference), dst, count).rtts_ms
+            for dst in dsts
+        ]
+        for rtts, reference_rtts in zip(got, expected):
+            _same_rtts(rtts, reference_rtts)
+        assert _end_state(shipped) == _end_state(reference)
+        return got
 
     def test_host_sweep(self):
         net = _fresh()
         dsts = [addr for s24 in net.universe_slash24s[:4] for addr in s24]
-        self._assert_batch_matches_serial(dsts, 64, [0] * len(dsts))
+        got = self._assert_pings_match(dsts, 1)
+        assert sum(rtts[0] is not None for rtts in got) > 100
 
     def test_router_ttls(self):
-        net = _fresh()
-        dsts = [s24.first + 9 for s24 in net.universe_slash24s[:16]]
+        shipped, reference = _fresh(), _fresh()
+        dsts = _allocated(
+            shipped, [s24.first + 9 for s24 in shipped.universe_slash24s[:16]]
+        )
+        engine = FastCampaignEngine(shipped)
+        src = shipped.vantage_address
         for ttl in (1, 3, 6):
-            self._assert_batch_matches_serial(dsts, ttl, list(range(len(dsts))))
+            send, _, finish = engine._probe_mirror()
+            got = [
+                send(engine._program_for(dst, src), ttl, flow)
+                for flow, dst in enumerate(dsts)
+            ]
+            finish()
+            expected = []
+            for flow, dst in enumerate(dsts):
+                reply = oracle.send_probe(reference, dst, ttl, flow)
+                expected.append(
+                    None if reply is None
+                    else -1 if reply.is_echo else reply.source
+                )
+            assert got == expected
+            assert any(isinstance(address, int) and address > 0
+                       for address in got)
+        assert _end_state(shipped) == _end_state(reference)
 
     def test_ping_train_with_clock_gaps(self):
         net = _fresh()
         dst = net.universe_slash24s[0].first + 3
-        self._assert_batch_matches_serial(
-            [dst] * 20, 64, [7] * 20, gap=0.5
-        )
+        self._assert_pings_match([dst], 20)
 
     def test_unallocated_destinations_mixed_in(self):
         net = _fresh()
@@ -428,43 +476,29 @@ class TestSendProbeBatch:
             addr for addr in range(1, 1 << 24)
             if net.allocations.lookup(addr) is None
         )
-        dsts = [net.universe_slash24s[0].first, unallocated] * 8
-        self._assert_batch_matches_serial(dsts, 64, [0] * len(dsts))
-
-    def test_nonpositive_ttl_still_advances_clock(self):
-        self._assert_batch_matches_serial(
-            [1, 2, 3, 4, 5, 6], 0, [0] * 6
+        self._assert_pings_match(
+            [net.universe_slash24s[0].first, unallocated] * 8, 1
         )
-
-    def test_small_batch_takes_serial_path(self):
-        dsts = [0x0A000001] * (MIN_VECTOR_BATCH - 1)
-        self._assert_batch_matches_serial(dsts, 64, [0] * len(dsts))
-
-    def test_flow_ids_length_mismatch_raises(self):
-        net = _fresh()
-        with pytest.raises(ValueError, match="flow_ids"):
-            net.send_probe_batch([1, 2, 3], 64, [0, 1])
 
     def test_negative_gap_raises(self):
         net = _fresh()
         with pytest.raises(ValueError):
-            net.send_probe_batch([1, 2, 3, 4], 64, 0, None, -1.0)
+            net.advance_clock(-1.0)
 
     def test_reference_engine_never_batches(self, monkeypatch):
-        net = _reference(monkeypatch)
-        dsts = [s24.first for s24 in net.universe_slash24s[:8]]
-        net.send_probe_batch(dsts, 64)
-        assert net.stats()["probe_batches"] == 0
-        assert net.stats()["batched_probes"] == 0
+        """With the reference installed, ping never reaches the engine."""
+        oracle.install(monkeypatch, oracle.PROBER_CAMPAIGN)
+        net = _fresh()
+        ping(Prober(net), net.universe_slash24s[0].first, 8)
+        assert net.probe_count == 8
+        assert net.template_lookups == 0
 
     def test_stats_report_engine_counters(self):
         net = _fresh()
-        dsts = [addr for s24 in net.universe_slash24s[:2] for addr in s24]
-        net.send_probe_batch(dsts, 64)
+        ping(Prober(net), net.universe_slash24s[0].first, 8)
         stats = net.stats()
-        assert stats["probe_batches"] == 1
-        assert stats["batched_probes"] == len(dsts)
+        assert stats["probe_count"] == 8
+        assert net.template_lookups == 1
         assert stats["probe_seconds"] > 0.0
         assert stats["probe_us_avg"] > 0.0
-        assert stats["forwarder_cache_hits"] >= 0
         assert 0.0 <= stats["forwarder_cache_hit_rate"] <= 1.0

@@ -1,20 +1,21 @@
-"""Timing-attribution semantics of the probe engine.
+"""Timing-attribution semantics of the probe paths.
 
 ``probe_us_avg`` (``stats()``) divides ``probe_seconds`` by
-``probe_count``, so the two must be charged consistently: the serial
-path times each probe individually, while the vectorised batch path
-times the whole batch **once** in its ``finally`` — never per probe on
-top of per batch. A fixed-step fake ``perf_counter`` makes the
-attribution countable: every timed section costs exactly one step.
+``probe_count``, so the two must be charged consistently: the reference
+path (``tests/oracle.py``) times each probe individually, while the
+compiled engine times each probe mirror — a whole ping train, trace or
+/24 — **once** when it commits, never per probe on top of per mirror. A
+fixed-step fake ``perf_counter`` makes the attribution countable: every
+timed section costs exactly one step.
 """
 
 import types
 
 import pytest
 
+from repro.core.pipeline import ping
 from repro.netsim import SimulatedInternet, tiny_scenario
-from repro.netsim.internet import MIN_VECTOR_BATCH
-from repro.probing import scan
+from repro.probing import Prober, scan
 from tests import oracle
 
 STEP = 0.5
@@ -37,10 +38,9 @@ class FakeClock:
 @pytest.fixture()
 def fake_clock(monkeypatch):
     clock = FakeClock()
-    monkeypatch.setattr(
-        "repro.netsim.internet.time",
-        types.SimpleNamespace(perf_counter=clock.perf_counter),
-    )
+    fake_time = types.SimpleNamespace(perf_counter=clock.perf_counter)
+    monkeypatch.setattr("repro.core.fastengine.time", fake_time)
+    monkeypatch.setattr("tests.oracle.time", fake_time)
     return clock
 
 
@@ -49,62 +49,41 @@ def _internet():
 
 
 def _reference_internet(monkeypatch):
-    """An internet probing through the oracle's serial reference path
+    """An internet whose pings go through the oracle's object ping
     (installed for every simulator, until the test ends)."""
-    oracle.install(monkeypatch, oracle.PROBING)
+    oracle.install(monkeypatch, oracle.PROBER_CAMPAIGN)
     return _internet()
 
 
-def _probe_targets(internet, count):
+def _probe_target(internet):
     snapshot = scan(internet)
-    slash24 = snapshot.eligible_slash24s()[0]
-    actives = snapshot.active_in(slash24)
-    assert len(actives) >= count
-    return actives[:count]
+    return snapshot.active_in(snapshot.eligible_slash24s()[0])[0]
 
 
 class TestSerialAttribution:
     def test_each_probe_charged_once(self, fake_clock):
         internet = _internet()
-        targets = _probe_targets(internet, 6)
-        for dst in targets:
-            internet.send_probe(dst, 32)
+        dst = _probe_target(internet)
+        for _ in range(6):
+            oracle.send_probe(internet, dst, 32)
         assert internet.probe_count == 6
         assert internet.probe_seconds == pytest.approx(6 * STEP)
-        assert internet.probe_batches == 0
-        assert internet.batched_probes == 0
 
 
 class TestBatchedAttribution:
     def test_batch_charged_once_not_per_probe(self, fake_clock):
         internet = _internet()
-        targets = _probe_targets(internet, 8)
-        internet.send_probe_batch(targets, 32)
+        ping(Prober(internet), _probe_target(internet), 8)
         assert internet.probe_count == 8
-        # One timed section for the whole batch: a per-probe *and*
-        # per-batch double charge would read 8*STEP + STEP here.
+        # One timed section for the whole train: a per-probe *and*
+        # per-train double charge would read 8*STEP + STEP here.
         assert internet.probe_seconds == pytest.approx(STEP)
-        assert internet.probe_batches == 1
-        assert internet.batched_probes == 8
-
-    def test_small_batch_falls_back_to_per_probe_timing(self, fake_clock):
-        internet = _internet()
-        count = MIN_VECTOR_BATCH - 1
-        targets = _probe_targets(internet, count)
-        internet.send_probe_batch(targets, 32)
-        assert internet.probe_count == count
-        assert internet.probe_seconds == pytest.approx(count * STEP)
-        assert internet.probe_batches == 0
-        assert internet.batched_probes == 0
 
     def test_reference_engine_times_per_probe(self, fake_clock, monkeypatch):
         internet = _reference_internet(monkeypatch)
-        targets = _probe_targets(internet, 8)
-        internet.send_probe_batch(targets, 32)
+        ping(Prober(internet), _probe_target(internet), 8)
         assert internet.probe_count == 8
         assert internet.probe_seconds == pytest.approx(8 * STEP)
-        assert internet.probe_batches == 0
-        assert internet.batched_probes == 0
 
 
 class TestEngineTimingParity:
@@ -112,33 +91,30 @@ class TestEngineTimingParity:
         self, fake_clock, monkeypatch
     ):
         """Regression for the probe_us_avg attribution contract: both
-        engines count the same probes and produce the same replies; the
-        compiled engine attributes wall-clock per *batch* while the
-        reference engine attributes it per *probe*."""
+        paths count the same probes and produce the same RTTs; the
+        compiled engine attributes wall-clock per *mirror* while the
+        reference attributes it per *probe*."""
         compiled = _internet()
-        targets = _probe_targets(compiled, 8)
-        compiled_replies = compiled.send_probe_batch(targets, 32)
+        target = _probe_target(compiled)
+        compiled_rtts = ping(Prober(compiled), target, 8).rtts_ms
 
         reference = _reference_internet(monkeypatch)
-        reference_replies = reference.send_probe_batch(targets, 32)
+        reference_rtts = ping(Prober(reference), target, 8).rtts_ms
 
-        assert compiled_replies == reference_replies
+        assert compiled_rtts == reference_rtts
         assert compiled.probe_count == reference.probe_count == 8
-        assert compiled.probe_batches == 1
-        assert reference.probe_batches == 0
         assert compiled.probe_seconds == pytest.approx(STEP)
         assert reference.probe_seconds == pytest.approx(8 * STEP)
 
     def test_probe_us_avg_consistent_with_counters(self, fake_clock):
         internet = _internet()
-        targets = _probe_targets(internet, 8)
-        internet.send_probe_batch(targets, 32)
-        for dst in targets[:2]:
-            internet.send_probe(dst, 32)
+        target = _probe_target(internet)
+        ping(Prober(internet), target, 8)
+        for _ in range(2):
+            oracle.send_probe(internet, target, 32)
         stats = internet.stats()
         assert stats["probe_us_avg"] == pytest.approx(
             1e6 * internet.probe_seconds / internet.probe_count
         )
         assert stats["probe_count"] == 10
-        assert stats["probe_batches"] == 1
-        assert stats["batched_probes"] == 8
+        assert stats["probe_seconds"] == pytest.approx(3 * STEP)

@@ -1,17 +1,34 @@
-"""Tests for repro.netsim.routing — FIBs and the forwarder."""
+"""Tests for repro.netsim.routing — FIBs and the forwarder, walked by
+the compiled engine's route-template build and by the reference
+resolver (``tests/oracle.py``)."""
+
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.fastengine import (
+    _FIXED,
+    _T_PER_FLOW,
+    FastCampaignEngine,
+    RouteTemplateError,
+)
 from repro.net import Prefix, parse
 from repro.netsim.loadbalance import PerFlowBalancer, SingleNextHop
-from repro.netsim.routing import (
-    Fib,
-    Forwarder,
-    ForwardingError,
-    RouteEntry,
-)
+from repro.netsim.routing import Fib, Forwarder, RouteEntry
 from repro.netsim.topology import RouterRole, Topology
-from tests.oracle import fib_lookup
+from tests.oracle import ForwardingError, fib_lookup, resolve_path
+
+
+def _template(forwarder, dst):
+    """The route template the compiled engine builds towards ``dst``
+    (the build reads nothing of the simulator but its forwarder)."""
+    internet = SimpleNamespace(
+        forwarder=forwarder,
+        allocations=SimpleNamespace(revision=0),
+        _built=SimpleNamespace(host_seed=0, loss_seed=0),
+    )
+    slots, _, _ = FastCampaignEngine(internet)._build_template(dst)
+    return slots
 
 
 def _linear_topology():
@@ -77,16 +94,23 @@ class TestForwarder:
     def test_resolves_linear_path(self):
         topo, fibs, source, r1, r2 = _linear_topology()
         fwd = Forwarder(topo, fibs, source)
-        path = fwd.resolve_path(0, parse("10.0.0.5"), flow_id=0)
+        dst = parse("10.0.0.5")
+        path = resolve_path(fwd, 0, dst, flow_id=0)
         assert [r.router_id for r in path] == [
             source.router_id, r1.router_id, r2.router_id,
         ]
+        assert _template(fwd, dst) == tuple(
+            (_FIXED, (router.responds_to_ttl_exceeded, None, router.address))
+            for router in path
+        )
 
     def test_no_route_raises(self):
         topo, fibs, source, r1, r2 = _linear_topology()
         fwd = Forwarder(topo, fibs, source)
         with pytest.raises(ForwardingError):
-            fwd.resolve_path(0, parse("11.0.0.1"), flow_id=0)
+            resolve_path(fwd, 0, parse("11.0.0.1"), flow_id=0)
+        with pytest.raises(RouteTemplateError, match="no route"):
+            _template(fwd, parse("11.0.0.1"))
 
     def test_loop_detected(self):
         topo = Topology()
@@ -104,17 +128,22 @@ class TestForwarder:
         )
         fwd = Forwarder(topo, fibs, a)
         with pytest.raises(ForwardingError):
-            fwd.resolve_path(0, parse("10.0.0.1"), flow_id=0)
+            resolve_path(fwd, 0, parse("10.0.0.1"), flow_id=0)
+        with pytest.raises(RouteTemplateError, match="forwarding loop"):
+            _template(fwd, parse("10.0.0.1"))
 
     def test_path_caching(self):
+        """The reference resolver caches per (src, dst, flow) until the
+        forwarder replaces its compiled state."""
         topo, fibs, source, r1, r2 = _linear_topology()
         fwd = Forwarder(topo, fibs, source)
         dst = parse("10.0.0.5")
-        first = fwd.resolve_path(0, dst, flow_id=1)
-        assert fwd.cache_size == 1
-        assert fwd.resolve_path(0, dst, flow_id=1) is first
-        fwd.clear_cache()
-        assert fwd.cache_size == 0
+        first = resolve_path(fwd, 0, dst, flow_id=1)
+        assert resolve_path(fwd, 0, dst, flow_id=1) is first
+        fwd._reset_compiled_state()
+        again = resolve_path(fwd, 0, dst, flow_id=1)
+        assert again == first
+        assert again is not first
 
     def test_per_flow_branches(self):
         topo = Topology()
@@ -138,7 +167,12 @@ class TestForwarder:
         fwd = Forwarder(topo, fibs, source)
         dst = parse("10.0.0.9")
         middles = {
-            fwd.resolve_path(0, dst, flow_id=f)[1].router_id
+            resolve_path(fwd, 0, dst, flow_id=f)[1].router_id
             for f in range(50)
         }
         assert middles == {m1.router_id, m2.router_id}
+        choice = _template(fwd, dst)[1]
+        assert choice[0] == _T_PER_FLOW
+        assert [member[2] for member in choice[3]] == [
+            m1.address, m2.address,
+        ]

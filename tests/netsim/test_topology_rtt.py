@@ -1,5 +1,7 @@
 """Tests for the topology registry and the RTT model."""
 
+import math
+
 import pytest
 
 from repro.netsim.rtt import (
@@ -88,6 +90,18 @@ class TestRttModel:
         mean_short = sum(path_rtt_ms(short, 1, n) for n in range(64)) / 64
         mean_long = sum(path_rtt_ms(long, 1, n) for n in range(64)) / 64
         assert mean_long > mean_short + 50.0
+
+    def test_propagation_folds_left_to_right(self):
+        """0.1 + 0.2 + 0.3 folds to 0.6000000000000001, while a
+        compensated sum (builtin ``sum`` since Python 3.12, and
+        ``math.fsum``) gives 0.6. The RTT is defined by the fold."""
+        latencies = [0.1, 0.2, 0.3]
+        folded = (0.1 + 0.2) + 0.3
+        assert folded != math.fsum(latencies)
+        for nonce in range(8):
+            assert path_rtt_ms(self._path(latencies), 1, nonce) == (
+                path_rtt_ms(self._path([folded]), 1, nonce)
+            )
 
     def test_occasional_spikes(self):
         path = self._path([1.0])

@@ -1,45 +1,48 @@
 """Test oracle: the plain implementations the production code replaced.
 
-Production measures on one path: the compiled forwarding plane
-(:mod:`repro.netsim.routing`), batched probing
-(:meth:`repro.netsim.SimulatedInternet.send_probe_batch`) and the
-compiled campaign engine (:mod:`repro.core.fastengine`), which measures
-every /24 of every phase and traces every path-dataset destination. It
-aggregates on one path too: the similarity graph is a sparse incidence
-Gram product (:mod:`repro.aggregation.similarity`). Each of those claims
-bit-identity with a straightforward implementation; the parity suites
-compare against the implementations kept here:
+Production probes and measures on one path: the compiled engine
+(:mod:`repro.core.fastengine`), which flattens the forwarding plane into
+route templates and measures every /24 of every phase, traces every
+path-dataset destination and sends every ping. It aggregates on one
+path too: the similarity graph is a sparse incidence Gram product
+(:mod:`repro.aggregation.similarity`). Each of those claims bit-identity
+with a straightforward implementation; the parity suites compare
+against the implementations kept here.
 
-* ``forwarding`` — :func:`resolve_path`, which walks every FIB with a
-  longest-prefix match (:func:`fib_lookup`) per hop and caches paths
-  per ``(src, dst, flow_id)``;
+The probe-level reference is :func:`send_probe`: one probe at a time,
+its path resolved by :func:`resolve_path`, which walks every FIB with a
+longest-prefix match (:func:`fib_lookup`) per hop, and its reply an
+:class:`IcmpReply` (or None on timeout) carrying the RTT.
+:func:`probe` and :func:`echo_with_retries` send through it and count
+each probe in a ``Prober``'s stats.
+
+:func:`install` patches any subset of three parts through a pytest
+``monkeypatch``:
+
 * ``allocation`` — :func:`allocation_of`, which asks the allocation map
   directly instead of the simulator's compiled interval index;
-* ``serial`` — ``MIN_VECTOR_BATCH`` raised out of reach, so every
-  ``send_probe_batch`` loops over ``send_probe``;
 * ``campaign`` — :func:`prober_engine_for` in place of
   ``fast_engine_for``, so every per-/24 measurement that goes through
   :func:`repro.core.pipeline.measure` is made by the object classifier,
   :func:`measure_slash24` over :func:`identify_lasthops`, through a
   ``Prober``: the campaign's /24s and those of the confidence dataset,
   strict-het re-probing, cluster-validation reprobing, the termination
-  ablation and the vantage study; and every destination that goes
-  through :func:`repro.core.pipeline.enumerate_paths` (the path
-  dataset, the Section 2 studies) is traced by the object MDA,
+  ablation and the vantage study; every destination that goes through
+  :func:`repro.core.pipeline.enumerate_paths` (the path dataset, the
+  Section 2 studies) is traced by the object MDA,
   :func:`enumerate_paths` over :func:`paris_traceroute`, through a
-  ``Prober``. That MDA is a path-level formulation: it traces with
-  varied flow ids until the stopping rule says no further route is
-  likely to exist, each trace keeping its flow id fixed (the Paris
-  traceroute discipline);
+  ``Prober``; and every :func:`repro.core.pipeline.ping` (the Section
+  5.2 RTT study) is the object :func:`ping`. That MDA is a path-level
+  formulation: it traces with varied flow ids until the stopping rule
+  says no further route is likely to exist, each trace keeping its
+  flow id fixed (the Paris traceroute discipline);
 * ``similarity`` — :func:`build_similarity_graph`, an inverted index
   plus per-pair dict accumulation, in place of the Gram product that
   :func:`repro.aggregation.run_aggregation` calls.
 
-:func:`install` patches any subset of the five through a pytest
-``monkeypatch``. The patches replace class attributes and module
-globals, so the worker processes a parallel campaign forks inherit
-them; every simulator in the process is affected until the patch is
-undone.
+The patches replace class attributes and module globals, so the worker
+processes a parallel campaign forks inherit them; every simulator in
+the process is affected until the patch is undone.
 
 :func:`weak_intra_cluster_fraction` is the whole-graph definition of the
 Section 6.4 sweep score, which the sweep folds from per-component counts.
@@ -58,19 +61,15 @@ dict in the same key order and leave the same ``events.renumber``
 count. Like the table build, it is called directly, not installed.
 :func:`scan_with_probes` is the probe-level form of the same snapshot,
 one echo (with retransmissions) per address through a ``Prober``.
-
-The object classifier, the object MDA and :func:`scan_with_probes` send
-one probe at a time with :func:`probe` and :func:`echo_with_retries`,
-which count each probe in the ``Prober``'s stats; production probes
-only in batches (``Prober.probe_batch``) or on the compiled engine.
 """
 
 from __future__ import annotations
 
 import random
-import sys
+import time
 import weakref
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import (
     Dict,
     FrozenSet,
@@ -87,7 +86,6 @@ import numpy as np
 
 import repro.aggregation.pipeline as aggregation_module
 import repro.core.pipeline as pipeline_module
-import repro.netsim.internet as internet_module
 from repro.aggregation import AggregatedBlock, WeightedGraph
 from repro.core.classifier import (
     Category,
@@ -95,6 +93,7 @@ from repro.core.classifier import (
     _closing_category,
 )
 from repro.core.confidence import ConfidenceTable
+from repro.core.fastengine import PING_FLOW, PING_INTERVAL_SECONDS
 from repro.core.grouping import (
     Observations,
     group_by_lasthop,
@@ -102,6 +101,7 @@ from repro.core.grouping import (
     union_lasthops,
 )
 from repro.core.hierarchy import groups_hierarchical
+from repro.core.pipeline import PING_COUNT, PingResult
 from repro.core.selection import meets_selection_criteria, round_robin_order
 from repro.core.termination import (
     ExhaustivePolicy,
@@ -112,68 +112,83 @@ from repro.net.trie import PrefixTrie
 from repro.net.prefix import Prefix
 from repro.netsim import hosts as hostmod
 from repro.netsim.allocation import Allocation
-from repro.netsim.icmp import IcmpReply, infer_hop_count
+from repro.netsim.icmp import infer_hop_count
 from repro.netsim.internet import SimulatedInternet
-from repro.netsim.routing import (
-    MAX_FORWARD_HOPS,
-    Fib,
-    Forwarder,
-    ForwardingError,
-    RouteEntry,
-)
+from repro.netsim.routing import Fib, Forwarder, RouteEntry
+from repro.netsim.rtt import path_rtt_ms
 from repro.netsim.topology import Router
+from repro.util.hashing import mix_to_unit
 from repro.probing.session import ECHO_TTL, Prober, ProbeStats
 from repro.probing.stopping import DEFAULT_CONFIDENCE, probes_required
 from repro.probing.traceroute import DEFAULT_MAX_TTL, Route
 from repro.probing.zmap import ActivitySnapshot
 
-#: The probe-level parts. A reference campaign also installs
-#: ``campaign``, because the compiled campaign engine reads the compiled
-#: FIBs directly instead of calling ``resolve_path``.
-PROBING = ("forwarding", "allocation", "serial")
-#: Every /24 of a campaign on the object Prober, over production probing.
+#: The allocation map in place of the simulator's compiled index.
+ALLOCATION = ("allocation",)
+#: Every /24, trace and ping of every phase on the object Prober.
 PROBER_CAMPAIGN = ("campaign",)
 #: The dict similarity builder in place of the Gram product.
 SIMILARITY = ("similarity",)
-PARTS = PROBING + PROBER_CAMPAIGN + SIMILARITY
+PARTS = ALLOCATION + PROBER_CAMPAIGN + SIMILARITY
 
-# FIB → (revision, trie of its entries), rebuilt when the FIB changes.
-_TRIES: "weakref.WeakKeyDictionary[Fib, Tuple[int, PrefixTrie]]" = (
-    weakref.WeakKeyDictionary()
-)
+#: Forwarding gives up after this many hops (loop guard).
+MAX_FORWARD_HOPS = 64
+
+
+class ForwardingError(RuntimeError):
+    """Raised when a packet cannot be forwarded (no route / loop)."""
+
+
+# FIB → (revision, trie of its entries, {dst: matched entry}), rebuilt
+# when the FIB changes.
+_TRIES: "weakref.WeakKeyDictionary[Fib, tuple]" = weakref.WeakKeyDictionary()
 
 
 def fib_lookup(fib: Fib, dst: int) -> Optional[RouteEntry]:
     """Longest-prefix match for a destination address, by descending a
-    radix trie of the FIB's entries."""
+    radix trie of the FIB's entries (once per destination and FIB
+    revision)."""
     memo = _TRIES.get(fib)
     if memo is None or memo[0] != fib.revision:
         trie: PrefixTrie[RouteEntry] = PrefixTrie()
         for entry in fib.entries():
             trie.insert(entry.prefix, entry)
-        memo = (fib.revision, trie)
+        memo = (fib.revision, trie, {})
         _TRIES[fib] = memo
-    match = memo[1].lookup(dst)
-    return match[1] if match else None
+    matches = memo[2]
+    if dst not in matches:
+        match = memo[1].lookup(dst)
+        matches[dst] = match[1] if match else None
+    return matches[dst]
+
+
+# Forwarder → (its compiled-state dict, {(src, dst, flow_id): path}).
+_PATHS: "weakref.WeakKeyDictionary[Forwarder, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def resolve_path(
     forwarder: Forwarder, src: int, dst: int, flow_id: int, nonce: int = 0
 ) -> Tuple[Router, ...]:
-    """The trie-walking form of :meth:`Forwarder.resolve_path`.
+    """Router sequence from the vantage gateway to the last-hop router
+    for ``dst`` (inclusive of both), walking every FIB's trie.
 
-    Paths are cached per ``(src, dst, flow_id)`` in the forwarder's
-    flow cache, so ``clear_cache`` and a routing shift drop them like
-    the compiled plane's; a path through a per-packet balancer is never
-    cached.
+    Paths are cached per ``(src, dst, flow_id)``; the cache is dropped
+    when the forwarder replaces its compiled state (a routing shift, or
+    a FIB that changed under it). A path through a per-packet balancer
+    is never cached. Raises :class:`ForwardingError` if no route exists
+    or a loop is detected.
     """
+    memo = _PATHS.get(forwarder)
+    if memo is None or memo[0] is not forwarder._compiled:
+        memo = (forwarder._compiled, {})
+        _PATHS[forwarder] = memo
+    paths = memo[1]
     cache_key = (src, dst, flow_id)
-    if forwarder.cache_enabled:
-        cached = forwarder._flow_cache.get(cache_key)
-        if cached is not None:
-            forwarder.cache_hits += 1
-            return cached
-    forwarder.cache_misses += 1
+    cached = paths.get(cache_key)
+    if cached is not None:
+        return cached
     path = []
     cacheable = True
     router = forwarder.source_router
@@ -189,8 +204,8 @@ def resolve_path(
             )
         if entry.delivers:
             result = tuple(path)
-            if forwarder.cache_enabled and cacheable:
-                forwarder._flow_cache[cache_key] = result
+            if cacheable:
+                paths[cache_key] = result
             return result
         if entry.selector.__class__.__name__ == "PerPacketBalancer":
             cacheable = False
@@ -207,12 +222,161 @@ def allocation_of(
     return internet.allocations.lookup(addr)
 
 
+class ReplyKind(Enum):
+    TTL_EXCEEDED = "ttl-exceeded"
+    ECHO_REPLY = "echo-reply"
+
+
+@dataclass(frozen=True)
+class IcmpReply:
+    """A reply observed by the prober.
+
+    ``source`` is the address the reply came from (a router interface for
+    TTL-exceeded, the destination for Echo Reply). ``ttl`` is the TTL
+    field observed *in the reply's own IP header* — for Echo Replies this
+    is what Section 3.4's hop-count inference reads. ``rtt_ms`` is the
+    round-trip time of the probe.
+    """
+
+    kind: ReplyKind
+    source: int
+    ttl: int
+    rtt_ms: float
+
+    @property
+    def is_echo(self) -> bool:
+        return self.kind is ReplyKind.ECHO_REPLY
+
+
+def stochastic_loss(
+    seed: int, probe_nonce: int, loss_probability: float
+) -> bool:
+    """Deterministic per-probe loss decision (True means the probe/reply
+    is lost). Keyed by a nonce so retransmissions fate-share nothing."""
+    if loss_probability <= 0.0:
+        return False
+    return mix_to_unit(seed, probe_nonce) < loss_probability
+
+
+def send_probe(
+    internet: SimulatedInternet,
+    dst: int,
+    ttl: int,
+    flow_id: int = 0,
+    source: Optional[int] = None,
+) -> Optional[IcmpReply]:
+    """Send one ICMP probe. Returns the reply, or None on timeout.
+
+    ``ttl`` is the probe's initial TTL; ``flow_id`` stands for the
+    header fields per-flow load balancers hash (what Paris traceroute
+    pins and MDA varies). ``source`` selects among the vantage host's
+    addresses (None: the default vantage). The probe advances the
+    clock, the nonce and the probe count, and its wall-clock time is
+    charged to ``internet.probe_seconds``.
+    """
+    started = time.perf_counter()
+    try:
+        internet.probe_count += 1
+        internet._nonce += 1
+        nonce = internet._nonce
+        internet.clock_seconds += internet.config.probe_clock_step_seconds
+        if ttl < 1:
+            return None
+        allocation = internet._allocation_of(dst)
+        if allocation is None:
+            return None
+        path = resolve_path(
+            internet.forwarder,
+            source if source is not None else internet.vantage_address,
+            dst, flow_id, nonce,
+        )
+        if ttl <= len(path):
+            return _router_reply(internet, path, ttl, nonce)
+        return _host_reply(internet, allocation, dst, path, nonce)
+    finally:
+        internet.probe_seconds += time.perf_counter() - started
+
+
+def _router_reply(
+    internet: SimulatedInternet, path, ttl: int, nonce: int
+) -> Optional[IcmpReply]:
+    router = path[ttl - 1]
+    if not router.responds_to_ttl_exceeded:
+        return None
+    if router.rate_limiter is not None:
+        internet._touched_limiters.add(router.rate_limiter)
+        events = internet.events
+        if events is not None:
+            allowed = router.rate_limiter.allow(
+                internet.clock_seconds,
+                events.storm_scale(router.address, internet.clock_seconds),
+            )
+        else:
+            allowed = router.rate_limiter.allow(internet.clock_seconds)
+        if not allowed:
+            return None
+    built = internet._built
+    if stochastic_loss(
+        built.loss_seed, nonce, internet.config.router_loss_probability
+    ):
+        return None
+    rtt = path_rtt_ms(path[:ttl], built.rtt_seed, nonce)
+    reply_ttl = max(0, 255 - ttl)
+    return IcmpReply(ReplyKind.TTL_EXCEEDED, router.address, reply_ttl, rtt)
+
+
+def _host_reply(
+    internet: SimulatedInternet,
+    allocation: Allocation,
+    dst: int,
+    path,
+    nonce: int,
+) -> Optional[IcmpReply]:
+    built = internet._built
+    config = internet.config
+    pod = allocation.pod
+    epoch = internet.current_epoch
+    events = internet.events
+    availability_key = dst
+    if events is not None:
+        if events.outage_active(pod, internet.clock_seconds):
+            return None
+        availability_key = events.availability_key(pod, dst, epoch)
+    if not hostmod.host_up_in_epoch(
+        built.host_seed, availability_key, epoch, pod.host_density,
+        pod.host_stability, pod.sleep_probability,
+    ):
+        return None
+    if stochastic_loss(
+        built.loss_seed, nonce, config.host_loss_probability
+    ):
+        return None
+    default = hostmod.default_ttl(
+        built.host_seed, dst, config.default_ttl_weights,
+        config.custom_ttl_probability,
+    )
+    delta = hostmod.reverse_path_delta(
+        built.host_seed, dst, config.reverse_delta_weights
+    )
+    reverse_len = max(1, len(path) + delta)
+    observed_ttl = max(0, default - reverse_len)
+    rtt = path_rtt_ms(path, built.rtt_seed, nonce)
+    if pod.cellular and internet._radio.promotion_applies(
+        dst, internet.clock_seconds
+    ):
+        low, high = pod.promotion_delay_range
+        rtt += 1000.0 * hostmod.promotion_delay_seconds(
+            built.host_seed, dst, low, high
+        )
+    return IcmpReply(ReplyKind.ECHO_REPLY, dst, observed_ttl, rtt)
+
+
 def probe(
     prober: Prober, dst: int, ttl: int, flow_id: int = 0
 ) -> Optional[IcmpReply]:
     """Send one probe through ``prober``, counting it in its stats;
     returns the reply or None on timeout."""
-    reply = prober.internet.send_probe(dst, ttl, flow_id, prober.source)
+    reply = send_probe(prober.internet, dst, ttl, flow_id, prober.source)
     stats = prober.stats
     stats.sent += 1
     if reply is not None:
@@ -298,10 +462,8 @@ def identify_lasthops(
     result.distance = distance
 
     # Step 3: enumerate routers at the last hop with the stopping rule.
-    # probes_required is nondecreasing in |seen|, so the serial loop
-    # would always send at least (required - sent) more probes before
-    # re-checking — each shortfall batches through the vectorised probe
-    # path with the exact flow/nonce sequence of the serial loop.
+    # probes_required is nondecreasing in |seen|, so the probes of each
+    # shortfall all go out before the requirement is checked again.
     seen: Set[int] = set()
     sent = 0
     answered_any = False
@@ -309,14 +471,8 @@ def identify_lasthops(
         required = probes_required(max(len(seen), 1), confidence)
         if sent >= required:
             break
-        replies = prober.probe_batch(
-            [dst] * (required - sent),
-            distance,
-            range(flow_seed + sent, flow_seed + required),
-        )
-        result.probes_used += required - sent
-        sent = required
-        for reply in replies:
+        for flow in range(flow_seed + sent, flow_seed + required):
+            reply = probe(prober, dst, distance, flow)
             if reply is None:
                 continue
             if reply.is_echo:
@@ -324,6 +480,8 @@ def identify_lasthops(
                 continue
             answered_any = True
             seen.add(reply.source)
+        result.probes_used += required - sent
+        sent = required
     result.lasthops = frozenset(seen)
     result.lasthop_unresponsive = not answered_any
     return result
@@ -543,10 +701,24 @@ def enumerate_paths(
     return result
 
 
+def ping(prober: Prober, addr: int, count: int = PING_COUNT) -> PingResult:
+    """:func:`repro.core.pipeline.ping`, one :func:`probe` per echo
+    request, with the clock advanced by the interval between them."""
+    internet = prober.internet
+    result = PingResult(addr=addr)
+    for index in range(count):
+        if index:
+            internet.advance_clock(PING_INTERVAL_SECONDS)
+        reply = probe(prober, addr, ECHO_TTL, PING_FLOW)
+        result.rtts_ms.append(reply.rtt_ms if reply is not None else None)
+    return result
+
+
 class ProberEngine:
     """Stands in for the compiled engine: measures each /24 with
-    :func:`measure_slash24` and traces each destination with
-    :func:`enumerate_paths`, through a ``Prober`` of its own."""
+    :func:`measure_slash24`, traces each destination with
+    :func:`enumerate_paths` and pings with :func:`ping`, through a
+    ``Prober`` of its own."""
 
     def __init__(self, internet: SimulatedInternet) -> None:
         self.internet = internet
@@ -583,6 +755,12 @@ class ProberEngine:
         )
         assert result.probes_used == prober.stats.sent
         return result.routes, result.reached, prober.stats
+
+    def ping(
+        self, dst: int, source: Optional[int], count: int
+    ) -> Tuple[List[Optional[float]], ProbeStats]:
+        prober = Prober(self.internet, source=source)
+        return ping(prober, dst, count).rtts_ms, prober.stats
 
 
 def prober_engine_for(internet) -> ProberEngine:
@@ -759,15 +937,9 @@ def install(monkeypatch, parts: Iterable[str] = PARTS) -> None:
     unknown = set(parts) - set(PARTS)
     if unknown:
         raise ValueError(f"unknown oracle parts {sorted(unknown)}")
-    if "forwarding" in parts:
-        monkeypatch.setattr(Forwarder, "resolve_path", resolve_path)
     if "allocation" in parts:
         monkeypatch.setattr(
             SimulatedInternet, "_allocation_of", allocation_of
-        )
-    if "serial" in parts:
-        monkeypatch.setattr(
-            internet_module, "MIN_VECTOR_BATCH", sys.maxsize
         )
     if "campaign" in parts:
         monkeypatch.setattr(

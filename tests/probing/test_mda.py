@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.pipeline import enumerate_paths
 from repro.net import Prefix
-from tests.oracle import identify_lasthops
+from tests.oracle import identify_lasthops, resolve_path
 
 
 def _addresses_of_pod(internet, snapshot, predicate, count=4):
@@ -83,8 +83,8 @@ class TestIdentifyLasthops:
         )
         result = identify_lasthops(prober, addrs[0])
         if result.usable:
-            path = internet.forwarder.resolve_path(
-                internet.vantage_address, addrs[0], 0
+            path = resolve_path(
+                internet.forwarder, internet.vantage_address, addrs[0], 0
             )
             assert path[-1].address in result.lasthops
 

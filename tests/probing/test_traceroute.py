@@ -4,7 +4,7 @@ route comparison."""
 import pytest
 
 from repro.probing import route_sets_share_route, routes_equal
-from tests.oracle import paris_traceroute
+from tests.oracle import paris_traceroute, resolve_path
 
 
 def _responsive_destination(internet, snapshot):
@@ -39,8 +39,8 @@ class TestParisTraceroute:
         dst = _responsive_destination(internet, snapshot)
         result = paris_traceroute(prober, dst, flow_id=3)
         if result.lasthop_address is not None:
-            path = internet.forwarder.resolve_path(
-                internet.vantage_address, dst, 3
+            path = resolve_path(
+                internet.forwarder, internet.vantage_address, dst, 3
             )
             assert result.lasthop_address == path[-1].address
 

@@ -12,7 +12,8 @@ from repro.netsim import SimulatedInternet
 from repro.netsim import internet as internet_module
 from repro.netsim.allocation import Allocation
 from repro.netsim.config import EventConfig, paper_scenario
-from repro.probing import ActivitySnapshot, Prober, ping, scan
+from repro.core.pipeline import ping
+from repro.probing import ActivitySnapshot, Prober, scan
 from tests import oracle
 
 #: The whole-pipeline benchmark's scenario scale.

@@ -15,7 +15,7 @@ from scipy import sparse
 from repro.aggregation import WeightedGraph, aggregate_identical, mcl
 from repro.aggregation.mcl import _normalize_columns
 from repro.core import round_robin_order
-from repro.net import Prefix, normalize, to_prefixes
+from repro.net import Prefix, to_prefixes
 from repro.probing import probes_required
 
 addresses = st.integers(min_value=0, max_value=(1 << 32) - 1)
@@ -43,25 +43,14 @@ class TestToPrefixesMinimality:
     @settings(max_examples=80)
     @given(addresses, st.integers(min_value=0, max_value=4095))
     def test_normalize_of_result_is_identity(self, first, span):
+        """The result is already in normal form: sorted, and covering
+        exactly [first, last] with no gap or overlap."""
         last = min(first + span, (1 << 32) - 1)
         result = to_prefixes(first, last)
-        assert normalize(result) == sorted(result)
-
-
-class TestNormalizeIdempotent:
-    @settings(max_examples=60)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=(1 << 16) - 1),
-                st.integers(min_value=16, max_value=32),
-            ).map(lambda t: Prefix.of(t[0] << 16, t[1])),
-            max_size=20,
-        )
-    )
-    def test_idempotent(self, prefixes):
-        once = normalize(prefixes)
-        assert normalize(once) == once
+        assert result == sorted(result)
+        assert (result[0].first, result[-1].last) == (first, last)
+        for left, right in zip(result, result[1:]):
+            assert left.last + 1 == right.first
 
 
 class TestMclInvariants:
