@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..net.prefix import Prefix
 from ..netsim.internet import SimulatedInternet
 from ..obs.metrics import MetricsRegistry, current_metrics
@@ -268,15 +270,16 @@ _WORKER_KILL_ENV = "REPRO_WORKER_KILL"
 def _measure_chunk(
     internet: SimulatedInternet,
     policy: TerminationPolicy | ReprobePolicy,
-    chunk: List[Tuple[str, List[int]]],
+    chunk: List[Tuple[str, np.ndarray]],
     seed: int,
     clock_base: float,
     max_destinations: Optional[int],
 ) -> List[Tuple[Slash24Measurement, ProbeStats]]:
-    """Measure a chunk of ``(prefix text, active list)`` pairs in order."""
+    """Measure a chunk of ``(prefix text, snapshot slice)`` pairs in
+    order."""
     return [
         _measure_in_context(
-            internet, policy, Prefix.parse(text), active,
+            internet, policy, Prefix.parse(text), active.tolist(),
             seed, clock_base, max_destinations,
         )
         for text, active in chunk
@@ -290,8 +293,8 @@ def _worker_main(
     inherited: List[Connection],
 ) -> None:
     """One worker process: measure each chunk the parent sends and send
-    back its results with the engine and event counter deltas they cost;
-    exit on ``None``.
+    back its results with the engine, route-template and event counter
+    deltas they cost; exit on ``None``.
 
     The deltas travel with their chunk so that a chunk lost with a dead
     worker costs its counters too, and the chunk measured again in its
@@ -315,7 +318,10 @@ def _worker_main(
         chunk = link.recv()
         if chunk is None:
             return
-        seconds_base = internet.probe_seconds
+        base = (
+            internet.probe_seconds, internet.template_lookups,
+            internet.template_builds,
+        )
         events_base = events.counter_snapshot() if events is not None else None
         done = _measure_chunk(
             internet, policy, chunk, seed, clock_base, max_destinations
@@ -327,7 +333,9 @@ def _worker_main(
             os.kill(os.getpid(), signal.SIGKILL)
         link.send((
             done,
-            internet.probe_seconds - seconds_base,
+            internet.probe_seconds - base[0],
+            internet.template_lookups - base[1],
+            internet.template_builds - base[2],
             events.counter_deltas(events_base) if events is not None else {},
         ))
 
@@ -374,14 +382,16 @@ def _run_parallel(
     workers: int,
     registry: MetricsRegistry,
     cache=None,
+    keys: Optional[Dict[Prefix, str]] = None,
     progress: Optional[ProgressReporter] = None,
 ) -> Dict[Prefix, Tuple[Slash24Measurement, ProbeStats]]:
     """Measure the pending /24s on ``workers`` worker processes.
 
-    Each returned chunk is recorded in ``cache`` (when bound) as it
-    arrives, with the serial loop's group commits; the caller commits
-    the rest. The workers' probes, engine timing and event activity are
-    folded into ``internet``, so its counters match the serial run's.
+    Each returned chunk is recorded in ``cache`` (when bound) under the
+    /24s' ``keys`` as it arrives, with the serial loop's group commits;
+    the caller commits the rest. The workers' probes, engine timing,
+    route-template lookups and event activity are folded into
+    ``internet``, so its counters match the serial run's.
 
     Returns every pending /24's (measurement, probe stats). Raises
     :class:`_ParallelUnavailable` when the simulator or policy cannot
@@ -418,16 +428,14 @@ def _run_parallel(
     queue = deque(range(chunk_count))
     fresh: Dict[Prefix, Tuple[Slash24Measurement, ProbeStats]] = {}
 
-    def wire(index: int) -> List[Tuple[str, List[int]]]:
-        return [(str(p), snapshot.active_in(p)) for p in chunks[index]]
+    def wire(index: int) -> List[Tuple[str, np.ndarray]]:
+        return [(str(p), snapshot.addresses_in(p)) for p in chunks[index]]
 
     def record(index: int, done) -> None:
         for slash24, (measurement, stats) in zip(chunks[index], done):
             fresh[slash24] = (measurement, stats)
             if cache is not None:
-                cache.record(
-                    slash24, snapshot.active_in(slash24), measurement, stats
-                )
+                cache.record(slash24, keys[slash24], measurement, stats)
         if progress is not None:
             progress.update(progress.total - len(pending) + len(fresh))
 
@@ -476,7 +484,9 @@ def _run_parallel(
             for link in wait(list(busy)):
                 index = busy.pop(link)
                 try:
-                    done, seconds, event_deltas = link.recv()
+                    done, seconds, lookups, builds, event_deltas = (
+                        link.recv()
+                    )
                 except (EOFError, OSError):
                     queue.appendleft(index)
                     lost += 1
@@ -486,6 +496,8 @@ def _run_parallel(
                 # counters and event schedule count the whole campaign.
                 internet.probe_count += sum(stats.sent for _, stats in done)
                 internet.probe_seconds += seconds
+                internet.template_lookups += lookups
+                internet.template_builds += builds
                 if internet.events is not None:
                     internet.events.add_counter_deltas(event_deltas)
                 record(index, done)
@@ -647,13 +659,17 @@ def _run_campaign_observed(
     cache_base = (cache.hits, cache.misses) if cache is not None else None
     cached: Dict[Prefix, Tuple[Slash24Measurement, ProbeStats]] = {}
     pending: List[Prefix] = []
+    # Store key of each pending /24, reused when it is recorded.
+    keys: Dict[Prefix, str] = {}
     if cache is not None:
         for slash24 in slash24s:
-            hit = cache.lookup(slash24, snapshot.active_in(slash24))
+            key = cache.key_for(slash24, snapshot.addresses_in(slash24))
+            hit = cache.lookup(slash24, key)
             if hit is not None:
                 cached[slash24] = hit
             else:
                 pending.append(slash24)
+                keys[slash24] = key
     else:
         pending = slash24s
     progress = (
@@ -670,7 +686,7 @@ def _run_campaign_observed(
                 fresh = _run_parallel(
                     internet, policy, pending, snapshot, seed,
                     clock_base, max_destinations_per_slash24, workers,
-                    registry, cache=cache, progress=progress,
+                    registry, cache=cache, keys=keys, progress=progress,
                 )
                 registry.count("campaign.parallel")
             except _ParallelUnavailable as fallback:
@@ -692,8 +708,7 @@ def _run_campaign_observed(
                     )
                 if cache is not None:
                     cache.record(
-                        slash24, snapshot.active_in(slash24),
-                        measurement, measure_stats,
+                        slash24, keys[slash24], measurement, measure_stats
                     )
             stats.merge(measure_stats)
             registry.count("campaign.slash24s")

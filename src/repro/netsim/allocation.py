@@ -203,14 +203,14 @@ class AllocationMap:
         """Allocations at or below a prefix (plus an enclosing one, if the
         prefix is inside a coarser allocation)."""
         items, nets = self._sorted_items()
-        low = bisect_left(nets, prefix.network)
         last = prefix.last
-        found = []
-        for stored, allocation in items[low:]:
-            if stored.network > last:
-                break
-            if stored.last <= last:
-                found.append(allocation)
+        found = [
+            allocation
+            for stored, allocation in items[
+                bisect_left(nets, prefix.network):bisect_right(nets, last)
+            ]
+            if stored.last <= last
+        ]
         if not found:
             enclosing = self.lookup(prefix.network)
             if enclosing is not None and enclosing.prefix.contains_prefix(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,9 +45,19 @@ _BITCOIN = stable_string_hash("bitcoin-node")
 BITCOIN_NODE_PROBABILITY = 0.004
 
 #: Addresses hashed per numpy pass of :meth:`SimulatedInternet.
-#: active_addresses` (256 /24s): large enough that per-call overhead
-#: vanishes, small enough that the sweep's temporaries stay a few MiB.
-SWEEP_CHUNK_ADDRESSES = 1 << 16
+#: active_addresses` (64 /24s): large enough that per-call overhead
+#: vanishes, small enough that the pass's temporaries stay about 1 MiB.
+#: At scale 0.25 the sweep ran faster in chunks of 16,384 addresses
+#: than of 65,536, and at paper-smoke scale it took 4 MiB less memory.
+SWEEP_CHUNK_ADDRESSES = 1 << 14
+
+#: The most active addresses the sweep reserves room for up front: just
+#: over 32 MiB, so that glibc maps the buffer on its own (mmap), and it
+#: grows and shrinks in place (mremap) without its data being copied.
+SWEEP_RESERVE_ADDRESSES = (1 << 23) + 1
+
+#: How the sweep stores an active address: four bytes, little-endian.
+ADDRESS_DTYPE = np.dtype("<u4")
 
 
 class SimulatedInternet:
@@ -190,36 +200,68 @@ class SimulatedInternet:
     def active_addresses_in_slash24(
         self, slash24: Prefix, epoch: Optional[int] = None
     ) -> List[int]:
-        """All addresses of one /24 that are up in ``epoch``."""
-        return self.active_addresses([slash24], epoch).get(
-            slash24.network, []
-        )
+        """All addresses of one /24 that are up in ``epoch``, sorted."""
+        return self.active_addresses([slash24], epoch)[2].tolist()
 
     def active_addresses(
         self, slash24s: Iterable[Prefix], epoch: Optional[int] = None
-    ) -> Dict[int, List[int]]:
-        """Vectorised sweep: /24 network → addresses up in ``epoch``.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorised sweep of the addresses up in ``epoch``, columnar.
 
-        Only /24s with an active address appear, in input order. Each
-        chunk of at most :data:`SWEEP_CHUNK_ADDRESSES` addresses is
+        Returns ``(networks, offsets, addresses)``: the networks
+        (uint32) of the /24s with an active address, in network order
+        and each once, however often ``slash24s`` names it; and
+        ``addresses[offsets[i]:offsets[i + 1]]`` (:data:`ADDRESS_DTYPE`),
+        the sorted active addresses of ``networks[i]``.
+
+        Each chunk of at most :data:`SWEEP_CHUNK_ADDRESSES` addresses is
         hashed in one :func:`hosts.hosts_up_in_epoch_np` call over the
         allocation spans of its /24s, with each span's pod parameters
-        repeated per address, and the kept addresses are split back per
-        /24 with ``searchsorted``.
+        repeated per address. The kept addresses go straight into one
+        buffer, so the sweep builds no per-/24 list and never copies
+        the address array whole. The buffer has room for every address
+        of the /24s, up to :data:`SWEEP_RESERVE_ADDRESSES`; the pages it
+        never writes cost no memory, and it is cut to size at the end.
         """
         if epoch is None:
             epoch = self.current_epoch
-        slash24s = list(slash24s)
+        networks = np.unique(np.fromiter(
+            (slash24.network for slash24 in slash24s), dtype=np.uint32
+        ))
+        counts = np.zeros(len(networks), dtype=np.int64)
+        addresses = np.empty(
+            min(256 * len(networks), SWEEP_RESERVE_ADDRESSES),
+            dtype=ADDRESS_DTYPE,
+        )
+        used = 0
         per_chunk = SWEEP_CHUNK_ADDRESSES // 256
-        result: Dict[int, List[int]] = {}
-        for start in range(0, len(slash24s), per_chunk):
-            self._sweep_chunk(slash24s[start:start + per_chunk], epoch, result)
-        return result
+        for start in range(0, len(networks), per_chunk):
+            chunk = [
+                Prefix(network, 24)
+                for network in networks[start:start + per_chunk].tolist()
+            ]
+            active, chunk_counts = self._sweep_chunk(chunk, epoch)
+            counts[start:start + len(chunk)] = chunk_counts
+            if used + len(active) > len(addresses):
+                # Growing zero-fills the new room, so grow by an eighth.
+                addresses.resize(
+                    max(used + len(active), len(addresses) * 9 // 8),
+                    refcheck=False,
+                )
+            addresses[used:used + len(active)] = active
+            used += len(active)
+        addresses.resize(used, refcheck=False)
+        present = counts > 0
+        offsets = np.zeros(int(np.count_nonzero(present)) + 1, dtype=np.int64)
+        np.cumsum(counts[present], out=offsets[1:])
+        return networks[present], offsets, addresses
 
     def _sweep_chunk(
-        self, chunk: List[Prefix], epoch: int, result: Dict[int, List[int]]
-    ) -> None:
-        """Sweep one chunk of :meth:`active_addresses` into ``result``."""
+        self, chunk: List[Prefix], epoch: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Sweep one chunk of :meth:`active_addresses`: its active
+        addresses, /24 by /24 and sorted within each, and how many each
+        of its /24s has."""
         firsts: List[int] = []
         sizes: List[int] = []
         owners: List[int] = []
@@ -242,7 +284,10 @@ class SimulatedInternet:
                 owners.append(index)
                 pods.append(allocation.pod)
         if not sizes:
-            return
+            return (
+                np.empty(0, dtype=np.uint64),
+                np.zeros(len(chunk), dtype=np.int64),
+            )
         span_sizes = np.array(sizes, dtype=np.int64)
         ends = np.cumsum(span_sizes)
         starts = ends - span_sizes
@@ -269,18 +314,14 @@ class SimulatedInternet:
             per_address([pod.host_stability for pod in pods]),
             per_address([pod.sleep_probability for pod in pods]),
         )
-        kept = addrs[mask].tolist()
+        active = addrs[mask]
         owner_of = np.repeat(np.array(owners, dtype=np.int64), span_sizes)
-        bounds = np.searchsorted(
-            owner_of[mask], np.arange(len(chunk) + 1)
-        ).tolist()
-        for index, slash24 in enumerate(chunk):
-            active = kept[bounds[index]:bounds[index + 1]]
-            if not active:
-                continue
-            if index in unordered:
-                active.sort()
-            result[slash24.network] = active
+        counts = np.bincount(owner_of[mask], minlength=len(chunk))
+        if unordered:
+            ends = np.cumsum(counts)
+            for index in unordered:
+                active[ends[index] - counts[index]:ends[index]].sort()
+        return active, counts
 
     # -- dynamic events ------------------------------------------------------
 

@@ -10,56 +10,147 @@ footnote).
 
 :func:`scan` asks the simulator's host model directly
 (:meth:`SimulatedInternet.active_addresses`), hashing the allocation
-spans of 256 /24s at a time in one vectorised pass, so it scales to
-multi-million-address universes.
+spans of 64 /24s at a time in one vectorised pass, so it scales to
+multi-million-address universes. The snapshot it returns is columnar:
+four bytes per active address, in one array, and no Python object per
+address or per /24.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..net.addr import slash24_of
 from ..net.prefix import Prefix
-from ..netsim.internet import SimulatedInternet
+from ..netsim.internet import ADDRESS_DTYPE, SimulatedInternet
 
 
-@dataclass
+@dataclass(eq=False)
 class ActivitySnapshot:
-    """Result of a full-universe echo scan at one epoch."""
+    """Result of a full-universe echo scan at one epoch.
+
+    ``addresses[offsets[i]:offsets[i + 1]]`` are the active addresses of
+    the /24 ``networks[i]``, sorted. Only /24s with an active address
+    appear, each once, in network order.
+    """
 
     epoch: int
-    #: /24 network address → sorted list of active addresses within it.
-    active_by_slash24: Dict[int, List[int]] = field(default_factory=dict)
+    #: Networks of the /24s with an active address, increasing (uint32).
+    networks: np.ndarray
+    #: Where each /24's addresses start, plus their total (int64).
+    offsets: np.ndarray
+    #: Every active address, /24 by /24 (``<u4``: the bytes the store's
+    #: active-list fingerprint hashes).
+    addresses: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.networks = np.ascontiguousarray(self.networks, dtype=np.uint32)
+        self.offsets = np.ascontiguousarray(self.offsets, dtype=np.int64)
+        self.addresses = np.ascontiguousarray(
+            self.addresses, dtype=ADDRESS_DTYPE
+        )
+        sizes = np.diff(self.offsets)
+        # Lookups bisect ``networks``, and eligibility reduces each
+        # /24's run of addresses, which must not be empty.
+        if (
+            len(self.offsets) != len(self.networks) + 1
+            or self.offsets[0] != 0
+            or self.offsets[-1] != len(self.addresses)
+            or not np.all(sizes > 0)
+            or not np.all(self.networks[1:] > self.networks[:-1])
+        ):
+            raise ValueError(
+                "an activity snapshot needs increasing networks and one "
+                "non-empty run of addresses per network"
+            )
+
+    @classmethod
+    def from_lists(
+        cls, epoch: int, lists: Mapping[int, Sequence[int]]
+    ) -> "ActivitySnapshot":
+        """The snapshot of per-/24 active lists, keyed by /24 network in
+        any order; each list is sorted, and empty lists are dropped."""
+        kept = sorted(network for network, active in lists.items() if active)
+        actives = [sorted(lists[network]) for network in kept]
+        networks = np.array(kept, dtype=np.uint32)
+        offsets = np.zeros(len(kept) + 1, dtype=np.int64)
+        np.cumsum([len(active) for active in actives], out=offsets[1:])
+        addresses = np.array(
+            [addr for active in actives for addr in active],
+            dtype=ADDRESS_DTYPE,
+        )
+        if np.any(
+            addresses & np.uint32(0xFFFFFF00)
+            != np.repeat(networks, np.diff(offsets))
+        ):
+            raise ValueError("an active address lies outside its /24")
+        return cls(epoch, networks, offsets, addresses)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ActivitySnapshot):
+            return NotImplemented
+        return self.epoch == other.epoch and all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in (
+                (self.networks, other.networks),
+                (self.offsets, other.offsets),
+                (self.addresses, other.addresses),
+            )
+        )
 
     @property
     def total_active(self) -> int:
-        return sum(len(v) for v in self.active_by_slash24.values())
+        return len(self.addresses)
 
     @property
     def slash24_count(self) -> int:
-        return len(self.active_by_slash24)
+        return len(self.networks)
+
+    def _bounds(self, network: int) -> Tuple[int, int]:
+        """Start and end of ``network``'s addresses (equal when none)."""
+        # Bisect memoryviews, whose items are Python ints: a lookup
+        # through numpy scalars costs several times as much, and the
+        # campaign makes one per /24.
+        networks = memoryview(self.networks)
+        index = bisect_left(networks, network)
+        if index == len(networks) or networks[index] != network:
+            return 0, 0
+        offsets = memoryview(self.offsets)
+        return offsets[index], offsets[index + 1]
+
+    def addresses_in(self, slash24: Prefix) -> np.ndarray:
+        """The /24's active addresses, a ``<u4`` view of the snapshot."""
+        start, end = self._bounds(slash24.network)
+        return self.addresses[start:end]
 
     def active_in(self, slash24: Prefix) -> List[int]:
-        return list(self.active_by_slash24.get(slash24.network, ()))
+        """The /24's active addresses, sorted, as a new list."""
+        start, end = self._bounds(slash24.network)
+        return self.addresses[start:end].tolist()
 
     def is_active(self, addr: int) -> bool:
-        block = self.active_by_slash24.get(slash24_of(addr))
-        if not block:
-            return False
-        # Blocks are short (≤256); linear scan is fine.
-        return addr in block
+        start, end = self._bounds(slash24_of(addr))
+        index = bisect_left(self.addresses, addr, start, end)
+        return index < end and int(self.addresses[index]) == addr
 
     def eligible_slash24s(self, min_active: int = 4) -> List[Prefix]:
         """/24s meeting the Hobbit selection criteria (Section 2.1/3.3):
         at least ``min_active`` active addresses, with at least one in
         each of the four /26s."""
+        # Bits 6-7 of the last octet name the address's /26; the last
+        # octet is byte 0 of a little-endian address. Each /24 ORs one
+        # bit per /26 it has an address in.
+        last_octets = self.addresses.view(np.uint8)[::4]
+        quarters = np.bitwise_or.reduceat(
+            np.left_shift(np.uint8(1), last_octets >> 6), self.offsets[:-1]
+        )
+        eligible = (np.diff(self.offsets) >= min_active) & (quarters == 0xF)
         return [
-            Prefix(network, 24)
-            for network, actives in sorted(self.active_by_slash24.items())
-            if len(actives) >= min_active
-            # Bits 6-7 of the last octet name the address's /26.
-            and len({addr & 0xC0 for addr in actives}) == 4
+            Prefix(network, 24) for network in self.networks[eligible].tolist()
         ]
 
 
@@ -73,8 +164,4 @@ def scan(
         epoch = internet.config.snapshot_epoch
     if slash24s is None:
         slash24s = internet.universe_slash24s
-    return ActivitySnapshot(
-        epoch=epoch,
-        active_by_slash24=internet.active_addresses(slash24s, epoch),
-    )
-
+    return ActivitySnapshot(epoch, *internet.active_addresses(slash24s, epoch))

@@ -83,13 +83,16 @@ class CampaignCache:
         return cls(store, campaign)
 
     def key_for(self, slash24: Prefix, active: Sequence[int]) -> str:
+        """The store key of ``slash24`` with snapshot active addresses
+        ``active`` (a list, or the snapshot's ``<u4`` slice)."""
         return measurement_key(self.campaign, slash24, active)
 
     def lookup(
-        self, slash24: Prefix, active: Sequence[int]
+        self, slash24: Prefix, key: str
     ) -> Optional[Tuple[Slash24Measurement, ProbeStats]]:
-        """The /24's cached (measurement, probe stats), if stored."""
-        document = self.store.get(self.key_for(slash24, active))
+        """The /24's cached (measurement, probe stats) under its
+        :meth:`key_for` key, if stored."""
+        document = self.store.get(key)
         if document is None or document.get("kind") != KIND_SLASH24:
             self.misses += 1
             return None
@@ -108,15 +111,14 @@ class CampaignCache:
     def record(
         self,
         slash24: Prefix,
-        active: Sequence[int],
+        key: str,
         measurement: Slash24Measurement,
         stats: ProbeStats,
     ) -> None:
-        """Buffer one freshly measured /24 for the next commit; every
-        :data:`COMMIT_EVERY` buffered /24s are committed here."""
-        document = slash24_record(
-            self.key_for(slash24, active), self.campaign, measurement, stats
-        )
+        """Buffer one freshly measured /24 under its :meth:`key_for` key
+        for the next commit; every :data:`COMMIT_EVERY` buffered /24s are
+        committed here."""
+        document = slash24_record(key, self.campaign, measurement, stats)
         self._pending.append((document, slash24, stats.sent))
         if len(self._pending) >= COMMIT_EVERY:
             self.commit()

@@ -21,8 +21,9 @@ up with them, and an older store is refused rather than missed.
 from __future__ import annotations
 
 import hashlib
-import struct
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from ..core.confidence import ConfidenceTable
 from ..core.termination import ExhaustivePolicy, ReprobePolicy, TerminationPolicy
@@ -99,8 +100,10 @@ def campaign_fingerprint(
 
 
 def active_list_fingerprint(active: Sequence[int]) -> int:
-    """64-bit hash of one /24's snapshot active-address list."""
-    packed = struct.pack(f"<{len(active)}I", *active)
+    """64-bit hash of one /24's snapshot active addresses: a list of
+    ints, or the snapshot's ``<u4`` slice, whose bytes are hashed as
+    they are."""
+    packed = np.asarray(active, dtype="<u4")
     return int.from_bytes(
         hashlib.blake2b(packed, digest_size=8).digest(), "little"
     )

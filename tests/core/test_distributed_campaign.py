@@ -54,10 +54,14 @@ def selection():
 
 @pytest.fixture(scope="module")
 def serial_state(selection):
-    """(result, clock, probe_count) of the uninterrupted serial run."""
+    """(result, clock, probe_count, route-template lookups) of the
+    uninterrupted serial run."""
     internet, snapshot = _fresh_internet()
     result = _run(internet, snapshot, selection)
-    return result, internet.clock_seconds, internet.probe_count
+    return (
+        result, internet.clock_seconds, internet.probe_count,
+        internet.template_lookups,
+    )
 
 
 def _bound_cache(store, internet, clock_base):
@@ -74,7 +78,9 @@ class TestWorkerDeathRecovery:
         """Kill worker 0 after its first chunk: a surviving worker
         measures that chunk again, and everything the serial run would
         have produced is reproduced exactly."""
-        serial_result, serial_clock, serial_probes = serial_state
+        serial_result, serial_clock, serial_probes, serial_lookups = (
+            serial_state
+        )
         monkeypatch.setenv("REPRO_WORKER_KILL", "0:1")
         internet, snapshot = _fresh_internet()
         registry = MetricsRegistry()
@@ -88,6 +94,8 @@ class TestWorkerDeathRecovery:
         assert result.probes_used == serial_result.probes_used
         assert internet.clock_seconds == serial_clock
         assert internet.probe_count == serial_probes
+        # The lost chunk's route-template lookups went with it.
+        assert internet.template_lookups == serial_lookups
         # The death was not silent: the worker is reported lost, and a
         # live worker, not the parent, measured its chunk again.
         assert registry.counter_value(
@@ -137,7 +145,9 @@ class TestWorkerDeathRecovery:
         """Every worker dies: nobody is left to take the chunks, so the
         parent measures the rest itself and the campaign still
         completes, bit-identical."""
-        serial_result, serial_clock, serial_probes = serial_state
+        serial_result, serial_clock, serial_probes, serial_lookups = (
+            serial_state
+        )
         monkeypatch.setenv("REPRO_WORKER_KILL", "0:1,1:1")
         internet, snapshot = _fresh_internet()
         registry = MetricsRegistry()
@@ -154,13 +164,15 @@ class TestWorkerDeathRecovery:
         assert result.probes_used == serial_result.probes_used
         assert internet.clock_seconds == serial_clock
         assert internet.probe_count == serial_probes
+        assert internet.template_lookups == serial_lookups
+        assert 0 < internet.stats()["forwarder_cache_hit_rate"] <= 1
 
     def test_sole_survivor_finishes_everything(
         self, selection, serial_state, monkeypatch
     ):
         """workers=2 where worker 0 dies after its first chunk, and no
         store is attached: worker 1 finishes the whole campaign."""
-        serial_result, serial_clock, serial_probes = serial_state
+        serial_result, serial_clock, serial_probes, _ = serial_state
         monkeypatch.setenv("REPRO_WORKER_KILL", "0:1")
         internet, snapshot = _fresh_internet()
         result = _run(internet, snapshot, selection, workers=2)
@@ -178,7 +190,7 @@ class TestChunkLostBeforeReport:
         measuring its first chunk, before reporting it: a live worker
         measures that chunk again, and the parent stores every /24
         exactly once, bit-identical to serial."""
-        serial_result, serial_clock, serial_probes = serial_state
+        serial_result, serial_clock, serial_probes, _ = serial_state
         monkeypatch.setattr(campaign_module, "COMMIT_EVERY", 1)
         monkeypatch.setenv("REPRO_WORKER_KILL", "0:1")
         internet, snapshot = _fresh_internet()
@@ -210,7 +222,7 @@ class TestResumability:
     ):
         """A campaign resumed over the store a killed run left behind
         replays every stored /24 and re-measures nothing."""
-        serial_result, _, _ = serial_state
+        serial_result = serial_state[0]
         monkeypatch.setenv("REPRO_WORKER_KILL", "0:1")
         with MeasurementStore(str(tmp_path / "store")) as store:
             internet, snapshot = _fresh_internet()

@@ -124,6 +124,13 @@ class TestParallelEquivalence:
             parallel_internet.clock_seconds == serial_internet.clock_seconds
         )
         assert parallel_internet.probe_count == serial_internet.probe_count
+        # The workers' route-template lookups are folded in too; each
+        # worker builds its own templates, so only the lookups match.
+        assert (
+            parallel_internet.template_lookups
+            == serial_internet.template_lookups
+        )
+        assert 0 < parallel_internet.stats()["forwarder_cache_hit_rate"] <= 1
 
     def test_parallel_entry_point(self, selection, serial_result):
         internet, snapshot = _fresh_internet()

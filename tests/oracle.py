@@ -55,10 +55,13 @@ in the same order, from the same ``rng.sample`` stream.
 
 :func:`scan` takes the ZMap snapshot one /24 and one allocation span
 at a time (:func:`active_addresses_in_slash24`, one
-``hosts_up_in_epoch_np`` call per span); :func:`repro.probing.scan`,
-which sweeps chunks of /24s in one call each, must produce the same
-dict in the same key order and leave the same ``events.renumber``
-count. Like the table build, it is called directly, not installed.
+``hosts_up_in_epoch_np`` call per span), into one Python list per /24,
+and builds the snapshot from those lists
+(:meth:`ActivitySnapshot.from_lists`); :func:`repro.probing.scan`,
+which sweeps chunks of /24s in one call each straight into the
+snapshot's arrays, must produce the same arrays, /24 by /24 in network
+order, and leave the same ``events.renumber`` count. Like the table
+build, it is called directly, not installed.
 :func:`scan_with_probes` is the probe-level form of the same snapshot,
 one echo (with retransmissions) per address through a ``Prober``.
 """
@@ -900,12 +903,12 @@ def scan(
         epoch = internet.config.snapshot_epoch
     if slash24s is None:
         slash24s = internet.universe_slash24s
-    snapshot = ActivitySnapshot(epoch=epoch)
+    lists: Dict[int, List[int]] = {}
     for slash24 in slash24s:
         active = active_addresses_in_slash24(internet, slash24, epoch)
         if active:
-            snapshot.active_by_slash24[slash24.network] = active
-    return snapshot
+            lists[slash24.network] = active
+    return ActivitySnapshot.from_lists(epoch, lists)
 
 
 def scan_with_probes(
@@ -915,7 +918,8 @@ def scan_with_probes(
 ) -> ActivitySnapshot:
     """Probe-level scan of the given /24s at the *current* clock epoch."""
     internet = prober.internet
-    snapshot = ActivitySnapshot(epoch=internet.current_epoch)
+    epoch = internet.current_epoch
+    lists: Dict[int, List[int]] = {}
     for slash24 in slash24s:
         active: List[int] = []
         # Retransmissions are adaptive (each address consumes a
@@ -926,8 +930,8 @@ def scan_with_probes(
             if reply is not None and reply.is_echo:
                 active.append(addr)
         if active:
-            snapshot.active_by_slash24[slash24.network] = active
-    return snapshot
+            lists[slash24.network] = active
+    return ActivitySnapshot.from_lists(epoch, lists)
 
 
 def install(monkeypatch, parts: Iterable[str] = PARTS) -> None:

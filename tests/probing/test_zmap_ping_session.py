@@ -4,6 +4,7 @@ import dataclasses
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.core.selection import meets_selection_criteria, slash26_groups
@@ -55,9 +56,9 @@ class TestScan:
         snapshot = scan(internet)
         expected = [
             Prefix(network, 24)
-            for network in sorted(snapshot.active_by_slash24)
+            for network in snapshot.networks.tolist()
             if meets_selection_criteria(
-                snapshot.active_by_slash24[network]
+                snapshot.active_in(Prefix(network, 24))
             )
         ]
         eligible = snapshot.eligible_slash24s()
@@ -67,9 +68,9 @@ class TestScan:
 
     def test_eligibility_needs_every_slash26(self):
         base = 0x0A000000
-        snapshot = ActivitySnapshot(
-            epoch=0,
-            active_by_slash24={
+        snapshot = ActivitySnapshot.from_lists(
+            0,
+            {
                 base: [base + 1, base + 65, base + 129, base + 193],
                 # Five active addresses, but the top /26 is empty.
                 base + 256: [base + 256 + i for i in (1, 2, 65, 129, 130)],
@@ -97,21 +98,28 @@ class TestScan:
 
 
 def assert_same_snapshot(sweep, reference):
-    """Same epoch, same /24s in the same order, same address lists —
-    of Python ints, as the per-/24 loop's ``tolist`` gives."""
+    """Same epoch and, /24 by /24 in network order, the same active
+    addresses: each /24 once, none empty, sorted ``<u4`` addresses, and
+    the same Python-int lists from ``active_in``."""
     assert sweep.epoch == reference.epoch
-    assert list(sweep.active_by_slash24.items()) == list(
-        reference.active_by_slash24.items()
-    )
-    for active in sweep.active_by_slash24.values():
+    assert sweep.addresses.dtype == np.dtype("<u4")
+    networks = sweep.networks.tolist()
+    assert networks == reference.networks.tolist()
+    assert networks == sorted(set(networks))
+    for network in networks:
+        slash24 = Prefix(network, 24)
+        active = sweep.active_in(slash24)
         assert active
+        assert active == reference.active_in(slash24)
         assert all(type(addr) is int for addr in active)
+    assert sweep == reference
 
 
 @pytest.fixture(scope="module")
 def traced_bench_scans():
     """Sweep and oracle snapshots of the benchmark's seed-2016 scenario,
-    each taken under ``tracemalloc``: [(snapshot, peak bytes), ...]."""
+    each taken under ``tracemalloc``: [(snapshot, peak bytes, bytes
+    still held once the scan returns), ...]."""
     internet = SimulatedInternet.from_config(
         paper_scenario(scale=BENCH_SCALE, seed=2016)
     )
@@ -120,7 +128,8 @@ def traced_bench_scans():
         tracemalloc.start()
         try:
             snapshot = sweep(internet)
-            scans.append((snapshot, tracemalloc.get_traced_memory()[1]))
+            held, peak = tracemalloc.get_traced_memory()
+            scans.append((snapshot, peak, held))
         finally:
             tracemalloc.stop()
     return scans
@@ -134,7 +143,7 @@ class TestSweepMatchesOracle:
         assert_same_snapshot(scan(internet), oracle.scan(internet))
 
     def test_benchmark_scale_seed_2016(self, traced_bench_scans):
-        (sweep, _), (reference, _) = traced_bench_scans
+        (sweep, _, _), (reference, _, _) = traced_bench_scans
         assert_same_snapshot(sweep, reference)
 
     def test_benchmark_scale_seed_4242(self):
@@ -144,8 +153,16 @@ class TestSweepMatchesOracle:
         assert_same_snapshot(scan(internet), oracle.scan(internet))
 
     def test_peak_memory_near_oracle(self, traced_bench_scans):
-        (_, sweep_peak), (_, oracle_peak) = traced_bench_scans
+        (_, sweep_peak, _), (_, oracle_peak, _) = traced_bench_scans
         assert sweep_peak <= oracle_peak + 8 * 2**20
+
+    def test_snapshot_bytes_per_active_address(self, traced_bench_scans):
+        """Four bytes an address, plus a few per /24 and the lookup
+        caches the simulator's first sweep builds: not a Python int and
+        a list slot per address (about 39 bytes)."""
+        (sweep, _, held), _ = traced_bench_scans
+        assert sweep.total_active > 100_000
+        assert held <= 8 * sweep.total_active
 
     def test_events_keys_and_renumber_count(self, tiny_config):
         config = dataclasses.replace(
@@ -182,10 +199,10 @@ class TestSweepMatchesOracle:
         )
         sweep = scan(internet, slash24s=mixed)
         assert_same_snapshot(sweep, oracle.scan(internet, slash24s=mixed))
-        assert not set(sweep.active_by_slash24) & {
+        assert not set(sweep.networks.tolist()) & {
             slash24.network for slash24 in uncovered
         }
-        assert scan(internet, slash24s=uncovered).active_by_slash24 == {}
+        assert scan(internet, slash24s=uncovered).slash24_count == 0
 
     def test_longer_than_one_chunk(self, internet, monkeypatch):
         universe = list(internet.universe_slash24s)
@@ -195,8 +212,10 @@ class TestSweepMatchesOracle:
             scan(internet, slash24s=universe),
             oracle.scan(internet, slash24s=universe),
         )
-        # Chunks of three /24s put a boundary nearly everywhere.
+        # Chunks of three /24s put a boundary nearly everywhere, and
+        # room for 100 addresses makes the buffer grow again and again.
         monkeypatch.setattr(internet_module, "SWEEP_CHUNK_ADDRESSES", 768)
+        monkeypatch.setattr(internet_module, "SWEEP_RESERVE_ADDRESSES", 100)
         assert_same_snapshot(scan(internet), oracle.scan(internet))
 
     def test_overlapping_spans_sorted(self, internet):
@@ -218,7 +237,7 @@ class TestSweepMatchesOracle:
         slash24s = [whole.prefix] + list(internet.universe_slash24s[:4])
         sweep = scan(internet, slash24s=slash24s)
         assert_same_snapshot(sweep, oracle.scan(internet, slash24s=slash24s))
-        active = sweep.active_by_slash24[whole.prefix.network]
+        active = sweep.active_in(whole.prefix)
         assert active == sorted(active)
         assert internet.active_addresses_in_slash24(
             whole.prefix, sweep.epoch

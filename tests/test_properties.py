@@ -4,7 +4,9 @@ These complement the per-module suites with deeper hypothesis checks on
 the data structures the whole pipeline leans on.
 """
 
+import hashlib
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from repro.aggregation import WeightedGraph, aggregate_identical, mcl
 from repro.aggregation.mcl import _normalize_columns
 from repro.core import round_robin_order
 from repro.net import Prefix, to_prefixes
-from repro.probing import probes_required
+from repro.probing import ActivitySnapshot, probes_required
+from repro.store.fingerprint import active_list_fingerprint
 
 addresses = st.integers(min_value=0, max_value=(1 << 32) - 1)
 
@@ -139,3 +142,53 @@ class TestStoppingRuleProperties:
         base = probes_required(observed, confidence)
         assert probes_required(observed + 1, confidence) > base
         assert base > observed  # always probes beyond what was seen
+
+
+#: Random /24s: network → last octets of its active addresses (repeats
+#: allowed, as overlapping allocation spans can give).
+slash24_octets = st.dictionaries(
+    st.integers(min_value=0, max_value=(1 << 24) - 1).map(lambda n: n << 8),
+    st.lists(st.integers(min_value=0, max_value=255), max_size=24),
+    max_size=12,
+)
+
+
+class TestColumnarSnapshotProperties:
+    @settings(max_examples=80)
+    @given(slash24_octets, st.integers(min_value=0, max_value=8))
+    def test_eligibility_matches_per_slash24_rule(self, raw, min_active):
+        lists = {
+            network: [network | octet for octet in octets]
+            for network, octets in raw.items()
+        }
+        snapshot = ActivitySnapshot.from_lists(0, lists)
+        expected = [
+            Prefix(network, 24)
+            for network, active in sorted(lists.items())
+            if len(active) >= min_active
+            and len({addr & 0xC0 for addr in active}) == 4
+        ]
+        assert snapshot.eligible_slash24s(min_active) == expected
+
+    @settings(max_examples=80)
+    @given(slash24_octets)
+    def test_slice_fingerprint_equals_list_fingerprint(self, raw):
+        snapshot = ActivitySnapshot.from_lists(
+            0,
+            {
+                network: [network | octet for octet in octets]
+                for network, octets in raw.items()
+            },
+        )
+        for network in snapshot.networks.tolist():
+            slash24 = Prefix(network, 24)
+            active = snapshot.active_in(slash24)
+            packed = struct.pack(f"<{len(active)}I", *active)
+            expected = int.from_bytes(
+                hashlib.blake2b(packed, digest_size=8).digest(), "little"
+            )
+            assert active_list_fingerprint(active) == expected
+            assert (
+                active_list_fingerprint(snapshot.addresses_in(slash24))
+                == expected
+            )
