@@ -24,7 +24,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -88,13 +97,25 @@ class ConfidenceTable:
         ``datasets`` maps a /24 key to its full per-address last-hop
         observations. For each /24 and each subset size, draws
         ``samples_per_block`` random subsets and tests whether Hobbit's
-        homogeneity test passes on the subset alone.
+        homogeneity test passes on the subset alone. Raises
+        ``ValueError`` naming the parameter, before any draw, when
+        ``samples_per_block`` is below 1 or ``max_probed`` below 4 (the
+        smallest subset tested): either would leave every cell empty.
         """
+        if samples_per_block < 1:
+            raise ValueError(
+                f"samples_per_block must be at least 1, "
+                f"got {samples_per_block!r}"
+            )
+        if max_probed < 4:
+            raise ValueError(
+                f"max_probed must be at least 4, got {max_probed!r}"
+            )
         table = cls(min_trials=min_trials)
         rng = random.Random(seed)
         for observations in datasets.values():
             sizes = range(4, min(len(observations), max_probed) + 1)
-            if not sizes or samples_per_block < 1:
+            if not sizes:
                 continue
             routers = sorted(union_lasthops(observations))
             recognised = _recognised_per_size(
@@ -105,6 +126,25 @@ class ConfidenceTable:
                 table._tally(
                     len(routers), probed, successes, samples_per_block
                 )
+        return table
+
+    @classmethod
+    def from_cells(
+        cls,
+        cells: Iterable[Tuple[int, int, int, int]],
+        min_trials: int = 50,
+    ) -> "ConfidenceTable":
+        """A table holding ``cells``, (cardinality, probed, successes,
+        trials) rows in the insertion order :meth:`cells` reports,
+        without drawing a subset: how a table kept in the store comes
+        back. A cell listed twice raises ``ValueError``."""
+        table = cls(min_trials=min_trials)
+        for cardinality, probed, successes, trials in cells:
+            if (cardinality, probed) in table._cells:
+                raise ValueError(
+                    f"cell ({cardinality}, {probed}) listed twice"
+                )
+            table._tally(cardinality, probed, successes, trials)
         return table
 
     # -- queries -----------------------------------------------------------

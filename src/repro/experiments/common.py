@@ -13,9 +13,10 @@ with the ``REPRO_PROFILE`` environment variable.
 A workspace can also run in *persistent* mode (``--store PATH`` /
 ``REPRO_STORE``): the measurement campaign checkpoints each /24 into an
 on-disk :class:`repro.store.MeasurementStore`, and the probe-heavy
-training datasets are cached there as artifacts — so experiments and
-benches share one campaign across processes, and a warm rerun of the
-classification experiments is pure re-analysis with zero probing.
+training datasets, and the confidence table trained on one of them,
+are cached there as artifacts — so experiments and benches share one
+campaign across processes, and a warm rerun of the classification
+experiments is pure re-analysis with zero probing and no table draws.
 """
 
 from __future__ import annotations
@@ -155,7 +156,13 @@ def active_worker_count() -> int:
 
 
 class Workspace:
-    """Lazily-built shared artifacts for one profile."""
+    """Lazily-built shared artifacts for one profile.
+
+    With a store attached, the confidence dataset, the confidence table,
+    the campaign's /24s, the reprobe validation, the path dataset and
+    the strict-het observations are each replayed from the store when
+    their key is there, and built and stored when it is not.
+    """
 
     def __init__(
         self,
@@ -264,10 +271,18 @@ class Workspace:
         )
 
     def _load_artifact(self, name: str, params: tuple):
-        """A cached artifact's payload, or None (no store / cache miss)."""
+        """A cached artifact's payload, or None (no store / cache miss).
+
+        With a store, each lookup counts ``store.artifact.hits`` or
+        ``store.artifact.misses`` in the ambient registry, so a run's
+        ``run.json`` shows what it replayed."""
         if self.store is None:
             return None
         document = self.store.get(self._artifact_key(name, params))
+        current_metrics().count(
+            "store.artifact.misses" if document is None
+            else "store.artifact.hits"
+        )
         return None if document is None else document["value"]
 
     def _save_artifact(self, name: str, params: tuple, value) -> None:
@@ -422,13 +437,44 @@ class Workspace:
 
     @property
     def confidence_table(self) -> ConfidenceTable:
+        """The <cardinality, probed addresses> table trained on
+        :attr:`confidence_dataset` (Section 3.2).
+
+        In persistent mode the built table is stored beside its dataset,
+        keyed by the dataset's canonical-JSON fingerprint and the build
+        parameters, and a warm workspace rebuilds it from the stored
+        cells without drawing a subset.
+        """
         if self._confidence_table is None:
-            self._confidence_table = ConfidenceTable.build(
-                self.confidence_dataset,
+            dataset = self.confidence_dataset
+            options = dict(
                 seed=self.internet.config.seed ^ 0xF1D0,
                 samples_per_block=self.profile.confidence_samples_per_block,
+                max_probed=50,
                 min_trials=40,
             )
+            if self.store is None:
+                table = ConfidenceTable.build(dataset, **options)
+            else:
+                from ..store import (
+                    confidence_table_from_dict,
+                    confidence_table_to_dict,
+                    observation_map_fingerprint,
+                )
+
+                params = (
+                    observation_map_fingerprint(dataset), *options.values()
+                )
+                cached = self._load_artifact("confidence-table", params)
+                if cached is None:
+                    table = ConfidenceTable.build(dataset, **options)
+                    self._save_artifact(
+                        "confidence-table", params,
+                        confidence_table_to_dict(table),
+                    )
+                else:
+                    table = confidence_table_from_dict(cached)
+            self._confidence_table = table
         return self._confidence_table
 
     # -- the measurement campaign (Section 4) --------------------------------

@@ -13,7 +13,7 @@ three questions the paper could never answer for the real Internet:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..net.prefix import Prefix
 from .allocation import AllocationMap, Pod
@@ -40,6 +40,10 @@ class GroundTruth:
     touches the measured subset, so precomputing the pod list for every
     /24 up front (as an earlier version did) made scenario construction
     the dominant cost.
+
+    The builder extends the universe by exactly the /24s each allocation
+    covers, so the allocation map alone answers :meth:`pods_of`: a /24
+    outside the universe has no pod.
     """
 
     def __init__(
@@ -48,7 +52,6 @@ class GroundTruth:
         self._allocations = allocations
         self._universe = universe_slash24s
         self._pods_by_slash24: Dict[Prefix, List[Pod]] = {}
-        self._universe_set: Optional[Set[Prefix]] = None
 
     @property
     def universe_slash24s(self) -> Sequence[Prefix]:
@@ -57,10 +60,6 @@ class GroundTruth:
     def pods_of(self, slash24: Prefix) -> List[Pod]:
         pods = self._pods_by_slash24.get(slash24)
         if pods is None:
-            if self._universe_set is None:
-                self._universe_set = set(self._universe)
-            if slash24 not in self._universe_set:
-                return []
             pods = self._allocations.slash24_pods(slash24)
             self._pods_by_slash24[slash24] = pods
         return pods

@@ -15,6 +15,8 @@ from .codec import (
     RecordCorrupt,
     artifact_record,
     canonical_dataset_order,
+    confidence_table_from_dict,
+    confidence_table_to_dict,
     decode_slash24_record,
     measurement_from_dict,
     measurement_to_dict,
@@ -29,6 +31,7 @@ from .fingerprint import (
     campaign_fingerprint,
     confidence_table_fingerprint,
     measurement_key,
+    observation_map_fingerprint,
     policy_fingerprint,
     scenario_fingerprint,
 )
@@ -51,10 +54,13 @@ __all__ = [
     "campaign_fingerprint",
     "canonical_dataset_order",
     "confidence_table_fingerprint",
+    "confidence_table_from_dict",
+    "confidence_table_to_dict",
     "decode_slash24_record",
     "measurement_from_dict",
     "measurement_key",
     "measurement_to_dict",
+    "observation_map_fingerprint",
     "observation_map_from_dict",
     "observation_map_to_dict",
     "policy_fingerprint",

@@ -20,6 +20,7 @@ import zlib
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..core.classifier import Category, Slash24Measurement
+from ..core.confidence import ConfidenceTable
 from ..core.termination import StopReason
 from ..net.prefix import Prefix
 from ..probing.session import ProbeStats
@@ -145,8 +146,9 @@ def decode_slash24_record(
 # -- auxiliary dataset round-trips ------------------------------------------
 #
 # The probe-heavy workspace artifacts (the exhaustive confidence dataset
-# and the full-path traceroute dataset) are cached as artifact records;
-# their nested prefix/address/frozenset structures flatten to JSON here.
+# and the full-path traceroute dataset) and the confidence table trained
+# on the first are cached as artifact records; their nested
+# prefix/address/frozenset structures flatten to JSON here.
 
 
 def canonical_dataset_order(datasets: Mapping) -> Dict:
@@ -217,3 +219,25 @@ def route_dataset_from_dict(
         }
         for slash24, per_dst in data.items()
     })
+
+
+def confidence_table_to_dict(table: ConfidenceTable) -> Dict[str, Any]:
+    """A trained table's ``min_trials`` and its cells, as
+    [cardinality, probed, successes, trials] rows in insertion order."""
+    return {
+        "min_trials": table.min_trials,
+        "cells": [
+            [cardinality, probed, cell.successes, cell.trials]
+            for (cardinality, probed), cell in table.cells().items()
+        ],
+    }
+
+
+def confidence_table_from_dict(data: Mapping[str, Any]) -> ConfidenceTable:
+    return ConfidenceTable.from_cells(
+        (
+            (int(cardinality), int(probed), int(successes), int(trials))
+            for cardinality, probed, successes, trials in data["cells"]
+        ),
+        min_trials=int(data["min_trials"]),
+    )

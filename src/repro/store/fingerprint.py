@@ -21,13 +21,14 @@ up with them, and an older store is refused rather than missed.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..core.confidence import ConfidenceTable
 from ..core.termination import ExhaustivePolicy, ReprobePolicy, TerminationPolicy
 from ..net.prefix import Prefix
+from .codec import canonical_json_bytes, observation_map_to_dict
 
 
 def digest(text: str) -> str:
@@ -55,6 +56,16 @@ def confidence_table_fingerprint(table: Optional[ConfidenceTable]) -> str:
         for (card, probed), cell in table.cells().items()
     )
     return digest(f"confidence-table::{table.min_trials}::{cells!r}")
+
+
+def observation_map_fingerprint(
+    datasets: Mapping[Prefix, Mapping[int, frozenset]],
+) -> str:
+    """Fingerprint of an observation dataset's canonical JSON, the form
+    the store keeps it in: a changed /24, address or last hop changes
+    it."""
+    document = observation_map_to_dict(datasets)
+    return digest(canonical_json_bytes(document).decode("ascii"))
 
 
 def policy_fingerprint(policy) -> str:

@@ -92,6 +92,52 @@ class TestConfidenceTable:
         grid = table.grid()
         assert grid == sorted(grid)
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (
+                dict(samples_per_block=0),
+                "samples_per_block must be at least 1, got 0",
+            ),
+            (
+                dict(samples_per_block=-3),
+                "samples_per_block must be at least 1, got -3",
+            ),
+            (dict(max_probed=3), "max_probed must be at least 4, got 3"),
+            (dict(max_probed=0), "max_probed must be at least 4, got 0"),
+        ],
+    )
+    def test_build_refuses_out_of_domain_parameters(
+        self, options, message, monkeypatch
+    ):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a subset before refusing")
+
+        monkeypatch.setattr(random.Random, "sample", no_draw)
+        with pytest.raises(ValueError) as refused:
+            ConfidenceTable.build(
+                {"block": _interleaved_observations(8)}, **options
+            )
+        assert str(refused.value) == message
+
+    def test_from_cells_keeps_insertion_order(self):
+        built = ConfidenceTable.build(
+            {"a": _interleaved_observations(9), "b": _nested_observations()},
+            samples_per_block=5, min_trials=3,
+        )
+        rows = [
+            (card, probed, cell.successes, cell.trials)
+            for (card, probed), cell in built.cells().items()
+        ]
+        restored = ConfidenceTable.from_cells(rows, min_trials=3)
+        assert cell_list(restored) == cell_list(built)
+        assert restored.min_trials == 3
+        assert restored.required_probes_map(0.5) == (
+            built.required_probes_map(0.5)
+        )
+        with pytest.raises(ValueError, match=r"cell \(2, 4\) listed twice"):
+            ConfidenceTable.from_cells(rows + rows[:1])
+
 
 @st.composite
 def observation_maps(draw, min_size=4, max_size=100):
@@ -160,8 +206,8 @@ class TestBatchedBuild:
             observation_maps(min_size=1, max_size=40), max_size=4
         ),
         seed=st.integers(0, 2**16),
-        samples=st.integers(0, 6),
-        max_probed=st.integers(3, 40),
+        samples=st.integers(1, 6),
+        max_probed=st.integers(4, 40),
     )
     def test_build_matches_oracle(self, datasets, seed, samples, max_probed):
         keyed = dict(enumerate(datasets))

@@ -4,8 +4,14 @@ produces."""
 import pytest
 
 from repro.net import Prefix
-from repro.netsim import RouterRole, build_scenario, tiny_scenario
+from repro.netsim import (
+    RouterRole,
+    build_scenario,
+    paper_scenario,
+    tiny_scenario,
+)
 from repro.netsim.build import _SpaceAllocator, _split_into_chunks
+from repro.netsim.groundtruth import GroundTruth
 from tests.oracle import fib_lookup
 import random
 
@@ -163,3 +169,31 @@ class TestBuiltScenario:
         for pod in big_pods:
             runs = contiguous_runs(pod.slash24s())
             assert len(runs) >= 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        tiny_scenario(seed=7),
+        paper_scenario(scale=0.25, seed=2016),
+        paper_scenario(scale=0.25, seed=4242),
+    ],
+    ids=["tiny-7", "scale-0.25-2016", "scale-0.25-4242"],
+)
+def test_universe_is_exactly_the_allocated_slash24s(config):
+    """``GroundTruth.pods_of`` asks the allocation map alone, which is
+    right while the universe holds exactly the /24s that allocations
+    cover, each with a pod."""
+    built = build_scenario(config)
+    universe = built.universe_slash24s
+    covered = {
+        network
+        for allocation in built.allocations
+        for network in range(
+            allocation.prefix.network & ~0xFF, allocation.prefix.last + 1, 256
+        )
+    }
+    assert covered == {slash24.network for slash24 in universe}
+    truth = GroundTruth(built.allocations, universe)
+    assert all(truth.pods_of(slash24) for slash24 in universe)
+    assert truth.pods_of(Prefix(universe[-1].network + 256, 24)) == []

@@ -9,7 +9,12 @@ import pytest
 from repro.store import MeasurementStore, StoreError
 from repro.store import segment as segmod
 from repro.store.codec import HEADER_SIZE, frame_record
-from repro.store.fingerprint import active_list_fingerprint, digest
+from repro.net.prefix import Prefix
+from repro.store.fingerprint import (
+    active_list_fingerprint,
+    digest,
+    observation_map_fingerprint,
+)
 from repro.store.store import FORMAT_VERSION
 
 
@@ -243,3 +248,10 @@ class TestKeyFingerprints:
         assert active_list_fingerprint([1, 256]) != active_list_fingerprint(
             [256, 1]
         )
+
+    def test_observation_map_fingerprint(self):
+        # The digest of the dataset's canonical JSON, as the store keeps it.
+        dataset = {Prefix.parse("10.0.0.0/24"): {5: frozenset({2, 1})}}
+        assert observation_map_fingerprint(dataset) == (
+            digest('{"10.0.0.0/24":{"5":[1,2]}}')
+        ) == "4500bd4583998ef6da74721ad0ab8b8f"
