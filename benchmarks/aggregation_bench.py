@@ -2,9 +2,12 @@
 
 Builds the campaign for a profile, takes its measured last-hop sets,
 and runs the aggregation flow (identical-set grouping, sparse
-incidence-matrix similarity, parallel per-component MCL), reporting
-graph-build seconds, MCL seconds, peak RSS and blocks/sec as a
-machine-readable summary (``BENCH_aggregation.json`` by default).
+incidence-matrix similarity, the inflation sweep's MCL runs iterated
+as one block-diagonal batch), reporting graph-build seconds, MCL
+seconds, peak RSS and blocks/sec as a machine-readable summary
+(``BENCH_aggregation.json`` by default). ``--workers`` sets the worker
+processes of the campaign that produces the last-hop sets; the
+aggregation itself runs in this process.
 Validation reprobing is disabled so the run aggregates immutable
 inputs and the figure is pure wall-clock. Parity with the dict
 similarity builder is checked by the test suite against
@@ -57,13 +60,11 @@ def _peak_rss_mb():
     return peak / 1024
 
 
-def _time_aggregation(lasthop_sets, workers):
+def _time_aggregation(lasthop_sets):
     """One validation-free aggregation run under its own registry."""
     with metrics_scope() as registry:
         started = time.perf_counter()
-        outcome = run_aggregation(
-            lasthop_sets, validate=False, workers=workers
-        )
+        outcome = run_aggregation(lasthop_sets, validate=False)
         elapsed = time.perf_counter() - started
     blocks = len(outcome.identical_blocks)
     return {
@@ -79,9 +80,6 @@ def _time_aggregation(lasthop_sets, workers):
         "components": int(registry.gauge_value("aggregation.components")),
         "clusters": int(registry.gauge_value("aggregation.clusters")),
         "mcl_runs": registry.counter_value("mcl.runs"),
-        "parallel_fallback": registry.counter_value(
-            "aggregation.parallel_fallback"
-        ),
         "aggregation_blocks_per_second": (
             round(blocks / elapsed, 1) if elapsed else None
         ),
@@ -97,7 +95,7 @@ def run(profile_name, workers, trace_path, store_path):
         with registry.time("phase.campaign_build"):
             lasthop_sets = workspace.campaign.lasthop_sets()
 
-    stats = _time_aggregation(lasthop_sets, workspace.workers)
+    stats = _time_aggregation(lasthop_sets)
     document = {
         "benchmark": "aggregation",
         "profile": profile_name,

@@ -10,7 +10,7 @@ from .identical import (
     size_log2_histogram,
     top_blocks,
 )
-from .mcl import MclResult, mcl, mcl_from_stochastic, prepare_stochastic
+from .mcl import MclResult, mcl, mcl_runs, prepare_stochastic
 from .pipeline import AggregationOutcome, run_aggregation
 from .reprobe import ClusterValidation, Reprober, validate_cluster
 from .rules import SimilarityRule
@@ -20,7 +20,6 @@ from .similarity import (
     similarity,
 )
 from .sweep import (
-    AggregationParallelFallbackWarning,
     SweepOutcome,
     run_mcl_on_components,
     sweep_and_cluster,
@@ -29,7 +28,6 @@ from .sweep import (
 __all__ = [
     "AggregatedBlock",
     "AggregationOutcome",
-    "AggregationParallelFallbackWarning",
     "ClusterValidation",
     "MclResult",
     "Reprober",
@@ -39,7 +37,7 @@ __all__ = [
     "aggregate_identical",
     "build_similarity_graph",
     "mcl",
-    "mcl_from_stochastic",
+    "mcl_runs",
     "pairwise_similarities",
     "prepare_stochastic",
     "run_aggregation",

@@ -8,17 +8,14 @@ The graph is **CSR-backed**: the canonical storage is one symmetric
 :class:`scipy.sparse.csr_matrix`, built either directly from edge
 arrays (:meth:`WeightedGraph.from_edge_arrays`, the similarity
 builder's path) or by finalizing edges staged through
-:meth:`WeightedGraph.add_edge` (tests and the test oracle). The old
-dict-of-dicts API (``weight``, ``neighbours``, ``edges``) survives as a
-thin view over the CSR arrays, so per-vertex callers keep working while
-bulk consumers (MCL, the sweep scorer) read
-:meth:`WeightedGraph.edge_arrays` and :meth:`WeightedGraph.to_sparse`
-without any Python-level edge iteration.
+:meth:`WeightedGraph.add_edge` (tests and the test oracle). The
+clustering stage reads it whole: :meth:`WeightedGraph.edge_arrays` for
+the edges and :meth:`WeightedGraph.to_sparse` for the matrix.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -123,7 +120,7 @@ class WeightedGraph:
         self._staged_v.append(v)
         self._staged_w.append(float(weight))
 
-    # -- the dict-shaped view ---------------------------------------------
+    # -- reads ------------------------------------------------------------
 
     @property
     def vertex_count(self) -> int:
@@ -144,20 +141,6 @@ class WeightedGraph:
             return float(matrix.data[position])
         return 0.0
 
-    def neighbours(self, u: int) -> Dict[int, float]:
-        matrix = self._csr()
-        lo, hi = int(matrix.indptr[u]), int(matrix.indptr[u + 1])
-        return {
-            int(neighbour): float(weight)
-            for neighbour, weight in zip(
-                matrix.indices[lo:hi], matrix.data[lo:hi]
-            )
-        }
-
-    def degree(self, u: int) -> int:
-        matrix = self._csr()
-        return int(matrix.indptr[u + 1] - matrix.indptr[u])
-
     def edges(self) -> Iterator[Tuple[int, int, float]]:
         """Each undirected edge once, as (u, v, weight) with u < v,
         ordered by (u, v)."""
@@ -170,47 +153,39 @@ class WeightedGraph:
         ``u < v``, sorted by (u, v). Shared views — do not mutate."""
         return _upper_arrays(self._csr())
 
-    def edge_weights(self) -> List[float]:
-        return self.edge_arrays()[2].tolist()
-
-    # -- components and slicing -------------------------------------------
+    # -- components -------------------------------------------------------
 
     def connected_components(self) -> List[List[int]]:
         """Vertex lists of connected components (singletons included),
-        each sorted, ordered by smallest member.
+        each sorted, ordered by smallest member."""
+        order, sizes = self.component_order()
+        flat = order.tolist()
+        ends = np.cumsum(sizes).tolist()
+        return [
+            flat[end - size:end] for end, size in zip(ends, sizes.tolist())
+        ]
 
-        Delegates to :func:`scipy.sparse.csgraph.connected_components`;
-        the ordering shim below reproduces the historical DFS output
-        exactly (components in order of their smallest vertex, members
-        ascending), so downstream cluster ids are stable across the
-        implementation change.
+    def component_order(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every vertex grouped by connected component, and each
+        component's size: components in order of their smallest member,
+        members ascending (the historical DFS order, so cluster ids stay
+        stable).
+
+        Delegates to :func:`scipy.sparse.csgraph.connected_components`
+        and reorders its labels.
         """
         if self._n == 0:
-            return []
-        _, labels = csgraph.connected_components(
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        count, labels = csgraph.connected_components(
             self._csr(), directed=False
         )
-        # Stable argsort of 0..n-1 groups vertices by label with members
-        # ascending inside each group; each group's first element is
-        # therefore its minimum, which defines the historical order.
+        sizes = np.bincount(labels, minlength=count)
+        # A stable argsort of the labels groups vertices with members
+        # ascending, so each group's first element is its smallest.
         grouped = np.argsort(labels, kind="stable")
-        counts = np.bincount(labels)
-        pieces = np.split(grouped, np.cumsum(counts)[:-1])
-        return sorted(
-            (piece.tolist() for piece in pieces),
-            key=lambda component: component[0],
-        )
-
-    def subgraph(
-        self, vertices: Sequence[int]
-    ) -> Tuple["WeightedGraph", List[int]]:
-        """Induced subgraph; returns (graph, original-index list)."""
-        selector = np.asarray(list(vertices), dtype=np.int64)
-        matrix = self._csr()[selector][:, selector].tocsr()
-        matrix.sort_indices()
-        sub = WeightedGraph(len(selector))
-        sub._matrix = matrix
-        return sub, [int(v) for v in selector]
+        smallest = grouped[np.cumsum(sizes) - sizes]
+        order = np.argsort(smallest[labels], kind="stable")
+        return order, sizes[np.argsort(smallest)]
 
     def to_sparse(self) -> sparse.csr_matrix:
         """Symmetric CSR adjacency matrix.

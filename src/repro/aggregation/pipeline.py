@@ -12,9 +12,9 @@
 Step 1 is a dict keyed by the last-hop frozenset, exact for any key;
 step 2 is one sparse incidence Gram product over the merged blocks,
 checked bit for bit against the dict inverted-index builder kept in
-``tests/oracle.py``. Step 3 fans per-component MCL out over
-``workers`` processes with a deterministic merge, so ``workers`` never
-changes results.
+``tests/oracle.py``. Step 3 iterates every component's MCL run at every
+candidate together, as one block-diagonal matrix
+(:mod:`repro.aggregation.sweep`).
 """
 
 from __future__ import annotations
@@ -80,10 +80,6 @@ class AggregationOutcome:
     def confirmed_cluster_count(self) -> int:
         return sum(1 for v in self.validations if v.homogeneous)
 
-    @property
-    def blocks_merged_away(self) -> int:
-        return len(self.identical_blocks) - len(self.final_blocks)
-
 
 def run_aggregation(
     lasthop_sets: Mapping[Prefix, FrozenSet[int]],
@@ -95,7 +91,6 @@ def run_aggregation(
     rule: Optional[SimilarityRule] = None,
     seed: int = 0,
     reprobe_preload: Optional[Mapping[Prefix, tuple]] = None,
-    workers: int = 1,
 ) -> AggregationOutcome:
     """Run the aggregation flow over measured last-hop sets.
 
@@ -103,14 +98,10 @@ def run_aggregation(
     True (reprobing goes back on the wire). With ``inflation`` unset the
     Section 6.4 sweep picks it. ``reprobe_preload`` replays recorded
     reprobe results (see :attr:`AggregationOutcome.reprobe_records`)
-    instead of probing, with identical accounting. ``workers``
-    parallelises the per-component MCL runs (results are identical at
-    any worker count).
+    instead of probing, with identical accounting.
     """
     registry = current_metrics()
-    with span(
-        "aggregation.run", slash24s=len(lasthop_sets), workers=workers
-    ):
+    with span("aggregation.run", slash24s=len(lasthop_sets)):
         with registry.time("phase.aggregate.graph"), span("aggregation.graph"):
             identical_blocks = group_identical_columnar(lasthop_sets)
             graph = build_similarity_graph_columnar(identical_blocks)
@@ -118,28 +109,21 @@ def run_aggregation(
         registry.gauge("aggregation.edges", graph.edge_count)
 
         sweep_outcomes: List[SweepOutcome] = []
-        with registry.time("phase.aggregate.mcl"), span(
-            "aggregation.mcl", workers=workers
-        ):
+        with registry.time("phase.aggregate.mcl"), span("aggregation.mcl"):
             registry.gauge(
-                "aggregation.components",
-                len(graph.connected_components()),
+                "aggregation.components", len(graph.component_order()[1])
             )
             if inflation is None:
                 # One pass produces both the sweep outcomes and the
                 # chosen candidate's clusters (the historical flow
                 # re-ran MCL a seventh time for the winner).
-                inflation, sweep_outcomes, clusters = sweep_and_cluster(
-                    graph, workers=workers
-                )
+                inflation, sweep_outcomes, clusters = sweep_and_cluster(graph)
                 if not sweep_outcomes:
                     # Edgeless graph: every cluster is a singleton at
                     # any inflation; report the paper default.
                     inflation = DEFAULT_INFLATION
             else:
-                clusters = run_mcl_on_components(
-                    graph, inflation, workers=workers
-                )
+                clusters = run_mcl_on_components(graph, inflation)
         registry.gauge("aggregation.clusters", len(clusters))
 
         outcome = AggregationOutcome(

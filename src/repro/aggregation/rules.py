@@ -43,16 +43,3 @@ class SimilarityRule:
             float(np.median(scores)) >= self.min_median
             and min(scores) >= self.min_worst
         )
-
-    def score_summary(self, blocks: Sequence[AggregatedBlock]) -> dict:
-        """Distribution facts the rule looks at (for analysis)."""
-        scores = pairwise_similarities(list(blocks))
-        if not scores:
-            return {"pairs": 0}
-        return {
-            "pairs": len(scores),
-            "median": float(np.median(scores)),
-            "min": min(scores),
-            "max": max(scores),
-            "mean": float(np.mean(scores)),
-        }

@@ -6,39 +6,31 @@ weights — clusters glued together by weak edges indicate the inflation
 is too coarse.
 
 Connected components are independent clustering problems (Section 6.3).
-Many are small and share their shape, so the sweep clusters each
-distinct component matrix once — byte-equal CSR arrays give byte-equal
-MCL runs — and fans the distinct matrices out over worker processes:
-each is column-normalised **once**
-(:func:`repro.aggregation.mcl.prepare_stochastic`) and that matrix is
-shared across all candidate inflations. The parent maps every
-component's clusters back to its own vertex ids and folds the weak/total
-intra-cluster edge counts in component order — so serial and parallel
-runs produce identical clusters, sweep outcomes and metrics totals.
-When a worker pool cannot start, the sweep degrades to serial with an
-:class:`AggregationParallelFallbackWarning` (results identical).
+The sweep permutes the graph's CSR matrix once into component order,
+which makes it block-diagonal with one block per component, and
+column-normalises it once
+(:func:`repro.aggregation.mcl.prepare_stochastic`), so every candidate
+inflation starts from the same blocks. Many components are small and
+share their shape: byte-equal adjacency blocks give byte-equal MCL
+runs, so each distinct block is clustered once per candidate. All those
+runs iterate together in one :func:`repro.aggregation.mcl.mcl_runs`
+call. Each component's clusters are then mapped back to original
+vertex ids, and the weak and total intra-cluster edges are counted over
+the whole graph per candidate.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
-from ..obs.metrics import MetricsRegistry, current_metrics, metrics_scope
-from ..obs.trace import configure_tracing, trace_warning
 from .graph import WeightedGraph
-from .mcl import mcl_from_stochastic, prepare_stochastic
+from .mcl import check_inflation, group_by_label, mcl_runs, prepare_stochastic
 
 DEFAULT_CANDIDATES: Tuple[float, ...] = (1.4, 1.8, 2.0, 2.4, 3.0, 4.0)
-
-
-class AggregationParallelFallbackWarning(RuntimeWarning):
-    """Parallel per-component MCL degraded to a serial run."""
 
 
 @dataclass
@@ -48,222 +40,126 @@ class SweepOutcome:
     cluster_count: int
 
 
-# -- per-component clustering ------------------------------------------
+def _permuted(
+    matrix: sparse.csr_matrix, order: np.ndarray
+) -> sparse.csr_matrix:
+    """``matrix`` with rows and columns reordered to ``order``.
 
-#: One component's work order: (original vertex ids, adjacency CSR or
-#: None for singletons, local edge u/v/weight arrays).
-_ComponentTask = Tuple[
-    List[int],
-    Optional[object],
-    Optional[np.ndarray],
-    Optional[np.ndarray],
-    Optional[np.ndarray],
-]
-
-#: One component's result: per candidate, (clusters in original vertex
-#: ids, weak intra-cluster edge count, total intra-cluster edge count).
-_ComponentResult = List[Tuple[List[List[int]], int, int]]
-
-
-def _component_tasks(graph: WeightedGraph) -> List[_ComponentTask]:
-    tasks: List[_ComponentTask] = []
-    for component in graph.connected_components():
-        if len(component) == 1:
-            tasks.append((component, None, None, None, None))
-            continue
-        subgraph, original_ids = graph.subgraph(component)
-        local_u, local_v, local_w = subgraph.edge_arrays()
-        tasks.append(
-            (original_ids, subgraph.to_sparse(), local_u, local_v, local_w)
-        )
-    return tasks
-
-
-def _csr_key(adjacency) -> tuple:
-    """Everything MCL reads of a component matrix, as one hashable key."""
-    return (
-        adjacency.format,
-        adjacency.shape,
-        adjacency.dtype.str,
-        adjacency.indptr.dtype.str,
-        adjacency.indptr.tobytes(),
-        adjacency.indices.tobytes(),
-        adjacency.data.tobytes(),
-    )
-
-
-def _local_clusters(
-    adjacency, candidates: Tuple[float, ...]
-) -> List[List[List[int]]]:
-    """One component matrix's clusters, in local vertex ids, at every
-    candidate inflation.
-
-    Normalises the matrix once and reuses it across candidates
-    (:func:`mcl_from_stochastic` never mutates it).
+    In component order a component keeps its members' relative order
+    and has no edge outside itself, so its rows of the result are
+    exactly the CSR matrix of its induced subgraph, column indices
+    shifted by its first position and still sorted.
     """
-    stochastic = prepare_stochastic(adjacency)
-    return [
-        mcl_from_stochastic(stochastic, inflation=inflation).clusters
-        for inflation in candidates
-    ]
-
-
-def _fold_component(
-    task: _ComponentTask,
-    per_candidate: List[List[List[int]]],
-    median_weight: Optional[float],
-) -> _ComponentResult:
-    """Map one component's local clusters back to original vertex ids
-    and count its weak and total intra-cluster edges per candidate."""
-    original_ids, _, local_u, local_v, local_w = task
-    ids = np.asarray(original_ids, dtype=np.int64)
-    result: _ComponentResult = []
-    for clusters in per_candidate:
-        remapped = [
-            sorted(int(ids[i]) for i in cluster) for cluster in clusters
-        ]
-        if median_weight is None:
-            result.append((remapped, 0, 0))
-            continue
-        labels = np.full(len(ids), -1, dtype=np.int64)
-        for index, cluster in enumerate(clusters):
-            labels[cluster] = index
-        intra = labels[local_u] == labels[local_v]
-        total = int(np.count_nonzero(intra))
-        weak = int(np.count_nonzero(local_w[intra] < median_weight))
-        result.append((remapped, weak, total))
-    return result
-
-
-def _pool_initializer() -> None:
-    # Workers never write the parent's trace journal: concurrent appends
-    # from several processes would interleave.
-    configure_tracing(None)
-
-
-def _component_worker(
-    args: Tuple[object, Tuple[float, ...]],
-) -> Tuple[List[List[List[int]]], dict]:
-    """Pool entry point: cluster one component matrix under a private
-    metrics registry and ship the registry home with the result, so the
-    parent's merged totals match a serial run exactly."""
-    adjacency, candidates = args
-    registry = MetricsRegistry()
-    with metrics_scope(registry):
-        result = _local_clusters(adjacency, candidates)
-    return result, registry.to_dict()
-
-
-def _note_parallel_fallback(error: BaseException, reason: str) -> None:
-    registry = current_metrics()
-    message = (
-        f"parallel aggregation unavailable ({reason}): {error!r}; "
-        "continuing serially — results are identical, but the requested "
-        "parallel speedup was not applied"
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    indptr = matrix.indptr.astype(np.int64)
+    degree = np.diff(indptr)[order]
+    new_indptr = np.concatenate(([0], np.cumsum(degree)))
+    gather = np.repeat(indptr[order] - new_indptr[:-1], degree) + np.arange(
+        new_indptr[-1]
     )
-    warnings.warn(AggregationParallelFallbackWarning(message), stacklevel=4)
-    registry.count("aggregation.parallel_fallback")
-    registry.count(f"aggregation.parallel_fallback.{reason}")
-    trace_warning(
-        "aggregation.parallel_fallback",
-        message,
-        reason=reason,
-        error=repr(error),
+    return sparse.csr_matrix(
+        (matrix.data[gather], position[matrix.indices[gather]], new_indptr),
+        shape=matrix.shape,
     )
 
 
-def _cluster_matrices(
-    matrices: List[object], candidates: Tuple[float, ...], workers: int
-) -> List[List[List[List[int]]]]:
-    """:func:`_local_clusters` of every matrix, in parallel when asked
-    and possible; results come back in input order."""
-    if workers > 1 and len(matrices) > 1:
-        try:
-            context = multiprocessing.get_context(
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-            with context.Pool(
-                processes=min(workers, len(matrices)),
-                initializer=_pool_initializer,
-            ) as pool:
-                packed = pool.map(
-                    _component_worker,
-                    [(matrix, candidates) for matrix in matrices],
-                )
-        except (OSError, pickle.PicklingError) as error:
-            _note_parallel_fallback(error, "pool_failure")
-        else:
-            registry = current_metrics()
-            registry.count("aggregation.parallel")
-            results = []
-            for result, worker_metrics in packed:
-                registry.merge(MetricsRegistry.from_dict(worker_metrics))
-                results.append(result)
-            return results
-    return [_local_clusters(matrix, candidates) for matrix in matrices]
-
-
-def _run_component_tasks(
-    tasks: List[_ComponentTask],
-    candidates: Tuple[float, ...],
-    median_weight: Optional[float],
-    workers: int,
-) -> List[_ComponentResult]:
+def _cluster_labels(
+    graph: WeightedGraph, candidates: Tuple[float, ...]
+) -> Tuple[np.ndarray, np.ndarray]:
     """Cluster every component at every candidate.
 
-    Components whose matrices are byte-equal get the same MCL runs, so
-    each distinct matrix is clustered once (the memo is this call's
-    own); the clusters are then mapped back to original ids, and weak
-    and total intra-cluster edges counted, per component. Results come
-    back in task (= component) order, so downstream concatenation is
-    deterministic regardless of worker count.
+    Returns ``(labels, counts)``: ``labels[c, v]`` is vertex ``v``'s
+    cluster at candidate ``c``, clusters numbered component by
+    component (in component order) and, inside a component, by smallest
+    member; ``counts[c]`` is that candidate's cluster count.
     """
+    n = graph.vertex_count
+    if n == 0:
+        empty = np.zeros((len(candidates), 0), dtype=np.int64)
+        return empty, np.zeros(len(candidates), dtype=np.int64)
+    order, sizes = graph.component_order()
+    permuted = _permuted(graph.to_sparse(), order)
+    starts = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    stochastic = prepare_stochastic(permuted)
+    adjacency = (permuted.indptr, permuted.indices, permuted.data)
+    # Each multi-vertex component's distinct-block slot; byte-equal
+    # adjacency blocks share one (the memo is this call's own).
     slots: Dict[tuple, int] = {}
-    matrices: List[object] = []
-    slot_of: List[Optional[int]] = []
-    for _, adjacency, _, _, _ in tasks:
-        if adjacency is None:
-            slot_of.append(None)
+    blocks: List[sparse.csc_matrix] = []
+    slot_of: List[int] = []
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        if hi - lo == 1:
+            slot_of.append(-1)
             continue
-        slot = slots.setdefault(_csr_key(adjacency), len(matrices))
-        if slot == len(matrices):
-            matrices.append(adjacency)
+        key = _block_key(adjacency, lo, hi)
+        slot = slots.setdefault(key, len(blocks))
+        if slot == len(blocks):
+            blocks.append(_block(stochastic, lo, hi))
         slot_of.append(slot)
-    clustered = _cluster_matrices(matrices, candidates, workers)
-    results: List[_ComponentResult] = []
-    for task, slot in zip(tasks, slot_of):
-        if slot is None:
-            results.append([([list(task[0])], 0, 0) for _ in candidates])
-        else:
-            results.append(
-                _fold_component(task, clustered[slot], median_weight)
-            )
-    return results
+    results = mcl_runs(
+        [(block, inflation) for inflation in candidates for block in blocks]
+    )
+    # Slot -1 (a singleton component) picks the entry appended last.
+    slot_array = np.array(slot_of)
+    singleton = np.zeros(1, dtype=np.int64)
+    labels = np.empty((len(candidates), n), dtype=np.int64)
+    counts = np.empty(len(candidates), dtype=np.int64)
+    for position in range(len(candidates)):
+        runs = results[position * len(blocks):(position + 1) * len(blocks)]
+        labels_by_slot = [run.labels for run in runs] + [singleton]
+        per_component = np.array(
+            [run.cluster_count for run in runs] + [1], dtype=np.int64
+        )[slot_array]
+        offsets = np.cumsum(per_component) - per_component
+        local = np.concatenate([labels_by_slot[slot] for slot in slot_of])
+        labels[position, order] = local + np.repeat(offsets, sizes)
+        counts[position] = per_component.sum()
+    return labels, counts
+
+
+def _block_key(adjacency, lo: int, hi: int) -> tuple:
+    """The arrays of one component's adjacency block: components with
+    equal keys have byte-equal MCL runs."""
+    indptr, indices, data = adjacency
+    start, end = int(indptr[lo]), int(indptr[hi])
+    return (
+        hi - lo,
+        (indptr[lo:hi + 1] - start).tobytes(),
+        (indices[start:end] - lo).tobytes(),
+        data[start:end].tobytes(),
+    )
+
+
+def _block(matrix: sparse.csc_matrix, lo: int, hi: int) -> sparse.csc_matrix:
+    """Diagonal block ``[lo, hi)`` of a block-diagonal CSC matrix,
+    built without the constructor's ``check_format`` (a sweep cuts
+    hundreds of blocks)."""
+    start, end = int(matrix.indptr[lo]), int(matrix.indptr[hi])
+    block = sparse.csc_matrix.__new__(sparse.csc_matrix)
+    block._shape = (hi - lo, hi - lo)
+    block.indptr = matrix.indptr[lo:hi + 1] - start
+    block.indices = matrix.indices[start:end] - lo
+    block.data = matrix.data[start:end]
+    return block
 
 
 # -- public entry points ------------------------------------------------
 
 
 def run_mcl_on_components(
-    graph: WeightedGraph, inflation: float, workers: int = 1
+    graph: WeightedGraph, inflation: float
 ) -> List[List[int]]:
     """Split into connected components and run MCL on each (Section
     6.3's preprocessing), returning clusters in original vertex ids."""
-    results = _run_component_tasks(
-        _component_tasks(graph), (float(inflation),), None, workers
-    )
-    clusters: List[List[int]] = []
-    for result in results:
-        clusters.extend(result[0][0])
-    return clusters
+    check_inflation(inflation)
+    labels, _ = _cluster_labels(graph, (float(inflation),))
+    return group_by_label(labels[0])
 
 
 def sweep_and_cluster(
     graph: WeightedGraph,
     candidates: Sequence[float] = DEFAULT_CANDIDATES,
-    workers: int = 1,
 ) -> Tuple[float, List[SweepOutcome], List[List[int]]]:
     """Sweep candidates and return (best inflation, outcomes, the best
     candidate's clusters).
@@ -275,41 +171,33 @@ def sweep_and_cluster(
     produce). Ties prefer the smaller (coarser) inflation, which
     aggregates more.
     """
-    weights = graph.edge_arrays()[2]
-    if len(weights) == 0:
-        return (
-            float(candidates[0]),
-            [],
-            run_mcl_on_components(graph, candidates[0], workers=workers),
+    candidates = tuple(candidates)
+    if not candidates:
+        raise ValueError(
+            f"candidates must name at least one inflation, got {candidates!r}"
         )
-    median_weight = float(np.median(weights))
-    results = _run_component_tasks(
-        _component_tasks(graph),
-        tuple(float(c) for c in candidates),
-        median_weight,
-        workers,
-    )
+    for position, candidate in enumerate(candidates):
+        check_inflation(candidate, name=f"candidates[{position}]")
+    candidates = tuple(float(c) for c in candidates)
+    u, v, weights = graph.edge_arrays()
+    if len(weights) == 0:
+        # Edgeless: every vertex is its own cluster at any inflation.
+        singletons = [[vertex] for vertex in range(graph.vertex_count)]
+        return candidates[0], [], singletons
+    labels, counts = _cluster_labels(graph, candidates)
+    weak_edge = weights < float(np.median(weights))
     outcomes: List[SweepOutcome] = []
-    clusters_per_candidate: List[List[List[int]]] = []
     for position, inflation in enumerate(candidates):
-        clusters: List[List[int]] = []
-        weak = 0
-        total = 0
-        for result in results:
-            component_clusters, component_weak, component_total = result[
-                position
-            ]
-            clusters.extend(component_clusters)
-            weak += component_weak
-            total += component_total
+        intra = labels[position, u] == labels[position, v]
+        total = int(np.count_nonzero(intra))
+        weak = int(np.count_nonzero(weak_edge & intra))
         outcomes.append(
             SweepOutcome(
-                inflation=float(inflation),
+                inflation=inflation,
                 weak_edge_fraction=weak / total if total else 0.0,
-                cluster_count=len(clusters),
+                cluster_count=int(counts[position]),
             )
         )
-        clusters_per_candidate.append(clusters)
     best = min(
         range(len(outcomes)),
         key=lambda i: (
@@ -317,9 +205,4 @@ def sweep_and_cluster(
             outcomes[i].inflation,
         ),
     )
-    return (
-        outcomes[best].inflation,
-        outcomes,
-        clusters_per_candidate[best],
-    )
-
+    return outcomes[best].inflation, outcomes, group_by_label(labels[best])

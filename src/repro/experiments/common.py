@@ -172,8 +172,7 @@ class Workspace:
         event_intensity: Optional[float] = None,
     ) -> None:
         self.profile = profile
-        #: Worker processes for the measurement campaign and the
-        #: per-component MCL fan-out (serial when 1).
+        #: Worker processes for the measurement campaign (serial when 1).
         self.workers = workers if workers is not None else active_worker_count()
         #: Persistent-store directory (None → in-process caching only).
         self.store_path = (
@@ -528,7 +527,6 @@ class Workspace:
                 max_pairs_per_cluster=self.profile.reprobe_max_pairs,
                 seed=self.internet.config.seed ^ 0xA66,
                 reprobe_preload=preload,
-                workers=self.workers,
             )
             if cached is not None:
                 clock_after = float(cached["clock_seconds_after"])

@@ -84,7 +84,6 @@ def _pipeline_under(config, workers: int = 1) -> dict:
         snapshot=snapshot,
         max_pairs_per_cluster=24,
         seed=config.seed ^ 0xD1B,
-        workers=1,
     )
     truth = internet.ground_truth
     counters = (

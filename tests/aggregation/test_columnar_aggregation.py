@@ -5,10 +5,10 @@ Production groups identical last-hop sets with a dict and builds the
 similarity graph as a sparse incidence Gram product. Its contract is
 bit-identical outputs against the oracle's dict inverted-index builder
 — same blocks, same similarity graph, same sweep choices, same
-clusters, same reprobe inputs and validations — at any worker count.
-These tests enforce that on synthetic inputs, on a real tiny-profile
-campaign, and on the edge cases (empty input, all-empty sets,
-singletons, all-identical sets, disjoint groups)."""
+clusters, same reprobe inputs and validations. These tests enforce
+that on synthetic inputs, on a real tiny-profile campaign, and on the
+edge cases (empty input, all-empty sets, singletons, all-identical
+sets, disjoint groups)."""
 
 import random
 
@@ -17,12 +17,11 @@ import pytest
 
 from repro.aggregation import (
     AggregatedBlock,
-    AggregationParallelFallbackWarning,
     WeightedGraph,
     aggregate_identical,
     build_similarity_graph,
     mcl,
-    mcl_from_stochastic,
+    mcl_runs,
     pairwise_similarities,
     prepare_stochastic,
     run_aggregation,
@@ -47,7 +46,7 @@ def synthetic_sets(seed: int, count: int = 400, routers: int = 50, groups: int =
 
     With ``groups`` > 1 the router space is partitioned, so the
     similarity graph splits into at least that many connected
-    components — the shape the parallel fan-out needs."""
+    components."""
     rng = random.Random(seed)
     sets = {}
     for n in range(count):
@@ -98,6 +97,25 @@ def assert_same_graph(production, reference):
     for got, want in zip(production.edge_arrays(), reference.edge_arrays()):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+def split_mcl_batches(monkeypatch, batches: int) -> None:
+    """Make the sweep iterate its MCL runs as ``batches`` separate
+    block-diagonal batches, runs dealt round-robin (so each batch mixes
+    candidates and components), results stitched back in input order.
+    Blocks never exchange entries, so no split may change a result."""
+    whole = sweep_mod.mcl_runs
+
+    def dealt(runs, **kwargs):
+        results = [None] * len(runs)
+        for first in range(batches):
+            positions = range(first, len(runs), batches)
+            batch = whole([runs[p] for p in positions], **kwargs)
+            for position, result in zip(positions, batch):
+                results[position] = result
+        return results
+
+    monkeypatch.setattr(sweep_mod, "mcl_runs", dealt)
 
 
 def outputs(outcome):
@@ -205,7 +223,7 @@ class TestGraphBackend:
         sets = synthetic_sets(8, count=120)
         graph = build_similarity_graph(aggregate_identical(sets))
         component = graph.connected_components()[0]
-        subgraph, original = graph.subgraph(component)
+        subgraph, original = oracle.subgraph(graph, component)
         assert original == component
         for i, u in enumerate(original):
             for j, v in enumerate(original):
@@ -218,7 +236,7 @@ class TestWeakFraction:
         sets = synthetic_sets(9)
         graph = build_similarity_graph(aggregate_identical(sets))
         clusters = run_mcl_on_components(graph, 2.0)
-        weights = graph.edge_weights()
+        weights = graph.edge_arrays()[2]
         median = float(np.median(weights))
         # The pre-vectorisation dict-based computation, verbatim.
         cluster_of = {}
@@ -291,7 +309,9 @@ class TestSweepAndCluster:
         # One real MCL run per distinct component matrix and candidate.
         assert registry.counter_value("mcl.runs") == len(SHAPES) * candidates
         with monkeypatch.context() as patch:
-            patch.setattr(sweep_mod, "_csr_key", lambda adjacency: object())
+            patch.setattr(
+                sweep_mod, "_block_key", lambda adjacency, lo, hi: object()
+            )
             with metrics_scope() as registry:
                 memo_free = sweep_and_cluster(graph)
         # Every multi-vertex component (3 + 2 + 2 + 1 copies) runs its own.
@@ -302,9 +322,6 @@ class TestSweepAndCluster:
         assert sorted(v for cluster in clusters for v in cluster) == list(
             range(graph.vertex_count)
         )
-        with metrics_scope() as registry:
-            assert sweep_and_cluster(graph, workers=2) == memoised
-        assert registry.counter_value("mcl.runs") == len(SHAPES) * candidates
 
     def test_matches_serial_primitives(self):
         sets = synthetic_sets(10)
@@ -316,15 +333,17 @@ class TestSweepAndCluster:
             )
         assert clusters == run_mcl_on_components(graph, inflation)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_weak_fold_matches_oracle(self, workers):
+    @pytest.mark.parametrize("batches", [1, 2])
+    def test_weak_fold_matches_oracle(self, batches, monkeypatch):
         # The sweep sums weak/total intra-cluster edge counts per
         # component; the fraction must equal the whole-graph definition.
         sets = synthetic_sets(16, groups=4)
         graph = build_similarity_graph(aggregate_identical(sets))
         assert len(graph.connected_components()) > 1
         median = float(np.median(graph.edge_arrays()[2]))
-        _, outcomes, _ = sweep_and_cluster(graph, workers=workers)
+        with monkeypatch.context() as patch:
+            split_mcl_batches(patch, batches)
+            _, outcomes, _ = sweep_and_cluster(graph)
         assert [o.inflation for o in outcomes] == list(DEFAULT_CANDIDATES)
         assert any(o.weak_edge_fraction > 0 for o in outcomes)
         for outcome in outcomes:
@@ -333,42 +352,20 @@ class TestSweepAndCluster:
                 oracle.weak_intra_cluster_fraction(graph, clusters, median)
             )
 
-    def test_workers_do_not_change_results(self):
-        sets = synthetic_sets(11, groups=4)
-        graph = build_similarity_graph(aggregate_identical(sets))
-        assert len(graph.connected_components()) > 1
-        serial = sweep_and_cluster(graph, workers=1)
-        parallel = sweep_and_cluster(graph, workers=2)
-        assert serial == parallel
-
-    def test_pool_failure_falls_back_serially(self, monkeypatch):
-        sets = synthetic_sets(12, groups=4)
-        graph = build_similarity_graph(aggregate_identical(sets))
-        expected = sweep_and_cluster(graph, workers=1)
-
-        def broken_context(_method):
-            raise OSError("no processes for you")
-
-        monkeypatch.setattr(
-            sweep_mod.multiprocessing, "get_context", broken_context
-        )
-        with pytest.warns(AggregationParallelFallbackWarning):
-            degraded = sweep_and_cluster(graph, workers=2)
-        assert degraded == expected
-
     def test_shared_stochastic_matches_independent_mcl(self):
         sets = synthetic_sets(13, count=80)
         graph = build_similarity_graph(aggregate_identical(sets))
         component = max(graph.connected_components(), key=len)
-        subgraph, _ = graph.subgraph(component)
+        subgraph, _ = oracle.subgraph(graph, component)
         adjacency = subgraph.to_sparse()
         stochastic = prepare_stochastic(adjacency)
         before = stochastic.toarray().copy()
-        for inflation in (1.4, 2.0, 4.0):
-            shared = mcl_from_stochastic(stochastic, inflation=inflation)
+        inflations = (1.4, 2.0, 4.0)
+        shared = mcl_runs([(stochastic, c) for c in inflations])
+        for inflation, run in zip(inflations, shared):
             independent = mcl(adjacency, inflation=inflation)
-            assert shared.clusters == independent.clusters
-            assert shared.iterations == independent.iterations
+            assert run.clusters == independent.clusters
+            assert run.iterations == independent.iterations
         # The shared matrix is never mutated by a run.
         assert (stochastic.toarray() == before).all()
 
@@ -384,10 +381,12 @@ class TestEngineGate:
     """``run_aggregation`` with and without the oracle's similarity
     builder patched in: identical outputs and bit-identical graphs."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_engines_identical_synthetic(self, workers):
+    @pytest.mark.parametrize("batches", [1, 2])
+    def test_engines_identical_synthetic(self, batches):
         sets = synthetic_sets(14, groups=3)
-        production = run_aggregation(sets, validate=False, workers=workers)
+        with pytest.MonkeyPatch.context() as patch:
+            split_mcl_batches(patch, batches)
+            production = run_aggregation(sets, validate=False)
         reference = oracle_aggregation(sets, validate=False)
         assert outputs(production) == outputs(reference)
         assert_same_graph(production.graph, reference.graph)
@@ -446,24 +445,25 @@ class TestFullPipelineGolden:
 
         return build
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_validated_runs_identical(self, campaign_inputs, workers):
-        results = []
-        for aggregate in (run_aggregation, oracle_aggregation):
+    @pytest.mark.parametrize("batches", [1, 2])
+    def test_validated_runs_identical(self, campaign_inputs, batches):
+        def aggregate(engine):
             # Fresh deterministic internet per run: validation reprobes
             # mutate simulator state, so each run gets an identical
             # untouched copy.
             internet, snapshot, lasthop_sets = campaign_inputs()
-            outcome = aggregate(
+            return engine(
                 lasthop_sets,
                 internet=internet,
                 snapshot=snapshot,
                 max_pairs_per_cluster=16,
                 seed=4,
-                workers=workers,
             )
-            results.append(outcome)
-        production, reference = results
+
+        with pytest.MonkeyPatch.context() as patch:
+            split_mcl_batches(patch, batches)
+            production = aggregate(run_aggregation)
+        reference = aggregate(oracle_aggregation)
         assert production.validations
         assert outputs(production) == outputs(reference)
         assert production.validations == reference.validations

@@ -47,6 +47,15 @@ the process is affected until the patch is undone.
 :func:`weak_intra_cluster_fraction` is the whole-graph definition of the
 Section 6.4 sweep score, which the sweep folds from per-component counts.
 
+:func:`mcl_from_stochastic` is MCL one run at a time, in plain scipy
+operators, with the convergence test :func:`_has_converged` and the
+union-find read-out :func:`_interpret`;
+:func:`repro.aggregation.mcl.mcl_runs`, which iterates a whole batch of
+runs as one block-diagonal matrix, must give every run the same
+clusters, iteration count and converged flag, and count the same
+``mcl.*`` metrics. :func:`subgraph` is the induced subgraph the sweep
+once cut out per component.
+
 :func:`build_confidence_table` builds the Section 3.2 table one subset at
 a time, deciding each with :func:`recognised` (regroup the subset by
 last-hop router, then the scalar hierarchy test);
@@ -86,10 +95,18 @@ from typing import (
 )
 
 import numpy as np
+from scipy import sparse
 
 import repro.aggregation.pipeline as aggregation_module
 import repro.core.pipeline as pipeline_module
 from repro.aggregation import AggregatedBlock, WeightedGraph
+from repro.aggregation.graph import _upper_arrays as upper_arrays
+from repro.aggregation.mcl import (
+    DEFAULT_CONVERGENCE_TOL,
+    DEFAULT_INFLATION,
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_PRUNE_THRESHOLD,
+)
 from repro.core.classifier import (
     Category,
     Slash24Measurement,
@@ -120,6 +137,8 @@ from repro.netsim.internet import SimulatedInternet
 from repro.netsim.routing import Fib, Forwarder, RouteEntry
 from repro.netsim.rtt import path_rtt_ms
 from repro.netsim.topology import Router
+from repro.obs.metrics import current_metrics
+from repro.obs.trace import trace_warning
 from repro.util.hashing import mix_to_unit
 from repro.probing.session import ECHO_TTL, Prober, ProbeStats
 from repro.probing.stopping import DEFAULT_CONFIDENCE, probes_required
@@ -824,6 +843,156 @@ def weak_intra_cluster_fraction(
         return 0.0
     weak = int(np.count_nonzero(w[intra] < median_weight))
     return weak / total
+
+
+def subgraph(
+    graph: WeightedGraph, vertices: Sequence[int]
+) -> Tuple[WeightedGraph, List[int]]:
+    """Induced subgraph; returns (graph, original-index list)."""
+    selector = np.asarray(list(vertices), dtype=np.int64)
+    matrix = graph.to_sparse()[selector][:, selector].tocsr()
+    return (
+        WeightedGraph.from_edge_arrays(len(selector), *upper_arrays(matrix)),
+        [int(vertex) for vertex in selector],
+    )
+
+
+@dataclass
+class MclRun:
+    """One reference MCL run."""
+
+    clusters: List[List[int]]
+    iterations: int
+    converged: bool
+
+
+def mcl_from_stochastic(
+    stochastic: sparse.csc_matrix,
+    inflation: float = DEFAULT_INFLATION,
+    prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    convergence_tol: float = DEFAULT_CONVERGENCE_TOL,
+) -> MclRun:
+    """Iterate MCL on one prepared column-stochastic matrix.
+
+    Expansion is the ``@`` operator, inflation ``np.power`` in place,
+    pruning zeroes entries below the threshold and drops them, and
+    normalisation scales each column by its reciprocal
+    ``matrix.sum(axis=0)``, after giving a column that pruned to zero a
+    self loop (``matrix + repair``). Counts ``mcl.runs``,
+    ``mcl.iterations``, ``mcl.nnz_peak`` and ``mcl.unconverged`` and
+    journals a cap hit, run by run. The input is never written.
+    """
+    n = stochastic.shape[0]
+    if n == 0:
+        return MclRun(clusters=[], iterations=0, converged=True)
+    matrix = stochastic
+    converged = False
+    iterations = 0
+    nnz_peak = matrix.nnz
+    for iterations in range(1, max_iterations + 1):
+        previous = matrix
+        matrix = matrix @ matrix
+        nnz_peak = max(nnz_peak, matrix.nnz)
+        np.power(matrix.data, inflation, out=matrix.data)
+        matrix.data[matrix.data < prune_threshold] = 0.0
+        matrix.eliminate_zeros()
+        sums = np.asarray(matrix.sum(axis=0)).ravel()
+        zero_columns = np.flatnonzero(sums == 0.0)
+        if zero_columns.size:
+            repair = sparse.csc_matrix(
+                (np.ones(zero_columns.size), (zero_columns, zero_columns)),
+                shape=matrix.shape,
+            )
+            matrix = sparse.csc_matrix(matrix + repair)
+            sums = np.asarray(matrix.sum(axis=0)).ravel()
+        matrix.data *= np.repeat(1.0 / sums, np.diff(matrix.indptr))
+        if _has_converged(matrix, previous, convergence_tol):
+            converged = True
+            break
+    registry = current_metrics()
+    registry.count("mcl.runs")
+    registry.count("mcl.iterations", iterations)
+    registry.gauge("mcl.nnz_peak", nnz_peak)
+    if not converged:
+        registry.count("mcl.unconverged")
+        trace_warning(
+            "mcl.unconverged",
+            f"MCL hit the {max_iterations}-iteration cap on a "
+            f"{n}-vertex graph without converging",
+            vertices=n,
+            inflation=inflation,
+        )
+    return MclRun(
+        clusters=_interpret(matrix, n),
+        iterations=iterations,
+        converged=converged,
+    )
+
+
+def _has_converged(
+    current: sparse.csc_matrix, previous: sparse.csc_matrix, tol: float
+) -> bool:
+    """Is the largest entry-wise change below ``tol``? Absent entries
+    are zeros."""
+    if (
+        np.array_equal(current.indptr, previous.indptr)
+        and np.array_equal(current.indices, previous.indices)
+    ):
+        if current.data.size == 0:
+            return True
+        return float(np.abs(current.data - previous.data).max()) < tol
+    dense = current.toarray()
+    dense -= previous.toarray()
+    return float(np.abs(dense).max()) < tol
+
+
+def _interpret(matrix: sparse.csc_matrix, n: int) -> List[List[int]]:
+    """Read clusters off the converged matrix.
+
+    Attractors are vertices with positive diagonal mass; an attractor's
+    cluster is the set of vertices whose column sends flow to it.
+    Overlapping attractor systems are merged; vertices attracted nowhere
+    become singletons.
+    """
+    columns = np.repeat(
+        np.arange(n, dtype=np.int64), np.diff(matrix.indptr)
+    )
+    rows = matrix.indices
+    on_diagonal = rows == columns
+    diagonal = np.zeros(n, dtype=np.float64)
+    diagonal[columns[on_diagonal]] = matrix.data[on_diagonal]
+    attractors = np.flatnonzero(diagonal > 0.0)
+
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    is_attractor = np.zeros(n, dtype=bool)
+    is_attractor[attractors] = True
+    in_attractor_row = is_attractor[rows]
+    for row, column in zip(
+        rows[in_attractor_row].tolist(),
+        columns[in_attractor_row].tolist(),
+    ):
+        union(row, column)
+
+    clusters_by_root: dict = {}
+    for vertex in range(n):
+        clusters_by_root.setdefault(find(vertex), []).append(vertex)
+    return sorted(
+        (sorted(members) for members in clusters_by_root.values()),
+        key=lambda cluster: cluster[0],
+    )
 
 
 def recognised(observations: Observations) -> bool:

@@ -14,8 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from repro.aggregation import WeightedGraph, aggregate_identical, mcl
-from repro.aggregation.mcl import _normalize_columns
+from repro.aggregation import (
+    WeightedGraph,
+    aggregate_identical,
+    mcl,
+    prepare_stochastic,
+)
 from repro.core import round_robin_order
 from repro.net import Prefix, to_prefixes
 from repro.probing import ActivitySnapshot, probes_required
@@ -80,13 +84,13 @@ class TestMclInvariants:
     def test_normalize_columns_is_stochastic(self):
         rng = np.random.default_rng(1)
         dense = rng.random((6, 6))
-        matrix = _normalize_columns(sparse.csc_matrix(dense))
+        matrix = prepare_stochastic(sparse.csc_matrix(dense))
         sums = np.asarray(matrix.sum(axis=0)).ravel()
         assert np.allclose(sums, 1.0)
 
     def test_normalize_repairs_zero_columns(self):
         matrix = sparse.csc_matrix((3, 3))
-        repaired = _normalize_columns(matrix)
+        repaired = prepare_stochastic(matrix, self_loop_weight=0.0)
         sums = np.asarray(repaired.sum(axis=0)).ravel()
         assert np.allclose(sums, 1.0)
 
