@@ -4,18 +4,16 @@ Vertices are aggregated blocks; edge weights are similarity scores.
 Connected-component splitting (Section 6.3's second preprocessing step)
 lets MCL run independently — and cheaply — per component.
 
-The graph is **CSR-backed**: the canonical storage is one symmetric
-:class:`scipy.sparse.csr_matrix`, built either directly from edge
-arrays (:meth:`WeightedGraph.from_edge_arrays`, the similarity
-builder's path) or by finalizing edges staged through
-:meth:`WeightedGraph.add_edge` (tests and the test oracle). The
+A graph is immutable: :meth:`WeightedGraph.from_edge_arrays` builds its
+one symmetric :class:`scipy.sparse.csr_matrix` from edge arrays (the
+similarity builder's path, and the only way to make one). The
 clustering stage reads it whole: :meth:`WeightedGraph.edge_arrays` for
 the edges and :meth:`WeightedGraph.to_sparse` for the matrix.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -23,22 +21,12 @@ from scipy.sparse import csgraph
 
 
 class WeightedGraph:
-    """Undirected graph with float weights, backed by a CSR matrix.
+    """Undirected graph with float weights, backed by a fixed CSR matrix."""
 
-    Mutation (``add_edge``) stages edges in plain lists; any read
-    finalizes the staged edges into the cached CSR form. Re-adding an
-    existing edge overwrites its weight (last add wins), matching the
-    historical adjacency-dict semantics.
-    """
-
-    def __init__(self, vertex_count: int) -> None:
-        if vertex_count < 0:
-            raise ValueError("vertex count cannot be negative")
-        self._n = int(vertex_count)
-        self._staged_u: List[int] = []
-        self._staged_v: List[int] = []
-        self._staged_w: List[float] = []
-        self._matrix: Optional[sparse.csr_matrix] = None
+    def __init__(self, matrix: sparse.csr_matrix) -> None:
+        """Wrap a canonical symmetric matrix; build graphs with
+        :meth:`from_edge_arrays`, which checks its edges."""
+        self._matrix = matrix
 
     @classmethod
     def from_edge_arrays(
@@ -48,14 +36,14 @@ class WeightedGraph:
         v: np.ndarray,
         w: np.ndarray,
     ) -> "WeightedGraph":
-        """Build directly from upper-triangular edge arrays.
+        """Build from edge arrays, one entry per undirected edge.
 
-        ``u < v`` element-wise, weights strictly positive, no duplicate
-        pairs — the validation mirrors :meth:`add_edge`, vectorised.
-        The CSR matrix is constructed in one shot; no Python edge lists
-        are ever materialized.
+        Endpoints in range and distinct, weights strictly positive, and
+        no pair given twice (in either order). The CSR matrix is
+        constructed in one shot; no Python edge lists are materialized.
         """
-        graph = cls(vertex_count)
+        if vertex_count < 0:
+            raise ValueError("vertex count cannot be negative")
         u = np.ascontiguousarray(u, dtype=np.int64)
         v = np.ascontiguousarray(v, dtype=np.int64)
         w = np.ascontiguousarray(w, dtype=np.float64)
@@ -73,85 +61,27 @@ class WeightedGraph:
                 or max(int(u.max()), int(v.max())) >= vertex_count
             ):
                 raise ValueError("edge endpoint out of range")
-        graph._matrix = _symmetric_csr(vertex_count, u, v, w)
-        return graph
-
-    # -- storage ----------------------------------------------------------
-
-    def _csr(self) -> sparse.csr_matrix:
-        """The canonical symmetric CSR matrix (staged edges folded in)."""
-        if self._matrix is not None and not self._staged_u:
-            return self._matrix
-        u = np.array(self._staged_u, dtype=np.int64)
-        v = np.array(self._staged_v, dtype=np.int64)
-        w = np.array(self._staged_w, dtype=np.float64)
-        if self._matrix is not None:
-            prev_u, prev_v, prev_w = _upper_arrays(self._matrix)
-            u = np.concatenate((prev_u, u))
-            v = np.concatenate((prev_v, v))
-            w = np.concatenate((prev_w, w))
-        # Keep the *last* add of each (u, v) pair — overwrite semantics.
-        if len(u):
-            keys = u * self._n + v
-            reversed_keys = keys[::-1]
-            _, first_in_reversed = np.unique(
-                reversed_keys, return_index=True
-            )
-            keep = (len(keys) - 1) - first_in_reversed
-            u, v, w = u[keep], v[keep], w[keep]
-        self._matrix = _symmetric_csr(self._n, u, v, w)
-        self._staged_u.clear()
-        self._staged_v.clear()
-        self._staged_w.clear()
-        return self._matrix
-
-    # -- mutation ---------------------------------------------------------
-
-    def add_edge(self, u: int, v: int, weight: float) -> None:
-        if u == v:
-            raise ValueError("self loops are added by MCL, not the graph")
-        if weight <= 0.0:
-            raise ValueError("edges must have positive weight")
-        if not (0 <= u < self._n and 0 <= v < self._n):
-            raise IndexError(f"edge ({u}, {v}) out of range")
-        if u > v:
-            u, v = v, u
-        self._staged_u.append(u)
-        self._staged_v.append(v)
-        self._staged_w.append(float(weight))
+        matrix = _symmetric_csr(vertex_count, u, v, w)
+        # The CSR build sums repeated entries, so a pair given twice (in
+        # either order) leaves fewer than two stored entries per edge.
+        if matrix.nnz != 2 * len(u):
+            raise ValueError("an edge is given more than once")
+        return cls(matrix)
 
     # -- reads ------------------------------------------------------------
 
     @property
     def vertex_count(self) -> int:
-        return self._n
+        return self._matrix.shape[0]
 
     @property
     def edge_count(self) -> int:
-        return int(self._csr().nnz) // 2
-
-    def weight(self, u: int, v: int) -> float:
-        """Edge weight, 0.0 if absent."""
-        matrix = self._csr()
-        lo, hi = int(matrix.indptr[u]), int(matrix.indptr[u + 1])
-        position = lo + int(
-            np.searchsorted(matrix.indices[lo:hi], v)
-        )
-        if position < hi and int(matrix.indices[position]) == v:
-            return float(matrix.data[position])
-        return 0.0
-
-    def edges(self) -> Iterator[Tuple[int, int, float]]:
-        """Each undirected edge once, as (u, v, weight) with u < v,
-        ordered by (u, v)."""
-        u, v, w = self.edge_arrays()
-        for i in range(len(u)):
-            yield (int(u[i]), int(v[i]), float(w[i]))
+        return int(self._matrix.nnz) // 2
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The upper-triangular edge arrays ``(u, v, weight)`` with
-        ``u < v``, sorted by (u, v). Shared views — do not mutate."""
-        return _upper_arrays(self._csr())
+        ``u < v``, sorted by (u, v)."""
+        return _upper_arrays(self._matrix)
 
     # -- components -------------------------------------------------------
 
@@ -174,10 +104,10 @@ class WeightedGraph:
         Delegates to :func:`scipy.sparse.csgraph.connected_components`
         and reorders its labels.
         """
-        if self._n == 0:
+        if self.vertex_count == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         count, labels = csgraph.connected_components(
-            self._csr(), directed=False
+            self._matrix, directed=False
         )
         sizes = np.bincount(labels, minlength=count)
         # A stable argsort of the labels groups vertices with members
@@ -194,7 +124,7 @@ class WeightedGraph:
         second full-graph matrix used to double aggregation's peak
         memory); callers must treat it as read-only.
         """
-        return self._csr()
+        return self._matrix
 
 
 def _symmetric_csr(

@@ -168,13 +168,6 @@ class SearchComparison:
     population_addresses: int = 0
 
     @property
-    def speedup(self) -> float:
-        """Measured mean-probe ratio among found hosts (censored)."""
-        if self.block_mean_probes == 0:
-            return float("inf")
-        return self.population_mean_probes / self.block_mean_probes
-
-    @property
     def expected_speedup(self) -> float:
         """Search-space ratio: the uncensored expected probe ratio."""
         if self.mean_block_addresses == 0:

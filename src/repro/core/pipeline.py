@@ -23,6 +23,7 @@ once:
 from __future__ import annotations
 
 import multiprocessing
+import numbers
 import os
 import pickle
 import random
@@ -31,7 +32,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -117,16 +118,6 @@ class MultipathResult:
     routes: Set[Route] = field(default_factory=set)
     reached: bool = False
     probes_used: int = 0
-
-    @property
-    def lasthop_addresses(self) -> FrozenSet[Optional[int]]:
-        """Final-router address of each discovered path (None for a
-        path whose last hop never answered)."""
-        return frozenset(route[-1] if route else None for route in self.routes)
-
-    @property
-    def route_count(self) -> int:
-        return len(self.routes)
 
 
 def enumerate_paths(
@@ -608,9 +599,17 @@ def run_campaign(
     A policy type the engine does not replicate raises
     :class:`TypeError` before the store is consulted or a worker forked,
     so a store hit cannot return another policy's results as its own.
+    ``workers`` below 1 and a ``max_destinations_per_slash24`` below 1
+    raise :class:`ValueError` before the snapshot is taken.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    check_workers(workers)
+    if max_destinations_per_slash24 is not None and not _is_count(
+        max_destinations_per_slash24
+    ):
+        raise ValueError(
+            "max_destinations_per_slash24 must be None or a whole number "
+            f">= 1, got {max_destinations_per_slash24!r}"
+        )
     check_policy(policy)
     registry = metrics if metrics is not None else current_metrics()
     if snapshot is None:
@@ -624,6 +623,22 @@ def run_campaign(
             max_destinations_per_slash24, workers, store, registry,
         )
     return result
+
+
+def _is_count(value) -> bool:
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and value >= 1
+    )
+
+
+def check_workers(workers: int) -> None:
+    """Refuse a worker count that is not a whole number >= 1."""
+    if not _is_count(workers):
+        raise ValueError(
+            f"workers must be a whole number >= 1, got {workers!r}"
+        )
 
 
 def _run_campaign_observed(

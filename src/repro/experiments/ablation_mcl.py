@@ -12,7 +12,6 @@ import time
 from typing import List
 
 from ..aggregation import (
-    build_similarity_graph,
     mcl,
     run_mcl_on_components,
 )

@@ -3,18 +3,18 @@
 A :class:`Workspace` lazily builds and caches the heavy artifacts every
 experiment consumes — the simulated Internet, the ZMap snapshot, the
 exhaustive training datasets, the confidence table, the measurement
-campaign and the aggregation outcome — so that running all benches
-shares one build per profile.
+campaign and the aggregation outcome — so that running every
+experiment shares one build per profile.
 
-Profiles scale the scenario: ``tiny`` for tests, ``small`` for bench
-runs, ``paper`` for the fullest (still scaled-down) reproduction. Select
-with the ``REPRO_PROFILE`` environment variable.
+Profiles scale the scenario: ``tiny`` for tests, ``small`` for the
+default experiment runs, ``paper`` for the fullest (still scaled-down)
+reproduction. Select with the ``REPRO_PROFILE`` environment variable.
 
 A workspace can also run in *persistent* mode (``--store PATH`` /
 ``REPRO_STORE``): the measurement campaign checkpoints each /24 into an
 on-disk :class:`repro.store.MeasurementStore`, and the probe-heavy
 training datasets, and the confidence table trained on one of them,
-are cached there as artifacts — so experiments and benches share one
+are cached there as artifacts — so experiment runs share one
 campaign across processes, and a warm rerun of the classification
 experiments is pure re-analysis with zero probing and no table draws.
 """
@@ -32,12 +32,11 @@ from ..core import (
     CampaignResult,
     ConfidenceTable,
     ExhaustivePolicy,
-    Slash24Measurement,
     TerminationPolicy,
     run_campaign,
 )
 from ..core.heterogeneity import SubBlockAnalysis, analyze_sub_blocks
-from ..core.pipeline import enumerate_paths, measure
+from ..core.pipeline import check_workers, enumerate_paths, measure
 from ..net.prefix import Prefix
 from ..netsim import (
     EventConfig,
@@ -46,6 +45,7 @@ from ..netsim import (
     paper_scenario,
     tiny_scenario,
 )
+from ..netsim.config import check_intensity
 from ..obs.metrics import current_metrics
 from ..obs.trace import span
 from ..probing import ActivitySnapshot, Prober, scan
@@ -104,7 +104,8 @@ PROFILES: Dict[str, Profile] = {
     ),
     # Reduced-scale image of the paper profile (~60k /24s): same code
     # path — columnar campaign over a lazily-built universe — at a size
-    # CI can afford. The campaign benchmark gates regressions here.
+    # CI can afford. CI's snapshot-memory check and aggregation perf gate
+    # run here.
     "paper-smoke": Profile(
         name="paper-smoke",
         scenario_scale=2.2,
@@ -171,6 +172,12 @@ class Workspace:
         store_path: Optional[str] = None,
         event_intensity: Optional[float] = None,
     ) -> None:
+        # Out-of-domain arguments fail here, before anything is built;
+        # the env-knob defaults below are checked where they are read.
+        if workers is not None:
+            check_workers(workers)
+        if event_intensity is not None:
+            check_intensity(event_intensity, "event_intensity")
         self.profile = profile
         #: Worker processes for the measurement campaign (serial when 1).
         self.workers = workers if workers is not None else active_worker_count()
@@ -206,7 +213,7 @@ class Workspace:
 
         Only file handles close — in-memory artifacts survive, and the
         ``store`` property reopens lazily if used again. Long-running
-        processes (the CLI, benches) must close workspaces they opened
+        processes (the CLI, tools) must close workspaces they opened
         with a persistent store, or segment append handles leak."""
         if self._store is not None:
             self._store.close()

@@ -1,5 +1,5 @@
-"""Address-level primitives: addresses, prefixes, a prefix trie and
-CIDR helpers over lists of /24s."""
+"""Address-level primitives: addresses, prefixes and CIDR helpers over
+lists of /24s."""
 
 from .addr import (
     ADDRESS_BITS,
@@ -14,7 +14,6 @@ from .addr import (
     octets,
     parse,
     slash24_of,
-    slash26_of,
 )
 from .blockset import (
     adjacency_lcp_lengths,
@@ -28,7 +27,6 @@ from .prefix import (
     enclosing_prefix,
     to_prefixes,
 )
-from .trie import PrefixTrie
 
 __all__ = [
     "ADDRESS_BITS",
@@ -37,7 +35,6 @@ __all__ = [
     "AddressError",
     "AddressRange",
     "Prefix",
-    "PrefixTrie",
     "adjacency_lcp_lengths",
     "common_prefix_length",
     "contiguous_runs",
@@ -50,7 +47,6 @@ __all__ = [
     "octets",
     "parse",
     "slash24_of",
-    "slash26_of",
     "to_prefixes",
     "visualization_coordinates",
 ]

@@ -100,12 +100,6 @@ def slash24_of(addr: int) -> int:
     return addr & 0xFFFFFF00
 
 
-def slash26_of(addr: int) -> int:
-    """Return the /26 network address containing ``addr``."""
-    check_address(addr)
-    return addr & 0xFFFFFFC0
-
-
 def common_prefix_length(a: int, b: int) -> int:
     """Length of the longest common prefix of two addresses (0..32).
 

@@ -9,7 +9,7 @@ group (used by the hierarchy test in :mod:`repro.core.hierarchy`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 from . import addr as addrmod
 from .addr import ADDRESS_BITS, AddressError
@@ -104,21 +104,7 @@ class Prefix:
         """True if the two prefixes share any address."""
         return self.contains_prefix(other) or other.contains_prefix(self)
 
-    def is_disjoint(self, other: "Prefix") -> bool:
-        """True if the two prefixes share no address."""
-        return not self.overlaps(other)
-
     # -- derivation ----------------------------------------------------
-
-    def supernet(self, new_length: int | None = None) -> "Prefix":
-        """The enclosing prefix of ``new_length`` (default: one bit up)."""
-        if new_length is None:
-            new_length = self.length - 1
-        if not 0 <= new_length <= self.length:
-            raise AddressError(
-                f"cannot widen /{self.length} to /{new_length}"
-            )
-        return Prefix.of(self.network, new_length)
 
     def subnets(self, new_length: int | None = None) -> Iterator["Prefix"]:
         """Enumerate subnets of ``new_length`` (default: one bit down)."""
@@ -170,12 +156,6 @@ class AddressRange:
         if self.last < self.first:
             raise AddressError("range end precedes start")
 
-    @classmethod
-    def of_addresses(cls, addresses: Iterable[int]) -> "AddressRange":
-        """The tightest range covering a non-empty address set."""
-        low, high = addrmod.summarize_bounds(addresses)
-        return cls(low, high)
-
     @property
     def size(self) -> int:
         return self.last - self.first + 1
@@ -196,27 +176,6 @@ class AddressRange:
 
     def overlaps(self, other: "AddressRange") -> bool:
         return not self.disjoint(other)
-
-    def hierarchical_with(self, other: "AddressRange") -> bool:
-        """True if the pair is disjoint or one strictly contains the
-        other.
-
-        This is the pairwise hierarchy relation of Section 2.3: route
-        entries produce ranges that are siblings (disjoint) or
-        parent/child (inclusive); anything else betrays load balancing.
-        *Equal* ranges are not hierarchical: two groups can only share
-        both endpoints if the endpoint addresses belong to both groups,
-        which means some destination has several last-hop routers —
-        itself load-balancing evidence (distinct route entries cannot
-        cover the same prefix).
-        """
-        if self == other:
-            return False
-        return (
-            self.disjoint(other)
-            or self.contains(other)
-            or other.contains(self)
-        )
 
 
 def to_prefixes(first: int, last: int) -> List[Prefix]:

@@ -111,12 +111,6 @@ class Pod:
                 result.extend(allocation.prefix.slash24s())
         return sorted(result)
 
-    def covers_whole_slash24s_only(self) -> bool:
-        return all(a.prefix.length == 24 for a in self.allocations)
-
-    def address_count(self) -> int:
-        return sum(a.prefix.size for a in self.allocations)
-
 
 @dataclass
 class Allocation:
@@ -240,7 +234,3 @@ class AllocationMap:
                 seen.add(allocation.pod.pod_id)
                 pods.append(allocation.pod)
         return pods
-
-    def is_ground_truth_homogeneous(self, slash24: Prefix) -> bool:
-        """True if all allocated space in the /24 belongs to one pod."""
-        return len(self.slash24_pods(slash24)) == 1

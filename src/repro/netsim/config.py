@@ -18,7 +18,9 @@ The presets at the bottom are the scenarios the experiments run on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .orgs import OrgType
@@ -172,16 +174,27 @@ class EventConfig:
     @classmethod
     def at_intensity(cls, intensity: float) -> "EventConfig":
         """All four stressors dialed to one scalar in [0, 1] — the
-        shape behind the ``REPRO_EVENTS`` / ``--events`` knob."""
-        if intensity <= 0.0:
+        shape behind the ``REPRO_EVENTS`` / ``--events`` knob. Any other
+        value raises :class:`ValueError`."""
+        check_intensity(intensity, "intensity")
+        if intensity == 0.0:
             return cls()
-        level = min(1.0, intensity)
         return cls(
-            renumber_fraction=level,
-            reroute_fraction=level * 0.5,
-            outage_fraction=level * 0.5,
-            storm_duty=level * 0.5,
+            renumber_fraction=intensity,
+            reroute_fraction=intensity * 0.5,
+            outage_fraction=intensity * 0.5,
+            storm_duty=intensity * 0.5,
         )
+
+
+def check_intensity(value: float, name: str) -> None:
+    """Refuse an event intensity outside [0, 1] (NaN included)."""
+    if not (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and 0.0 <= value <= 1.0
+    ):
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -228,12 +241,6 @@ class ScenarioConfig:
     vantage_address_text: str = "200.0.0.1"
     # -- mid-campaign dynamics (all-zero default: engine disabled) --
     events: EventConfig = EventConfig()
-
-    def total_slash24s(self) -> int:
-        return sum(org.num_slash24s for org in self.orgs)
-
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        return replace(self, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +312,17 @@ def paper_scenario(scale: float = 1.0, seed: int = 2016) -> ScenarioConfig:
     ``scale`` multiplies broadband org sizes; the named large blocks of
     Table 5 keep their absolute sizes for ``scale >= 0.5`` and shrink
     proportionally below that (so their relative order is preserved).
+    ``scale`` must be a finite number greater than 0.
     """
+    if not (
+        isinstance(scale, numbers.Real)
+        and not isinstance(scale, bool)
+        and math.isfinite(scale)
+        and scale > 0
+    ):
+        raise ValueError(
+            f"scale must be a finite number greater than 0, got {scale!r}"
+        )
 
     def n(base: int, minimum: int = 8) -> int:
         return max(minimum, int(round(base * scale)))

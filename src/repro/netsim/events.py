@@ -145,10 +145,6 @@ class EventSchedule:
     def renumbering(self, pod: Pod) -> bool:
         return pod.pod_id in self._renumber_pods
 
-    @property
-    def renumbering_pod_count(self) -> int:
-        return len(self._renumber_pods)
-
     def _lease_map(self, pod: Pod, lease: int) -> PodLeaseMap:
         key = (pod.pod_id, lease)
         lease_map = self._lease_maps.get(key)

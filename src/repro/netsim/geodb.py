@@ -8,11 +8,13 @@ match — exactly the query surface GeoLite offers.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from ..net.addr import check_address
 from ..net.prefix import Prefix
-from ..net.trie import PrefixTrie
+from ..net.trie import leaf_intervals_from_items
 from .orgs import Organization, OrgType
 
 
@@ -29,11 +31,19 @@ class GeoRecord:
 
 
 class GeoDatabase:
-    """Prefix → :class:`GeoRecord` with longest-prefix-match lookups."""
+    """Prefix → :class:`GeoRecord` with longest-prefix-match lookups.
+
+    Like the routing tables and the allocation map, the database
+    flattens its prefixes into sorted breakpoints
+    (:func:`repro.net.trie.leaf_intervals_from_items`) on the first
+    lookup after a record is added, and looks addresses up by bisection.
+    """
 
     def __init__(self) -> None:
-        self._trie: PrefixTrie[GeoRecord] = PrefixTrie()
-        self._records: List[GeoRecord] = []
+        self._by_prefix: Dict[Prefix, GeoRecord] = {}
+        self._intervals: Optional[
+            Tuple[List[int], List[Optional[GeoRecord]]]
+        ] = None
 
     def add_organization_prefix(self, prefix: Prefix, org: Organization) -> None:
         record = GeoRecord(
@@ -44,32 +54,23 @@ class GeoDatabase:
             city=org.city,
             org_type=org.org_type,
         )
-        self._trie.insert(prefix, record)
-        self._records.append(record)
+        self._by_prefix[prefix] = record
+        self._intervals = None
 
     def lookup(self, addr: int) -> Optional[GeoRecord]:
-        match = self._trie.lookup(addr)
-        return match[1] if match else None
+        check_address(addr)
+        if self._intervals is None:
+            points = leaf_intervals_from_items(sorted(self._by_prefix.items()))
+            self._intervals = (
+                [start for start, _ in points],
+                [record for _, record in points],
+            )
+        starts, records = self._intervals
+        return records[bisect_right(starts, addr) - 1]
 
     def asn_of(self, addr: int) -> Optional[int]:
         record = self.lookup(addr)
         return record.asn if record else None
 
-    def lookup_prefix(self, prefix: Prefix) -> Optional[GeoRecord]:
-        """Record covering a whole prefix (looked up by its first address)."""
-        return self.lookup(prefix.network)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
     def records(self) -> List[GeoRecord]:
-        return list(self._records)
-
-    def asn_histogram(self, prefixes: List[Prefix]) -> Dict[int, int]:
-        """Count prefixes per ASN (the Table 3 grouping)."""
-        counts: Dict[int, int] = {}
-        for prefix in prefixes:
-            asn = self.asn_of(prefix.network)
-            if asn is not None:
-                counts[asn] = counts.get(asn, 0) + 1
-        return counts
+        return list(self._by_prefix.values())

@@ -74,20 +74,12 @@ class GroundTruth:
     def homogeneous_slash24s(self) -> List[Prefix]:
         return [p for p in self._universe if self.is_homogeneous(p)]
 
-    def split_slash24s(self) -> List[Prefix]:
-        return [p for p in self._universe if self.is_split(p)]
-
     def lasthop_set_of(self, slash24: Prefix) -> FrozenSet[int]:
         """Union of last-hop router ids over the /24's pods."""
         routers: set = set()
         for pod in self.pods_of(slash24):
             routers.update(pod.lasthop_router_ids)
         return frozenset(routers)
-
-    def split_composition(self, slash24: Prefix) -> Tuple[int, ...]:
-        """Sorted sub-prefix lengths of a split /24 (Table 2's rows)."""
-        allocations = self._allocations.allocations_within(slash24)
-        return tuple(sorted(a.prefix.length for a in allocations))
 
     def true_blocks(self) -> List[TrueBlock]:
         """Ground-truth aggregates: homogeneous /24s grouped by their

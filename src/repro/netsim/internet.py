@@ -80,7 +80,7 @@ class SimulatedInternet:
         self.clock_seconds: float = 0.0
         self.probe_count: int = 0
         #: Wall-clock seconds the compiled engine spent probing, for
-        #: bench attribution via :meth:`stats`.
+        #: time attribution via :meth:`stats`.
         self.probe_seconds: float = 0.0
         #: Route-template lookups the compiled engine made, and how many
         #: of them had to build a template; kept here so that they

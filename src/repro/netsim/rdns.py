@@ -15,7 +15,7 @@ grammar the paper exploits for Figure 12.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ..net.addr import octets
 from ..util.hashing import mix, mix_to_unit, stable_string_hash
@@ -62,68 +62,57 @@ def _dashed(addr: int) -> str:
     return "-".join(str(o) for o in octets(addr))
 
 
-def _tele2(pattern_id: int, addr: int) -> Tuple[str, str]:
+def _tele2(pattern_id: int, addr: int) -> str:
     cc = _TELE2_CC[pattern_id % len(_TELE2_CC)]
-    name = f"m{mix(1, addr) % 10}-{_dashed(addr)}.cust.tele2.{cc}"
-    return name, rf"^m[0-9].+\.cust\.tele2\.{cc}"
+    return f"m{mix(1, addr) % 10}-{_dashed(addr)}.cust.tele2.{cc}"
 
 
-def _ocn_cell(pattern_id: int, addr: int) -> Tuple[str, str]:
+def _ocn_cell(pattern_id: int, addr: int) -> str:
     region = _OCN_REGIONS[pattern_id % len(_OCN_REGIONS)]
-    name = f"p{addr & 0xFFFF}-omed01.{region}.ocn.ne.jp"
-    return name, rf"^p[0-9]+-omed01\.{region}\.ocn\.ne\.jp"
+    return f"p{addr & 0xFFFF}-omed01.{region}.ocn.ne.jp"
 
 
-def _ec2(pattern_id: int, addr: int) -> Tuple[str, str]:
+def _ec2(pattern_id: int, addr: int) -> str:
     region = _EC2_REGIONS[pattern_id % len(_EC2_REGIONS)]
-    name = f"ec2-{_dashed(addr)}.{region}.compute.amazonaws.com"
-    return name, rf"^ec2-.+\.{region}\.compute\.amazonaws\.com"
+    return f"ec2-{_dashed(addr)}.{region}.compute.amazonaws.com"
 
 
-def _hosting(pattern_id: int, addr: int) -> Tuple[str, str]:
-    name = f"server-{_dashed(addr)}.dc{pattern_id % 7}.examplehosting.net"
-    return name, rf"^server-.+\.dc{pattern_id % 7}\.examplehosting\.net"
+def _hosting(pattern_id: int, addr: int) -> str:
+    return f"server-{_dashed(addr)}.dc{pattern_id % 7}.examplehosting.net"
 
 
-def _cox(pattern_id: int, addr: int) -> Tuple[str, str]:
-    name = f"wsip-{_dashed(addr)}.ph.ph.cox.net"
-    return name, r"^wsip-.+\.ph\.ph\.cox\.net"
+def _cox(pattern_id: int, addr: int) -> str:
+    return f"wsip-{_dashed(addr)}.ph.ph.cox.net"
 
 
-def _vzw(pattern_id: int, addr: int) -> Tuple[str, str]:
-    name = f"{addr & 0xFF}.sub-{_dashed(addr >> 8)}.myvzw.com"
-    return name, r"^[0-9]+\.sub-.+\.myvzw\.com"
+def _vzw(pattern_id: int, addr: int) -> str:
+    return f"{addr & 0xFF}.sub-{_dashed(addr >> 8)}.myvzw.com"
 
 
-def _residential(pattern_id: int, addr: int) -> Tuple[str, str]:
+def _residential(pattern_id: int, addr: int) -> str:
     city = _CITIES[pattern_id % len(_CITIES)]
-    name = f"ip{_dashed(addr)}.{city}.example-isp.net"
-    return name, rf"^ip.+\.{city}\.example-isp\.net"
+    return f"ip{_dashed(addr)}.{city}.example-isp.net"
 
 
-def _twc(pattern_id: int, addr: int) -> Tuple[str, str]:
+def _twc(pattern_id: int, addr: int) -> str:
     region = _TWC_REGIONS[pattern_id % len(_TWC_REGIONS)]
     service = _TWC_SERVICES[(pattern_id // len(_TWC_REGIONS)) % len(_TWC_SERVICES)]
-    name = f"cpe-{_dashed(addr)}.{region}.{service}.rr.com"
-    return name, rf"^cpe-.+\.{region}\.{service}\.rr\.com"
+    return f"cpe-{_dashed(addr)}.{region}.{service}.rr.com"
 
 
-def _singtel(pattern_id: int, addr: int) -> Tuple[str, str]:
-    name = f"bb{_dashed(addr)}.singnet.com.sg"
-    return name, r"^bb.+\.singnet\.com\.sg"
+def _singtel(pattern_id: int, addr: int) -> str:
+    return f"bb{_dashed(addr)}.singnet.com.sg"
 
 
-def _softbank(pattern_id: int, addr: int) -> Tuple[str, str]:
-    name = f"softbank{addr:010d}.bbtec.net"
-    return name, r"^softbank[0-9]+\.bbtec\.net"
+def _softbank(pattern_id: int, addr: int) -> str:
+    return f"softbank{addr:010d}.bbtec.net"
 
 
-def _korea(pattern_id: int, addr: int) -> Tuple[str, str]:
-    name = f"host-{_dashed(addr)}.kornet.net"
-    return name, r"^host-.+\.kornet\.net"
+def _korea(pattern_id: int, addr: int) -> str:
+    return f"host-{_dashed(addr)}.kornet.net"
 
 
-_SCHEMES: Dict[str, Callable[[int, int], Tuple[str, str]]] = {
+_SCHEMES: Dict[str, Callable[[int, int], str]] = {
     "tele2-cellular": _tele2,
     "ocn-cellular": _ocn_cell,
     "ec2": _ec2,
@@ -161,21 +150,7 @@ def rdns_name(scheme: str, pattern_id: int, addr: int, seed: int = 0) -> Optiona
     coverage = _COVERAGE.get(scheme, 1.0)
     if mix_to_unit(seed ^ _RDNS, addr) >= coverage:
         return None
-    name, _ = _SCHEMES[scheme](pattern_id, addr)
-    return name
-
-
-def pattern_label(scheme: str, pattern_id: int) -> Optional[str]:
-    """Canonical regex-style label of a (scheme, pattern id) pair.
-
-    Two addresses have "the same rDNS pattern" iff their labels match —
-    this is what Figures 12's pattern counting uses.
-    """
-    if scheme == "none" or scheme not in _SCHEMES:
-        return None
-    # Pattern labels don't depend on the address; use a fixed probe value.
-    _, label = _SCHEMES[scheme](pattern_id, 0x01020304)
-    return label
+    return _SCHEMES[scheme](pattern_id, addr)
 
 
 def router_rdns_name(router_label: str) -> str:

@@ -76,7 +76,7 @@ class Fib:
 
     def leaf_intervals(self) -> List[Tuple[int, Optional[RouteEntry]]]:
         """The table flattened into sorted LPM breakpoints (see
-        :meth:`repro.net.trie.PrefixTrie.leaf_intervals`)."""
+        :func:`repro.net.trie.leaf_intervals_from_items`)."""
         return leaf_intervals_from_items(sorted(self._entries.items()))
 
     def entries(self) -> List[RouteEntry]:

@@ -117,9 +117,3 @@ class Topology:
 
     def by_address(self, address: int) -> Optional[Router]:
         return self._by_address.get(address)
-
-    def count_by_role(self) -> Dict[RouterRole, int]:
-        counts: Dict[RouterRole, int] = {}
-        for router in self._routers:
-            counts[router.role] = counts.get(router.role, 0) + 1
-        return counts

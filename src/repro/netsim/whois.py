@@ -55,10 +55,6 @@ class WhoisService:
         ]
         return sorted(records, key=lambda r: (r.prefix.network, r.prefix.length))
 
-    def query_address(self, addr: int) -> List[WhoisRecord]:
-        allocation = self._allocations.lookup(addr)
-        return [WhoisRecord.from_allocation(allocation)] if allocation else []
-
     def is_split(self, slash24: Prefix) -> bool:
         """True if the /24 is registered as multiple sub-allocations."""
         records = self.query(slash24)

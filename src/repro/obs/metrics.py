@@ -82,10 +82,6 @@ class MetricsRegistry:
         entry = self.timers.get(name)
         return entry[0] if entry is not None else 0.0
 
-    def timer_calls(self, name: str) -> int:
-        entry = self.timers.get(name)
-        return int(entry[1]) if entry is not None else 0
-
     def subtree(self, prefix: str) -> Dict[str, object]:
         """Every metric at or under ``prefix`` (dot-delimited), as one
         flat name → value mapping (timers report their seconds)."""

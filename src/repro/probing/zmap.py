@@ -24,7 +24,6 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..net.addr import slash24_of
 from ..net.prefix import Prefix
 from ..netsim.internet import ADDRESS_DTYPE, SimulatedInternet
 
@@ -131,11 +130,6 @@ class ActivitySnapshot:
         """The /24's active addresses, sorted, as a new list."""
         start, end = self._bounds(slash24.network)
         return self.addresses[start:end].tolist()
-
-    def is_active(self, addr: int) -> bool:
-        start, end = self._bounds(slash24_of(addr))
-        index = bisect_left(self.addresses, addr, start, end)
-        return index < end and int(self.addresses[index]) == addr
 
     def eligible_slash24s(self, min_active: int = 4) -> List[Prefix]:
         """/24s meeting the Hobbit selection criteria (Section 2.1/3.3):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import IO, Any, Dict, Iterator, List, Optional, Tuple
+from typing import IO, Any, Dict, List, Optional, Tuple
 
 from .codec import HEADER_SIZE, RecordCorrupt, decode_payload, parse_header
 

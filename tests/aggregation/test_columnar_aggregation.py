@@ -177,18 +177,8 @@ class TestSimilarityGraph:
 
 
 class TestGraphBackend:
-    def test_overwrite_semantics(self):
-        graph = WeightedGraph(4)
-        graph.add_edge(0, 1, 0.5)
-        assert graph.weight(0, 1) == 0.5  # finalize staged edges
-        graph.add_edge(1, 0, 0.25)  # re-add after a read, reversed
-        assert graph.weight(0, 1) == 0.25
-        assert graph.edge_count == 1
-
     def test_to_sparse_is_shared_and_symmetric(self):
-        graph = WeightedGraph(3)
-        graph.add_edge(0, 1, 0.5)
-        graph.add_edge(1, 2, 0.75)
+        graph = oracle.graph_from_edges(3, [(0, 1, 0.5), (1, 2, 0.75)])
         matrix = graph.to_sparse()
         assert matrix is graph.to_sparse()  # no per-call copy
         dense = matrix.toarray()
@@ -198,10 +188,9 @@ class TestGraphBackend:
     def test_connected_components_ordering(self):
         # Historical DFS contract: components ordered by smallest
         # member, members ascending, singletons included.
-        graph = WeightedGraph(7)
-        graph.add_edge(5, 2, 1.0)
-        graph.add_edge(6, 0, 1.0)
-        graph.add_edge(4, 1, 1.0)
+        graph = oracle.graph_from_edges(
+            7, [(5, 2, 1.0), (6, 0, 1.0), (4, 1, 1.0)]
+        )
         assert graph.connected_components() == [
             [0, 6], [1, 4], [2, 5], [3],
         ]
@@ -218,6 +207,21 @@ class TestGraphBackend:
             WeightedGraph.from_edge_arrays(
                 2, np.array([0]), np.array([5]), np.array([1.0])
             )
+        with pytest.raises(ValueError):
+            WeightedGraph.from_edge_arrays(
+                -1, np.array([]), np.array([]), np.array([])
+            )
+
+    def test_from_edge_arrays_refuses_a_pair_twice(self):
+        """An immutable graph has no "last add wins": a pair given
+        twice, in either order, is refused instead of summed."""
+        for u, v in (([0, 0], [1, 1]), ([0, 1], [1, 0])):
+            with pytest.raises(ValueError, match="more than once"):
+                WeightedGraph.from_edge_arrays(
+                    3, np.array(u), np.array(v), np.array([0.5, 0.25])
+                )
+        with pytest.raises(ValueError, match="more than once"):
+            oracle.graph_from_edges(3, [(0, 1, 0.5), (1, 0, 0.25)])
 
     def test_subgraph_matches_weights(self):
         sets = synthetic_sets(8, count=120)
@@ -225,10 +229,11 @@ class TestGraphBackend:
         component = graph.connected_components()[0]
         subgraph, original = oracle.subgraph(graph, component)
         assert original == component
+        inner, outer = subgraph.to_sparse(), graph.to_sparse()
         for i, u in enumerate(original):
             for j, v in enumerate(original):
                 if i < j:
-                    assert subgraph.weight(i, j) == graph.weight(u, v)
+                    assert inner[i, j] == outer[u, v]
 
 
 class TestWeakFraction:
@@ -244,7 +249,7 @@ class TestWeakFraction:
             for vertex in cluster:
                 cluster_of[vertex] = index
         weak = total = 0
-        for u, v, weight in graph.edges():
+        for u, v, weight in zip(*(a.tolist() for a in graph.edge_arrays())):
             if cluster_of.get(u) == cluster_of.get(v):
                 total += 1
                 if weight < median:
@@ -256,9 +261,7 @@ class TestWeakFraction:
         )
 
     def test_unclustered_vertices_count_as_intra(self):
-        graph = WeightedGraph(4)
-        graph.add_edge(0, 1, 0.2)
-        graph.add_edge(2, 3, 0.9)
+        graph = oracle.graph_from_edges(4, [(0, 1, 0.2), (2, 3, 0.9)])
         # Only vertices 2, 3 are clustered; 0-1 joins as unclustered.
         fraction = oracle.weak_intra_cluster_fraction(graph, [[2, 3]], 0.5)
         assert fraction == 0.5
@@ -286,18 +289,18 @@ def repeated_component_graph(copies=(3, 2, 2, 1), isolated=2):
         (1 + max(max(u, v) for u, v, _ in shape)) * count
         for shape, count in zip(SHAPES, copies)
     )
-    graph = WeightedGraph(size + isolated)
+    edges = []
     start = isolated
     for shape, count in zip(SHAPES, copies):
         width = 1 + max(max(u, v) for u, v, _ in shape)
         for copy in range(count):
             for u, v, weight in shape:
-                graph.add_edge(
+                edges.append((
                     start + u * count + copy, start + v * count + copy,
                     weight,
-                )
+                ))
         start += width * count
-    return graph
+    return oracle.graph_from_edges(size + isolated, edges)
 
 
 class TestSweepAndCluster:
@@ -412,7 +415,7 @@ class TestEngineGate:
             (Prefix(0, 16), Prefix(1 << 16, 16)),
             (Prefix(2 << 16, 16),),
         ]
-        assert production.graph.weight(0, 1) == 0.5
+        assert production.graph.to_sparse()[0, 1] == 0.5
         reference = oracle_aggregation(sets, validate=False)
         assert outputs(production) == outputs(reference)
         assert_same_graph(production.graph, reference.graph)

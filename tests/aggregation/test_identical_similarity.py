@@ -4,7 +4,6 @@ import pytest
 
 from repro.aggregation import (
     AggregatedBlock,
-    WeightedGraph,
     aggregate_identical,
     build_similarity_graph,
     pairwise_similarities,
@@ -99,51 +98,42 @@ class TestAggregateIdentical:
 
 class TestGraph:
     def test_add_and_query(self):
-        graph = WeightedGraph(3)
-        graph.add_edge(0, 1, 0.5)
-        assert graph.weight(0, 1) == 0.5
-        assert graph.weight(1, 0) == 0.5
-        assert graph.weight(0, 2) == 0.0
+        graph = oracle.graph_from_edges(3, [(0, 1, 0.5)])
+        matrix = graph.to_sparse()
+        assert matrix[0, 1] == 0.5
+        assert matrix[1, 0] == 0.5
+        assert matrix[0, 2] == 0.0
         assert graph.edge_count == 1
 
     def test_rejects_self_loop(self):
-        graph = WeightedGraph(2)
         with pytest.raises(ValueError):
-            graph.add_edge(1, 1, 0.5)
+            oracle.graph_from_edges(2, [(1, 1, 0.5)])
 
     def test_rejects_non_positive_weight(self):
-        graph = WeightedGraph(2)
         with pytest.raises(ValueError):
-            graph.add_edge(0, 1, 0.0)
+            oracle.graph_from_edges(2, [(0, 1, 0.0)])
 
     def test_connected_components(self):
-        graph = WeightedGraph(5)
-        graph.add_edge(0, 1, 1.0)
-        graph.add_edge(3, 4, 1.0)
+        graph = oracle.graph_from_edges(5, [(0, 1, 1.0), (3, 4, 1.0)])
         components = graph.connected_components()
         assert sorted(map(tuple, components)) == [(0, 1), (2,), (3, 4)]
 
     def test_subgraph(self):
-        graph = WeightedGraph(4)
-        graph.add_edge(0, 2, 0.5)
-        graph.add_edge(2, 3, 0.7)
+        graph = oracle.graph_from_edges(4, [(0, 2, 0.5), (2, 3, 0.7)])
         sub, ids = oracle.subgraph(graph, [0, 2, 3])
         assert ids == [0, 2, 3]
-        assert sub.weight(0, 1) == 0.5  # 0-2 remapped
-        assert sub.weight(1, 2) == 0.7  # 2-3 remapped
+        assert sub.to_sparse()[0, 1] == 0.5  # 0-2 remapped
+        assert sub.to_sparse()[1, 2] == 0.7  # 2-3 remapped
 
     def test_to_sparse_symmetric(self):
-        graph = WeightedGraph(3)
-        graph.add_edge(0, 1, 0.25)
+        graph = oracle.graph_from_edges(3, [(0, 1, 0.25)])
         matrix = graph.to_sparse()
         assert matrix.shape == (3, 3)
         assert matrix[0, 1] == matrix[1, 0] == 0.25
 
     def test_edges_listed_once(self):
-        graph = WeightedGraph(3)
-        graph.add_edge(0, 1, 0.5)
-        graph.add_edge(1, 2, 0.5)
-        assert len(list(graph.edges())) == 2
+        graph = oracle.graph_from_edges(3, [(0, 1, 0.5), (1, 2, 0.5)])
+        assert len(graph.edge_arrays()[0]) == 2
 
 
 class TestSimilarityGraph:
@@ -154,8 +144,8 @@ class TestSimilarityGraph:
             block(2, [9], [2]),
         ]
         graph = build_similarity_graph(blocks)
-        assert graph.weight(0, 1) == pytest.approx(0.5)
-        assert graph.weight(0, 2) == 0.0
+        assert graph.to_sparse()[0, 1] == pytest.approx(0.5)
+        assert graph.to_sparse()[0, 2] == 0.0
         assert graph.edge_count == 1
 
     def test_weights_match_similarity(self):
@@ -164,7 +154,7 @@ class TestSimilarityGraph:
             block(1, [3, 4], [1]),
         ]
         graph = build_similarity_graph(blocks)
-        assert graph.weight(0, 1) == pytest.approx(
+        assert graph.to_sparse()[0, 1] == pytest.approx(
             similarity(blocks[0].lasthop_set, blocks[1].lasthop_set)
         )
 

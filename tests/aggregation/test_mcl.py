@@ -34,13 +34,13 @@ mcl_module = importlib.import_module("repro.aggregation.mcl")
 
 def two_cliques_graph(bridge_weight=0.05):
     """Two 4-cliques connected by one weak edge."""
-    graph = WeightedGraph(8)
-    for base in (0, 4):
-        for i in range(4):
-            for j in range(i + 1, 4):
-                graph.add_edge(base + i, base + j, 1.0)
-    graph.add_edge(3, 4, bridge_weight)
-    return graph
+    edges = [
+        (base + i, base + j, 1.0)
+        for base in (0, 4)
+        for i in range(4)
+        for j in range(i + 1, 4)
+    ]
+    return oracle.graph_from_edges(8, edges + [(3, 4, bridge_weight)])
 
 
 class TestMcl:
@@ -60,8 +60,7 @@ class TestMcl:
         assert mcl(matrix).clusters == []
 
     def test_disconnected_vertices_are_singletons(self):
-        graph = WeightedGraph(4)
-        graph.add_edge(0, 1, 1.0)
+        graph = oracle.graph_from_edges(4, [(0, 1, 1.0)])
         result = mcl(graph.to_sparse())
         clusters = sorted(map(tuple, result.clusters))
         assert (2,) in clusters
@@ -87,9 +86,9 @@ class TestMcl:
     def test_higher_inflation_finer_clusters(self):
         # A weakly-connected chain: high inflation should produce at
         # least as many clusters as low inflation.
-        graph = WeightedGraph(9)
-        for i in range(8):
-            graph.add_edge(i, i + 1, 1.0 if i % 3 else 0.2)
+        graph = oracle.graph_from_edges(
+            9, [(i, i + 1, 1.0 if i % 3 else 0.2) for i in range(8)]
+        )
         low = mcl(graph.to_sparse(), inflation=1.4)
         high = mcl(graph.to_sparse(), inflation=6.0)
         assert len(high.clusters) >= len(low.clusters)
@@ -117,8 +116,7 @@ class TestComponentRunner:
         assert sorted(map(tuple, by_component)) == sorted(map(tuple, whole))
 
     def test_isolated_components(self):
-        graph = WeightedGraph(5)
-        graph.add_edge(0, 1, 1.0)
+        graph = oracle.graph_from_edges(5, [(0, 1, 1.0)])
         clusters = run_mcl_on_components(graph, 2.0)
         assert sorted(map(tuple, clusters)) == [
             (0, 1), (2,), (3,), (4,),
@@ -150,7 +148,7 @@ class TestSweep:
         assert inflation == best.inflation
 
     def test_sweep_empty_graph(self):
-        graph = WeightedGraph(3)
+        graph = oracle.graph_from_edges(3, [])
         inflation, outcomes, clusters = sweep_and_cluster(
             graph, candidates=(2.0,)
         )
@@ -169,7 +167,7 @@ def _kernel_untouched(monkeypatch):
 
 
 def _edgeless():
-    return WeightedGraph(3)
+    return oracle.graph_from_edges(3, [])
 
 
 #: (entry point, call, parameter named in the error, the value's repr).
@@ -270,11 +268,15 @@ def weighted_graphs(draw):
             max_size=40,
         )
     )
-    graph = WeightedGraph(n)
-    for u, v, weight in pairs:
-        if u != v:
-            graph.add_edge(u, v, float(weight))
-    return graph
+    # A pair drawn again keeps its last weight.
+    edges = {
+        (min(u, v), max(u, v)): float(weight)
+        for u, v, weight in pairs
+        if u != v
+    }
+    return oracle.graph_from_edges(
+        n, [(u, v, weight) for (u, v), weight in edges.items()]
+    )
 
 
 def component_matrices(graph):

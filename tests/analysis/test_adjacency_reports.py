@@ -67,7 +67,9 @@ class TestAdjacency:
 class TestReports:
     def test_heterogeneous_by_asn(self, shared_internet):
         truth = shared_internet.ground_truth
-        splits = truth.split_slash24s()
+        splits = [
+            p for p in shared_internet.universe_slash24s if truth.is_split(p)
+        ]
         rows = heterogeneous_by_asn(splits, shared_internet.geodb, top=5)
         assert rows
         assert rows[0].rank == 1
@@ -77,7 +79,9 @@ class TestReports:
 
     def test_whois_examples(self, shared_internet):
         truth = shared_internet.ground_truth
-        splits = truth.split_slash24s()
+        splits = [
+            p for p in shared_internet.universe_slash24s if truth.is_split(p)
+        ]
         examples = whois_examples(shared_internet.whois, splits, limit=2)
         assert examples
         for slash24, records in examples:

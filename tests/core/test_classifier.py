@@ -10,7 +10,6 @@ import pytest
 from repro.core import (
     Category,
     ExhaustivePolicy,
-    ReprobePolicy,
     StopReason,
     TerminationPolicy,
     classify_observations,
@@ -142,7 +141,8 @@ class TestMeasureSlash24:
     def test_split_slash24_not_homogeneous(self, internet, snapshot):
         truth = internet.ground_truth
         judged = []
-        for slash24 in truth.split_slash24s():
+        splits = [p for p in internet.universe_slash24s if truth.is_split(p)]
+        for slash24 in splits:
             active = snapshot.active_in(slash24)
             if not active:
                 continue

@@ -1,5 +1,6 @@
 """Tests for the hierarchy test — including a property-based check of
-the stack algorithm against the quadratic reference."""
+the stack algorithm against the quadratic reference,
+``tests/oracle.py:hierarchical_with`` over every pair."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from repro.core import (
     ranges_hierarchical,
     ranges_non_hierarchical_batch,
 )
+from tests import oracle
 
 
 def r(first, last):
@@ -84,7 +86,7 @@ class TestAgainstReference:
     @given(ranges_strategy)
     def test_matches_quadratic_reference(self, ranges):
         expected = all(
-            a.hierarchical_with(b)
+            oracle.hierarchical_with(a, b)
             for i, a in enumerate(ranges)
             for b in ranges[i + 1:]
         )

@@ -72,9 +72,6 @@ class TestBlockHelpers:
     def test_slash24_of(self):
         assert addr.slash24_of(addr.parse("10.1.2.3")) == addr.parse("10.1.2.0")
 
-    def test_slash26_of(self):
-        assert addr.slash26_of(addr.parse("10.1.2.200")) == addr.parse("10.1.2.192")
-
     @given(addresses)
     def test_slash24_contains_address(self, value):
         network = addr.slash24_of(value)

@@ -1,10 +1,12 @@
-"""Tests for repro.net.trie — longest-prefix-match correctness."""
+"""Tests for the reference radix trie, ``tests/oracle.py:PrefixTrie`` —
+longest-prefix-match correctness of the LPM the production tables'
+sorted breakpoints are checked against."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import Prefix, PrefixTrie, parse
+from repro.net import Prefix, parse
+from tests.oracle import PrefixTrie
 
 addresses = st.integers(min_value=0, max_value=(1 << 32) - 1)
 
@@ -21,26 +23,25 @@ class TestBasics:
         trie = PrefixTrie()
         p = Prefix.parse("10.0.0.0/8")
         trie.insert(p, "a")
-        assert trie.get(p) == "a"
-        assert len(trie) == 1
+        assert trie.lookup(p.network) == (p, "a")
+        assert list(trie.items()) == [(p, "a")]
 
     def test_get_missing_returns_default(self):
-        trie = PrefixTrie()
-        assert trie.get(Prefix.parse("10.0.0.0/8"), "missing") == "missing"
+        assert PrefixTrie().lookup(parse("10.0.0.0")) is None
 
     def test_insert_replaces(self):
         trie = PrefixTrie()
         p = Prefix.parse("10.0.0.0/8")
         trie.insert(p, "a")
         trie.insert(p, "b")
-        assert trie.get(p) == "b"
-        assert len(trie) == 1
+        assert trie.lookup(p.network) == (p, "b")
+        assert list(trie.items()) == [(p, "b")]
 
     def test_contains(self):
         trie = PrefixTrie()
         p = Prefix.parse("10.0.0.0/8")
         trie.insert(p, None)  # value None is still present
-        assert trie.get(p, "missing") is None
+        assert trie.lookup(p.network) == (p, None)
 
 
 class TestLookup:
@@ -108,22 +109,3 @@ class TestTraversal:
         networks = [p.network for p, _v in trie.items()]
         assert networks == sorted(networks)
         assert len(list(trie.items())) == 4
-
-    def test_subtree(self):
-        trie = self._populated()
-        below = {v for _p, v in trie.subtree(Prefix.parse("10.1.0.0/16"))}
-        assert below == {"10.1.0.0/16", "10.1.2.0/24"}
-
-    def test_subtree_empty(self):
-        trie = self._populated()
-        assert list(trie.subtree(Prefix.parse("12.0.0.0/8"))) == []
-
-    def test_ancestors(self):
-        trie = self._populated()
-        above = [v for _p, v in trie.ancestors(Prefix.parse("10.1.2.0/24"))]
-        assert above == ["10.0.0.0/8", "10.1.0.0/16"]
-
-    def test_ancestors_excludes_self(self):
-        trie = self._populated()
-        above = [v for _p, v in trie.ancestors(Prefix.parse("10.0.0.0/8"))]
-        assert above == []

@@ -115,15 +115,13 @@ class TestAllocationMap:
         amap.add(make_allocation("10.0.0.128/25", pod_b))
         pods = amap.slash24_pods(Prefix.parse("10.0.0.0/24"))
         assert {p.pod_id for p in pods} == {0, 1}
-        assert not amap.is_ground_truth_homogeneous(
-            Prefix.parse("10.0.0.0/24")
-        )
 
     def test_slash24_homogeneous(self):
         amap = AllocationMap()
         pod = make_pod(0)
         amap.add(make_allocation("10.0.0.0/24", pod))
-        assert amap.is_ground_truth_homogeneous(Prefix.parse("10.0.0.0/24"))
+        pods = amap.slash24_pods(Prefix.parse("10.0.0.0/24"))
+        assert [p.pod_id for p in pods] == [0]
 
     def test_pod_tracks_allocations(self):
         amap = AllocationMap()
@@ -131,7 +129,6 @@ class TestAllocationMap:
         amap.add(make_allocation("10.0.0.0/24", pod))
         amap.add(make_allocation("10.0.2.0/24", pod))
         assert len(pod.allocations) == 2
-        assert pod.address_count() == 512
         assert len(pod.slash24s()) == 2
 
 
@@ -144,4 +141,3 @@ class TestPod:
         pod = make_pod(0)
         amap.add(make_allocation("10.0.0.0/25", pod))
         assert pod.slash24s() == []
-        assert not pod.covers_whole_slash24s_only()

@@ -1,6 +1,8 @@
 """Tests for the scenario builder: structural invariants of what it
 produces."""
 
+from collections import Counter
+
 import pytest
 
 from repro.net import Prefix
@@ -132,7 +134,7 @@ class TestBuiltScenario:
             assert record is not None
 
     def test_router_roles_present(self, built):
-        roles = built.topology.count_by_role()
+        roles = Counter(router.role for router in built.topology)
         for role in (
             RouterRole.VANTAGE_GATEWAY,
             RouterRole.BACKBONE,

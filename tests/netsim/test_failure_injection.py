@@ -18,7 +18,6 @@ from repro.netsim import (
     EventConfig,
     ScenarioConfig,
     SimulatedInternet,
-    tiny_scenario,
 )
 from repro.netsim.config import OrgSpec
 from repro.netsim.orgs import OrgType
@@ -188,7 +187,7 @@ class TestRenumberingWave:
             snapshot=snapshot, seed=1, max_destinations_per_slash24=16,
         )
         assert campaign.total == 10
-        assert internet.events.renumbering_pod_count > 0
+        assert internet.events.summary()["renumber_pods"] > 0
 
     def test_wave_changes_outcomes_vs_static(self):
         """The wave must actually bite: the stressed world's snapshot or

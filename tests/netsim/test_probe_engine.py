@@ -27,7 +27,7 @@ from repro.core.fastengine import (
 from repro.core.pipeline import ping
 from repro.net.addr import MAX_ADDRESS
 from repro.net.prefix import Prefix
-from repro.net.trie import PrefixTrie
+from repro.net.trie import leaf_intervals_from_items
 from repro.netsim import SimulatedInternet, tiny_scenario
 from repro.netsim import hosts as hostmod
 from repro.netsim import rtt as rtt_model
@@ -41,6 +41,7 @@ from repro.util.hashing import (
     splitmix64_np,
 )
 from tests import oracle
+from tests.oracle import PrefixTrie
 
 SEED = 13
 
@@ -82,12 +83,12 @@ def _interval_lookup(points, addr):
 
 class TestLeafIntervals:
     def test_empty_trie(self):
-        assert PrefixTrie().leaf_intervals() == [(0, None)]
+        assert leaf_intervals_from_items(PrefixTrie().items()) == [(0, None)]
 
     def test_single_prefix(self):
         trie = PrefixTrie()
         trie.insert(Prefix.parse("10.0.0.0/8"), "a")
-        points = trie.leaf_intervals()
+        points = leaf_intervals_from_items(trie.items())
         assert points == [
             (0, None),
             (10 << 24, "a"),
@@ -98,7 +99,7 @@ class TestLeafIntervals:
         trie = PrefixTrie()
         trie.insert(Prefix.parse("10.0.0.0/8"), "outer")
         trie.insert(Prefix.parse("10.1.0.0/16"), "inner")
-        points = trie.leaf_intervals()
+        points = leaf_intervals_from_items(trie.items())
         base = 10 << 24
         assert points == [
             (0, None),
@@ -116,7 +117,7 @@ class TestLeafIntervals:
                 length = rng.randrange(4, 30)
                 network = rng.getrandbits(32) & ~((1 << (32 - length)) - 1)
                 trie.insert(Prefix(network, length), rng.randrange(1000))
-            points = trie.leaf_intervals()
+            points = leaf_intervals_from_items(trie.items())
             # Breakpoints are strictly increasing with no no-op runs.
             starts = [p[0] for p in points]
             assert starts == sorted(set(starts))

@@ -5,13 +5,13 @@ import re
 
 import pytest
 
-from repro.net import Prefix
+from repro.net import AddressError, Prefix
 from repro.netsim.rdns import (
     SCHEME_PATTERN_COUNTS,
-    pattern_label,
     rdns_name,
     router_rdns_name,
 )
+from tests.oracle import PrefixTrie
 
 
 class TestGeoDatabase:
@@ -26,19 +26,36 @@ class TestGeoDatabase:
 
     def test_asn_histogram(self, shared_internet):
         slash24s = shared_internet.universe_slash24s[:50]
-        histogram = shared_internet.geodb.asn_histogram(slash24s)
-        assert sum(histogram.values()) == 50
+        geodb = shared_internet.geodb
+        assert all(geodb.asn_of(p.network) is not None for p in slash24s)
 
-    def test_lookup_prefix(self, shared_internet):
-        slash24 = shared_internet.universe_slash24s[0]
-        record = shared_internet.geodb.lookup_prefix(slash24)
-        assert record is not None
+    def test_lookup_refuses_address_outside_ipv4(self, shared_internet):
+        for addr in (-1, 1 << 32):
+            with pytest.raises(AddressError):
+                shared_internet.geodb.lookup(addr)
+
+    def test_lookup_matches_reference_trie(self, shared_internet):
+        """The sorted-breakpoint lookup against a per-bit trie walk over
+        the same records, at every record's edges and around them."""
+        geodb = shared_internet.geodb
+        trie = PrefixTrie()
+        for record in geodb.records():
+            trie.insert(record.prefix, record)
+        probes = {0, (1 << 32) - 1}
+        for record in geodb.records():
+            for edge in (record.prefix.network, record.prefix.last):
+                probes.update((edge - 1, edge, edge + 1))
+        for addr in sorted(a for a in probes if 0 <= a < 1 << 32):
+            match = trie.lookup(addr)
+            assert geodb.lookup(addr) is (match[1] if match else None)
 
 
 class TestWhois:
     def test_split_slash24_has_multiple_records(self, shared_internet):
         truth = shared_internet.ground_truth
-        splits = truth.split_slash24s()
+        splits = [
+            p for p in shared_internet.universe_slash24s if truth.is_split(p)
+        ]
         assert splits
         records = shared_internet.whois.query(splits[0])
         assert len(records) > 1
@@ -53,8 +70,10 @@ class TestWhois:
 
     def test_query_address(self, shared_internet):
         slash24 = shared_internet.universe_slash24s[0]
-        records = shared_internet.whois.query_address(slash24.network + 5)
+        host = Prefix(slash24.network + 5, 32)
+        records = shared_internet.whois.query(host)
         assert len(records) == 1
+        assert records[0].prefix.contains_prefix(host)
 
 
 class TestRdnsSchemes:
@@ -64,8 +83,9 @@ class TestRdnsSchemes:
                 assert count == 0
                 continue
             for pattern_id in range(min(count, 3)):
-                label = pattern_label(scheme, pattern_id)
-                assert label
+                assert any(
+                    rdns_name(scheme, pattern_id, addr) for addr in range(50)
+                )
 
     def test_tele2_name_matches_paper_pattern(self):
         name = rdns_name("tele2-cellular", 0, 0x01020304)
@@ -77,13 +97,8 @@ class TestRdnsSchemes:
         b = rdns_name("ec2", 1, 0x01020304)
         assert a == b
 
-    def test_pattern_label_is_regexish(self):
-        label = pattern_label("tele2-cellular", 0)
-        assert label.startswith("^")
-
     def test_none_scheme(self):
         assert rdns_name("none", 0, 1) is None
-        assert pattern_label("none", 0) is None
 
     def test_coverage_below_one_leaves_gaps(self):
         names = [rdns_name("korea-customer", 0, a) for a in range(300)]
@@ -104,10 +119,12 @@ class TestGroundTruth:
 
     def test_split_composition(self, shared_internet):
         truth = shared_internet.ground_truth
-        split = truth.split_slash24s()[0]
-        composition = truth.split_composition(split)
-        assert all(length > 24 for length in composition)
-        assert sum(1 << (32 - l) for l in composition) == 256
+        split = next(
+            p for p in shared_internet.universe_slash24s if truth.is_split(p)
+        )
+        allocations = shared_internet.allocations.allocations_within(split)
+        assert all(a.prefix.length > 24 for a in allocations)
+        assert sum(a.prefix.size for a in allocations) == 256
 
     def test_true_blocks_partition_homogeneous(self, shared_internet):
         truth = shared_internet.ground_truth

@@ -1,8 +1,7 @@
 """Tests for the topology registry and the RTT model."""
 
 import math
-
-import pytest
+from collections import Counter
 
 from repro.netsim.rtt import (
     HOST_LATENCY_MS,
@@ -11,7 +10,6 @@ from repro.netsim.rtt import (
 )
 from repro.netsim.topology import (
     ROUTER_ADDRESS_BASE,
-    Router,
     RouterRole,
     Topology,
 )
@@ -43,7 +41,7 @@ class TestTopology:
         topo.new_router(RouterRole.CORE)
         topo.new_router(RouterRole.CORE)
         topo.new_router(RouterRole.METRO)
-        counts = topo.count_by_role()
+        counts = Counter(router.role for router in topo)
         assert counts[RouterRole.CORE] == 2
         assert counts[RouterRole.METRO] == 1
 

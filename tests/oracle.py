@@ -11,7 +11,8 @@ against the implementations kept here.
 
 The probe-level reference is :func:`send_probe`: one probe at a time,
 its path resolved by :func:`resolve_path`, which walks every FIB with a
-longest-prefix match (:func:`fib_lookup`) per hop, and its reply an
+longest-prefix match (:func:`fib_lookup`, down the radix trie
+:class:`PrefixTrie`) per hop, and its reply an
 :class:`IcmpReply` (or None on timeout) carrying the RTT.
 :func:`probe` and :func:`echo_with_retries` send through it and count
 each probe in a ``Prober``'s stats.
@@ -43,6 +44,14 @@ each probe in a ``Prober``'s stats.
 The patches replace class attributes and module globals, so the worker
 processes a parallel campaign forks inherit them; every simulator in
 the process is affected until the patch is undone.
+
+The similarity graph, like every :class:`WeightedGraph`, is built from
+edge arrays; :func:`graph_from_edges` collects (u, v, weight) triples
+into them for the dict builder and the tests.
+
+:func:`hierarchical_with` is the pairwise hierarchy relation of Section
+2.3, which :func:`repro.core.hierarchy.ranges_hierarchical` must equal
+over every pair of ranges.
 
 :func:`weak_intra_cluster_fraction` is the whole-graph definition of the
 Section 6.4 sweep score, which the sweep folds from per-component counts.
@@ -128,8 +137,8 @@ from repro.core.termination import (
     ReprobePolicy,
     TerminationPolicy,
 )
-from repro.net.trie import PrefixTrie
-from repro.net.prefix import Prefix
+from repro.net.addr import ADDRESS_BITS, check_address
+from repro.net.prefix import AddressRange, Prefix
 from repro.netsim import hosts as hostmod
 from repro.netsim.allocation import Allocation
 from repro.netsim.icmp import infer_hop_count
@@ -161,6 +170,102 @@ class ForwardingError(RuntimeError):
     """Raised when a packet cannot be forwarded (no route / loop)."""
 
 
+class _TrieNode:
+    __slots__ = ("children", "value", "has_value")
+
+    def __init__(self) -> None:
+        self.children: List[Optional["_TrieNode"]] = [None, None]
+        self.value = None
+        self.has_value = False
+
+
+class PrefixTrie:
+    """Binary radix trie over IPv4 prefixes: the reference
+    longest-prefix match, walked one bit at a time, that production's
+    sorted-breakpoint tables (:func:`repro.net.trie.leaf_intervals_from_items`)
+    must agree with. Inserting a prefix again replaces its value.
+
+    >>> trie = PrefixTrie()
+    >>> trie.insert(Prefix.parse("10.0.0.0/8"), "coarse")
+    >>> trie.insert(Prefix.parse("10.1.0.0/16"), "fine")
+    >>> trie.lookup(Prefix.parse("10.1.2.3").network)
+    (Prefix(network=167837696, length=16), 'fine')
+    """
+
+    def __init__(self) -> None:
+        self._root = _TrieNode()
+
+    def insert(self, prefix: Prefix, value) -> None:
+        """Insert or replace the value for an exact prefix."""
+        node = self._root
+        for bit in _bits(prefix):
+            child = node.children[bit]
+            if child is None:
+                child = _TrieNode()
+                node.children[bit] = child
+            node = child
+        node.value = value
+        node.has_value = True
+
+    def lookup(self, addr: int) -> Optional[Tuple[Prefix, object]]:
+        """Longest-prefix match for an address; None if nothing covers it."""
+        check_address(addr)
+        node = self._root
+        best: Optional[Tuple[Prefix, object]] = None
+        depth = 0
+        if node.has_value:
+            best = (Prefix(0, 0), node.value)
+        while depth < ADDRESS_BITS:
+            bit = (addr >> (ADDRESS_BITS - 1 - depth)) & 1
+            child = node.children[bit]
+            if child is None:
+                break
+            node = child
+            depth += 1
+            if node.has_value:
+                best = (Prefix.of(addr, depth), node.value)
+        return best
+
+    def items(self) -> Iterable[Tuple[Prefix, object]]:
+        """All (prefix, value) pairs in network order."""
+        yield from self._walk(self._root, 0, 0)
+
+    def _walk(
+        self, node: _TrieNode, network: int, depth: int
+    ) -> Iterable[Tuple[Prefix, object]]:
+        if node.has_value:
+            yield Prefix(network, depth), node.value
+        for bit in (0, 1):
+            child = node.children[bit]
+            if child is not None:
+                child_net = network | (bit << (ADDRESS_BITS - 1 - depth))
+                yield from self._walk(child, child_net, depth + 1)
+
+
+def _bits(prefix: Prefix) -> Iterable[int]:
+    """Most-significant-first bits of a prefix's network portion."""
+    for depth in range(prefix.length):
+        yield (prefix.network >> (ADDRESS_BITS - 1 - depth)) & 1
+
+
+def hierarchical_with(a: AddressRange, b: AddressRange) -> bool:
+    """The pairwise hierarchy relation of Section 2.3: True if the two
+    ranges are disjoint or one strictly contains the other.
+
+    Route entries produce ranges that are siblings (disjoint) or
+    parent/child (inclusive); anything else betrays load balancing.
+    *Equal* ranges are not hierarchical: two groups can only share both
+    endpoints if the endpoint addresses belong to both groups, which
+    means some destination has several last-hop routers — itself
+    load-balancing evidence (distinct route entries cannot cover the
+    same prefix). :func:`repro.core.hierarchy.ranges_hierarchical` must
+    equal this relation taken over every pair.
+    """
+    if a == b:
+        return False
+    return a.disjoint(b) or a.contains(b) or b.contains(a)
+
+
 # FIB → (revision, trie of its entries, {dst: matched entry}), rebuilt
 # when the FIB changes.
 _TRIES: "weakref.WeakKeyDictionary[Fib, tuple]" = weakref.WeakKeyDictionary()
@@ -172,7 +277,7 @@ def fib_lookup(fib: Fib, dst: int) -> Optional[RouteEntry]:
     revision)."""
     memo = _TRIES.get(fib)
     if memo is None or memo[0] != fib.revision:
-        trie: PrefixTrie[RouteEntry] = PrefixTrie()
+        trie = PrefixTrie()
         for entry in fib.entries():
             trie.insert(entry.prefix, entry)
         memo = (fib.revision, trie, {})
@@ -683,20 +788,6 @@ class MultipathResult:
     reached: bool = False
     probes_used: int = 0
 
-    @property
-    def lasthop_addresses(self) -> FrozenSet[Optional[int]]:
-        """Final-router address of each discovered path (None entries
-        for paths whose last hop never answered)."""
-        lasthops = set()
-        for trace in self.traces:
-            if trace.reached:
-                lasthops.add(trace.lasthop_address)
-        return frozenset(lasthops)
-
-    @property
-    def route_count(self) -> int:
-        return len(self.routes)
-
 
 def enumerate_paths(
     prober: Prober,
@@ -800,7 +891,6 @@ def build_similarity_graph(
     Uses an inverted index (router → blocks) so the cost is proportional
     to actual overlaps, not all block pairs.
     """
-    graph = WeightedGraph(len(blocks))
     by_router: Dict[int, List[int]] = {}
     for index, block in enumerate(blocks):
         for router in block.lasthop_set:
@@ -813,12 +903,22 @@ def build_similarity_graph(
                 key = (u, v) if u < v else (v, u)
                 intersections[key] = intersections.get(key, 0) + 1
 
-    for (u, v), shared in intersections.items():
-        score = shared / max(
+    edges = [
+        (u, v, shared / max(
             len(blocks[u].lasthop_set), len(blocks[v].lasthop_set)
-        )
-        graph.add_edge(u, v, score)
-    return graph
+        ))
+        for (u, v), shared in intersections.items()
+    ]
+    return graph_from_edges(len(blocks), edges)
+
+
+def graph_from_edges(
+    vertex_count: int, edges: Iterable[Tuple[int, int, float]]
+) -> WeightedGraph:
+    """A :class:`WeightedGraph` from (u, v, weight) triples."""
+    edges = list(edges)
+    u, v, w = zip(*edges) if edges else ((), (), ())
+    return WeightedGraph.from_edge_arrays(vertex_count, u, v, w)
 
 
 def weak_intra_cluster_fraction(

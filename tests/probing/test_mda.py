@@ -5,7 +5,6 @@ suites compare against."""
 import pytest
 
 from repro.core.pipeline import enumerate_paths
-from repro.net import Prefix
 from tests.oracle import identify_lasthops, resolve_path
 
 
@@ -31,23 +30,22 @@ class TestEnumeratePaths:
         result = enumerate_paths(prober, addrs[0])
         assert result.reached
         # The core diamond is per-flow with width > 1 in the scenario.
-        assert result.route_count >= 1
+        assert len(result.routes) >= 1
         assert result.probes_used > 0
 
     def test_unresponsive_host(self, internet, prober):
         result = enumerate_paths(prober, 0xC6000001, max_ttl=5)
         assert not result.reached
-        assert result.route_count == 0
+        assert not result.routes
 
     def test_lasthop_addresses_consistent(self, internet, snapshot, prober):
         addrs = _addresses_of_pod(
             internet, snapshot, lambda pod: not pod.unresponsive_lasthop, 1
         )
         result = enumerate_paths(prober, addrs[0])
-        for lasthop in result.lasthop_addresses:
-            if lasthop is not None:
-                router = internet.topology.by_address(lasthop)
-                assert router is not None
+        for route in result.routes:
+            if route and route[-1] is not None:
+                assert internet.topology.by_address(route[-1]) is not None
 
 
 class TestIdentifyLasthops:

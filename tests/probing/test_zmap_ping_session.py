@@ -40,8 +40,8 @@ class TestScan:
             p for p in internet.universe_slash24s if snapshot.active_in(p)
         )
         addr = snapshot.active_in(slash24)[0]
-        assert snapshot.is_active(addr)
-        assert not snapshot.is_active(0xC6000001)
+        assert addr in snapshot.addresses_in(slash24)
+        assert snapshot.active_in(Prefix.of(0xC6000001, 24)) == []
 
     def test_slash26_groups(self, internet):
         snapshot = scan(internet)

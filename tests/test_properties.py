@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.aggregation import (
-    WeightedGraph,
     aggregate_identical,
     mcl,
     prepare_stochastic,
@@ -24,6 +23,7 @@ from repro.core import round_robin_order
 from repro.net import Prefix, to_prefixes
 from repro.probing import ActivitySnapshot, probes_required
 from repro.store.fingerprint import active_list_fingerprint
+from tests import oracle
 
 addresses = st.integers(min_value=0, max_value=(1 << 32) - 1)
 
@@ -73,10 +73,14 @@ class TestMclInvariants:
         )
     )
     def test_clusters_partition_vertices(self, edges):
-        graph = WeightedGraph(12)
+        # A pair drawn again keeps its first weight.
+        weights = {}
         for u, v, w in edges:
-            if u != v and graph.weight(u, v) == 0.0:
-                graph.add_edge(u, v, w)
+            if u != v:
+                weights.setdefault((min(u, v), max(u, v)), w)
+        graph = oracle.graph_from_edges(
+            12, [(u, v, w) for (u, v), w in weights.items()]
+        )
         result = mcl(graph.to_sparse(), inflation=2.0)
         members = sorted(v for c in result.clusters for v in c)
         assert members == list(range(12))
