@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..aggregation.identical import AggregatedBlock
 from ..net.addr import slash24_of
@@ -37,18 +37,34 @@ class SearchOutcome:
     found: bool
 
 
-_LEASE_MAP_CACHE: dict = {}
+class _LeaseMaps:
+    """The lease maps one search (or one comparison of search
+    strategies) builds, by pod and lease. They go with it, so no pod
+    outlives its scenario through them."""
 
+    def __init__(self) -> None:
+        self._maps: Dict[Tuple[int, int], PodLeaseMap] = {}
 
-def _lease_map(pod, lease: int) -> Optional[PodLeaseMap]:
-    key = (id(pod), lease)
-    cached = _LEASE_MAP_CACHE.get(key)
-    if cached is None:
-        if not pod.slash24s():
+    def fingerprint(
+        self, internet: SimulatedInternet, addr: int, epoch: int
+    ) -> Optional[int]:
+        """See :func:`fingerprint`."""
+        pod = internet.allocations.pod_of(addr)
+        if pod is None:
             return None
-        cached = PodLeaseMap(pod, lease)
-        _LEASE_MAP_CACHE[key] = cached
-    return cached
+        # Keyed by id: the scenario keeps every pod alive while the
+        # search runs, so no two live pods share one.
+        key = (id(pod), lease_of_epoch(epoch))
+        lease_map = self._maps.get(key)
+        if lease_map is None:
+            if not pod.slash24s():
+                return None
+            lease_map = self._maps[key] = PodLeaseMap(pod, key[1])
+        identity = lease_map.identity_of(addr)
+        if identity is None:
+            return None
+        # Namespace identities by pod so they are globally comparable.
+        return (pod.pod_id << 16) | identity
 
 
 def fingerprint(
@@ -59,17 +75,7 @@ def fingerprint(
     Stands in for an application-level fingerprint: comparable across
     addresses, None when the address is outside any pod's /24s.
     """
-    pod = internet.allocations.pod_of(addr)
-    if pod is None:
-        return None
-    lease_map = _lease_map(pod, lease_of_epoch(epoch))
-    if lease_map is None:
-        return None
-    identity = lease_map.identity_of(addr)
-    if identity is None:
-        return None
-    # Namespace identities by pod so they are globally comparable.
-    return (pod.pod_id << 16) | identity
+    return _LeaseMaps().fingerprint(internet, addr, epoch)
 
 
 def search_for_host(
@@ -87,7 +93,24 @@ def search_for_host(
     costs one "probe". Success means the candidate's fingerprint equals
     the old address's fingerprint at ``old_epoch``.
     """
-    target = fingerprint(internet, old_address, old_epoch)
+    return _search(
+        _LeaseMaps(), internet, old_address, old_epoch, new_epoch,
+        candidates, strategy, max_probes,
+    )
+
+
+def _search(
+    lease_maps: _LeaseMaps,
+    internet: SimulatedInternet,
+    old_address: int,
+    old_epoch: int,
+    new_epoch: int,
+    candidates: Sequence[int],
+    strategy: str,
+    max_probes: Optional[int],
+) -> SearchOutcome:
+    """:func:`search_for_host` over the lease maps ``lease_maps``."""
+    target = lease_maps.fingerprint(internet, old_address, old_epoch)
     if target is None:
         raise ValueError("old address has no fingerprint")
     pod = internet.allocations.pod_of(old_address)
@@ -99,7 +122,7 @@ def search_for_host(
         if max_probes is not None and probed >= max_probes:
             break
         probed += 1
-        if fingerprint(internet, candidate, new_epoch) == target:
+        if lease_maps.fingerprint(internet, candidate, new_epoch) == target:
             return SearchOutcome(
                 old_address=old_address,
                 new_address=new_address,
@@ -185,7 +208,9 @@ def compare_search_strategies(
     seed: int = 0,
     max_probes: int = 20_000,
 ) -> SearchComparison:
-    """Search for each renumbered host with both strategies."""
+    """Search for each renumbered host with both strategies; the lease
+    maps the searches build last as long as this call."""
+    lease_maps = _LeaseMaps()
     rng = random.Random(seed)
     block_probes: List[int] = []
     population_probes: List[int] = []
@@ -199,18 +224,17 @@ def compare_search_strategies(
             continue
         searches += 1
         block_space += block.size * 256
-        outcome = search_for_host(
-            internet, old_address, old_epoch, new_epoch,
-            block_candidates(block, rng), "hobbit-block",
-            max_probes=max_probes,
+        outcome = _search(
+            lease_maps, internet, old_address, old_epoch, new_epoch,
+            block_candidates(block, rng), "hobbit-block", max_probes,
         )
         if outcome.found:
             block_found += 1
             block_probes.append(outcome.candidates_probed)
-        outcome = search_for_host(
-            internet, old_address, old_epoch, new_epoch,
+        outcome = _search(
+            lease_maps, internet, old_address, old_epoch, new_epoch,
             population_candidates(population, rng), "population",
-            max_probes=max_probes,
+            max_probes,
         )
         if outcome.found:
             population_found += 1

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from typing import List
 
 from ..aggregation.identical import AggregatedBlock
+from ..core.columnar import CampaignResult
+from ..net.prefix import Prefix
 from ..netsim.internet import SimulatedInternet
 
 
@@ -67,18 +69,22 @@ class ValidationReport:
 
 def score_pipeline(
     internet: SimulatedInternet,
-    campaign,
+    campaign: CampaignResult,
     blocks: List[AggregatedBlock],
 ) -> ValidationReport:
-    """Grade a campaign's verdicts and an aggregation's blocks."""
+    """Grade a campaign's verdicts and an aggregation's blocks.
+
+    The verdicts come straight off the campaign's columns (its
+    category masks and /24 networks); no measurement is materialised.
+    """
     truth = internet.ground_truth
     report = ValidationReport()
-    for slash24, measurement in campaign.measurements.items():
-        if not measurement.category.analyzable:
-            continue
-        report.analyzable += 1
-        actual = truth.is_homogeneous(slash24)
-        claimed = measurement.is_homogeneous
+    analyzable = campaign.analyzable_mask()
+    networks = campaign.columns()["nets"][analyzable].tolist()
+    claims = campaign.homogeneous_mask()[analyzable].tolist()
+    report.analyzable = len(networks)
+    for network, claimed in zip(networks, claims):
+        actual = truth.is_homogeneous(Prefix(network, 24))
         if claimed and actual:
             report.true_positive += 1
         elif claimed and not actual:

@@ -130,6 +130,16 @@ STOP_REASON_CODES = {
 #: destinations); categories have no such gap, every /24 gets one.
 NO_STOP_CODE = -1
 
+#: The same codes keyed by each enum's string value, the form the
+#: measurement store keeps (a replayed /24 goes from its stored strings
+#: straight to codes).
+CATEGORY_CODES_BY_VALUE = {
+    category.value: code for category, code in CATEGORY_CODES.items()
+}
+STOP_REASON_CODES_BY_VALUE = {
+    reason.value: code for reason, code in STOP_REASON_CODES.items()
+}
+
 #: True where the coded category counts toward the analyzable rows of
 #: Table 1, indexed by category code.
 ANALYZABLE_BY_CODE = tuple(c.analyzable for c in CATEGORY_ORDER)

@@ -28,9 +28,14 @@ positional code tables in :mod:`repro.core.classifier`; whole-campaign
 classification summaries reduce to ``np.bincount`` over the code column
 with the ``ANALYZABLE_BY_CODE``/``HOMOGENEOUS_BY_CODE`` masks.
 
-The API (``add``, ``merge``, ``subset``, iteration, a ``measurements``
-mapping, Table 1 helpers) materializes :class:`Slash24Measurement`
-objects lazily, one at a time, only where a caller asks for them.
+Rows come in through one private row writer: ``add`` folds a measured
+:class:`Slash24Measurement` in, and ``add_stored`` appends a /24
+replayed from the measurement store straight from its stored mapping,
+building no object. The API (``merge``, ``subset``, iteration, a
+``measurements`` mapping, Table 1 helpers) materializes
+:class:`Slash24Measurement` objects lazily, one at a time, only where a
+caller asks for them; the masks, ``lasthop_sets`` and scoring read the
+columns.
 ``subset`` is a **view**: the selected rows' fixed-width columns are
 fancy-indexed (O(selection)) while the ragged pools are shared with the
 parent by reference, so carving a handful of /24s out of a million-row
@@ -40,7 +45,7 @@ result does not copy the campaign.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,10 +53,12 @@ from ..net.prefix import Prefix
 from .classifier import (
     ANALYZABLE_BY_CODE,
     CATEGORY_CODES,
+    CATEGORY_CODES_BY_VALUE,
     CATEGORY_ORDER,
     HOMOGENEOUS_BY_CODE,
     NO_STOP_CODE,
     STOP_REASON_CODES,
+    STOP_REASON_CODES_BY_VALUE,
     STOP_REASON_ORDER,
     Category,
     Slash24Measurement,
@@ -59,6 +66,17 @@ from .classifier import (
 
 _ANALYZABLE_MASK = np.array(ANALYZABLE_BY_CODE, dtype=bool)
 _HOMOGENEOUS_MASK = np.array(HOMOGENEOUS_BY_CODE, dtype=bool)
+
+
+def _stored_code(codes: Mapping, value, field: str, key: str) -> int:
+    """The code of a stored enum string; ValueError naming the record's
+    store key if the string is unknown."""
+    try:
+        return codes[value]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"store record {key} has an unknown {field} {value!r}"
+        ) from None
 
 
 class CampaignResult:
@@ -99,33 +117,92 @@ class CampaignResult:
             raise ValueError(
                 f"campaign results hold /24 measurements, got {slash24}"
             )
-        network = slash24.network
+        self._append_row(
+            slash24.network,
+            CATEGORY_CODES[measurement.category],
+            NO_STOP_CODE
+            if measurement.stop_reason is None
+            else STOP_REASON_CODES[measurement.stop_reason],
+            measurement.destinations_probed,
+            measurement.hosts_responsive,
+            measurement.probes_used,
+            [
+                (dst, sorted(lasthops))
+                for dst, lasthops in measurement.observations.items()
+            ],
+        )
+
+    def add_stored(
+        self, network: int, data: Mapping, key: str
+    ) -> Category:
+        """Append the /24 at ``network`` from its stored form (the
+        mapping :func:`repro.store.codec.measurement_to_dict` writes,
+        under store key ``key``) without building a measurement, and
+        return its category.
+
+        Destinations keep their stored order, and each one's last hops
+        become sorted unique values, as :meth:`add` of the decoded
+        measurement would store them. An unknown category or stop-reason
+        string raises ValueError naming ``key``; a duplicate prefix
+        raises as in :meth:`add`.
+        """
+        category = _stored_code(
+            CATEGORY_CODES_BY_VALUE, data["category"], "category", key
+        )
+        stop_reason = data["stop_reason"]
+        stop = NO_STOP_CODE if stop_reason is None else _stored_code(
+            STOP_REASON_CODES_BY_VALUE, stop_reason, "stop reason", key
+        )
+        self._append_row(
+            network,
+            category,
+            stop,
+            int(data["destinations_probed"]),
+            int(data["hosts_responsive"]),
+            int(data["probes_used"]),
+            [
+                (int(dst), sorted(set(lasthops)))
+                for dst, lasthops in data["observations"].items()
+            ],
+        )
+        return CATEGORY_ORDER[category]
+
+    def _append_row(
+        self,
+        network: int,
+        category: int,
+        stop: int,
+        dests: int,
+        hosts: int,
+        probes: int,
+        observations: List[Tuple[int, List[int]]],
+    ) -> None:
+        """Stage one /24's row: its codes and counts, and its
+        (destination, sorted last hops) pairs in order."""
         if network in self._index:
             raise ValueError(
-                f"duplicate measurement for {slash24}: "
+                f"duplicate measurement for {Prefix(network, 24)}: "
                 "each /24 is measured exactly once per campaign"
             )
         self._index[network] = self.total
-        base = self._pool_base()
         self._s_nets.append(network)
-        self._s_cats.append(CATEGORY_CODES[measurement.category])
-        self._s_stops.append(
-            NO_STOP_CODE
-            if measurement.stop_reason is None
-            else STOP_REASON_CODES[measurement.stop_reason]
-        )
-        self._s_dests.append(measurement.destinations_probed)
-        self._s_hosts.append(measurement.hosts_responsive)
-        self._s_probes.append(measurement.probes_used)
-        self._s_obs_lo.append(base + len(self._s_dst_pool))
+        self._s_cats.append(category)
+        self._s_stops.append(stop)
+        self._s_dests.append(dests)
+        self._s_hosts.append(hosts)
+        self._s_probes.append(probes)
+        dst_pool, lh_pool = self._s_dst_pool, self._s_lh_pool
+        lh_lo, lh_hi = self._s_lh_lo, self._s_lh_hi
+        base = self._pool_base()
         lh_base = self._lh_base()
-        for dst, lasthops in measurement.observations.items():
-            self._s_dst_pool.append(dst)
-            self._s_lh_lo.append(lh_base + len(self._s_lh_pool))
-            self._s_lh_pool.extend(sorted(lasthops))
-            self._s_lh_hi.append(lh_base + len(self._s_lh_pool))
-        self._s_obs_hi.append(base + len(self._s_dst_pool))
-        self.probes_used += measurement.probes_used
+        self._s_obs_lo.append(base + len(dst_pool))
+        for dst, lasthops in observations:
+            dst_pool.append(dst)
+            lh_lo.append(lh_base + len(lh_pool))
+            lh_pool.extend(lasthops)
+            lh_hi.append(lh_base + len(lh_pool))
+        self._s_obs_hi.append(base + len(dst_pool))
+        self.probes_used += probes
 
     def merge(self, other: "CampaignResult") -> "CampaignResult":
         """Fold another (disjoint) result into this one. Returns self."""
@@ -281,23 +358,28 @@ class CampaignResult:
     def lasthop_sets(self) -> Dict[Prefix, FrozenSet[int]]:
         """Homogeneous /24 → union of its last-hop sets (the aggregation
         input of Section 5), straight off the pools (no per-/24 object
-        materialization)."""
+        materialization).
+
+        A row's destinations hold consecutive runs of ``lh_pool``, so
+        its last hops are the one slice from its first destination's
+        start to its last one's end.
+        """
         arrays = self._finalize()
-        lh_lo, lh_hi = arrays["lh_lo"], arrays["lh_hi"]
+        rows = np.flatnonzero(self.homogeneous_mask())
+        obs_lo, obs_hi = arrays["obs_lo"][rows], arrays["obs_hi"][rows]
+        observed = obs_hi > obs_lo
+        rows = rows[observed]
+        starts = arrays["lh_lo"][obs_lo[observed]]
+        ends = arrays["lh_hi"][obs_hi[observed] - 1]
         lh_pool = arrays["lh_pool"]
         out: Dict[Prefix, FrozenSet[int]] = {}
-        for row in np.flatnonzero(self.homogeneous_mask()):
-            lo, hi = int(arrays["obs_lo"][row]), int(arrays["obs_hi"][row])
-            union: set = set()
-            for position in range(lo, hi):
-                union.update(
-                    int(a)
-                    for a in lh_pool[
-                        int(lh_lo[position]): int(lh_hi[position])
-                    ]
+        for network, start, end in zip(
+            arrays["nets"][rows].tolist(), starts.tolist(), ends.tolist()
+        ):
+            if end > start:
+                out[Prefix(network, 24)] = frozenset(
+                    lh_pool[start:end].tolist()
                 )
-            if union:
-                out[Prefix(int(arrays["nets"][row]), 24)] = frozenset(union)
         return out
 
     # -- lookup & slicing -------------------------------------------------

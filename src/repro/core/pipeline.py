@@ -32,7 +32,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -602,7 +602,7 @@ def run_campaign(
     ``workers`` below 1 and a ``max_destinations_per_slash24`` below 1
     raise :class:`ValueError` before the snapshot is taken.
     """
-    check_workers(workers)
+    check_count(workers, "workers")
     if max_destinations_per_slash24 is not None and not _is_count(
         max_destinations_per_slash24
     ):
@@ -633,12 +633,11 @@ def _is_count(value) -> bool:
     )
 
 
-def check_workers(workers: int) -> None:
-    """Refuse a worker count that is not a whole number >= 1."""
-    if not _is_count(workers):
-        raise ValueError(
-            f"workers must be a whole number >= 1, got {workers!r}"
-        )
+def check_count(value: int, name: str) -> None:
+    """Refuse a count (``workers``, say) that is not a whole number
+    >= 1."""
+    if not _is_count(value):
+        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
 
 
 def _run_campaign_observed(
@@ -672,19 +671,21 @@ def _run_campaign_observed(
         max_destinations_per_slash24,
     )
     cache_base = (cache.hits, cache.misses) if cache is not None else None
-    cached: Dict[Prefix, Tuple[Slash24Measurement, ProbeStats]] = {}
+    # A replayed /24's stored measurement mapping and probe stats.
+    cached: Dict[Prefix, Tuple[Mapping, ProbeStats]] = {}
     pending: List[Prefix] = []
-    # Store key of each pending /24, reused when it is recorded.
+    # Store key of each /24, reused when it is replayed or recorded.
     keys: Dict[Prefix, str] = {}
     if cache is not None:
         for slash24 in slash24s:
-            key = cache.key_for(slash24, snapshot.addresses_in(slash24))
-            hit = cache.lookup(slash24, key)
+            text = str(slash24)
+            key = cache.key_for(text, snapshot.addresses_in(slash24))
+            keys[slash24] = key
+            hit = cache.lookup(text, key)
             if hit is not None:
                 cached[slash24] = hit
             else:
                 pending.append(slash24)
-                keys[slash24] = key
     else:
         pending = slash24s
     progress = (
@@ -711,27 +712,31 @@ def _run_campaign_observed(
         # measured by a worker or measured here.
         for slash24 in slash24s:
             if slash24 in cached:
-                measurement, measure_stats = cached[slash24]
-            elif slash24 in fresh:
-                measurement, measure_stats = fresh[slash24]
+                stored, measure_stats = cached[slash24]
+                category = result.add_stored(
+                    slash24.network, stored, keys[slash24]
+                )
             else:
-                with span("campaign.slash24", prefix=slash24):
-                    measurement, measure_stats = _measure_in_context(
-                        internet, policy, slash24,
-                        snapshot.active_in(slash24),
-                        seed, clock_base, max_destinations_per_slash24,
-                    )
-                if cache is not None:
-                    cache.record(
-                        slash24, keys[slash24], measurement, measure_stats
-                    )
+                if slash24 in fresh:
+                    measurement, measure_stats = fresh[slash24]
+                else:
+                    with span("campaign.slash24", prefix=slash24):
+                        measurement, measure_stats = _measure_in_context(
+                            internet, policy, slash24,
+                            snapshot.active_in(slash24),
+                            seed, clock_base, max_destinations_per_slash24,
+                        )
+                    if cache is not None:
+                        cache.record(
+                            slash24, keys[slash24], measurement,
+                            measure_stats,
+                        )
+                result.add(measurement)
+                category = measurement.category
             stats.merge(measure_stats)
             registry.count("campaign.slash24s")
             measure_stats.fold_into(registry, "campaign.probes")
-            registry.count(
-                f"campaign.categories.{measurement.category.name.lower()}"
-            )
-            result.add(measurement)
+            registry.count(f"campaign.categories.{category.name.lower()}")
             done += 1
             if progress is not None and not fresh:
                 progress.update(

@@ -36,7 +36,7 @@ from ..core import (
     run_campaign,
 )
 from ..core.heterogeneity import SubBlockAnalysis, analyze_sub_blocks
-from ..core.pipeline import check_workers, enumerate_paths, measure
+from ..core.pipeline import check_count, enumerate_paths, measure
 from ..net.prefix import Prefix
 from ..netsim import (
     EventConfig,
@@ -45,7 +45,7 @@ from ..netsim import (
     paper_scenario,
     tiny_scenario,
 )
-from ..netsim.config import check_intensity
+from ..netsim.config import check_intensity, check_scale
 from ..obs.metrics import current_metrics
 from ..obs.trace import span
 from ..probing import ActivitySnapshot, Prober, scan
@@ -75,6 +75,27 @@ class Profile:
     cellular_slash24_sample: int = 12
     cellular_max_addresses: int = 6
     sampling_repetitions: int = 25
+
+    def __post_init__(self) -> None:
+        # A bad profile fails where it is made, before a workspace
+        # builds anything from it.
+        check_scale(self.scenario_scale, "scenario_scale")
+        for name in _COUNT_FIELDS:
+            check_count(getattr(self, name), name)
+
+
+#: The :class:`Profile` fields that count something, so must be >= 1.
+_COUNT_FIELDS = (
+    "confidence_sample_slash24s",
+    "confidence_samples_per_block",
+    "path_dataset_slash24s",
+    "path_dataset_max_addresses",
+    "campaign_max_destinations",
+    "reprobe_max_pairs",
+    "cellular_slash24_sample",
+    "cellular_max_addresses",
+    "sampling_repetitions",
+)
 
 
 PROFILES: Dict[str, Profile] = {
@@ -175,7 +196,7 @@ class Workspace:
         # Out-of-domain arguments fail here, before anything is built;
         # the env-knob defaults below are checked where they are read.
         if workers is not None:
-            check_workers(workers)
+            check_count(workers, "workers")
         if event_intensity is not None:
             check_intensity(event_intensity, "event_intensity")
         self.profile = profile

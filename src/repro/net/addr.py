@@ -47,8 +47,9 @@ def format_address(addr: int) -> str:
     '192.0.2.1'
     """
     check_address(addr)
-    return ".".join(
-        str((addr >> shift) & 0xFF) for shift in (24, 16, 8, 0)
+    return (
+        f"{addr >> 24}.{(addr >> 16) & 0xFF}.{(addr >> 8) & 0xFF}."
+        f"{addr & 0xFF}"
     )
 
 

@@ -100,10 +100,6 @@ class Prefix:
             and addrmod.network_of(other.network, self.length) == self.network
         )
 
-    def overlaps(self, other: "Prefix") -> bool:
-        """True if the two prefixes share any address."""
-        return self.contains_prefix(other) or other.contains_prefix(self)
-
     # -- derivation ----------------------------------------------------
 
     def subnets(self, new_length: int | None = None) -> Iterator["Prefix"]:
@@ -166,16 +162,9 @@ class AddressRange:
             f"{addrmod.format_address(self.last)}]"
         )
 
-    def contains(self, other: "AddressRange") -> bool:
-        """True if ``other`` lies entirely within this range."""
-        return self.first <= other.first and other.last <= self.last
-
     def disjoint(self, other: "AddressRange") -> bool:
         """True if the two ranges share no address."""
         return self.last < other.first or other.last < self.first
-
-    def overlaps(self, other: "AddressRange") -> bool:
-        return not self.disjoint(other)
 
 
 def to_prefixes(first: int, last: int) -> List[Prefix]:

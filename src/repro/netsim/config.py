@@ -197,6 +197,19 @@ def check_intensity(value: float, name: str) -> None:
         raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
+def check_scale(value: float, name: str) -> None:
+    """Refuse a scenario scale that is not a finite number > 0."""
+    if not (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    ):
+        raise ValueError(
+            f"{name} must be a finite number greater than 0, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Global scenario parameters plus the org list."""
@@ -314,15 +327,7 @@ def paper_scenario(scale: float = 1.0, seed: int = 2016) -> ScenarioConfig:
     proportionally below that (so their relative order is preserved).
     ``scale`` must be a finite number greater than 0.
     """
-    if not (
-        isinstance(scale, numbers.Real)
-        and not isinstance(scale, bool)
-        and math.isfinite(scale)
-        and scale > 0
-    ):
-        raise ValueError(
-            f"scale must be a finite number greater than 0, got {scale!r}"
-        )
+    check_scale(scale, "scale")
 
     def n(base: int, minimum: int = 8) -> int:
         return max(minimum, int(round(base * scale)))

@@ -71,6 +71,3 @@ class GeoDatabase:
     def asn_of(self, addr: int) -> Optional[int]:
         record = self.lookup(addr)
         return record.asn if record else None
-
-    def records(self) -> List[GeoRecord]:
-        return list(self._by_prefix.values())

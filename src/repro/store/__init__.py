@@ -17,8 +17,6 @@ from .codec import (
     canonical_dataset_order,
     confidence_table_from_dict,
     confidence_table_to_dict,
-    decode_slash24_record,
-    measurement_from_dict,
     measurement_to_dict,
     observation_map_from_dict,
     observation_map_to_dict,
@@ -56,8 +54,6 @@ __all__ = [
     "confidence_table_fingerprint",
     "confidence_table_from_dict",
     "confidence_table_to_dict",
-    "decode_slash24_record",
-    "measurement_from_dict",
     "measurement_key",
     "measurement_to_dict",
     "observation_map_fingerprint",

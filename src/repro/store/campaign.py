@@ -2,10 +2,13 @@
 
 :class:`CampaignCache` pins one campaign's full input fingerprint
 (scenario, policy, seed, clock base, destination cap) and exposes the
-operations the campaign executor needs: look up a /24's cached
+operations the campaign executor needs: look up a /24's stored
 measurement, record a freshly measured one, and commit the recorded
-/24s durably. Keys also cover the /24's snapshot active list, so a
-snapshot taken at a different epoch can never satisfy a lookup.
+/24s durably. A lookup hands back the stored mapping itself, which the
+executor appends straight into its columnar result
+(:meth:`repro.core.columnar.CampaignResult.add_stored`). Keys also
+cover the /24's snapshot active list, so a snapshot taken at a
+different epoch can never satisfy a lookup.
 
 Checkpoints are group commits: :meth:`CampaignCache.record` buffers,
 and :meth:`CampaignCache.commit` writes the buffer with one
@@ -24,13 +27,13 @@ keeps ``repro.core`` free of a dependency cycle on ``repro.store``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.classifier import Slash24Measurement
 from ..net.prefix import Prefix
 from ..obs.trace import trace_event
 from ..probing.session import ProbeStats
-from .codec import KIND_SLASH24, decode_slash24_record, slash24_record
+from .codec import KIND_SLASH24, slash24_record
 from .fingerprint import (
     campaign_fingerprint,
     measurement_key,
@@ -82,30 +85,32 @@ class CampaignCache:
         )
         return cls(store, campaign)
 
-    def key_for(self, slash24: Prefix, active: Sequence[int]) -> str:
-        """The store key of ``slash24`` with snapshot active addresses
-        ``active`` (a list, or the snapshot's ``<u4`` slice)."""
+    def key_for(self, slash24: "Prefix | str", active: Sequence[int]) -> str:
+        """The store key of ``slash24`` (a /24, or its text) with
+        snapshot active addresses ``active`` (a list, or the snapshot's
+        ``<u4`` slice)."""
         return measurement_key(self.campaign, slash24, active)
 
     def lookup(
-        self, slash24: Prefix, key: str
-    ) -> Optional[Tuple[Slash24Measurement, ProbeStats]]:
-        """The /24's cached (measurement, probe stats) under its
+        self, text: str, key: str
+    ) -> Optional[Tuple[Mapping[str, Any], ProbeStats]]:
+        """The stored measurement mapping (the
+        :func:`~repro.store.codec.measurement_to_dict` form) and probe
+        stats of the /24 whose text is ``text``, under its
         :meth:`key_for` key, if stored."""
         document = self.store.get(key)
         if document is None or document.get("kind") != KIND_SLASH24:
             self.misses += 1
             return None
-        measurement, stats = decode_slash24_record(document)
-        if measurement.slash24 != slash24:
+        measurement = document["measurement"]
+        if measurement["slash24"] != text:
             # A (vanishingly unlikely) key collision or a hand-edited
             # store; never serve another /24's data.
             self.misses += 1
             return None
+        stats = ProbeStats.from_dict(document["stats"])
         self.hits += 1
-        trace_event(
-            "store.replay", prefix=slash24, probes_saved=stats.sent
-        )
+        trace_event("store.replay", prefix=text, probes_saved=stats.sent)
         return measurement, stats
 
     def record(

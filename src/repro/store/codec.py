@@ -17,11 +17,10 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
-from ..core.classifier import Category, Slash24Measurement
+from ..core.classifier import Slash24Measurement
 from ..core.confidence import ConfidenceTable
-from ..core.termination import StopReason
 from ..net.prefix import Prefix
 from ..probing.session import ProbeStats
 
@@ -38,6 +37,12 @@ KIND_ARTIFACT = "artifact"
 
 class RecordCorrupt(ValueError):
     """A framed record failed its checksum or could not be decoded."""
+
+
+#: The C scanner behind ``json.loads``, called once per payload without
+#: ``loads``'s whitespace handling: canonical payloads have none, so
+#: anything after the one document is trailing data.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def canonical_json_bytes(document: Mapping[str, Any]) -> bytes:
@@ -64,9 +69,14 @@ def decode_payload(payload: bytes, expected_crc: int) -> Dict[str, Any]:
     if zlib.crc32(payload) != expected_crc:
         raise RecordCorrupt("record checksum mismatch")
     try:
-        document = json.loads(payload.decode("utf-8"))
+        text = payload.decode("utf-8")
+        document, end = _raw_decode(text)
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise RecordCorrupt(f"record payload undecodable: {error}") from error
+    if end != len(text):
+        raise RecordCorrupt(
+            f"record payload has trailing data at offset {end}"
+        )
     if not isinstance(document, dict):
         raise RecordCorrupt("record payload is not an object")
     return document
@@ -76,7 +86,11 @@ def decode_payload(payload: bytes, expected_crc: int) -> Dict[str, Any]:
 
 
 def measurement_to_dict(measurement: Slash24Measurement) -> Dict[str, Any]:
-    """Plain-JSON form of one /24's measurement (round-trips exactly)."""
+    """Plain-JSON form of one /24's measurement. A warm campaign
+    appends it straight into its columns
+    (:meth:`repro.core.columnar.CampaignResult.add_stored`), with the
+    rows :meth:`~repro.core.columnar.CampaignResult.add` of the
+    measurement would give."""
     return {
         "slash24": str(measurement.slash24),
         "category": measurement.category.value,
@@ -97,24 +111,6 @@ def measurement_to_dict(measurement: Slash24Measurement) -> Dict[str, Any]:
     }
 
 
-def measurement_from_dict(data: Mapping[str, Any]) -> Slash24Measurement:
-    stop_reason: Optional[StopReason] = None
-    if data["stop_reason"] is not None:
-        stop_reason = StopReason(data["stop_reason"])
-    return Slash24Measurement(
-        slash24=Prefix.parse(data["slash24"]),
-        category=Category(data["category"]),
-        observations={
-            int(dst): frozenset(lasthops)
-            for dst, lasthops in data["observations"].items()
-        },
-        destinations_probed=int(data["destinations_probed"]),
-        hosts_responsive=int(data["hosts_responsive"]),
-        probes_used=int(data["probes_used"]),
-        stop_reason=stop_reason,
-    )
-
-
 def slash24_record(
     key: str,
     campaign: str,
@@ -132,15 +128,6 @@ def slash24_record(
 
 def artifact_record(key: str, value: Any) -> Dict[str, Any]:
     return {"kind": KIND_ARTIFACT, "key": key, "value": value}
-
-
-def decode_slash24_record(
-    document: Mapping[str, Any],
-) -> Tuple[Slash24Measurement, ProbeStats]:
-    return (
-        measurement_from_dict(document["measurement"]),
-        ProbeStats.from_dict(document["stats"]),
-    )
 
 
 # -- auxiliary dataset round-trips ------------------------------------------

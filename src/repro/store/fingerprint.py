@@ -121,9 +121,10 @@ def active_list_fingerprint(active: Sequence[int]) -> int:
 
 
 def measurement_key(
-    campaign: str, slash24: Prefix, active: Sequence[int]
+    campaign: str, slash24: "Prefix | str", active: Sequence[int]
 ) -> str:
-    """Cache key of one /24's measurement within a campaign."""
+    """Cache key of one /24's measurement within a campaign; the /24
+    enters by its text, so its ``str`` may be passed instead."""
     return digest(
         f"slash24::{campaign}::{slash24}::{active_list_fingerprint(active):016x}"
     )

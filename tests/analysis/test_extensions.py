@@ -1,7 +1,9 @@
 """Tests for the extension analyses: DHCP search, longitudinal
 comparison and multi-vantage probing."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.core import TerminationPolicy, run_campaign
 from repro.core.classifier import Category, Slash24Measurement
 from repro.core.pipeline import CampaignResult
 from repro.net import Prefix
+from repro.netsim import SimulatedInternet
 from repro.netsim.dhcp import EPOCHS_PER_LEASE
 
 
@@ -92,6 +95,37 @@ class TestDhcpSearch:
         assert comparison.searches == len(hosts)
         assert comparison.block_found == comparison.searches
         assert comparison.expected_speedup > 3.0
+
+    def test_searched_scenario_is_released(self, tiny_config):
+        """Nothing the searches cache outlives the call: once the caller
+        drops a searched scenario, its internet and the searched hosts'
+        pods are freed."""
+
+        def search():
+            internet = SimulatedInternet.from_config(tiny_config)
+            blocks = _blocks_from_truth(internet)
+            hosts = [
+                block.slash24s[0].network + 9
+                for block in sorted(blocks, key=lambda b: -b.size)[:4]
+            ]
+            comparison = compare_search_strategies(
+                internet, blocks, hosts, 0, EPOCHS_PER_LEASE,
+                [p for b in blocks for p in b.slash24s],
+                seed=2, max_probes=2_000,
+            )
+            assert comparison.searches == 4
+            search_for_host(
+                internet, hosts[0], 0, EPOCHS_PER_LEASE,
+                block_candidates(blocks[0], random.Random(1)), "hobbit-block",
+            )
+            assert fingerprint(internet, hosts[0], 0) is not None
+            pods = [internet.allocations.pod_of(host) for host in hosts]
+            return weakref.ref(internet), [weakref.ref(pod) for pod in pods]
+
+        internet, pods = search()
+        gc.collect()
+        assert internet() is None
+        assert all(pod() is None for pod in pods)
 
     def test_block_of_address_miss(self, shared_internet):
         blocks = _blocks_from_truth(shared_internet)

@@ -6,6 +6,8 @@ import re
 import pytest
 
 from repro.net import AddressError, Prefix
+from repro.netsim.geodb import GeoDatabase
+from repro.netsim.orgs import Organization, OrgType
 from repro.netsim.rdns import (
     SCHEME_PATTERN_COUNTS,
     rdns_name,
@@ -36,18 +38,38 @@ class TestGeoDatabase:
 
     def test_lookup_matches_reference_trie(self, shared_internet):
         """The sorted-breakpoint lookup against a per-bit trie walk over
-        the same records, at every record's edges and around them."""
-        geodb = shared_internet.geodb
+        the same records, at every record's edges and around them, on a
+        database of nested prefixes (the scenario's spans are disjoint,
+        so its own records never nest); and each record of the
+        scenario's database answers at both its edges."""
+        nested_prefixes = [Prefix.parse(text) for text in (
+            "0.0.0.0/1", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24",
+            "10.1.2.128/25", "10.1.2.255/32", "10.2.0.0/15",
+            "192.0.2.0/24",
+        )]
+        nested = GeoDatabase()
+        for index, prefix in enumerate(nested_prefixes):
+            nested.add_organization_prefix(prefix, Organization(
+                org_id=index, asn=65100 + index, name=f"org{index}",
+                country="ZZ", city="c", org_type=OrgType.HOSTING,
+            ))
         trie = PrefixTrie()
-        for record in geodb.records():
-            trie.insert(record.prefix, record)
+        for prefix in nested_prefixes:
+            trie.insert(prefix, nested.lookup(prefix.network))
         probes = {0, (1 << 32) - 1}
-        for record in geodb.records():
-            for edge in (record.prefix.network, record.prefix.last):
+        for prefix in nested_prefixes:
+            for edge in (prefix.network, prefix.last):
                 probes.update((edge - 1, edge, edge + 1))
         for addr in sorted(a for a in probes if 0 <= a < 1 << 32):
             match = trie.lookup(addr)
-            assert geodb.lookup(addr) is (match[1] if match else None)
+            assert nested.lookup(addr) is (match[1] if match else None)
+            if match:
+                assert match[1].prefix == match[0]
+        geodb = shared_internet.geodb
+        for slash24 in shared_internet.universe_slash24s:
+            record = geodb.lookup(slash24.network)
+            assert geodb.lookup(record.prefix.network) is record
+            assert geodb.lookup(record.prefix.last) is record
 
 
 class TestWhois:

@@ -50,8 +50,9 @@ edge arrays; :func:`graph_from_edges` collects (u, v, weight) triples
 into them for the dict builder and the tests.
 
 :func:`hierarchical_with` is the pairwise hierarchy relation of Section
-2.3, which :func:`repro.core.hierarchy.ranges_hierarchical` must equal
-over every pair of ranges.
+2.3 (over :func:`range_contains` and ``AddressRange.disjoint``), which
+:func:`repro.core.hierarchy.ranges_hierarchical` must equal over every
+pair of ranges.
 
 :func:`weak_intra_cluster_fraction` is the whole-graph definition of the
 Section 6.4 sweep score, which the sweep folds from per-component counts.
@@ -82,6 +83,17 @@ order, and leave the same ``events.renumber`` count. Like the table
 build, it is called directly, not installed.
 :func:`scan_with_probes` is the probe-level form of the same snapshot,
 one echo (with retransmissions) per address through a ``Prober``.
+
+:func:`measurement_from_dict` and :func:`decode_slash24_record` are the
+store's reference decoder: a stored /24 back into a
+``Slash24Measurement`` (``Prefix.parse``, one frozenset per destination,
+the enums). A warm campaign appends each stored mapping straight into
+its columns instead (``CampaignResult.add_stored``), and those columns
+must equal what ``CampaignResult.add`` of the decoded measurement
+builds, array by array. :func:`score_measurements` grades a campaign
+one materialised measurement at a time, as
+:func:`repro.analysis.scoring.score_pipeline` did before it read the
+columns; the two reports must be equal.
 """
 
 from __future__ import annotations
@@ -92,6 +104,7 @@ import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
+    Any,
     Dict,
     FrozenSet,
     Iterable,
@@ -116,6 +129,7 @@ from repro.aggregation.mcl import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_PRUNE_THRESHOLD,
 )
+from repro.analysis.scoring import ValidationReport
 from repro.core.classifier import (
     Category,
     Slash24Measurement,
@@ -135,6 +149,7 @@ from repro.core.selection import meets_selection_criteria, round_robin_order
 from repro.core.termination import (
     ExhaustivePolicy,
     ReprobePolicy,
+    StopReason,
     TerminationPolicy,
 )
 from repro.net.addr import ADDRESS_BITS, check_address
@@ -263,7 +278,12 @@ def hierarchical_with(a: AddressRange, b: AddressRange) -> bool:
     """
     if a == b:
         return False
-    return a.disjoint(b) or a.contains(b) or b.contains(a)
+    return a.disjoint(b) or range_contains(a, b) or range_contains(b, a)
+
+
+def range_contains(outer: AddressRange, inner: AddressRange) -> bool:
+    """True if ``inner`` lies entirely within ``outer``."""
+    return outer.first <= inner.first and inner.last <= outer.last
 
 
 # FIB → (revision, trie of its entries, {dst: matched entry}), rebuilt
@@ -1201,6 +1221,72 @@ def scan_with_probes(
         if active:
             lists[slash24.network] = active
     return ActivitySnapshot.from_lists(epoch, lists)
+
+
+def measurement_from_dict(data: Mapping[str, Any]) -> Slash24Measurement:
+    """Decode one stored measurement mapping (the
+    :func:`repro.store.codec.measurement_to_dict` form) into the object
+    it was written from."""
+    stop_reason: Optional[StopReason] = None
+    if data["stop_reason"] is not None:
+        stop_reason = StopReason(data["stop_reason"])
+    return Slash24Measurement(
+        slash24=Prefix.parse(data["slash24"]),
+        category=Category(data["category"]),
+        observations={
+            int(dst): frozenset(lasthops)
+            for dst, lasthops in data["observations"].items()
+        },
+        destinations_probed=int(data["destinations_probed"]),
+        hosts_responsive=int(data["hosts_responsive"]),
+        probes_used=int(data["probes_used"]),
+        stop_reason=stop_reason,
+    )
+
+
+def decode_slash24_record(
+    document: Mapping[str, Any],
+) -> Tuple[Slash24Measurement, ProbeStats]:
+    """A stored /24 record's measurement object and probe stats."""
+    return (
+        measurement_from_dict(document["measurement"]),
+        ProbeStats.from_dict(document["stats"]),
+    )
+
+
+def score_measurements(
+    internet: SimulatedInternet,
+    campaign,
+    blocks: Sequence[AggregatedBlock],
+) -> ValidationReport:
+    """:func:`repro.analysis.scoring.score_pipeline`, one materialised
+    measurement at a time."""
+    truth = internet.ground_truth
+    report = ValidationReport()
+    for slash24, measurement in campaign.measurements.items():
+        if not measurement.category.analyzable:
+            continue
+        report.analyzable += 1
+        actual = truth.is_homogeneous(slash24)
+        claimed = measurement.is_homogeneous
+        if claimed and actual:
+            report.true_positive += 1
+        elif claimed and not actual:
+            report.false_positive += 1
+        elif not claimed and not actual:
+            report.true_negative += 1
+        else:
+            report.false_negative += 1
+    for block in blocks:
+        if block.size < 2:
+            continue
+        report.multi_blocks += 1
+        true_sets = {
+            truth.lasthop_set_of(slash24) for slash24 in block.slash24s
+        }
+        if len(true_sets) == 1:
+            report.pure_multi_blocks += 1
+    return report
 
 
 def install(monkeypatch, parts: Iterable[str] = PARTS) -> None:

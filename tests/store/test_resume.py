@@ -18,7 +18,8 @@ from repro.probing import scan
 from repro.store import MeasurementStore
 from repro.store import campaign as campaign_module
 from repro.store import segment as segmod
-from repro.store.codec import HEADER_SIZE, decode_slash24_record
+from repro.store.codec import HEADER_SIZE
+from tests.oracle import decode_slash24_record
 
 SEED = 5
 MAX_DESTINATIONS = 48

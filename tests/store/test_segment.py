@@ -1,5 +1,7 @@
 """Segment framing, scanning, and crash recovery."""
 
+import zlib
+
 import pytest
 
 from repro.store.codec import (
@@ -45,6 +47,20 @@ class TestFraming:
         _, crc = parse_header(frame[:HEADER_SIZE])
         with pytest.raises(RecordCorrupt):
             decode_payload(frame[HEADER_SIZE:] + b"", crc ^ 1)
+
+    @pytest.mark.parametrize("payload", [
+        b'{"key":"aa"}{"key":"bb"}',
+        b'{"key":"aa"} ',
+        b'{"key":"aa"',
+        b"\xff\xfe",
+        b"[1,2]",
+    ], ids=["second-document", "trailing-space", "unterminated",
+            "not-utf8", "not-an-object"])
+    def test_undecodable_payload_rejected(self, payload):
+        """A payload whose checksum holds but which is not exactly one
+        JSON object is corrupt."""
+        with pytest.raises(RecordCorrupt):
+            decode_payload(payload, zlib.crc32(payload))
 
 
 class TestScan:

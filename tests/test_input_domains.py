@@ -2,20 +2,30 @@
 
 Each call raises a :class:`ValueError` naming the parameter and the
 value it was given, before any work: no scenario is built, no snapshot
-taken and no probe sent.
+taken and no probe sent. A :class:`Profile` is refused where it is
+made, so a workspace never starts building from a bad one.
 """
+
+import dataclasses
 
 import pytest
 
 import repro.core.pipeline as pipeline_module
 from repro.core import TerminationPolicy, run_campaign
 from repro.experiments import PROFILES, Workspace
-from repro.netsim import EventConfig, paper_scenario
+from repro.netsim import EventConfig, SimulatedInternet, paper_scenario
 
 
 def _campaign(**kwargs):
     def call(internet):
         return run_campaign(internet, TerminationPolicy(), seed=1, **kwargs)
+
+    return call
+
+
+def _profile(**changes):
+    def call(_):
+        return Workspace(dataclasses.replace(PROFILES["tiny"], **changes))
 
     return call
 
@@ -54,6 +64,22 @@ CASES = [
      _campaign(max_destinations_per_slash24=0),
      "max_destinations_per_slash24", "0"),
     ("campaign-workers-0", _campaign(workers=0), "workers", "0"),
+    ("profile-max-destinations-0", _profile(campaign_max_destinations=0),
+     "campaign_max_destinations", "0"),
+    ("profile-samples-negative", _profile(confidence_samples_per_block=-1),
+     "confidence_samples_per_block", "-1"),
+    ("profile-repetitions-fraction", _profile(sampling_repetitions=2.5),
+     "sampling_repetitions", "2.5"),
+    ("profile-path-addresses-bool", _profile(path_dataset_max_addresses=True),
+     "path_dataset_max_addresses", "True"),
+    ("profile-scale-zero", _profile(scenario_scale=0.0),
+     "scenario_scale", "0.0"),
+    ("profile-scale-negative", _profile(scenario_scale=-0.25),
+     "scenario_scale", "-0.25"),
+    ("profile-scale-nan", _profile(scenario_scale=float("nan")),
+     "scenario_scale", "nan"),
+    ("profile-scale-inf", _profile(scenario_scale=float("inf")),
+     "scenario_scale", "inf"),
 ]
 
 
@@ -65,11 +91,21 @@ def test_refused_before_any_work(internet, monkeypatch, call, name, value):
     def no_scan(*args, **kwargs):
         raise AssertionError("the snapshot was taken before the refusal")
 
+    def no_build(*args, **kwargs):
+        raise AssertionError("a scenario was built before the refusal")
+
     monkeypatch.setattr(pipeline_module, "scan", no_scan)
+    monkeypatch.setattr(SimulatedInternet, "from_config", no_build)
     with pytest.raises(ValueError) as refusal:
         call(internet)
     message = str(refusal.value)
     assert message.startswith(f"{name} must be "), message
     assert message.endswith(f"got {value}"), message
     assert internet.probe_count == 0
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_every_shipped_profile_constructs(name):
+    profile = PROFILES[name]
+    assert dataclasses.replace(profile) == profile
 

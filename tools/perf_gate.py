@@ -1,14 +1,22 @@
 """Compare a change's speed with its merge base's, on the same machine.
 
-Two gates, each failing when the change's median is more than 20% below
-the base's. Runs alternate which tree goes first, so drift in the
-machine's speed falls on both sides alike; no committed number is read.
+Three gates, each failing when the change's median is more than 20%
+worse than the base's: a rate more than 20% below it, or a time more
+than 20% above it. Runs alternate which tree goes first, so drift in
+the machine's speed falls on both sides alike; no committed number is
+read.
 
 ``campaign``
     ``core.campaign_probes_per_s`` from one traced cold-store pipebench
     run, ``pipebench/run.py --workload cold-store --seed 2016 --seconds 1
     --trace 1``, each tree running its own ``pipebench/`` (three runs a
     side by default).
+``warm``
+    The untraced median ``pipeline_s`` of one warm pipebench run,
+    ``pipebench/run.py --workload warm --seed 2016 --seconds 3 --trace
+    0``: re-analysis from a filled store, so the store's decoding and
+    replay, the confidence table's replay and MCL show here (three runs
+    a side).
 ``aggregation``
     Blocks per second of ``run_aggregation(sets, validate=False)`` over
     the paper-smoke campaign's last-hop sets, built once with the
@@ -21,6 +29,7 @@ Usage, from the change's checkout, with the base checked out beside it
 origin/main HEAD)"``)::
 
     python3 tools/perf_gate.py campaign --base ../base
+    python3 tools/perf_gate.py warm --base ../base
     python3 tools/perf_gate.py aggregation --base ../base
 
 Exit status 1 means the change is slower than the bound allows.
@@ -43,22 +52,32 @@ from typing import Callable, Dict, List
 ROOT = Path(__file__).resolve().parent.parent
 #: The change may be at most this much slower than its base.
 BOUND = 0.20
-#: Runs per side. Trees without a speed change read 0.98-1.10 (campaign)
-#: and 0.95-1.01 (aggregation) on 2 vCPUs; add runs rather than widen
-#: the bound if that spread comes within 10% of it.
+#: Runs per side. Trees without a speed change read 0.98-1.10
+#: (campaign), 1.02 (warm) and 0.95-1.01 (aggregation) on 2 vCPUs; add
+#: runs rather than widen the bound if that spread comes within 10% of
+#: it.
 CAMPAIGN_RUNS = 3
+WARM_RUNS = 3
 AGGREGATION_RUNS = 5
 CAMPAIGN_METRIC = "core.campaign_probes_per_s"
 CAMPAIGN_COMMAND = [
     "pipebench/run.py", "--workload", "cold-store", "--seed", "2016",
     "--seconds", "1", "--trace", "1",
 ]
+WARM_METRIC = "pipeline_s"
+WARM_COMMAND = [
+    "pipebench/run.py", "--workload", "warm", "--seed", "2016",
+    "--seconds", "3", "--trace", "0",
+]
 
 
-def campaign_sample(tree: Path) -> Dict[str, float]:
-    """One traced cold-store pipebench run of ``tree``."""
+def pipebench_sample(
+    tree: Path, command: List[str], metric: str
+) -> Dict[str, float]:
+    """``metric`` from one pipebench run of ``tree``'s own
+    ``pipebench/``."""
     completed = subprocess.run(
-        [sys.executable, *CAMPAIGN_COMMAND], cwd=tree,
+        [sys.executable, *command], cwd=tree,
         capture_output=True, text=True,
     )
     lines = completed.stdout.splitlines()
@@ -67,7 +86,7 @@ def campaign_sample(tree: Path) -> Dict[str, float]:
     result = json.loads(lines[-1])
     if result.get("correct") is not True:
         sys.exit(f"pipebench samples failed their checks in {tree}: {lines[-1]}")
-    return {"value": result["metrics"][CAMPAIGN_METRIC]["value"]}
+    return {"value": result["metrics"][metric]["value"]}
 
 
 def write_lasthop_sets(path: str) -> None:
@@ -128,8 +147,11 @@ def aggregation_sample(tree: Path, sets_path: Path) -> Dict[str, float]:
 def compare(
     name: str, unit: str, runs: int,
     sample: Callable[[Path], Dict[str, float]], base: Path, change: Path,
+    lower_is_better: bool = False,
 ) -> int:
-    """Alternate ``runs`` samples per side; 1 if the change is too slow."""
+    """Alternate ``runs`` samples per side; 1 if the change is too slow.
+    ``value`` is a rate unless ``lower_is_better`` (a time)."""
+    shown = ".3f" if lower_is_better else ",.0f"
     sides = {"base": base, "change": change}
     samples: Dict[str, List[Dict[str, float]]] = {"base": [], "change": []}
     for run in range(runs):
@@ -142,7 +164,8 @@ def compare(
                 else f"{key} {value}"
                 for key, value in found.items() if key != "value"
             )
-            print(f"  run {run + 1} {side:<6} {found['value']:>12,.0f} {unit}"
+            print(f"  run {run + 1} {side:<6} "
+                  f"{found['value']:>12{shown}} {unit}"
                   + (f" ({details})" if details else ""), flush=True)
     medians = {
         side: statistics.median(s["value"] for s in values)
@@ -153,13 +176,16 @@ def compare(
         if "peak_rss_mib" in values[0]:
             rss = statistics.median(s["peak_rss_mib"] for s in values)
             extra = f", peak RSS {rss:.1f} MiB"
-        print(f"{name} {side:<6} median {medians[side]:,.0f} {unit}{extra}")
+        print(f"{name} {side:<6} median {medians[side]:{shown}} {unit}{extra}")
     ratio = medians["change"] / medians["base"]
-    floor = 1.0 - BOUND
-    verdict = "ok" if ratio >= floor else "REGRESSION"
-    print(f"{name}: change/base = {ratio:.3f} (fails below {floor:.2f}): "
+    if lower_is_better:
+        limit, passed, beyond = 1.0 + BOUND, ratio <= 1.0 + BOUND, "above"
+    else:
+        limit, passed, beyond = 1.0 - BOUND, ratio >= 1.0 - BOUND, "below"
+    verdict = "ok" if passed else "REGRESSION"
+    print(f"{name}: change/base = {ratio:.3f} (fails {beyond} {limit:.2f}): "
           f"{verdict}")
-    return 0 if ratio >= floor else 1
+    return 0 if passed else 1
 
 
 CHILD_MODES = {
@@ -172,7 +198,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "gate",
-        choices=("campaign", "aggregation", *CHILD_MODES),
+        choices=("campaign", "warm", "aggregation", *CHILD_MODES),
     )
     parser.add_argument("path", nargs="?", help=argparse.SUPPRESS)
     parser.add_argument("--base", type=Path, help="the base's checkout")
@@ -189,8 +215,17 @@ def main(argv=None) -> int:
     base, change = args.base.resolve(), args.change.resolve()
     if args.gate == "campaign":
         return compare(
-            "campaign", "probes/s", CAMPAIGN_RUNS, campaign_sample,
+            "campaign", "probes/s", CAMPAIGN_RUNS,
+            lambda tree: pipebench_sample(
+                tree, CAMPAIGN_COMMAND, CAMPAIGN_METRIC
+            ),
             base, change,
+        )
+    if args.gate == "warm":
+        return compare(
+            "warm", "s", WARM_RUNS,
+            lambda tree: pipebench_sample(tree, WARM_COMMAND, WARM_METRIC),
+            base, change, lower_is_better=True,
         )
     with tempfile.TemporaryDirectory() as scratch:
         sets_path = Path(scratch) / "lasthop_sets.json"
