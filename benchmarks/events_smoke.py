@@ -7,6 +7,9 @@ regional outages, ICMP rate-limit storms) — once serial, once with
 ``--workers N`` — and fails unless:
 
 * both campaigns complete over the same /24 selection,
+* the parallel run really ran on its workers (``campaign.parallel`` is
+  1 and no ``campaign.parallel_fallback*`` counter is set — a run that
+  fell back to serial would compare serial with serial),
 * the parallel run is bit-identical to the serial baseline (result
   rows, end-of-campaign virtual clock, probe count),
 * the stressors actually fired (``events.*`` counters are non-zero —
@@ -24,8 +27,8 @@ small`` finishes in seconds:
 import argparse
 import hashlib
 import json
-import os
 import sys
+import time
 
 
 def result_digest(result) -> str:
@@ -50,7 +53,7 @@ def result_digest(result) -> str:
     return digest.hexdigest()
 
 
-def run_once(profile_name, intensity, workers):
+def run_once(profile_name, intensity, workers, registry=None):
     from repro.core import TerminationPolicy, run_campaign
     from repro.experiments import PROFILES, Workspace
 
@@ -59,6 +62,7 @@ def run_once(profile_name, intensity, workers):
         event_intensity=intensity,
     ) as ws:
         policy = TerminationPolicy(confidence_table=ws.confidence_table)
+        started = time.perf_counter()
         result = run_campaign(
             ws.internet,
             policy,
@@ -66,7 +70,9 @@ def run_once(profile_name, intensity, workers):
             seed=ws.internet.config.seed ^ 0xE7E,
             max_destinations_per_slash24=ws.profile.campaign_max_destinations,
             workers=workers,
+            metrics=registry,
         )
+        seconds = time.perf_counter() - started
         counters = (
             dict(ws.internet.events.counters)
             if ws.internet.events is not None
@@ -78,6 +84,7 @@ def run_once(profile_name, intensity, workers):
             "probes": ws.internet.probe_count,
             "slash24s": len(result.measurements),
             "events": counters,
+            "campaign_seconds": seconds,
         }
 
 
@@ -93,6 +100,8 @@ def main(argv=None):
     parser.add_argument("--out", default=None, help="write JSON summary here")
     args = parser.parse_args(argv)
 
+    from repro.obs.metrics import MetricsRegistry
+
     print(
         f"[1/2] serial baseline on {args.profile!r} at intensity "
         f"{args.intensity} ...",
@@ -101,19 +110,33 @@ def main(argv=None):
     serial = run_once(args.profile, args.intensity, 1)
     print(
         f"      {serial['slash24s']} /24s, clock={serial['clock']:.3f}, "
-        f"probes={serial['probes']}, events={serial['events']}",
+        f"probes={serial['probes']}, events={serial['events']}, "
+        f"campaign {serial['campaign_seconds']:.2f} s",
         flush=True,
     )
 
     print(f"[2/2] same campaign with workers={args.workers} ...", flush=True)
-    parallel = run_once(args.profile, args.intensity, args.workers)
+    registry = MetricsRegistry()
+    parallel = run_once(args.profile, args.intensity, args.workers, registry)
     print(
         f"      {parallel['slash24s']} /24s, clock={parallel['clock']:.3f}, "
-        f"probes={parallel['probes']}, events={parallel['events']}",
+        f"probes={parallel['probes']}, events={parallel['events']}, "
+        f"campaign {parallel['campaign_seconds']:.2f} s",
         flush=True,
     )
 
     failures = []
+    ran_parallel = registry.counter_value("campaign.parallel")
+    fallbacks = {
+        name: value for name, value in registry.counters.items()
+        if name.startswith("campaign.parallel_fallback")
+    }
+    if ran_parallel != 1 or fallbacks:
+        failures.append(
+            f"workers={args.workers} did not run on its workers "
+            f"(campaign.parallel={ran_parallel}, fallbacks={fallbacks}) "
+            "— the comparison would be serial against serial"
+        )
     if serial["slash24s"] == 0:
         failures.append("serial campaign measured zero /24s")
     if sum(serial["events"].values()) == 0:

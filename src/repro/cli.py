@@ -513,10 +513,8 @@ def command_campaign(args) -> int:
                 counts.items(), key=lambda item: item[0].name
             )
         },
-        "homogeneous": sum(
-            1 for m in result.measurements.values() if m.is_homogeneous
-        ),
-        "analyzable": len(result.analyzable()),
+        "homogeneous": int(result.homogeneous_mask().sum()),
+        "analyzable": int(result.analyzable_mask().sum()),
         "clock_seconds": internet.clock_seconds,
         "io": {
             "probes_sent": internet.probe_count - probes_base,

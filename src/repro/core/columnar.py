@@ -31,11 +31,11 @@ with the ``ANALYZABLE_BY_CODE``/``HOMOGENEOUS_BY_CODE`` masks.
 Rows come in through one private row writer: ``add`` folds a measured
 :class:`Slash24Measurement` in, and ``add_stored`` appends a /24
 replayed from the measurement store straight from its stored mapping,
-building no object. The API (``merge``, ``subset``, iteration, a
-``measurements`` mapping, Table 1 helpers) materializes
+building no object. The API (``subset``, iteration, a
+``measurements`` mapping, ``get``, ``by_category``) materializes
 :class:`Slash24Measurement` objects lazily, one at a time, only where a
-caller asks for them; the masks, ``lasthop_sets`` and scoring read the
-columns.
+caller asks for them; the Table 1 counts, the masks, ``lasthop_sets``
+and scoring read the columns.
 ``subset`` is a **view**: the selected rows' fixed-width columns are
 fancy-indexed (O(selection)) while the ragged pools are shared with the
 parent by reference, so carving a handful of /24s out of a million-row
@@ -204,21 +204,6 @@ class CampaignResult:
         self._s_obs_hi.append(base + len(dst_pool))
         self.probes_used += probes
 
-    def merge(self, other: "CampaignResult") -> "CampaignResult":
-        """Fold another (disjoint) result into this one. Returns self."""
-        overlap = self._index.keys() & other._index.keys()
-        if overlap:
-            sample = ", ".join(
-                str(Prefix(n, 24)) for n in sorted(overlap)[:3]
-            )
-            raise ValueError(
-                f"cannot merge campaign results with {len(overlap)} "
-                f"overlapping /24s (e.g. {sample})"
-            )
-        for measurement in other:
-            self.add(measurement)
-        return self
-
     # -- storage ----------------------------------------------------------
 
     def _pool_base(self) -> int:
@@ -326,20 +311,6 @@ class CampaignResult:
         """Boolean row mask of homogeneous categories (vectorised)."""
         return _HOMOGENEOUS_MASK[self._finalize()["cats"]]
 
-    def analyzable(self) -> List[Slash24Measurement]:
-        arrays = self._finalize()
-        return [
-            self._materialize(arrays, row)
-            for row in np.flatnonzero(self.analyzable_mask())
-        ]
-
-    def homogeneous(self) -> List[Slash24Measurement]:
-        arrays = self._finalize()
-        return [
-            self._materialize(arrays, row)
-            for row in np.flatnonzero(self.homogeneous_mask())
-        ]
-
     def by_category(self, category: Category) -> List[Slash24Measurement]:
         arrays = self._finalize()
         code = CATEGORY_CODES[category]
@@ -404,9 +375,6 @@ class CampaignResult:
         if row is None or slash24.length != 24:
             return None
         return self._materialize(self._finalize(), row)
-
-    def prefixes(self) -> List[Prefix]:
-        return [Prefix(network, 24) for network in self._index]
 
     def subset(self, slash24s: Iterable[Prefix]) -> "CampaignResult":
         """A view of just the given /24s (KeyError if one was never

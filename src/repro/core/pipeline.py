@@ -25,16 +25,15 @@ from __future__ import annotations
 import multiprocessing
 import numbers
 import os
-import pickle
 import random
 import signal
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
-
-import numpy as np
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple,
+)
 
 from ..net.prefix import Prefix
 from ..netsim.internet import SimulatedInternet
@@ -231,13 +230,14 @@ def _measure_in_context(
 
 # -- parallel execution ------------------------------------------------------
 #
-# ``workers=N`` forks N worker processes and hands each one chunk of the
-# pending /24s at a time over its own pipe. Workers only measure: they
-# open no store and send each measured chunk back, and the parent, the
-# store's only writer, records it and hands out the next chunk. A worker
-# that dies (its pipe hits EOF) forfeits only its in-flight chunk, which
-# goes to a live worker or, once none is left, is measured by the parent
-# itself. Measuring a chunk again is byte-identical, because each /24's
+# ``workers=N`` forks N worker processes, which inherit the simulator,
+# the policy, the snapshot and the plan of chunks, and hands each one the
+# index of one chunk of the pending /24s at a time over its own pipe.
+# Workers only measure: they open no store and send each measured chunk
+# back, and the parent, the store's only writer, records it and hands out
+# the next chunk. A worker that dies (its pipe hits EOF) forfeits only
+# its in-flight chunk, which goes to a live worker or, once none is
+# left, is measured by the parent itself. Measuring a chunk again is byte-identical, because each /24's
 # measurement is a pure function of its deterministic context. A chunk
 # whose measurement raises ends its worker the same way, and so every
 # worker it is handed to; the parent's takeover then raises that error,
@@ -258,34 +258,19 @@ _CHUNKS_PER_WORKER = 4
 _WORKER_KILL_ENV = "REPRO_WORKER_KILL"
 
 
-def _measure_chunk(
-    internet: SimulatedInternet,
-    policy: TerminationPolicy | ReprobePolicy,
-    chunk: List[Tuple[str, np.ndarray]],
-    seed: int,
-    clock_base: float,
-    max_destinations: Optional[int],
-) -> List[Tuple[Slash24Measurement, ProbeStats]]:
-    """Measure a chunk of ``(prefix text, snapshot slice)`` pairs in
-    order."""
-    return [
-        _measure_in_context(
-            internet, policy, Prefix.parse(text), active.tolist(),
-            seed, clock_base, max_destinations,
-        )
-        for text, active in chunk
-    ]
-
-
 def _worker_main(
     link: Connection,
-    payload: bytes,
+    internet: SimulatedInternet,
+    measure_chunk: Callable[
+        [int], List[Tuple[Slash24Measurement, ProbeStats]]
+    ],
     kill_after: Optional[int],
     inherited: List[Connection],
 ) -> None:
-    """One worker process: measure each chunk the parent sends and send
-    back its results with the engine, route-template and event counter
-    deltas they cost; exit on ``None``.
+    """One forked worker: measure each chunk whose index the parent
+    sends, with the simulator and ``measure_chunk`` it inherited, and
+    send back its results with the engine, route-template and event
+    counter deltas they cost; exit on ``None``.
 
     The deltas travel with their chunk so that a chunk lost with a dead
     worker costs its counters too, and the chunk measured again in its
@@ -300,23 +285,18 @@ def _worker_main(
     # Workers never write the parent's trace journal: concurrent appends
     # from several processes would interleave.
     configure_tracing(None)
-    internet, policy, seed, clock_base, max_destinations = pickle.loads(
-        payload
-    )
     events = internet.events
     measured = 0
     while True:
-        chunk = link.recv()
-        if chunk is None:
+        index = link.recv()
+        if index is None:
             return
         base = (
             internet.probe_seconds, internet.template_lookups,
             internet.template_builds,
         )
         events_base = events.counter_snapshot() if events is not None else None
-        done = _measure_chunk(
-            internet, policy, chunk, seed, clock_base, max_destinations
-        )
+        done = measure_chunk(index)
         measured += len(done)
         if kill_after is not None and measured >= kill_after:
             # Die the hard way, chunk measured but not reported: exactly
@@ -376,27 +356,26 @@ def _run_parallel(
     keys: Optional[Dict[Prefix, str]] = None,
     progress: Optional[ProgressReporter] = None,
 ) -> Dict[Prefix, Tuple[Slash24Measurement, ProbeStats]]:
-    """Measure the pending /24s on ``workers`` worker processes.
+    """Measure the pending /24s on ``workers`` forked worker processes.
 
-    Each returned chunk is recorded in ``cache`` (when bound) under the
-    /24s' ``keys`` as it arrives, with the serial loop's group commits;
-    the caller commits the rest. The workers' probes, engine timing,
-    route-template lookups and event activity are folded into
+    The workers inherit the simulator, the policy, the snapshot and the
+    chunk plan, so the parent sends each one only the index of its next
+    chunk. Each returned chunk is recorded in ``cache`` (when bound)
+    under the /24s' ``keys`` as it arrives, with the serial loop's group
+    commits; the caller commits the rest. The workers' probes, engine
+    timing, route-template lookups and event activity are folded into
     ``internet``, so its counters match the serial run's.
 
     Returns every pending /24's (measurement, probe stats). Raises
-    :class:`_ParallelUnavailable` when the simulator or policy cannot
-    ship to workers (unpicklable scenario, process start failure) — the
-    caller then falls back to the serial path, which produces identical
-    results anyway, and reports the degradation.
+    :class:`_ParallelUnavailable` when no worker can start (a platform
+    without fork, or a process start failure) — the caller then falls
+    back to the serial path, which produces identical results anyway,
+    and reports the degradation.
     """
     try:
-        payload = pickle.dumps(
-            (internet, policy, seed, clock_base, max_destinations),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-    except Exception as error:
-        raise _ParallelUnavailable("unpicklable", error) from error
+        context = multiprocessing.get_context("fork")
+    except ValueError as error:
+        raise _ParallelUnavailable("pool_failure", error) from error
     from ..store import campaign as store_campaign
 
     worker_count = min(workers, len(pending))
@@ -419,8 +398,16 @@ def _run_parallel(
     queue = deque(range(chunk_count))
     fresh: Dict[Prefix, Tuple[Slash24Measurement, ProbeStats]] = {}
 
-    def wire(index: int) -> List[Tuple[str, np.ndarray]]:
-        return [(str(p), snapshot.addresses_in(p)) for p in chunks[index]]
+    def measure_chunk(
+        index: int,
+    ) -> List[Tuple[Slash24Measurement, ProbeStats]]:
+        return [
+            _measure_in_context(
+                internet, policy, slash24, snapshot.active_in(slash24),
+                seed, clock_base, max_destinations,
+            )
+            for slash24 in chunks[index]
+        ]
 
     def record(index: int, done) -> None:
         for slash24, (measurement, stats) in zip(chunks[index], done):
@@ -430,12 +417,6 @@ def _run_parallel(
         if progress is not None:
             progress.update(progress.total - len(pending) + len(fresh))
 
-    # fork keeps worker start cheap; the explicit payload round-trip
-    # above still guarantees the campaign *could* ship to a spawned
-    # process.
-    context = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    )
     links: List[Connection] = []
     procs: List[multiprocessing.Process] = []
     lost = 0
@@ -446,8 +427,8 @@ def _run_parallel(
                 proc = context.Process(
                     target=_worker_main,
                     args=(
-                        child_link, payload, kill_after[index],
-                        links + [link],
+                        child_link, internet, measure_chunk,
+                        kill_after[index], links + [link],
                     ),
                     daemon=True,
                 )
@@ -457,7 +438,6 @@ def _run_parallel(
                 links.append(link)
         except OSError as error:
             raise _ParallelUnavailable("pool_failure", error) from error
-        del payload
         idle = list(reversed(links))
         busy: Dict[Connection, int] = {}
         while queue or busy:
@@ -465,7 +445,7 @@ def _run_parallel(
                 link = idle.pop()
                 index = queue.popleft()
                 try:
-                    link.send(wire(index))
+                    link.send(index)
                     busy[link] = index
                 except OSError:
                     queue.appendleft(index)
@@ -482,7 +462,7 @@ def _run_parallel(
                     queue.appendleft(index)
                     lost += 1
                     continue
-                # The workers probe pickled copies of the simulator;
+                # The workers probe their forked copies of the simulator;
                 # fold what this chunk cost into the parent's, so its
                 # counters and event schedule count the whole campaign.
                 internet.probe_count += sum(stats.sent for _, stats in done)
@@ -500,10 +480,7 @@ def _run_parallel(
             with span("campaign.takeover", chunks=len(queue)):
                 while queue:
                     index = queue.popleft()
-                    record(index, _measure_chunk(
-                        internet, policy, wire(index), seed, clock_base,
-                        max_destinations,
-                    ))
+                    record(index, measure_chunk(index))
         for link in idle:
             try:
                 link.send(None)
@@ -652,7 +629,7 @@ def _run_campaign_observed(
     registry: MetricsRegistry,
 ) -> CampaignResult:
     # Routing shifts land between the snapshot and the campaign's first
-    # probe — before the clock base and the worker payload are taken, so
+    # probe — before the clock base is taken and any worker forks, so
     # serial, parallel and resumed runs all probe the same shifted FIBs
     # (the application itself is idempotent and deterministic).
     if internet.events is not None:

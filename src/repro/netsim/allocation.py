@@ -213,12 +213,6 @@ class AllocationMap:
                 found = [enclosing]
         return found
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_sorted_cache"] = None
-        state["_interval_cache"] = None
-        return state
-
     def __iter__(self) -> Iterator[Allocation]:
         return iter(self._allocations)
 

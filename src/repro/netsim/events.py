@@ -127,18 +127,10 @@ class EventSchedule:
             ):
                 self._reroute_pods.append(pod)
         self._renumber_pods = frozenset(renumber_ids)
-        # Pure-function caches; rebuilt lazily after unpickling so
-        # worker pickles stay byte-stable regardless of probing history.
+        # Pure-function caches, filled lazily.
         self._lease_maps: Dict[Tuple[int, int], PodLeaseMap] = {}
         self._vector_maps: Dict[Tuple[int, int], tuple] = {}
         self._storm_phases: Dict[int, float] = {}
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_lease_maps"] = {}
-        state["_vector_maps"] = {}
-        state["_storm_phases"] = {}
-        return state
 
     # -- renumbering waves -------------------------------------------------
 

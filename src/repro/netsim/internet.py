@@ -96,22 +96,12 @@ class SimulatedInternet:
         #: switch (kept small so context resets stay O(touched)).
         self._touched_limiters: set = set()
         # Compiled allocation index (flat sorted intervals); builds
-        # lazily and rebuilds after unpickling (see __getstate__).
+        # lazily.
         self._alloc_index: Optional[tuple] = None
 
     @classmethod
     def from_config(cls, config: ScenarioConfig) -> "SimulatedInternet":
         return cls(build_scenario(config))
-
-    def __getstate__(self):
-        # Parallel campaign workers receive pickled internets; derived
-        # caches rebuild lazily, so don't ship them.
-        state = self.__dict__.copy()
-        state["_alloc_index"] = None
-        # The compiled campaign engine holds references into this
-        # process's compiled forwarding plane; workers rebuild their own.
-        state.pop("_fast_engine", None)
-        return state
 
     # -- universe ---------------------------------------------------------
 

@@ -119,13 +119,6 @@ class Forwarder:
         # old one to tell that its route templates went stale.
         self._compiled: Dict[int, _CompiledFib] = {}
 
-    # Workers receive pickled internets (parallel campaigns); the
-    # compiled FIBs rebuild lazily on first use, so ship none of them.
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_compiled"] = {}
-        return state
-
     def _compiled_fib(self, router_id: int, fib: Fib) -> _CompiledFib:
         cfib = self._compiled.get(router_id)
         if cfib is not None and cfib.revision == fib.revision:

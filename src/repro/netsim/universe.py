@@ -6,9 +6,6 @@ apiece before anything is ever probed; the universe here stores just
 the sorted 32-bit network addresses in a numpy array (4 bytes per /24)
 and materializes ``Prefix`` objects only at the point of access —
 iteration yields fresh objects, and indexing is O(1).
-
-The sequence is immutable and pickles cheaply, so worker processes
-receive the 4-byte-per-/24 form rather than millions of dataclasses.
 """
 
 from __future__ import annotations
@@ -72,9 +69,3 @@ class LazySlash24Universe(Sequence[Prefix]):
 
     def __repr__(self) -> str:
         return f"LazySlash24Universe({len(self)} /24s)"
-
-    def __getstate__(self):
-        return self._networks
-
-    def __setstate__(self, state) -> None:
-        self._networks = state

@@ -8,9 +8,9 @@ measurement-load results.
 
 Four small pieces:
 
-* :mod:`.metrics` — a picklable, mergeable registry of counters,
-  gauges and timers; parallel shards return one per chunk and the
-  merged totals match the serial run bit for bit.
+* :mod:`.metrics` — a registry of counters, gauges and timers whose
+  campaign totals match the serial run bit for bit, ``workers=N`` or
+  not (the parent folds in what each worker's chunks cost).
 * :mod:`.trace` — span tracing into an append-only JSONL journal,
   enabled by ``--trace PATH`` / ``$REPRO_TRACE`` and free when off.
 * :mod:`.progress` — a rate-limited campaign progress line

@@ -1,26 +1,19 @@
 """Hierarchical metrics: counters, gauges and timers with dotted names.
 
 A :class:`MetricsRegistry` is the numeric half of the observability
-layer. Three design constraints drive it:
+layer: plain dictionaries of plain numbers, recorded only in the
+process that owns the run. A ``workers=N`` campaign's workers record
+nothing here; their probe counts come back with each chunk they
+measured and the parent folds them in, so the counters match the
+serial run's bit for bit. Recording a counter is one dict update;
+nothing is formatted or written until a snapshot is asked for.
 
-* **Picklable** — parallel campaign shards build a registry in the
-  worker process and return it with their chunk results, so the
-  registry is plain dictionaries of plain numbers.
-* **Mergeable** — counters and timers *add* and the merged totals are
-  integer (or float-sum) arithmetic, so folding per-shard registries
-  reconstructs the campaign-wide totals bit-identically to the serial
-  run (the same contract :meth:`repro.probing.session.ProbeStats.merge`
-  gives probe accounting).
-* **Cheap** — recording a counter is one dict update; nothing is
-  formatted or written until a snapshot is asked for.
-
-Names are dotted paths (``campaign.probes.sent``,
-``phase.campaign``), which gives a hierarchy without any tree
-structure: :meth:`MetricsRegistry.subtree` filters by prefix.
+Names are dotted paths (``campaign.probes.sent``, ``phase.campaign``),
+which gives a hierarchy without any tree structure.
 
 An *ambient* registry is kept on a stack: library code records into
 :func:`current_metrics` so callers that don't care get a process-wide
-registry for free, while tests and pool workers push their own scope
+registry for free, while a caller that wants its own pushes a scope
 with :func:`metrics_scope`.
 """
 
@@ -28,7 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import time
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, Iterator, List, Optional
 
 
 class MetricsRegistry:
@@ -37,7 +30,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         #: name → integer monotonic count.
         self.counters: Dict[str, int] = {}
-        #: name → last observed value (merge takes the other side's).
+        #: name → last observed value.
         self.gauges: Dict[str, float] = {}
         #: name → [accumulated seconds, call count].
         self.timers: Dict[str, List[float]] = {}
@@ -82,38 +75,6 @@ class MetricsRegistry:
         entry = self.timers.get(name)
         return entry[0] if entry is not None else 0.0
 
-    def subtree(self, prefix: str) -> Dict[str, object]:
-        """Every metric at or under ``prefix`` (dot-delimited), as one
-        flat name → value mapping (timers report their seconds)."""
-        if prefix and not prefix.endswith("."):
-            dotted = prefix + "."
-        else:
-            dotted = prefix
-        selected: Dict[str, object] = {}
-        for name, value in self.counters.items():
-            if name == prefix or name.startswith(dotted):
-                selected[name] = value
-        for name, value in self.gauges.items():
-            if name == prefix or name.startswith(dotted):
-                selected[name] = value
-        for name, entry in self.timers.items():
-            if name == prefix or name.startswith(dotted):
-                selected[name] = entry[0]
-        return selected
-
-    # -- merging ----------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry in: counters and timers add, gauges
-        take the other side's latest value. Returns self."""
-        for name, value in other.counters.items():
-            self.count(name, value)
-        for name, value in other.gauges.items():
-            self.gauges[name] = value
-        for name, (seconds, calls) in other.timers.items():
-            self.add_seconds(name, seconds, int(calls))
-        return self
-
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
@@ -126,19 +87,6 @@ class MetricsRegistry:
                 for name, entry in sorted(self.timers.items())
             },
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "MetricsRegistry":
-        registry = cls()
-        for name, value in dict(data.get("counters", {})).items():
-            registry.counters[name] = int(value)
-        for name, value in dict(data.get("gauges", {})).items():
-            registry.gauges[name] = float(value)
-        for name, entry in dict(data.get("timers", {})).items():
-            registry.timers[name] = [
-                float(entry["seconds"]), int(entry["calls"])
-            ]
-        return registry
 
     def __repr__(self) -> str:  # diagnostics only
         return (

@@ -9,7 +9,7 @@ paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from ..netsim.internet import SimulatedInternet
 
@@ -33,24 +33,13 @@ class ProbeStats:
         return self.timeouts / self.sent if self.sent else 0.0
 
     def merge(self, other: "ProbeStats") -> "ProbeStats":
-        """Fold another session's counters into this one (how per-shard
-        campaign accounting is combined). Returns self for chaining."""
+        """Fold another session's counters into this one. Returns self
+        for chaining."""
         self.sent += other.sent
         self.answered += other.answered
         self.echo_replies += other.echo_replies
         self.ttl_exceeded += other.ttl_exceeded
         return self
-
-    def __iadd__(self, other: "ProbeStats") -> "ProbeStats":
-        return self.merge(other)
-
-    @classmethod
-    def merged(cls, parts: Iterable["ProbeStats"]) -> "ProbeStats":
-        """One ProbeStats summing every part (order-insensitive)."""
-        total = cls()
-        for part in parts:
-            total.merge(part)
-        return total
 
     def fold_into(self, registry, prefix: str = "probes") -> None:
         """Record these counters into a metrics registry (see

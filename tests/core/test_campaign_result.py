@@ -41,7 +41,7 @@ class TestLookup:
         assert len(list(result)) == 3
 
     def test_prefixes(self, result):
-        assert result.prefixes() == [
+        assert list(result.measurements) == [
             Prefix.parse("10.0.0.0/24"),
             Prefix.parse("10.0.1.0/24"),
             Prefix.parse("10.0.2.0/24"),
@@ -53,7 +53,7 @@ class TestSubset:
         keep = [Prefix.parse("10.0.2.0/24"), Prefix.parse("10.0.0.0/24")]
         sliced = result.subset(keep)
         assert sliced.total == 2
-        assert sliced.prefixes() == keep  # requested order, not original
+        assert list(sliced.measurements) == keep  # requested order
         assert sliced.probes_used == 7  # re-accumulated from kept /24s
 
     def test_subset_missing_prefix_raises(self, result):

@@ -11,6 +11,7 @@ Three contracts from the structured-observability work:
 """
 
 import contextlib
+import multiprocessing
 import warnings
 
 import pytest
@@ -41,10 +42,10 @@ def _fresh_internet():
     return internet, snapshot
 
 
-def _run(internet, snapshot, slash24s, workers=1, registry=None, policy=None):
+def _run(internet, snapshot, slash24s, workers=1, registry=None):
     return run_campaign(
         internet,
-        policy if policy is not None else TerminationPolicy(),
+        TerminationPolicy(),
         slash24s=slash24s,
         snapshot=snapshot,
         seed=SEED,
@@ -141,45 +142,68 @@ class TestSerialParallelParity:
         assert scoped.counter_value("campaign.slash24s") == 2
 
 
+def _refuse_process_start(monkeypatch):
+    def start(self):
+        raise OSError("process start refused")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+
+
+def _remove_fork(monkeypatch):
+    """The platform has no fork start method, as on Windows."""
+
+    def get_context(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+
+
 class TestParallelFallbackVisibility:
-    def test_unpicklable_policy_warns_and_counts(self, selection):
-        """The silent-degradation regression: an unpicklable policy used
-        to fall back to serial with no signal anywhere."""
+    """A ``workers=N`` campaign whose workers cannot start runs serially,
+    and says so on every channel."""
+
+    def _assert_loud_fallback(self, selection):
         internet, snapshot = _fresh_internet()
-        policy = TerminationPolicy()
-        policy.unpicklable_probe = lambda: None  # defeats pickle
         registry = MetricsRegistry()
-        with pytest.warns(ParallelFallbackWarning, match="unpicklable"):
+        with pytest.warns(ParallelFallbackWarning, match="pool_failure"):
             result = _run(
                 internet, snapshot, selection,
-                workers=4, registry=registry, policy=policy,
+                workers=4, registry=registry,
             )
         assert registry.counter_value("campaign.parallel_fallback") == 1
         assert registry.counter_value(
-            "campaign.parallel_fallback.unpicklable"
+            "campaign.parallel_fallback.pool_failure"
         ) == 1
         assert registry.counter_value("campaign.parallel") == 0
         assert result.total == len(selection)
 
-    def test_fallback_lands_in_trace_journal(self, selection, tmp_path):
-        journal = tmp_path / "trace.jsonl"
-        configure_tracing(str(journal))
-        internet, snapshot = _fresh_internet()
-        policy = TerminationPolicy()
-        policy.unpicklable_probe = lambda: None
-        with pytest.warns(ParallelFallbackWarning):
-            _run(
-                internet, snapshot, selection[:4],
-                workers=2, policy=policy,
+    def test_start_failure_warns_and_counts(self, selection, monkeypatch):
+        _refuse_process_start(monkeypatch)
+        self._assert_loud_fallback(selection)
+
+    def test_missing_fork_warns_and_counts(self, selection, monkeypatch):
+        _remove_fork(monkeypatch)
+        self._assert_loud_fallback(selection)
+
+    def test_fallback_lands_in_trace_journal(
+        self, selection, tmp_path, monkeypatch
+    ):
+        for trigger in (_refuse_process_start, _remove_fork):
+            journal = tmp_path / f"{trigger.__name__}.jsonl"
+            with monkeypatch.context() as patch:
+                trigger(patch)
+                configure_tracing(str(journal))
+                internet, snapshot = _fresh_internet()
+                with pytest.warns(ParallelFallbackWarning):
+                    _run(internet, snapshot, selection[:4], workers=2)
+                configure_tracing(None)
+            summary = summarize_trace(str(journal))
+            assert not summary.clean
+            assert any(
+                warning["name"] == "campaign.parallel_fallback"
+                and warning["reason"] == "pool_failure"
+                for warning in summary.warnings
             )
-        configure_tracing(None)
-        summary = summarize_trace(str(journal))
-        assert not summary.clean
-        assert any(
-            warning["name"] == "campaign.parallel_fallback"
-            and warning["reason"] == "unpicklable"
-            for warning in summary.warnings
-        )
 
     def test_healthy_parallel_run_does_not_warn(self, selection):
         internet, snapshot = _fresh_internet()

@@ -6,11 +6,14 @@ results are invariant under reordering, truncation, and the worker
 count, and bit-identical between runs with the same seed.
 """
 
+import warnings
+
 import pytest
 
 from repro.core import (
     CampaignResult,
     Category,
+    ParallelFallbackWarning,
     TerminationPolicy,
     run_campaign,
     slash24_seed,
@@ -18,6 +21,7 @@ from repro.core import (
 from repro.core.classifier import Slash24Measurement
 from repro.net.prefix import Prefix
 from repro.netsim import SimulatedInternet, tiny_scenario
+from repro.obs.metrics import MetricsRegistry
 from repro.probing import scan
 from repro.probing.session import ProbeStats
 
@@ -150,21 +154,28 @@ class TestParallelEquivalence:
         with pytest.raises(ValueError):
             _run(internet, snapshot, selection, workers=0)
 
-    def test_unpicklable_policy_falls_back_to_serial(
+    def test_unpicklable_policy_runs_on_workers(
         self, selection, serial_result
     ):
+        """Forked workers inherit the policy: one that cannot be
+        pickled still runs on them, with no fallback to serial."""
         internet, snapshot = _fresh_internet()
         policy = TerminationPolicy()
         policy.unpicklable_probe = lambda: None  # defeats pickle
-        result = run_campaign(
-            internet,
-            policy,
-            slash24s=selection,
-            snapshot=snapshot,
-            seed=SEED,
-            max_destinations_per_slash24=MAX_DESTINATIONS,
-            workers=4,
-        )
+        registry = MetricsRegistry()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ParallelFallbackWarning)
+            result = run_campaign(
+                internet,
+                policy,
+                slash24s=selection,
+                snapshot=snapshot,
+                seed=SEED,
+                max_destinations_per_slash24=MAX_DESTINATIONS,
+                workers=4,
+                metrics=registry,
+            )
+        assert registry.counter_value("campaign.parallel") == 1
         assert result.measurements == serial_result.measurements
 
 
@@ -183,30 +194,11 @@ class TestCampaignResultAccounting:
             result.add(self._measurement(probes=3))
         assert result.probes_used == 7  # the duplicate never counted
 
-    def test_merge_disjoint(self):
-        left = CampaignResult()
-        left.add(self._measurement("10.0.0.0", probes=2))
-        right = CampaignResult()
-        right.add(self._measurement("10.0.1.0", probes=3))
-        left.merge(right)
-        assert left.total == 2
-        assert left.probes_used == 5
-
-    def test_merge_overlap_raises(self):
-        left = CampaignResult()
-        left.add(self._measurement())
-        right = CampaignResult()
-        right.add(self._measurement())
-        with pytest.raises(ValueError, match="overlap"):
-            left.merge(right)
-
     def test_probe_stats_merge(self):
-        total = ProbeStats.merged(
-            [
-                ProbeStats(sent=5, answered=4, echo_replies=3, ttl_exceeded=1),
-                ProbeStats(sent=2, answered=1, echo_replies=0, ttl_exceeded=1),
-            ]
-        )
+        total = ProbeStats(sent=5, answered=4, echo_replies=3, ttl_exceeded=1)
+        assert total.merge(
+            ProbeStats(sent=2, answered=1, echo_replies=0, ttl_exceeded=1)
+        ) is total
         assert total == ProbeStats(
             sent=7, answered=5, echo_replies=3, ttl_exceeded=2
         )

@@ -47,9 +47,13 @@ class TestCampaign:
 
     def test_homogeneous_subset_of_analyzable(self, campaign_result):
         _internet, result = campaign_result
-        homogeneous = result.homogeneous()
-        analyzable = result.analyzable()
-        assert len(homogeneous) <= len(analyzable)
+        homogeneous = result.homogeneous_mask()
+        analyzable = result.analyzable_mask()
+        assert not (homogeneous & ~analyzable).any()
+        assert [m.is_homogeneous for m in result] == homogeneous.tolist()
+        assert [m.category.analyzable for m in result] == (
+            analyzable.tolist()
+        )
         assert 0.0 <= result.homogeneous_fraction_of_analyzable() <= 1.0
 
     def test_accuracy_against_ground_truth(self, campaign_result):
@@ -69,7 +73,7 @@ class TestCampaign:
     def test_lasthop_sets_only_for_homogeneous(self, campaign_result):
         _internet, result = campaign_result
         sets = result.lasthop_sets()
-        homogeneous = {m.slash24 for m in result.homogeneous()}
+        homogeneous = {m.slash24 for m in result if m.is_homogeneous}
         assert set(sets) <= homogeneous
         assert all(sets.values())
 

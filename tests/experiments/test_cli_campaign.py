@@ -11,6 +11,7 @@ import json
 import pytest
 
 import repro.cli as cli
+from repro.core import Category
 from repro.experiments import common
 from repro.obs.metrics import metrics_scope
 from repro.obs.trace import configure_tracing
@@ -85,6 +86,25 @@ class TestOneShotCampaign:
         assert parallel["io"] == {
             "probes_sent": serial["io"]["probes_sent"], "workers": 2,
         }
+
+    def test_homogeneous_and_analyzable_sum_category_counts(self, campaign):
+        document = campaign("--limit", "32", "--no-confidence")
+        counts = {
+            category: document["category_counts"][category.name.lower()]
+            for category in Category
+        }
+        assert sum(counts.values()) == document["slash24s"]
+        assert document["homogeneous"] == sum(
+            count for category, count in counts.items()
+            if category.homogeneous
+        )
+        assert document["analyzable"] == sum(
+            count for category, count in counts.items()
+            if category.analyzable
+        )
+        # Each field excludes some /24s, so neither check is vacuous.
+        assert 0 < document["homogeneous"] < document["analyzable"]
+        assert document["analyzable"] < document["slash24s"]
 
     def test_trace_writes_run_manifest(self, campaign, tmp_path):
         trace_path = tmp_path / "t.jsonl"

@@ -1,7 +1,6 @@
 """Unit tests for the dynamic-internet event engine."""
 
 import dataclasses
-import pickle
 
 import numpy as np
 import pytest
@@ -243,21 +242,6 @@ class TestReroutes:
 
 
 class TestScheduleState:
-    def test_pickle_drops_pure_caches(self, built, schedule):
-        # Warm the caches first.
-        for pod in built.pods:
-            if schedule.renumbering(pod):
-                schedule.availability_key(
-                    pod, pod.slash24s()[0].network | 1, 0
-                )
-                break
-        schedule.storm_scale(0x0A000001, 0.0)
-        clone = pickle.loads(pickle.dumps(schedule))
-        assert clone._lease_maps == {}
-        assert clone._vector_maps == {}
-        assert clone._storm_phases == {}
-        assert clone._renumber_pods == schedule._renumber_pods
-
     def test_counter_delta_round_trip(self, schedule):
         base = schedule.counter_snapshot()
         schedule.storm_scale(0x0A000009, 0.01)

@@ -10,7 +10,6 @@ sent through one probe mirror. The end-to-end checks live in
 ``tests/core/test_phase_parity.py``.
 """
 
-import pickle
 import random
 
 import numpy as np
@@ -234,22 +233,6 @@ class TestCompiledResolve:
         again = oracle.resolve_path(net.forwarder, src, dst, 0, 1)
         assert again == first
         assert again is not first
-
-    def test_pickle_drops_compiled_state(self):
-        net = _fresh()
-        src = net.vantage_address
-        dsts = _allocated(net, [s24.first for s24 in net.universe_slash24s])
-        engine = fast_engine_for(net)
-        for dst in dsts[:8]:
-            engine._program_for(dst, src)
-        clone = pickle.loads(pickle.dumps(net))
-        assert clone.forwarder._compiled == {}
-        assert not hasattr(clone, "_fast_engine")
-        # ...and builds the same templates after the lazy rebuild.
-        for dst in dsts[:8]:
-            assert _route(
-                fast_engine_for(clone)._program_for(dst, src), 0, 1
-            ) == _route(engine._program_for(dst, src), 0, 1)
 
 
 # -- layer 3: hashed draws ---------------------------------------------------

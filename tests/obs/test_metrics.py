@@ -1,9 +1,5 @@
-"""Tests for the mergeable metrics registry.
-
-The registry's contract is what makes parallel-campaign telemetry
-work: plain-data (picklable) state, and a merge that reconstructs
-serial totals bit-identically from per-shard registries.
-"""
+"""Tests for the metrics registry: recording, its plain-data state
+and ``run.json`` form, and the ambient scope."""
 
 import pickle
 import types
@@ -72,45 +68,6 @@ class TestRecording:
         assert registry.timer_seconds("phase.broken") == 1.0
 
 
-class TestMerge:
-    def test_counters_add(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.count("a", 2)
-        right.count("a", 3)
-        right.count("b", 1)
-        assert left.merge(right) is left
-        assert left.counter_value("a") == 5
-        assert left.counter_value("b") == 1
-
-    def test_gauges_take_other_side(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.gauge("g", 1.0)
-        right.gauge("g", 7.0)
-        left.merge(right)
-        assert left.gauge_value("g") == 7.0
-
-    def test_timers_add_seconds_and_calls(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.add_seconds("t", 1.0, calls=2)
-        right.add_seconds("t", 0.25, calls=1)
-        left.merge(right)
-        assert left.timer_seconds("t") == 1.25
-        assert _calls(left, "t") == 3
-
-    def test_shard_merge_reconstructs_serial_totals(self):
-        """Integer counter sums are associative and commutative: folding
-        per-shard registries in any order gives the serial totals."""
-        serial = MetricsRegistry()
-        shards = [MetricsRegistry() for _ in range(3)]
-        for index, amount in enumerate([5, 7, 11]):
-            serial.count("campaign.probes.sent", amount)
-            shards[index].count("campaign.probes.sent", amount)
-        merged = MetricsRegistry()
-        for shard in reversed(shards):
-            merged.merge(shard)
-        assert merged.counters == serial.counters
-
-
 class TestSerialization:
     def _populated(self):
         registry = MetricsRegistry()
@@ -126,13 +83,6 @@ class TestSerialization:
         assert clone.gauges == registry.gauges
         assert clone.timers == registry.timers
 
-    def test_to_dict_from_dict_round_trip(self):
-        registry = self._populated()
-        clone = MetricsRegistry.from_dict(registry.to_dict())
-        assert clone.counters == registry.counters
-        assert clone.gauges == registry.gauges
-        assert clone.timers == registry.timers
-
     def test_to_dict_shape(self):
         document = self._populated().to_dict()
         assert document["counters"] == {"campaign.slash24s": 24}
@@ -140,23 +90,6 @@ class TestSerialization:
         assert document["timers"]["phase.campaign"] == {
             "seconds": 1.75,
             "calls": 2,
-        }
-
-
-class TestSubtree:
-    def test_prefix_filters_by_dotted_path(self):
-        registry = MetricsRegistry()
-        registry.count("campaign.probes.sent", 9)
-        registry.count("campaign", 1)
-        registry.count("campaigns.other", 1)  # not under campaign.
-        registry.gauge("campaign.workers", 2)
-        registry.add_seconds("campaign.elapsed", 3.0)
-        selected = registry.subtree("campaign")
-        assert selected == {
-            "campaign": 1,
-            "campaign.probes.sent": 9,
-            "campaign.workers": 2,
-            "campaign.elapsed": 3.0,
         }
 
 

@@ -186,12 +186,12 @@ class TestLasthopSets:
         that shares its pools."""
         _, workspace = filled
         campaign = workspace.campaign
-        prefixes = campaign.prefixes()
+        prefixes = list(campaign.measurements)
         for result in (campaign, campaign.subset(prefixes[1::3])):
             reference = {
                 measurement.slash24: measurement.lasthop_set
-                for measurement in result.homogeneous()
-                if measurement.lasthop_set
+                for measurement in result
+                if measurement.is_homogeneous and measurement.lasthop_set
             }
             sets = result.lasthop_sets()
             assert sets == reference
