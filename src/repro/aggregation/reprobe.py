@@ -99,7 +99,7 @@ class Reprober:
         measurement = measure(
             self.prober,
             slash24,
-            self.snapshot.active_in(slash24),
+            self.snapshot,
             self.policy,
             self.rng,
             max_destinations=self.max_destinations,

@@ -110,7 +110,7 @@ def study_vantages(
             measurement = measure(
                 prober,
                 slash24,
-                snapshot.active_in(slash24),
+                snapshot,
                 ReprobePolicy(),
                 rng,
                 max_destinations=max_destinations,

@@ -23,10 +23,19 @@ the builder's diamond topologies). One template serves every
 destination in the address range over which each FIB interval its walk
 consulted is the same; it is specialised once per source (the source
 hashed into the balancer slots that read it) and then per destination,
-at one or two splitmix64 evaluations per balancer slot. A probe at TTL
-*t* then needs at most one splitmix64 evaluation (the slot at position
-``t-1``) instead of a walk through every FIB on the path plus
-reply-object construction.
+at one or two splitmix64 evaluations per balancer slot, when a probe
+first reads that slot's position (most positions are never read). A
+probe at TTL *t* then needs at most one splitmix64 evaluation (the slot
+at position ``t-1``) instead of a walk through every FIB on the path
+plus reply-object construction.
+
+A destination's host constants (default TTL, reverse-path delta) and
+its epoch-free availability draws come from the snapshot's
+:class:`HostTable` when a /24 of the snapshot is measured; it is hashed
+with numpy once per snapshot, the first time a measurement needs it.
+Destinations traced or pinged on their own, and availability keys that
+renumbering remaps, are drawn by the scalar :mod:`repro.netsim.hosts`
+functions, which stay the definition the table matches bit for bit.
 A destination whose template cannot be built (a forwarding loop, a
 router with no FIB or no route, divergent branch continuations, a
 balancer type the engine does not know, a path of
@@ -65,11 +74,15 @@ from __future__ import annotations
 import math
 import random
 import time
-from bisect import bisect_right
-from typing import Dict, List, Optional, Set, Tuple
+import weakref
+from bisect import bisect_left, bisect_right
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..net.addr import format_address
 from ..netsim import hosts as hostmod
+from ..netsim.internet import SWEEP_CHUNK_ADDRESSES
 from ..netsim.icmp import infer_hop_count
 from ..netsim.loadbalance import (
     HybridBalancer,
@@ -78,9 +91,11 @@ from ..netsim.loadbalance import (
     PerPacketBalancer,
 )
 from ..netsim.rtt import path_rtt_ms
+from ..obs.metrics import current_metrics
 from ..probing.session import ECHO_TTL, ProbeStats
 from ..probing.stopping import DEFAULT_CONFIDENCE, probes_required
 from ..probing.traceroute import DEFAULT_MAX_TTL, Route
+from ..probing.zmap import ActivitySnapshot
 from ..util.hashing import MASK64, splitmix64
 from .classifier import (
     Category,
@@ -103,8 +118,18 @@ PING_INTERVAL_SECONDS = 0.5
 #: The flow id every echo request of a ping carries.
 PING_FLOW = 0
 
+#: Registry counters each probe mirror commits when it finishes: the
+#: balancer slots its probes specialised to a destination, and the
+#: destinations whose programs took their host constants from a host
+#: table or from the scalar host functions.
+ENGINE_COUNTERS = (
+    "engine.slots_specialised",
+    "engine.destinations.table",
+    "engine.destinations.scalar",
+)
+
 # Slot kinds a probe evaluates. A template holds _FIXED and _BY_NONCE
-# slots as they are; the three kinds below them become one of these per
+# slots as they are; the kinds below them become one of these per
 # destination.
 _FIXED = 0     # (0, (responds, limiter, address))
 _BY_FLOW = 1   # (1, pre, n, members) — index = splitmix64(pre ^ flow) % n
@@ -113,17 +138,21 @@ _BY_NONCE = 2  # (2, pre, n, members) — index = splitmix64(pre ^ nonce) % n
 # Template-slot kinds that depend on the destination. Each stores its
 # balancer's salt hashed, h = splitmix64(salt) (a hybrid also
 # h2 = splitmix64(salt ^ 0x5A5A)). Specialised to a source, a slot
-# becomes (position, kind, a, b, n, members) with the source hashed in
-# where the balancer reads it; a destination then costs one splitmix64
-# per per-flow or per-destination slot and two per hybrid slot. Below,
-# sm is splitmix64.
-_T_PER_FLOW = 3  # (3, h, n, members); a = sm(h ^ src)
-#                  → (_BY_FLOW, sm(a ^ dst), n, members)
-_T_PER_DEST = 4  # (4, h, include_source, n, members); a = sm(h ^ src) or h
-#                  → (_FIXED, members[sm(a ^ dst) % n])
-_T_HYBRID = 5    # (5, h, h2, n, members); a = h, b = sm(h2 ^ src)
-#                  → (_BY_FLOW, sm(b ^ dst), 2, the pair from
-#                     members[sm(a ^ dst) % n])
+# becomes a pending slot below, with the source hashed in where the
+# balancer reads it. Below, sm is splitmix64.
+_T_PER_FLOW = 3  # (3, h, n, members) → (6, sm(h ^ src), n, members)
+_T_PER_DEST = 4  # (4, h, include_source, n, members)
+#                  → (7, sm(h ^ src) if include_source else h, n, members)
+_T_HYBRID = 5    # (5, h, h2, n, members) → (8, h, sm(h2 ^ src), n, members)
+
+# Pending slot kinds: a program holds them until a probe first reads
+# their position, which specialises them to the destination in place,
+# at one splitmix64 per per-flow or per-destination slot and two per
+# hybrid slot.
+_S_PER_FLOW = 6  # (6, a, n, members) → (_BY_FLOW, sm(a ^ dst), n, members)
+_S_PER_DEST = 7  # (7, a, n, members) → (_FIXED, members[sm(a ^ dst) % n])
+_S_HYBRID = 8    # (8, a, b, n, members) → (_BY_FLOW, sm(b ^ dst), 2, the
+#                  pair from members[sm(a ^ dst) % n])
 
 
 class RouteTemplateError(RuntimeError):
@@ -163,37 +192,176 @@ def fast_engine_for(internet) -> "FastCampaignEngine":
     return engine
 
 
+def _specialise(slots: list, position: int, dst: int) -> tuple:
+    """Specialise the pending slot at ``position`` to ``dst``, in
+    place, and return it."""
+    slot = slots[position]
+    kind = slot[0]
+    if kind == _S_PER_FLOW:
+        _, a, n, members = slot
+        slot = (_BY_FLOW, splitmix64(a ^ dst), n, members)
+    elif kind == _S_PER_DEST:
+        _, a, n, members = slot
+        slot = (_FIXED, members[splitmix64(a ^ dst) % n])
+    else:  # _S_HYBRID
+        _, a, b, n, members = slot
+        first = splitmix64(a ^ dst) % n
+        slot = (
+            _BY_FLOW, splitmix64(b ^ dst), 2,
+            (members[first], members[(first + 1) % n]),
+        )
+    slots[position] = slot
+    return slot
+
+
 class _DstProgram:
-    """A route template specialized to one destination."""
+    """A route template specialised to one source and destination.
+
+    ``slots`` is the template's tuple when no slot depends on the
+    destination, else a list of the program's own whose pending slots
+    are specialised when a probe first reads them.
+    """
 
     __slots__ = (
-        "dst", "slots", "length", "observed_ttl",
-        "density", "stability", "sleep_p", "up_epoch", "allocated", "pod",
-        "cellular_dst",
+        "dst", "slots", "length", "observed_ttl", "pod", "flags",
+        "up_epoch", "allocated", "cellular_dst",
     )
 
-    def __init__(self, dst, slots, length, observed_ttl,
-                 density, stability, sleep_p, allocated, pod=None,
-                 cellular_dst=None):
+    def __init__(self, dst, slots, length, observed_ttl, pod, flags,
+                 allocated, cellular_dst=None):
         self.dst = dst
         self.slots = slots
         self.length = length
         self.observed_ttl = observed_ttl
-        self.density = density
-        self.stability = stability
-        self.sleep_p = sleep_p
+        #: The destination's pod (its availability parameters, and with
+        #: a dynamic-event schedule its outage windows and renumbering
+        #: keys).
+        self.pod = pod
+        #: The destination's host-table flags
+        #: (:func:`repro.netsim.hosts.host_flags_np`), or None when its
+        #: availability is drawn by the scalar functions.
+        self.flags = flags
         #: Memoized (epoch, up, renumbered) availability of this
         #: destination; ``renumbered`` is whether its availability key
         #: differed from the address (each such lookup counts once in
         #: ``events.renumber``).
         self.up_epoch: Optional[Tuple[int, bool, bool]] = None
         self.allocated = allocated
-        #: The destination's pod — only consulted when a dynamic-event
-        #: schedule is active (outage windows, renumbering keys).
-        self.pod = pod
         #: The destination when its pod is cellular (its echo replies
         #: wake the radio the tracker follows), else None.
         self.cellular_dst = cellular_dst
+
+    def specialise_all(self) -> int:
+        """Specialise every pending slot; returns how many were."""
+        count = 0
+        for position, slot in enumerate(self.slots):
+            if slot[0] > _BY_NONCE:
+                _specialise(self.slots, position, self.dst)
+                count += 1
+        return count
+
+
+class HostTable:
+    """The host constants of an activity snapshot's addresses, row for
+    row with ``snapshot.addresses``.
+
+    Per address: the default TTL, the reverse-path delta, and the
+    epoch-free availability draws as flags
+    (:func:`repro.netsim.hosts.host_flags_np`), each drawn with the
+    pod of the address's leaf allocation. Every column takes the
+    narrowest integer type that holds its values: one byte each, three
+    per address, with the shipped weights.
+    """
+
+    __slots__ = ("ttls", "deltas", "flags", "views")
+
+    def __init__(
+        self, ttls: np.ndarray, deltas: np.ndarray, flags: np.ndarray
+    ) -> None:
+        self.ttls = ttls
+        self.deltas = deltas
+        self.flags = flags
+        #: The columns as memoryviews, whose items are Python ints: the
+        #: engine reads one row per destination, and a numpy scalar
+        #: costs several times as much.
+        self.views = (
+            memoryview(ttls), memoryview(deltas), memoryview(flags)
+        )
+
+    @property
+    def nbytes(self) -> int:
+        return self.ttls.nbytes + self.deltas.nbytes + self.flags.nbytes
+
+    @classmethod
+    def build(cls, internet, snapshot: ActivitySnapshot) -> "HostTable":
+        """Hash the table of ``snapshot``'s addresses on ``internet``,
+        :data:`~repro.netsim.internet.SWEEP_CHUNK_ADDRESSES` addresses
+        per numpy pass."""
+        config = internet.config
+        seed = internet._built.host_seed
+        points = internet.allocations.leaf_intervals()
+        starts = np.array([start for start, _ in points], dtype=np.uint64)
+        density = np.array([
+            allocation.pod.host_density if allocation is not None else 0.0
+            for _, allocation in points
+        ])
+        stability = np.array([
+            allocation.pod.host_stability if allocation is not None else 0.0
+            for _, allocation in points
+        ])
+        ttl_weights = config.default_ttl_weights
+        delta_weights = config.reverse_delta_weights
+        count = snapshot.total_active
+        ttls = np.empty(count, dtype=_narrowest_int(
+            [value for value, _ in ttl_weights] + list(hostmod.CUSTOM_TTLS)
+        ))
+        deltas = np.empty(count, dtype=_narrowest_int(
+            [value for value, _ in delta_weights]
+        ))
+        flags = np.empty(count, dtype=np.uint8)
+        for start in range(0, count, SWEEP_CHUNK_ADDRESSES):
+            stop = start + SWEEP_CHUNK_ADDRESSES
+            addrs = snapshot.addresses[start:stop].astype(np.uint64)
+            leaf = np.searchsorted(starts, addrs, side="right") - 1
+            ttls[start:stop] = hostmod.default_ttls_np(
+                seed, addrs, ttl_weights, config.custom_ttl_probability
+            )
+            deltas[start:stop] = hostmod.reverse_path_deltas_np(
+                seed, addrs, delta_weights
+            )
+            flags[start:stop] = hostmod.host_flags_np(
+                seed, addrs, density[leaf], stability[leaf]
+            )
+        return cls(ttls, deltas, flags)
+
+
+def _narrowest_int(values: Sequence[int]) -> np.dtype:
+    """The narrowest integer dtype that holds every one of ``values``."""
+    low, high = min(values), max(values)
+    for dtype in (np.int8, np.uint8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def host_table_for(internet, snapshot: ActivitySnapshot) -> HostTable:
+    """``snapshot``'s :class:`HostTable` on ``internet``.
+
+    Built the first time it is asked for and kept on the simulator, so
+    it outlives an engine rebuilt after a routing change, until another
+    snapshot's table or an allocation change replaces it. A forked
+    campaign worker inherits it.
+    """
+    cached = internet._host_table
+    revision = internet.allocations.revision
+    if cached is None or cached[0]() is not snapshot or cached[1] != revision:
+        cached = (
+            weakref.ref(snapshot), revision,
+            HostTable.build(internet, snapshot),
+        )
+        internet._host_table = cached
+    return cached[2]
 
 
 class FastCampaignEngine:
@@ -214,6 +382,10 @@ class FastCampaignEngine:
         built = internet._built
         self._host_seed = built.host_seed
         self._loss_base = splitmix64(built.loss_seed & MASK64)
+        #: Programs made with host constants from a host table, and
+        #: with scalar ones; each probe mirror commits its share.
+        self.table_destinations = 0
+        self.scalar_destinations = 0
 
     def valid(self) -> bool:
         forwarder = self.internet.forwarder
@@ -326,38 +498,45 @@ class FastCampaignEngine:
         return slots, start, end
 
     @staticmethod
-    def _source_slots(template: tuple, src: int) -> tuple:
-        """The template's destination-dependent slots specialised to
-        ``src``: one ``(position, kind, a, b, n, members)`` each."""
-        varying = []
-        for position, slot in enumerate(template):
+    def _source_slots(template: tuple, src: int) -> Tuple[tuple, bool]:
+        """The template specialised to ``src``: each destination-dependent
+        slot becomes a pending slot with the source hashed in where its
+        balancer reads it. Returns the slots and whether any is
+        pending (the template itself when none is)."""
+        slots = []
+        for slot in template:
             kind = slot[0]
             if kind == _T_PER_FLOW:
                 _, h, n, members = slot
-                varying.append(
-                    (position, kind, splitmix64(h ^ src), 0, n, members)
-                )
+                slot = (_S_PER_FLOW, splitmix64(h ^ src), n, members)
             elif kind == _T_PER_DEST:
                 _, h, include_source, n, members = slot
                 if include_source:
                     h = splitmix64(h ^ src)
-                varying.append((position, kind, h, 0, n, members))
+                slot = (_S_PER_DEST, h, n, members)
             elif kind == _T_HYBRID:
                 _, h, h2, n, members = slot
-                varying.append(
-                    (position, kind, h, splitmix64(h2 ^ src), n, members)
-                )
-        return tuple(varying)
+                slot = (_S_HYBRID, h, splitmix64(h2 ^ src), n, members)
+            slots.append(slot)
+        pending = any(slot[0] > _BY_NONCE for slot in slots)
+        return (tuple(slots), True) if pending else (template, False)
 
     # -- per-destination specialization -----------------------------------
 
-    def _program_for(self, dst: int, src: int) -> _DstProgram:
+    def _program_for(
+        self, dst: int, src: int,
+        host: Optional[Tuple[int, int, int]] = None,
+    ) -> _DstProgram:
+        """``dst``'s program from ``src``. ``host`` is the destination's
+        (default TTL, reverse-path delta, flags) row of a
+        :class:`HostTable`; without one, the scalar host functions draw
+        them."""
         internet = self.internet
         allocation = internet._allocation_of(dst)
         if allocation is None:
             # The object path's probes to unallocated space consume
             # clock/nonce and time out; no routing needed.
-            return _DstProgram(dst, (), 0, 0, 0.0, 0.0, 0.0, False)
+            return _DstProgram(dst, (), 0, 0, None, None, False)
         internet.template_lookups += 1
         starts = self._range_starts
         index = bisect_right(starts, dst) - 1
@@ -373,45 +552,32 @@ class FastCampaignEngine:
             # last range starting at or below ``dst``.
             starts.insert(index + 1, start)
             self._ranges.insert(index + 1, (end, template, by_source))
-        varying = by_source.get(src)
-        if varying is None:
-            varying = by_source[src] = self._source_slots(template, src)
-        if varying:
-            slots = list(template)
-            for position, kind, a, b, n, members in varying:
-                if kind == _T_PER_FLOW:
-                    slots[position] = (
-                        _BY_FLOW, splitmix64(a ^ dst), n, members
-                    )
-                elif kind == _T_PER_DEST:
-                    slots[position] = (
-                        _FIXED, members[splitmix64(a ^ dst) % n]
-                    )
-                else:  # _T_HYBRID
-                    first = splitmix64(a ^ dst) % n
-                    slots[position] = (
-                        _BY_FLOW, splitmix64(b ^ dst), 2,
-                        (members[first], members[(first + 1) % n]),
-                    )
-            slots = tuple(slots)
-        else:
-            slots = template
+        source_slots = by_source.get(src)
+        if source_slots is None:
+            source_slots = by_source[src] = self._source_slots(template, src)
+        slots, pending = source_slots
+        if pending:
+            slots = list(slots)
         length = len(slots)
-        config = internet.config
         pod = allocation.pod
-        host_seed = self._host_seed
-        default = hostmod.default_ttl(
-            host_seed, dst, config.default_ttl_weights,
-            config.custom_ttl_probability,
-        )
-        delta = hostmod.reverse_path_delta(
-            host_seed, dst, config.reverse_delta_weights
-        )
+        if host is None:
+            self.scalar_destinations += 1
+            config = internet.config
+            default = hostmod.default_ttl(
+                self._host_seed, dst, config.default_ttl_weights,
+                config.custom_ttl_probability,
+            )
+            delta = hostmod.reverse_path_delta(
+                self._host_seed, dst, config.reverse_delta_weights
+            )
+            flags = None
+        else:
+            self.table_destinations += 1
+            default, delta, flags = host
         observed_ttl = max(0, default - max(1, length + delta))
         return _DstProgram(
-            dst, slots, length, observed_ttl,
-            pod.host_density, pod.host_stability, pod.sleep_probability,
-            True, pod, dst if pod.cellular else None,
+            dst, slots, length, observed_ttl, pod, flags, True,
+            dst if pod.cellular else None,
         )
 
     # -- the probe mirror -------------------------------------------------
@@ -428,7 +594,15 @@ class FastCampaignEngine:
         the clock, the nonce, rate-limiter buckets (seeded from their
         live state) and the radio tracker — is mirrored locally;
         ``finish()`` commits it with the probe count and the engine's
-        wall-clock, and returns the probes' :class:`ProbeStats`.
+        wall-clock, adds the mirror's share of :data:`ENGINE_COUNTERS`
+        to the ambient registry, and returns the probes'
+        :class:`ProbeStats`.
+
+        A probe that reads a pending slot specialises it to the
+        destination. A destination with host-table flags is drawn up or
+        down by :func:`repro.netsim.hosts.host_up_from_flags`, with each
+        /24's block-sleep draw made once per epoch in the mirror, unless
+        renumbering remaps its availability key.
         """
         started = time.perf_counter()
         internet = self.internet
@@ -440,6 +614,7 @@ class FastCampaignEngine:
         p_router = config.router_loss_probability
         p_host = config.host_loss_probability
         host_up = hostmod.host_up_in_epoch
+        host_up_from_flags = hostmod.host_up_from_flags
         floor = math.floor
         sm = splitmix64
         mask = MASK64
@@ -460,9 +635,15 @@ class FastCampaignEngine:
         # Cellular destination → clock of its latest echo reply (the
         # radio tracker's record, committed with the buckets).
         radio: Dict[int, float] = {}
+        # (/24, epoch) → its block-sleep draw, for host-table flags.
+        sleep_draws: Dict[Tuple[int, int], float] = {}
+        specialised = 0
+        table_base = self.table_destinations
+        scalar_base = self.scalar_destinations
 
         def send(prog: _DstProgram, ttl: int, flow: int):
             nonlocal clock, nonce, sent, answered, echo_replies, ttl_exceeded
+            nonlocal specialised
             sent += 1
             nonce += 1
             clock += step
@@ -471,6 +652,10 @@ class FastCampaignEngine:
             if ttl <= prog.length:
                 slot = prog.slots[ttl - 1]
                 kind = slot[0]
+                if kind > _BY_NONCE:
+                    slot = _specialise(prog.slots, ttl - 1, prog.dst)
+                    kind = slot[0]
+                    specialised += 1
                 if kind == _FIXED:
                     responds, limiter, address = slot[1]
                 elif kind == _BY_FLOW:
@@ -534,12 +719,19 @@ class FastCampaignEngine:
                 # (canonical address), so the memo stays valid per epoch:
                 # the key depends only on (pod, dst, epoch).
                 key = prog.dst
+                pod = prog.pod
                 if events is not None:
-                    key = events.availability_key(prog.pod, key, epoch)
-                up = host_up(
-                    host_seed, key, epoch,
-                    prog.density, prog.stability, prog.sleep_p,
-                )
+                    key = events.availability_key(pod, key, epoch)
+                if prog.flags is None or key != prog.dst:
+                    up = host_up(
+                        host_seed, key, epoch, pod.host_density,
+                        pod.host_stability, pod.sleep_probability,
+                    )
+                else:
+                    up = host_up_from_flags(
+                        host_seed, key, epoch, prog.flags,
+                        pod.sleep_probability, sleep_draws,
+                    )
                 prog.up_epoch = (epoch, up, key != prog.dst)
             if not up:
                 return None
@@ -555,7 +747,7 @@ class FastCampaignEngine:
             return -1
 
         def ping(prog: _DstProgram, gap: float) -> Optional[float]:
-            nonlocal clock
+            nonlocal clock, specialised
             if gap:
                 clock += gap
             cellular = prog.cellular_dst
@@ -569,6 +761,7 @@ class FastCampaignEngine:
                 return None
             # The echo's path: the member each slot picks for this flow
             # and this probe's nonce.
+            specialised += prog.specialise_all()
             by_address = internet.topology.by_address
             path = []
             for slot in prog.slots:
@@ -605,6 +798,14 @@ class FastCampaignEngine:
             if radio:
                 internet._radio.record(radio)
             internet.probe_seconds += time.perf_counter() - started
+            registry = current_metrics()
+            for name, amount in zip(ENGINE_COUNTERS, (
+                specialised,
+                self.table_destinations - table_base,
+                self.scalar_destinations - scalar_base,
+            )):
+                if amount:
+                    registry.count(name, amount)
             return ProbeStats(sent, answered, echo_replies, ttl_exceeded)
 
         return send, ping, finish
@@ -615,26 +816,33 @@ class FastCampaignEngine:
         self,
         policy,
         slash24,
-        snapshot_active: List[int],
+        snapshot: ActivitySnapshot,
         rng: random.Random,
         max_destinations: Optional[int],
         source: Optional[int] = None,
     ) -> Tuple[Slash24Measurement, ProbeStats]:
-        """Measure one /24 from ``source`` (None: the default vantage) —
-        bit-identical to the object classifier.
+        """Measure one /24 of ``snapshot`` from ``source`` (None: the
+        default vantage) — bit-identical to the object classifier over
+        the /24's active list.
 
-        Continues the simulator's running measurement context and draws
-        from ``rng`` exactly as the object classifier does, so neither
-        needs to be fresh. Raises :class:`RouteTemplateError`, naming the
-        /24, the destination and the reason, when a destination's route
-        template cannot be built.
+        Its destinations take their host constants from the snapshot's
+        :class:`HostTable`, which the first /24 that meets the
+        selection criteria builds. Continues the simulator's running
+        measurement context and draws from ``rng`` exactly as the
+        object classifier does, so neither needs to be fresh. Raises
+        :class:`RouteTemplateError`, naming the /24, the destination
+        and the reason, when a destination's route template cannot be
+        built.
         """
         internet = self.internet
         result = Slash24Measurement(
             slash24=slash24, category=Category.TOO_FEW_ACTIVE
         )
+        first_row, end_row = snapshot.bounds(slash24)
+        snapshot_active = snapshot.addresses[first_row:end_row].tolist()
         if not meets_selection_criteria(snapshot_active):
             return result, ProbeStats()
+        ttls, deltas, flags = host_table_for(internet, snapshot).views
 
         flow_seed = rng.randrange(1 << 30)
         send, _, finish = self._probe_mirror()
@@ -652,8 +860,11 @@ class FastCampaignEngine:
         for index, dst in enumerate(round_robin_order(snapshot_active, rng)):
             if max_destinations is not None and index >= max_destinations:
                 break
+            row = first_row + bisect_left(snapshot_active, dst)
             try:
-                prog = self._program_for(dst, src)
+                prog = self._program_for(
+                    dst, src, (ttls[row], deltas[row], flags[row])
+                )
             except RouteTemplateError as error:
                 raise RouteTemplateError(
                     f"cannot measure {slash24}: no route template towards "
@@ -787,6 +998,8 @@ class FastCampaignEngine:
         """
         internet = self.internet
         src = source if source is not None else internet.vantage_address
+        # The mirror first, so that it counts the program built below.
+        send, _, finish = self._probe_mirror()
         try:
             prog = self._program_for(dst, src)
         except RouteTemplateError as error:
@@ -794,7 +1007,6 @@ class FastCampaignEngine:
                 f"cannot trace {format_address(dst)}: no route template "
                 f"({error})"
             ) from None
-        send, _, finish = self._probe_mirror()
         routes: Set[Route] = set()
         reached = False
         flows_tried = 0
@@ -840,6 +1052,8 @@ class FastCampaignEngine:
         """
         internet = self.internet
         src = source if source is not None else internet.vantage_address
+        # The mirror first, so that it counts the program built below.
+        _, ping, finish = self._probe_mirror()
         try:
             prog = self._program_for(dst, src)
         except RouteTemplateError as error:
@@ -847,7 +1061,6 @@ class FastCampaignEngine:
                 f"cannot ping {format_address(dst)}: no route template "
                 f"({error})"
             ) from None
-        _, ping, finish = self._probe_mirror()
         rtts = [
             ping(prog, PING_INTERVAL_SECONDS if index else 0.0)
             for index in range(count)

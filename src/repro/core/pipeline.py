@@ -48,7 +48,9 @@ from ..util.envknobs import kill_after_for_worker
 from ..util.hashing import mix, stable_string_hash
 from .classifier import Slash24Measurement
 from .columnar import CampaignResult
-from .fastengine import check_policy, fast_engine_for
+from .fastengine import (
+    ENGINE_COUNTERS, check_policy, fast_engine_for, host_table_for,
+)
 from .termination import ReprobePolicy, TerminationPolicy
 
 
@@ -84,16 +86,18 @@ def slash24_nonce(campaign_seed: int, slash24: Prefix) -> int:
 def measure(
     prober: Prober,
     slash24: Prefix,
-    snapshot_active: List[int],
+    snapshot: ActivitySnapshot,
     policy: TerminationPolicy | ReprobePolicy,
     rng: random.Random,
     max_destinations: Optional[int] = None,
 ) -> Slash24Measurement:
-    """Measure and classify one /24 through ``prober``: every phase's
-    per-/24 entry point.
+    """Measure and classify one /24 of ``snapshot`` through ``prober``:
+    every phase's per-/24 entry point.
 
-    The compiled engine (:mod:`repro.core.fastengine`) measures it and
-    its probe counts are merged into ``prober.stats``. It continues the
+    The compiled engine (:mod:`repro.core.fastengine`) measures it over
+    the /24's active addresses in ``snapshot``, with their host
+    constants from the snapshot's host table, and its probe counts are
+    merged into ``prober.stats``. It continues the
     simulator's running measurement context, so a phase may measure a
     sequence of /24s in one context with one RNG. Raises
     :class:`TypeError` for a policy type the engine does not replicate,
@@ -102,8 +106,7 @@ def measure(
     """
     check_policy(policy)
     measurement, stats = fast_engine_for(prober.internet).measure(
-        policy, slash24, snapshot_active, rng, max_destinations,
-        prober.source,
+        policy, slash24, snapshot, rng, max_destinations, prober.source,
     )
     prober.stats.merge(stats)
     return measurement
@@ -209,7 +212,7 @@ def _measure_in_context(
     internet: SimulatedInternet,
     policy: TerminationPolicy | ReprobePolicy,
     slash24: Prefix,
-    snapshot_active: List[int],
+    snapshot: ActivitySnapshot,
     campaign_seed: int,
     clock_base: float,
     max_destinations: Optional[int],
@@ -221,7 +224,7 @@ def _measure_in_context(
     )
     prober = Prober(internet)
     measurement = measure(
-        prober, slash24, snapshot_active, policy,
+        prober, slash24, snapshot, policy,
         random.Random(slash24_seed(campaign_seed, slash24)),
         max_destinations,
     )
@@ -269,8 +272,9 @@ def _worker_main(
 ) -> None:
     """One forked worker: measure each chunk whose index the parent
     sends, with the simulator and ``measure_chunk`` it inherited, and
-    send back its results with the engine, route-template and event
-    counter deltas they cost; exit on ``None``.
+    send back its results with the engine, route-template, event and
+    :data:`~repro.core.fastengine.ENGINE_COUNTERS` deltas they cost;
+    exit on ``None``.
 
     The deltas travel with their chunk so that a chunk lost with a dead
     worker costs its counters too, and the chunk measured again in its
@@ -286,6 +290,7 @@ def _worker_main(
     # from several processes would interleave.
     configure_tracing(None)
     events = internet.events
+    registry = current_metrics()
     measured = 0
     while True:
         index = link.recv()
@@ -296,6 +301,9 @@ def _worker_main(
             internet.template_builds,
         )
         events_base = events.counter_snapshot() if events is not None else None
+        engine_base = [
+            registry.counter_value(name) for name in ENGINE_COUNTERS
+        ]
         done = measure_chunk(index)
         measured += len(done)
         if kill_after is not None and measured >= kill_after:
@@ -308,6 +316,10 @@ def _worker_main(
             internet.template_lookups - base[1],
             internet.template_builds - base[2],
             events.counter_deltas(events_base) if events is not None else {},
+            [
+                registry.counter_value(name) - before
+                for name, before in zip(ENGINE_COUNTERS, engine_base)
+            ],
         ))
 
 
@@ -358,13 +370,15 @@ def _run_parallel(
 ) -> Dict[Prefix, Tuple[Slash24Measurement, ProbeStats]]:
     """Measure the pending /24s on ``workers`` forked worker processes.
 
-    The workers inherit the simulator, the policy, the snapshot and the
-    chunk plan, so the parent sends each one only the index of its next
-    chunk. Each returned chunk is recorded in ``cache`` (when bound)
-    under the /24s' ``keys`` as it arrives, with the serial loop's group
-    commits; the caller commits the rest. The workers' probes, engine
-    timing, route-template lookups and event activity are folded into
-    ``internet``, so its counters match the serial run's.
+    The workers inherit the simulator, the policy, the snapshot, its
+    host table (built here first, so that no worker builds its own)
+    and the chunk plan, so the parent sends each one only the index of
+    its next chunk. Each returned chunk is recorded in ``cache`` (when
+    bound) under the /24s' ``keys`` as it arrives, with the serial
+    loop's group commits; the caller commits the rest. The workers'
+    probes, engine timing, route-template lookups and event activity
+    are folded into ``internet``, and their engine counters into the
+    ambient registry, so both match the serial run's.
 
     Returns every pending /24's (measurement, probe stats). Raises
     :class:`_ParallelUnavailable` when no worker can start (a platform
@@ -377,6 +391,9 @@ def _run_parallel(
     except ValueError as error:
         raise _ParallelUnavailable("pool_failure", error) from error
     from ..store import campaign as store_campaign
+
+    # Built before the workers fork, so that each inherits it.
+    host_table_for(internet, snapshot)
 
     worker_count = min(workers, len(pending))
     # Read the kill knob here, in the parent, before any worker forks: a
@@ -403,8 +420,8 @@ def _run_parallel(
     ) -> List[Tuple[Slash24Measurement, ProbeStats]]:
         return [
             _measure_in_context(
-                internet, policy, slash24, snapshot.active_in(slash24),
-                seed, clock_base, max_destinations,
+                internet, policy, slash24, snapshot, seed, clock_base,
+                max_destinations,
             )
             for slash24 in chunks[index]
         ]
@@ -455,9 +472,10 @@ def _run_parallel(
             for link in wait(list(busy)):
                 index = busy.pop(link)
                 try:
-                    done, seconds, lookups, builds, event_deltas = (
-                        link.recv()
-                    )
+                    (
+                        done, seconds, lookups, builds, event_deltas,
+                        engine_deltas,
+                    ) = link.recv()
                 except (EOFError, OSError):
                     queue.appendleft(index)
                     lost += 1
@@ -471,6 +489,12 @@ def _run_parallel(
                 internet.template_builds += builds
                 if internet.events is not None:
                     internet.events.add_counter_deltas(event_deltas)
+                # The serial run's probe mirrors commit these counters to
+                # the ambient registry.
+                ambient = current_metrics()
+                for name, delta in zip(ENGINE_COUNTERS, engine_deltas):
+                    if delta:
+                        ambient.count(name, delta)
                 record(index, done)
                 idle.append(link)
         if queue:
@@ -699,8 +723,7 @@ def _run_campaign_observed(
                 else:
                     with span("campaign.slash24", prefix=slash24):
                         measurement, measure_stats = _measure_in_context(
-                            internet, policy, slash24,
-                            snapshot.active_in(slash24),
+                            internet, policy, slash24, snapshot,
                             seed, clock_base, max_destinations_per_slash24,
                         )
                     if cache is not None:

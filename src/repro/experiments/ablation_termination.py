@@ -55,7 +55,7 @@ def run(workspace: Workspace) -> ExperimentResult:
         judged = 0
         for slash24 in sample:
             measurement = measure(
-                prober, slash24, snapshot.active_in(slash24), policy, rng,
+                prober, slash24, snapshot, policy, rng,
                 max_destinations=workspace.profile.campaign_max_destinations,
             )
             if not measurement.category.analyzable:

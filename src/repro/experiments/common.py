@@ -448,8 +448,7 @@ class Workspace:
                 policy = ExhaustivePolicy()
                 for slash24 in sample:
                     measurement = measure(
-                        prober, slash24, self.snapshot.active_in(slash24),
-                        policy, rng,
+                        prober, slash24, self.snapshot, policy, rng,
                     )
                     if len(measurement.observations) >= 4:
                         dataset[slash24] = dict(measurement.observations)
@@ -680,7 +679,7 @@ class Workspace:
                 for measurement in hierarchical:
                     slash24 = measurement.slash24
                     full = measure(
-                        prober, slash24, self.snapshot.active_in(slash24),
+                        prober, slash24, self.snapshot,
                         ExhaustivePolicy(), rng,
                         max_destinations=(
                             self.profile.campaign_max_destinations

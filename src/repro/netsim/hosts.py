@@ -4,10 +4,14 @@ The simulator never materialises per-host objects: with millions of
 addresses in a scenario, every host attribute (existence, availability,
 default TTL, reverse-path asymmetry, cellular promotion delay) is a pure
 deterministic function of (pod parameters, address, epoch), computed by
-hashing. Scalar versions serve the probe path; the vectorised
-availability mask (used by the ZMap scan) computes the same function
-over numpy arrays — tests assert bitwise agreement between the two, and
-with the plain ``mix(seed ^ domain, addr, ...)`` chains. The scalar versions share
+hashing. The scalar versions are the definition. Their vectorised
+equivalents compute the same functions over numpy arrays: the
+availability mask the ZMap scan sweeps with, and the epoch-free columns
+of the compiled engine's host table (default TTL, reverse-path delta,
+and the exists, stable and sleep-survivor draws as flag bits), which
+:func:`host_up_from_flags` completes with the epoch's draws. Tests
+assert bitwise agreement between the forms, and with the plain
+``mix(seed ^ domain, addr, ...)`` chains. The scalar versions share
 work: ``splitmix64(seed ^ domain)`` is cached per attribute domain, and
 the draws one attribute takes for one address (the default TTL takes up
 to three) finish one shared hash state.
@@ -23,7 +27,7 @@ hosts cause the "Too few active" attrition of Table 1.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,6 +52,16 @@ BLOCK_SLEEP_PROBABILITY = 0.28
 #: Fraction of otherwise-up hosts that still answer while their block
 #: sleeps.
 SLEEP_SURVIVOR_FRACTION = 0.05
+
+#: Uncommon default TTLs seen in the wild (Solaris' 255 is common, but
+#: some embedded stacks use 100, 60 or 30).
+CUSTOM_TTLS = (30, 60, 100, 200)
+
+#: Bits of a host-table flags byte (:func:`host_flags_np`): the host
+#: exists, is stable, and survives its block's sleep.
+HOST_EXISTS = 1
+HOST_STABLE = 2
+HOST_SLEEP_SURVIVOR = 4
 
 _TWO64 = float(1 << 64)
 
@@ -80,8 +94,14 @@ def block_asleep(
     """Whether the /24 containing ``addr`` sleeps during ``epoch``."""
     if sleep_probability <= 0.0:
         return False
+    return block_sleep_draw(seed, addr, epoch) < sleep_probability
+
+
+def block_sleep_draw(seed: int, addr: int, epoch: int) -> float:
+    """The uniform draw :func:`block_asleep` compares with the sleep
+    probability: one per /24 and epoch."""
     state = splitmix64(_domain_state(seed ^ _SLEEP) ^ (addr & 0xFFFFFF00))
-    return splitmix64(state ^ (epoch & MASK64)) / _TWO64 < sleep_probability
+    return splitmix64(state ^ (epoch & MASK64)) / _TWO64
 
 
 def host_up_in_epoch(
@@ -107,6 +127,37 @@ def host_up_in_epoch(
     return up
 
 
+def host_up_from_flags(
+    seed: int, addr: int, epoch: int, flags: int,
+    sleep_probability: float, sleep_draws: Dict[Tuple[int, int], float],
+) -> bool:
+    """:func:`host_up_in_epoch` from the address's host-table ``flags``
+    (:func:`host_flags_np`, drawn with the same density and stability).
+
+    Only the epoch's draws are hashed: the flap draw of a flappy host,
+    and the block-sleep draw of a host that is up, which
+    ``sleep_draws`` caches by (/24, epoch).
+    """
+    if not flags & HOST_EXISTS:
+        return False
+    if not flags & HOST_STABLE:
+        state = splitmix64(_domain_state(seed ^ _FLAP) ^ addr)
+        if not (
+            splitmix64(state ^ (epoch & MASK64)) / _TWO64
+            < FLAPPY_UP_PROBABILITY
+        ):
+            return False
+    if sleep_probability <= 0.0:
+        return True
+    key = (addr >> 8, epoch)
+    draw = sleep_draws.get(key)
+    if draw is None:
+        draw = sleep_draws[key] = block_sleep_draw(seed, addr, epoch)
+    if draw < sleep_probability:
+        return bool(flags & HOST_SLEEP_SURVIVOR)
+    return True
+
+
 def default_ttl(
     seed: int,
     addr: int,
@@ -122,10 +173,7 @@ def default_ttl(
     # Draw k is mix(seed ^ _TTL, addr, k): one state, three finishes.
     state = splitmix64(_domain_state(seed ^ _TTL) ^ addr)
     if splitmix64(state ^ 1) / _TWO64 < custom_probability:
-        # Uncommon defaults seen in the wild (e.g. Solaris 255 is common,
-        # but some embedded stacks use 100, 60, 30).
-        choices = (30, 60, 100, 200)
-        return choices[splitmix64(state ^ 2) % len(choices)]
+        return CUSTOM_TTLS[splitmix64(state ^ 2) % len(CUSTOM_TTLS)]
     roll = splitmix64(state) / _TWO64
     cumulative = 0.0
     for value, weight in weights:
@@ -161,7 +209,8 @@ def promotion_delay_seconds(
 
 
 # ---------------------------------------------------------------------------
-# Vectorised equivalents (numpy), used by the ZMap full-space scan.
+# Vectorised equivalents (numpy), used by the ZMap full-space scan and the
+# compiled engine's host table.
 # ---------------------------------------------------------------------------
 
 
@@ -204,3 +253,79 @@ def hosts_up_in_epoch_np(
         )
         up &= ~asleep | survivor
     return up
+
+
+def host_flags_np(
+    seed: int,
+    addrs: np.ndarray,
+    density: Union[float, np.ndarray],
+    stability: Union[float, np.ndarray],
+) -> np.ndarray:
+    """The epoch-free availability draws per address as uint8 flags:
+    :data:`HOST_EXISTS` (:func:`host_exists`), :data:`HOST_STABLE`
+    (:func:`host_is_stable`) and :data:`HOST_SLEEP_SURVIVOR` (the
+    survivor draw of :func:`host_up_in_epoch`).
+
+    ``density`` and ``stability`` are one value for every address or
+    one per address.
+    """
+    addrs = np.asarray(addrs, dtype=np.uint64)
+    exists = _unit_np(_mix_np(seed ^ _EXISTS, addrs)) < density
+    stable = _unit_np(_mix_np(seed ^ _STABLE, addrs)) < stability
+    survivor = (
+        _unit_np(_mix_np(seed ^ _SLEEP_SURVIVOR, addrs))
+        < SLEEP_SURVIVOR_FRACTION
+    )
+    flags = exists.view(np.uint8) * np.uint8(HOST_EXISTS)
+    flags |= stable.view(np.uint8) * np.uint8(HOST_STABLE)
+    flags |= survivor.view(np.uint8) * np.uint8(HOST_SLEEP_SURVIVOR)
+    return flags
+
+
+def _weighted_np(
+    rolls: np.ndarray, weights: Sequence[Tuple[int, float]]
+) -> np.ndarray:
+    """Per roll, the first value whose running weight sum exceeds it,
+    else the last value: the scalar loops' pick, summed in their
+    order."""
+    values = np.full(len(rolls), weights[-1][0], dtype=np.int64)
+    undecided = np.ones(len(rolls), dtype=bool)
+    cumulative = 0.0
+    for value, weight in weights:
+        cumulative += weight
+        hit = undecided & (rolls < cumulative)
+        values[hit] = value
+        undecided &= ~hit
+    return values
+
+
+def default_ttls_np(
+    seed: int,
+    addrs: np.ndarray,
+    weights: Sequence[Tuple[int, float]],
+    custom_probability: float,
+) -> np.ndarray:
+    """Vectorised :func:`default_ttl` (int64 per address)."""
+    addrs = np.asarray(addrs, dtype=np.uint64)
+    state = _mix_np(seed ^ _TTL, addrs)
+    ttls = _weighted_np(
+        _unit_np(hashing_np.splitmix64_np(state)), weights
+    )
+    custom = (
+        _unit_np(hashing_np.splitmix64_np(state ^ np.uint64(1)))
+        < custom_probability
+    )
+    if np.any(custom):
+        picks = hashing_np.splitmix64_np(
+            state[custom] ^ np.uint64(2)
+        ) % np.uint64(len(CUSTOM_TTLS))
+        ttls[custom] = np.array(CUSTOM_TTLS, dtype=np.int64)[picks]
+    return ttls
+
+
+def reverse_path_deltas_np(
+    seed: int, addrs: np.ndarray, weights: Sequence[Tuple[int, float]]
+) -> np.ndarray:
+    """Vectorised :func:`reverse_path_delta` (int64 per address)."""
+    addrs = np.asarray(addrs, dtype=np.uint64)
+    return _weighted_np(_unit_np(_mix_np(seed ^ _DELTA, addrs)), weights)

@@ -98,6 +98,10 @@ class SimulatedInternet:
         # Compiled allocation index (flat sorted intervals); builds
         # lazily.
         self._alloc_index: Optional[tuple] = None
+        #: (snapshot weakref, allocation revision, table): the compiled
+        #: engine's host table of the snapshot it last measured
+        #: (:func:`repro.core.fastengine.host_table_for`).
+        self._host_table: Optional[tuple] = None
 
     @classmethod
     def from_config(cls, config: ScenarioConfig) -> "SimulatedInternet":

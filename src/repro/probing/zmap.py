@@ -24,6 +24,7 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..net.addr import check_address
 from ..net.prefix import Prefix
 from ..netsim.internet import ADDRESS_DTYPE, SimulatedInternet
 
@@ -72,9 +73,17 @@ class ActivitySnapshot:
         cls, epoch: int, lists: Mapping[int, Sequence[int]]
     ) -> "ActivitySnapshot":
         """The snapshot of per-/24 active lists, keyed by /24 network in
-        any order; each list is sorted, and empty lists are dropped."""
+        any order; each list is sorted, and empty lists are dropped.
+
+        Raises :class:`~repro.net.addr.AddressError` for an address
+        outside the IPv4 space, and :class:`ValueError` for one outside
+        its /24.
+        """
         kept = sorted(network for network, active in lists.items() if active)
         actives = [sorted(lists[network]) for network in kept]
+        for active in actives:
+            check_address(active[0])
+            check_address(active[-1])
         networks = np.array(kept, dtype=np.uint32)
         offsets = np.zeros(len(kept) + 1, dtype=np.int64)
         np.cumsum([len(active) for active in actives], out=offsets[1:])
@@ -109,11 +118,13 @@ class ActivitySnapshot:
     def slash24_count(self) -> int:
         return len(self.networks)
 
-    def _bounds(self, network: int) -> Tuple[int, int]:
-        """Start and end of ``network``'s addresses (equal when none)."""
+    def bounds(self, slash24: Prefix) -> Tuple[int, int]:
+        """Start and end of the /24's run in :attr:`addresses` (equal
+        when it has none)."""
         # Bisect memoryviews, whose items are Python ints: a lookup
         # through numpy scalars costs several times as much, and the
         # campaign makes one per /24.
+        network = slash24.network
         networks = memoryview(self.networks)
         index = bisect_left(networks, network)
         if index == len(networks) or networks[index] != network:
@@ -123,12 +134,12 @@ class ActivitySnapshot:
 
     def addresses_in(self, slash24: Prefix) -> np.ndarray:
         """The /24's active addresses, a ``<u4`` view of the snapshot."""
-        start, end = self._bounds(slash24.network)
+        start, end = self.bounds(slash24)
         return self.addresses[start:end]
 
     def active_in(self, slash24: Prefix) -> List[int]:
         """The /24's active addresses, sorted, as a new list."""
-        start, end = self._bounds(slash24.network)
+        start, end = self.bounds(slash24)
         return self.addresses[start:end].tolist()
 
     def eligible_slash24s(self, min_active: int = 4) -> List[Prefix]:

@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.core.pipeline import measure
 from repro.probing import Prober
+from repro.probing.zmap import ActivitySnapshot
 
 
 def fs(*values):
@@ -70,7 +71,7 @@ class TestMeasureSlash24:
         return measure(
             prober,
             slash24,
-            snapshot.active_in(slash24),
+            snapshot,
             policy or TerminationPolicy(),
             random.Random(1),
         )
@@ -78,8 +79,9 @@ class TestMeasureSlash24:
     def test_ineligible_snapshot(self, internet, snapshot):
         slash24 = internet.universe_slash24s[0]
         prober = Prober(internet)
+        empty = ActivitySnapshot.from_lists(snapshot.epoch, {})
         result = measure(
-            prober, slash24, [], TerminationPolicy(), random.Random(1)
+            prober, slash24, empty, TerminationPolicy(), random.Random(1)
         )
         assert result.category is Category.TOO_FEW_ACTIVE
         assert result.probes_used == 0
@@ -163,7 +165,7 @@ class TestMeasureSlash24:
         result = measure(
             prober,
             slash24,
-            snapshot.active_in(slash24),
+            snapshot,
             ExhaustivePolicy(),
             random.Random(1),
             max_destinations=5,

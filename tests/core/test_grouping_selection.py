@@ -22,6 +22,7 @@ from repro.core.pipeline import measure
 from repro.net import parse
 from repro.net.addr import AddressError
 from repro.probing import Prober
+from repro.probing.zmap import ActivitySnapshot
 
 
 def fs(*values):
@@ -102,13 +103,18 @@ class TestSelectionCriteria:
     def test_measure_refuses_outside_address_before_probing(
         self, internet, snapshot, outside
     ):
+        """``measure`` takes a /24's addresses from a snapshot, which
+        refuses an address outside IPv4 when it is made."""
         slash24 = snapshot.eligible_slash24s()[0]
         active = snapshot.active_in(slash24) + [outside]
         sent, clock = internet.probe_count, internet.clock_seconds
         with pytest.raises(AddressError):
             measure(
-                Prober(internet), slash24, active, ExhaustivePolicy(),
-                random.Random(1),
+                Prober(internet), slash24,
+                ActivitySnapshot.from_lists(
+                    snapshot.epoch, {slash24.network: active}
+                ),
+                ExhaustivePolicy(), random.Random(1),
             )
         assert internet.probe_count == sent
         assert internet.clock_seconds == clock

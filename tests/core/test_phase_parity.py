@@ -116,8 +116,8 @@ def _run_sequence(policy_name, alternate_source, intensity, prober_path):
         policy = kind()
         measurements = [
             measure(
-                prober, slash24, snapshot.active_in(slash24), policy,
-                rng, max_destinations=cap,
+                prober, slash24, snapshot, policy, rng,
+                max_destinations=cap,
             )
             for slash24 in selection[:SELECTION]
         ]
@@ -260,11 +260,11 @@ def test_unbuildable_template_mid_sequence_names_the_slash24(monkeypatch):
     failed = []
     real = FastCampaignEngine._program_for
 
-    def failing(self, dst, src):
+    def failing(self, dst, src, host=None):
         if dst >> 8 == victim.network >> 8:
             failed.append(dst)
             raise RouteTemplateError("injected for the test")
-        return real(self, dst, src)
+        return real(self, dst, src, host)
 
     monkeypatch.setattr(FastCampaignEngine, "_program_for", failing)
     with pytest.raises(RouteTemplateError) as raised:
@@ -452,7 +452,7 @@ def test_policy_of_another_type_raises_type_error(policy, name):
     slash24 = snapshot.eligible_slash24s()[0]
     with pytest.raises(TypeError, match=name):
         measure(
-            Prober(internet), slash24, snapshot.active_in(slash24), policy,
+            Prober(internet), slash24, snapshot, policy,
             random.Random(RNG_SEED),
         )
     assert internet.probe_count == 0

@@ -190,8 +190,7 @@ def test_split_slash24_sequence_matches_prober_campaign():
             policy = ReprobePolicy()
             measurements = [
                 measure(
-                    prober, slash24, snapshot.active_in(slash24), policy,
-                    rng,
+                    prober, slash24, snapshot, policy, rng,
                 )
                 for slash24 in split
             ]
@@ -260,6 +259,9 @@ def test_specialised_slots_pick_as_the_balancers_select():
     for src in vantage_addresses(internet, 2):
         for dst in destinations:
             prog = engine._program_for(dst, src)
+            # Probes specialise a balancer slot when they first read
+            # it; every slot is read here.
+            prog.specialise_all()
             for flow in range(64):
                 nonce = 0x5EED + 7919 * flow
                 route = oracle.resolve_path(forwarder, src, dst, flow, nonce)

@@ -860,14 +860,14 @@ class ProberEngine:
         self,
         policy,
         slash24: Prefix,
-        snapshot_active: List[int],
+        snapshot: ActivitySnapshot,
         rng: random.Random,
         max_destinations: Optional[int],
         source: Optional[int] = None,
     ) -> Tuple[Slash24Measurement, ProbeStats]:
         prober = Prober(self.internet, source=source)
         measurement = measure_slash24(
-            prober, slash24, snapshot_active, policy, rng,
+            prober, slash24, snapshot.active_in(slash24), policy, rng,
             max_destinations=max_destinations,
         )
         return measurement, prober.stats

@@ -281,11 +281,10 @@ class TestGroupCommits:
             ).records
         ] + [len(whole)]
 
-        context = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            pytest.skip("this platform has no fork start method")
         child = context.Process(
             target=_serial_campaign_killed_mid_commit,
             args=(
@@ -335,10 +334,10 @@ class TestGroupCommits:
         victim = selection[measured]
         real = FastCampaignEngine._program_for
 
-        def failing(self, dst, src):
+        def failing(self, dst, src, host=None):
             if dst >> 8 == victim.network >> 8:
                 raise RouteTemplateError("injected for the test")
-            return real(self, dst, src)
+            return real(self, dst, src, host)
 
         # A class attribute, so forked workers inherit the patch.
         monkeypatch.setattr(FastCampaignEngine, "_program_for", failing)
